@@ -12,7 +12,7 @@
  *
  * On top of the figure, the binary always runs an instant-restart
  * sweep: time-to-first-transaction (TTFT) after a crash, full restart
- * (eager allocator scan + stop-the-world recover) vs lazy restart
+ * (eager allocator scan + recovery drained inline) vs lazy restart
  * (deferred rebuild + triage + first-touch heal), across pool sizes.
  * Results land in a JSON file (argv[1], default
  * BENCH_recovery.current.json) that scripts/bench_recovery.sh merges

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -503,11 +504,9 @@ PmAllocator::healMetaLocked(RebuildStats* st)
     }
 }
 
-RebuildStats
-PmAllocator::rebuild(bool keepSession)
+void
+PmAllocator::armScanLocked(bool keepSession)
 {
-    RebuildStats st{};
-    std::lock_guard<std::mutex> g(mu_);
     free_.clear();
     bySize_.clear();
     if (!keepSession) {
@@ -516,111 +515,6 @@ PmAllocator::rebuild(bool keepSession)
         reserved_.clear();
         holds_.clear();
     }
-
-    healMetaLocked(&st);
-    const AllocHeader& h = hdr();
-    QuarantineTable* qt = quarTable();
-
-    // Guarded bitmap scan into a trusted local copy. A 64-byte chunk
-    // that cannot be read (poison) or was bit-flipped (taint) cannot
-    // distinguish its allocated granules from its free ones: the
-    // whole 8 KiB it administers is quarantined, the chunk rewritten
-    // as all-ones (which also heals the line — fresh stores make the
-    // cell trustworthy again), and none of it enters the free map.
-    uint64_t nGranules = h.dataBytes / kGranule;
-    uint64_t usedBitmapBytes = (nGranules + 7) / 8;
-    std::vector<uint8_t> bits(usedBitmapBytes, 0xff);
-    bool wroteBits = false;
-    for (uint64_t c = 0; c < usedBitmapBytes; c += 64) {
-        auto n = std::min<uint64_t>(64, usedBitmapBytes - c);
-        const void* src = pool_.at(h.bitmapOff + c);
-        bool bad = pool_.isTainted(src, n);
-        if (!bad) {
-            try {
-                pool_.checkRead(src, n);
-            } catch (const nvm::MediaFaultError&) {
-                bad = true;
-            }
-        }
-        if (!bad) {
-            std::memcpy(bits.data() + c, src, n);
-            continue;
-        }
-        st.poisonedChunks++;
-        uint64_t firstG = c * 8;
-        uint64_t lastG = std::min(firstG + n * 8, nGranules);
-        uint64_t off = h.dataOff + firstG * kGranule;
-        uint64_t bytes = (lastG - firstG) * kGranule;
-        std::vector<uint8_t> ones(n, 0xff);
-        pool_.writeAt(h.bitmapOff + c, ones.data(), n);
-        pool_.flush(src, n);
-        wroteBits = true;
-        quarantineLocked(off, bytes, kQuarPoisonedBitmap);
-        st.quarantinedBlocks++;
-        st.quarantinedBytes += bytes;
-    }
-    if (wroteBits)
-        pool_.fence();
-
-    // Quarantined ranges never re-enter the free map, even if their
-    // persistent bits were somehow cleared since (belt and braces:
-    // force them in the local copy too).
-    if (qt->count <= QuarantineTable::kCapacity) {
-        for (uint32_t i = 0; i < qt->count; i++) {
-            const QuarantineEntry& e = qt->entries[i];
-            uint64_t lo = std::max(e.off, h.dataOff);
-            uint64_t hi =
-                std::min(e.off + e.bytes, h.dataOff + h.dataBytes);
-            for (uint64_t b = lo; b < hi; b += kGranule) {
-                uint64_t gi = (b - h.dataOff) / kGranule;
-                bits[gi / 8] |= static_cast<uint8_t>(1u << (gi % 8));
-            }
-        }
-    }
-
-    uint64_t runStart = 0;
-    bool inRun = false;
-    for (uint64_t i = 0; i <= nGranules; i++) {
-        bool allocated =
-            i < nGranules &&
-            (bits[i / 8] & (1u << (i % 8))) != 0;
-        bool isFree = i < nGranules && !allocated;
-        if (isFree && !inRun) {
-            runStart = i;
-            inRun = true;
-        } else if (!isFree && inRun) {
-            insertFreeRunMaskedLocked(h.dataOff + runStart * kGranule,
-                                      (i - runStart) * kGranule);
-            inRun = false;
-        }
-    }
-
-    // A full rebuild supersedes any lazy session: fold its salvage
-    // into this pass's stats and close it.
-    if (lazyActive_) {
-        st.quarantinedBlocks += lazyStats_.quarantinedBlocks;
-        st.quarantinedBytes += lazyStats_.quarantinedBytes;
-        st.poisonedChunks += lazyStats_.poisonedChunks;
-        st.quarantineTableReset =
-            st.quarantineTableReset || lazyStats_.quarantineTableReset;
-        st.headerHealed = st.headerHealed || lazyStats_.headerHealed;
-        lazyStats_ = RebuildStats{};
-        lazyActive_ = false;
-        lazyScanDone_ = true;
-        lazyInRun_ = false;
-    }
-    return st;
-}
-
-void
-PmAllocator::beginLazyRebuild()
-{
-    std::lock_guard<std::mutex> g(mu_);
-    free_.clear();
-    bySize_.clear();
-    reserved_.clear();
-    holds_.clear();
-    lazyStats_ = RebuildStats{};
     healMetaLocked(&lazyStats_);
     lazyActive_ = true;
     lazyScanDone_ = false;
@@ -628,11 +522,24 @@ PmAllocator::beginLazyRebuild()
     lazyInRun_ = false;
 }
 
-bool
-PmAllocator::lazyRebuildActive() const
+RebuildStats
+PmAllocator::rebuild(bool keepSession)
 {
     std::lock_guard<std::mutex> g(mu_);
-    return lazyActive_;
+    armScanLocked(keepSession);
+    lazyStepLocked(~uint64_t{0});
+    // A full rebuild supersedes any lazy session: the salvage its
+    // pulls found folds into this pass's stats, and the session ends.
+    lazyActive_ = false;
+    return std::exchange(lazyStats_, RebuildStats{});
+}
+
+void
+PmAllocator::beginLazyRebuild()
+{
+    std::lock_guard<std::mutex> g(mu_);
+    lazyStats_ = RebuildStats{};
+    armScanLocked(/* keepSession */ false);
 }
 
 bool
@@ -645,7 +552,7 @@ PmAllocator::scannedLocked(uint64_t bOff, uint64_t granules) const
     return lastG / 8 < lazyCursor_;
 }
 
-bool
+void
 PmAllocator::lazyStepLocked(uint64_t chunks)
 {
     const AllocHeader& h = hdr();
@@ -671,8 +578,11 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         uint64_t firstG = c * 8;
         uint64_t lastG = std::min(firstG + n * 8, nGranules);
         if (bad) {
-            // Same salvage as rebuild(): the whole chunk's granules
-            // are quarantined and the chunk rewritten all-ones.
+            // A chunk that cannot be read (poison) or was bit-flipped
+            // (taint) cannot tell its allocated granules from its free
+            // ones: all of them are quarantined and the chunk
+            // rewritten all-ones (which also heals the line — fresh
+            // stores make the cell trustworthy again).
             lazyStats_.poisonedChunks++;
             std::memset(local, 0xff, n);
             pool_.writeAt(h.bitmapOff + c, local, n);
@@ -744,7 +654,6 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         }
         lazyScanDone_ = true;
     }
-    return lazyScanDone_;
 }
 
 void

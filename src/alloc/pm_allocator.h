@@ -11,9 +11,9 @@
  *    what the persistent bitmap describes;
  *  - a crash mid-commit is repaired from the runtime's persistent intent
  *    log by idempotent bit writes (revertBits);
- *  - Clobber-NVM's re-execution path simply re-reserves — the volatile
- *    free map is rebuilt from the (unchanged) bitmap first, so recovery
- *    is deterministic.
+ *  - Clobber-NVM's re-execution path simply re-reserves from the
+ *    recovery session's incremental rebuild; blocks its roll-back
+ *    reverted re-enter the free map only at the final reconcile.
  *
  * Persistent layout inside the pool's heap region (pool version 2):
  *
@@ -175,20 +175,21 @@ class PmAllocator {
                     bool allocated);
 
     /**
-     * Rebuild the volatile free map from the persistent bitmap.
-     * Bitmap chunks that are poisoned or tainted are quarantined (the
-     * granules they administer are forced allocated, persistently)
-     * rather than trusted; already-quarantined ranges never re-enter
-     * the free map. @return what this pass salvaged.
+     * Rebuild the volatile free map from the persistent bitmap: the
+     * incremental scan reset to the bitmap's start and run to its
+     * end. Bitmap chunks that are poisoned or tainted are quarantined
+     * (the granules they administer are forced allocated,
+     * persistently) rather than trusted; already-quarantined ranges
+     * never re-enter the free map. @return what this pass salvaged.
      *
      * `keepSession` distinguishes the two callers: false (default) is
      * fresh-process recovery — stale volatile reservations and holds
-     * are discarded before the scan; true is the lazy-recovery final
-     * reconcile, which runs while foreground transactions are in
-     * flight and must keep masking their live reservations (and any
-     * not-yet-released holds) out of the free map. Either way the
-     * lazy scan session ends here: its accumulated salvage stats are
-     * folded into the returned stats.
+     * are discarded before the scan; true is the recovery session's
+     * final reconcile (Runtime::healHeap), which may run while
+     * foreground transactions are in flight and must keep masking
+     * their live reservations (and any not-yet-released holds) out of
+     * the free map. Either way the lazy scan session ends here: its
+     * accumulated salvage stats are folded into the returned stats.
      */
     RebuildStats rebuild(bool keepSession = false);
 
@@ -201,9 +202,6 @@ class PmAllocator {
      * the end. Bounded by metadata size, not pool size.
      */
     void beginLazyRebuild();
-
-    /** Is an armed lazy rebuild still the source of the free map? */
-    bool lazyRebuildActive() const;
 
     /**
      * Pin [off, off+bytes) out of the free map until releaseHolds(tid)
@@ -272,7 +270,12 @@ class PmAllocator {
     void insertFreeRunMaskedLocked(uint64_t off, uint64_t len);
     uint64_t reserveLocked(uint64_t need);
     void healMetaLocked(RebuildStats* st);
-    bool lazyStepLocked(uint64_t chunks);
+    /** Empty the free map, heal the metadata and point the
+     *  incremental scan at the bitmap's first chunk. */
+    void armScanLocked(bool keepSession);
+    /** Scan up to `chunks` 64-byte bitmap chunks from the cursor into
+     *  the free map (the allocator's one bitmap scan). */
+    void lazyStepLocked(uint64_t chunks);
     bool scannedLocked(uint64_t blockOff, uint64_t granules) const;
 
     /** A heap range pinned until its owning slot heals. */

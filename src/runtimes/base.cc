@@ -86,7 +86,12 @@ RuntimeBase::writeDirty(unsigned tid, void* dst, const void* src,
     s.lastDirtyLine = last;
 }
 
-void
+// Pinned to a cache-line boundary: the inlined 4096-bucket
+// EpochSet::forEach scan below is most of commit time, and a code
+// change elsewhere that shifted this function by 16 bytes (the scan
+// loop then straddled a 32-byte fetch boundary) cost about a quarter
+// of kv-write's CPU time per op. The pin goes when the scan does.
+__attribute__((aligned(64))) void
 RuntimeBase::flushDirty(unsigned tid)
 {
     SlotState& s = slot(tid);
@@ -144,17 +149,6 @@ uint64_t
 RuntimeBase::beginChecksum(unsigned tid) const
 {
     return salvage::beginChecksum(desc(tid));
-}
-
-bool
-RuntimeBase::isOngoing(unsigned tid) const
-{
-    const TxDescriptor& d = desc(tid);
-    if (d.status != static_cast<uint64_t>(TxStatus::ongoing))
-        return false;
-    if (d.argLen > kMaxArgBytes)
-        return false;
-    return beginChecksum(tid) == d.beginSum;
 }
 
 void
@@ -262,24 +256,12 @@ RuntimeBase::finishIntentsAfterCommit(unsigned tid)
     pool_.fence();
 }
 
-bool
-RuntimeBase::hasLiveIntents(unsigned tid) const
-{
-    const TxDescriptor& d = desc(tid);
-    if (d.intentSeq != d.txSeq || d.intentCount == 0 ||
-        d.intentCount > kMaxIntents) {
-        return false;
-    }
-    return salvage::intentChecksum(d.intentSeq, d.intentCount,
-                                   d.intents) == d.intentSum;
-}
-
 void
 RuntimeBase::recoverIntents(unsigned tid, bool committed)
 {
-    if (!hasLiveIntents(tid))
-        return;
     TxDescriptor& d = desc(tid);
+    if (!salvage::intentsLive(d))
+        return;
     for (uint32_t i = 0; i < d.intentCount; i++) {
         const AllocIntent& in = d.intents[i];
         if (committed) {
@@ -302,9 +284,9 @@ RuntimeBase::recoverIntents(unsigned tid, bool committed)
 void
 RuntimeBase::reapplyAllocIntents(unsigned tid)
 {
-    if (!hasLiveIntents(tid))
-        return;
     TxDescriptor& d = desc(tid);
+    if (!salvage::intentsLive(d))
+        return;
     for (uint32_t i = 0; i < d.intentCount; i++) {
         const AllocIntent& in = d.intents[i];
         if (in.isFree == 0)
@@ -350,46 +332,6 @@ RuntimeBase::recordSlot(txn::SlotRecovery s)
                     s.entriesDropped);
     }
     report_->add(std::move(s));
-}
-
-bool
-RuntimeBase::descReadable(unsigned tid)
-{
-    // Guard only the begin record (status through the v_log args).
-    // The intent table that follows carries its own checksum and its
-    // own guarded handler (liveIntentsGuarded) with better salvage
-    // semantics; vetting it here would shadow that path and turn
-    // every table fault into a blanket "descriptor poisoned" abort.
-    try {
-        pool_.checkRead(&desc(tid), offsetof(TxDescriptor, intentSeq));
-    } catch (const nvm::MediaFaultError&) {
-        return false;
-    }
-    return true;
-}
-
-int
-RuntimeBase::liveIntentsGuarded(unsigned tid)
-{
-    const TxDescriptor& d = desc(tid);
-    constexpr size_t tableBytes =
-        sizeof(TxDescriptor) - offsetof(TxDescriptor, intentSeq);
-    try {
-        pool_.checkRead(&d.intentSeq, tableBytes);
-    } catch (const nvm::MediaFaultError&) {
-        return -1;
-    }
-    if (hasLiveIntents(tid))
-        return 1;
-    // A table that *looks* live (right seq, sane count) but fails its
-    // checksum on a tainted line was corrupted, not torn: the alloc
-    // actions it described are unrecoverable.
-    if (d.intentSeq == d.txSeq && d.intentCount > 0 &&
-        d.intentCount <= kMaxIntents &&
-        pool_.isTainted(&d.intentSeq, tableBytes)) {
-        return -1;
-    }
-    return 0;
 }
 
 void
@@ -468,13 +410,8 @@ RuntimeBase::slotRecoverable(unsigned tid)
     // replaying a possibly-flipped intent table could corrupt the
     // bitmap — the leak is the safe direction, and it is declared.
     // Only the begin record is vetted here; intent-table faults are
-    // the province of liveIntentsGuarded.
-    const char* why = nullptr;
-    if (!descReadable(tid))
-        why = "descriptor poisoned";
-    else if (pool_.isTainted(&desc(tid),
-                             offsetof(TxDescriptor, intentSeq)))
-        why = "descriptor tainted (bit flip)";
+    // the province of salvage::intentsGuarded.
+    const char* why = salvage::beginDamage(pool_, desc(tid));
     if (why == nullptr)
         return true;
     txn::SlotRecovery sr;
@@ -489,7 +426,7 @@ RuntimeBase::slotRecoverable(unsigned tid)
 void
 RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
 {
-    int live = liveIntentsGuarded(tid);
+    int live = salvage::intentsGuarded(pool_, desc(tid));
     if (live > 0) {
         recoverIntents(tid, committed);
         txn::SlotRecovery sr;
@@ -510,72 +447,21 @@ RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
 }
 
 void
-RuntimeBase::rebuildHeap(bool keepSession)
-{
-    alloc::RebuildStats rs = heap_.rebuild(keepSession);
-    if (report_ != nullptr) {
-        report_->quarantinedBlocks += rs.quarantinedBlocks;
-        report_->quarantinedBytes += rs.quarantinedBytes;
-    }
-}
-
-void
 RuntimeBase::resetVolatileSlot(unsigned tid)
 {
     slot(tid) = SlotState{};
-}
-
-txn::SlotClass
-RuntimeBase::classifySlot(unsigned tid)
-{
-    if (isOngoing(tid))
-        return txn::SlotClass::ongoing;
-    if (desc(tid).status ==
-        static_cast<uint64_t>(TxStatus::committing)) {
-        return txn::SlotClass::committing;
-    }
-    // Both a live table and a poisoned/corrupt one need a heal (the
-    // heal records the latter as lost); only 0 means nothing to do.
-    if (liveIntentsGuarded(tid) != 0)
-        return txn::SlotClass::idleIntents;
-    return txn::SlotClass::clean;
 }
 
 txn::RecoveryIndex
 RuntimeBase::recoveryTriage()
 {
     txn::RecoveryIndex idx;
-    idx.supportsLazy = true;
-    idx.heapPending = true;
     for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
         resetVolatileSlot(tid);
         txn::IndexEntry e;
         e.tid = tid;
-        // Read-only damage check — unlike slotRecoverable, triage
-        // must not salvage-reset anything (healSlot does, once).
-        bool damaged =
-            !descReadable(tid) ||
-            pool_.isTainted(&desc(tid),
-                            offsetof(TxDescriptor, intentSeq));
-        e.cls = damaged ? txn::SlotClass::damaged : classifySlot(tid);
-        if (!damaged && liveIntentsGuarded(tid) == 1) {
-            // A live intent table may own blocks whose bitmap bits
-            // tore in the crash: pin them out of the free map until
-            // this slot's heal settles their true state.
-            const TxDescriptor& d = desc(tid);
-            for (uint32_t i = 0; i < d.intentCount; i++) {
-                const AllocIntent& in = d.intents[i];
-                txn::HoldRange h;
-                h.tid = tid;
-                h.off = in.payloadOff - sizeof(alloc::BlockHeader);
-                h.bytes = (sizeof(alloc::BlockHeader) +
-                               in.payloadBytes +
-                           alloc::kGranule - 1) /
-                          alloc::kGranule * alloc::kGranule;
-                idx.holds.push_back(h);
-            }
-        }
-        triageSlot(tid, e.cls);
+        e.cls = salvage::triageSlot(pool_, tid, idx.holds);
+        noteTriaged(tid, e.cls);
         if (e.cls != txn::SlotClass::clean)
             idx.entries.push_back(e);
     }
@@ -591,7 +477,7 @@ RuntimeBase::healOneSlot(unsigned tid, txn::SlotClass)
     // stage (e.g. already salvage-reset) than the index recorded.
     if (!slotRecoverable(tid))
         return;
-    if (isOngoing(tid))
+    if (salvage::beginLive(desc(tid)))
         healOngoing(tid);
     else if (desc(tid).status ==
              static_cast<uint64_t>(TxStatus::committing))
@@ -617,7 +503,11 @@ RuntimeBase::healHeap()
 {
     RecoverySession session(*this);
     session.report().slotsScanned = 0;
-    rebuildHeap(/* keepSession */ true);
+    // keepSession: foreground transactions may be in flight (lazy
+    // mode), so their live reservations stay masked.
+    alloc::RebuildStats rs = heap_.rebuild(/* keepSession */ true);
+    session.report().quarantinedBlocks += rs.quarantinedBlocks;
+    session.report().quarantinedBytes += rs.quarantinedBytes;
     return session.take();
 }
 

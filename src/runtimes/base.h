@@ -56,19 +56,18 @@ class RuntimeBase : public txn::Runtime {
     void txAbort(unsigned tid) override;
 
     /**
-     * @name Lazy (instant-restart) recovery — triage/heal split
+     * @name Recovery — the triage/heal split every restart runs
      *
      * recoveryTriage() is the bounded pass: classify every slot from
-     * its descriptor (no log replay, no bitmap scan), collect the
-     * heap ranges live intent tables pin, and reset volatile slot
-     * state. It writes nothing a re-run could disagree with — the
-     * index rebuilds identically from the same media, so a crash
-     * anywhere inside triage (or between triage and the last heal)
-     * just means triage runs again. healSlot() is the per-entry slice
-     * of recover(): it re-derives the slot's condition from media
-     * (the triage class is advisory) and applies exactly the repair
-     * full recovery would, so healing twice — or healing after a
-     * crash that landed mid-heal — is idempotent. healHeap() is the
+     * its descriptor (salvage::triageSlot — no log replay, no bitmap
+     * scan), collect the heap ranges live intent tables pin, and
+     * reset volatile slot state. It writes nothing a re-run could
+     * disagree with — the index rebuilds identically from the same
+     * media, so a crash anywhere inside triage (or between triage and
+     * the last heal) just means triage runs again. healSlot() repairs
+     * one slot: it re-derives the slot's condition from media (the
+     * triage class is advisory), so healing twice — or healing after
+     * a crash that landed mid-heal — is idempotent. healHeap() is the
      * full allocator reconciliation, run once after all entries heal.
      */
     /// @{
@@ -289,9 +288,6 @@ class RuntimeBase : public txn::Runtime {
 
     /** Redo replay: force the table's alloc bits set (idempotent). */
     void reapplyAllocIntents(unsigned tid);
-
-    /** True iff the slot holds a live intent table for its txSeq. */
-    bool hasLiveIntents(unsigned tid) const;
     /// @}
 
     /** Write status=idle, flush, fence. */
@@ -300,14 +296,13 @@ class RuntimeBase : public txn::Runtime {
     /**
      * @name Salvage support
      *
-     * recover() implementations open a RecoverySession, which exposes
+     * healSlot() and healHeap() open a RecoverySession, which exposes
      * the in-progress txn::RecoveryReport through report_ (null
      * outside recovery, so the hot path never touches it) and
      * snapshots the fault model's counters to attribute poisoned
      * reads and retries to this pass. The session is exception-safe:
-     * a CrashInjected thrown mid-recovery (crash-during-recovery
-     * torture) unwinds it cleanly and the next recover() starts a
-     * fresh report.
+     * a CrashInjected thrown mid-heal (crash-during-recovery torture)
+     * unwinds it cleanly and the next heal starts a fresh report.
      */
     /// @{
     class RecoverySession {
@@ -329,17 +324,6 @@ class RuntimeBase : public txn::Runtime {
     /** Record a per-slot salvage outcome (no-op outside recovery). */
     void recordSlot(txn::SlotRecovery s);
 
-    /** Can the slot's descriptor be read at all? Poisoned descriptors
-     *  are recorded as salvage-aborted by the caller. */
-    bool descReadable(unsigned tid);
-
-    /**
-     * hasLiveIntents with media awareness: 1 = live table, 0 = none,
-     * -1 = the table is poisoned or looks live but fails its checksum
-     * on a tainted line (record as intentTablesLost).
-     */
-    int liveIntentsGuarded(unsigned tid);
-
     /**
      * Rewrite the slot's descriptor as clean idle with txSeq bumped
      * (so surviving log entries can never validate again). Shared by
@@ -356,8 +340,8 @@ class RuntimeBase : public txn::Runtime {
     void salvageResetSlot(unsigned tid);
 
     /**
-     * Common recover() preamble for one slot. False means the
-     * descriptor itself is unreadable: the slot has been recorded as
+     * Common heal preamble for one slot. False means the descriptor
+     * itself is unreadable: the slot has been recorded as
      * salvage-aborted and persistently reset (the reset writes heal
      * the poisoned lines), and the caller must skip it.
      */
@@ -372,32 +356,18 @@ class RuntimeBase : public txn::Runtime {
     void recoverIdleIntents(unsigned tid, bool committed);
 
     /**
-     * heap_.rebuild() folding quarantine stats into the report.
-     * `keepSession` passes through to PmAllocator::rebuild: true is
-     * the lazy-recovery final reconcile (live reservations and holds
-     * stay masked), false is fresh-process recovery.
-     */
-    void rebuildHeap(bool keepSession = false);
-
-    /**
-     * @name Per-slot recovery hooks (shared by recover() and healSlot)
+     * @name Per-slot recovery hooks
      *
-     * The full recover() implementations and the lazy per-entry heals
-     * run the same protocol logic through these virtuals; overriding
-     * one repairs both paths.
+     * recoveryTriage() and healSlot() run each protocol's logic
+     * through these virtuals.
      */
     /// @{
     /** Drop the slot's volatile transaction state (redo also clears
      *  its write map). */
     virtual void resetVolatileSlot(unsigned tid);
 
-    /** Classify one slot from its descriptor. Read-mostly: must not
-     *  repair anything (triage calls it; heal re-derives). The caller
-     *  has already vetted the descriptor's begin record. */
-    virtual txn::SlotClass classifySlot(unsigned tid);
-
     /** Per-slot triage hook (redo skips clean slots' txSeq here). */
-    virtual void triageSlot(unsigned /* tid */, txn::SlotClass) {}
+    virtual void noteTriaged(unsigned /* tid */, txn::SlotClass) {}
 
     /** End-of-triage hook (redo fences its sequence skips). */
     virtual void triageFinish() {}
@@ -429,15 +399,9 @@ class RuntimeBase : public txn::Runtime {
     }
     /// @}
 
-    /** Active recovery report; null outside recover(). */
+    /** Active recovery report; null outside a heal. */
     txn::RecoveryReport* report_ = nullptr;
     /// @}
-
-    /**
-     * True iff slot `tid` holds an interrupted transaction whose begin
-     * record validates (see TxDescriptor::beginSum).
-     */
-    bool isOngoing(unsigned tid) const;
 
     /** Checksum of the slot's current begin record. */
     uint64_t beginChecksum(unsigned tid) const;

@@ -62,8 +62,8 @@ ClobberRuntime::appendClobberEntry(unsigned tid, void* dst, size_t n)
     // matters: the clobbered line can tear independently of the log
     // line, so the entry should be durable before the in-place write
     // executes. Under the zero/zerocached writers it is elided and
-    // recover() compensates by declaring the interrupted transaction
-    // salvage-aborted instead of re-executing it.
+    // healOngoing() compensates by declaring the interrupted
+    // transaction salvage-aborted instead of re-executing it.
     uint64_t off = pool_.offsetOf(dst);
     uint64_t lo = off & ~(kBlock - 1);
     uint64_t hi = (off + n + kBlock - 1) & ~(kBlock - 1);
@@ -272,48 +272,15 @@ ClobberRuntime::healOngoing(unsigned tid)
         declareRestoreAbort(tid, st);
         return;
     }
-    // Restore and re-execute back to back: lazy recovery has no
-    // stop-the-world heap rebuild to interleave — the allocator's
-    // incremental scan serves the re-execution's reservations, and
-    // this slot's own reverted blocks are simply not handed out until
-    // the final reconcile (the safe direction).
+    // Restore and re-execute back to back, one slot at a time: the
+    // allocator's incremental scan serves the re-execution's
+    // reservations, this slot's own reverted blocks are simply not
+    // handed out until the final reconcile (the safe direction), and
+    // holds pin every other live intent table's blocks. Other
+    // interrupted slots cannot be disturbed: each crashed transaction
+    // still held its locks, so their footprints are disjoint.
     resetVolatileSlot(tid);
     reexecuteGuarded(tid);
-}
-
-txn::RecoveryReport
-ClobberRuntime::recover()
-{
-    RecoverySession session(*this);
-    // Phase 1: restore every interrupted transaction's clobbered
-    // inputs and revert its allocation intents. A damaged clobber log
-    // means some pre-state is unrecoverable: restore what validated,
-    // but do NOT re-execute — the txfunc would read partly-garbage
-    // inputs and commit on top of them.
-    std::vector<unsigned> interrupted;
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        if (!slotRecoverable(tid)) {
-            slot(tid) = SlotState{};
-            continue;
-        }
-        if (isOngoing(tid)) {
-            salvage::ScanStats st = restoreSlot(tid);
-            if (st.damaged() || logWriterElides()) {
-                declareRestoreAbort(tid, st);
-            } else {
-                interrupted.push_back(tid);
-            }
-        } else {
-            recoverIdleIntents(tid, /* committed */ true);
-        }
-        slot(tid) = SlotState{};
-    }
-    // Phase 2: rebuild the allocator's volatile state from the (now
-    // reverted) bitmap, then re-execute each transaction to completion.
-    rebuildHeap();
-    for (unsigned tid : interrupted)
-        reexecuteGuarded(tid);
-    return session.take();
 }
 
 }  // namespace cnvm::rt

@@ -6,7 +6,10 @@
  * the transaction itself overwrites ("clobber writes"), persist the
  * transaction's volatile inputs (function id + argument blob) in a
  * v_log at begin, and recover interrupted transactions by restoring the
- * clobbered inputs and re-executing the txfunc from its start.
+ * clobbered inputs and re-executing the txfunc from its start. Like
+ * every protocol, recovery heals one slot at a time (healOngoing:
+ * restore that slot, then re-execute it), whether the restart drains
+ * the recovery session inline or lazily.
  *
  * Clobber detection here is the dynamic equivalent of the compiler
  * pass: per-transaction read/write sets at 8-byte granularity. A store
@@ -57,7 +60,6 @@ class ClobberRuntime : public RuntimeBase {
                size_t n) override;
     void load(unsigned tid, void* dst, const void* src,
               size_t n) override;
-    txn::RecoveryReport recover() override;
     bool recovering() const override { return recovering_; }
 
     ClobberPolicy policy() const { return policy_; }
@@ -83,9 +85,9 @@ class ClobberRuntime : public RuntimeBase {
      * Interrupted transaction: restore its clobbered inputs, then —
      * unless the log was damaged or an eliding writer was active —
      * re-execute the txfunc to completion on the calling thread.
-     * Unlike the two-phase recover() there is no separate heap
-     * rebuild between restore and re-execution: under lazy recovery
-     * the allocator's incremental scan is already live.
+     * Every restart heals slot by slot, so there is no heap rebuild
+     * between restore and re-execution: the allocator's incremental
+     * scan is already live.
      */
     void healOngoing(unsigned tid) override;
 
@@ -102,10 +104,10 @@ class ClobberRuntime : public RuntimeBase {
     static thread_local bool recovering_;
 
  private:
-    /** Restore clobbered inputs, revert intents (phase 1 of
-     *  recovery). @return what the log scan observed. */
+    /** Restore clobbered inputs, revert intents. @return what the
+     *  log scan observed. */
     salvage::ScanStats restoreSlot(unsigned tid);
-    /** Re-execute the interrupted txfunc (phase 2 of recovery). */
+    /** Re-execute the interrupted txfunc (after restoreSlot). */
     void reexecuteSlot(unsigned tid);
     /** Roll back a partially re-executed slot and abandon it. */
     void abortReexecution(unsigned tid, const char* why);

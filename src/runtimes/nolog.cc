@@ -55,8 +55,8 @@ NoLogRuntime::load(unsigned, void* dst, const void* src, size_t n)
     std::memcpy(dst, src, n);
 }
 
-txn::RecoveryReport
-NoLogRuntime::recover()
+txn::RecoveryIndex
+NoLogRuntime::recoveryTriage()
 {
     // Nothing persistent to repair (and no way to), but interrupted
     // transactions' volatile slot state must still be dropped or the
@@ -66,21 +66,7 @@ NoLogRuntime::recover()
     // report is likewise honest: no-log has no way to detect damage,
     // so it never declares a salvage abort and the media sweep's
     // shadow audit stays strict.
-    RecoverySession session(*this);
-    for (SlotState& s : slots_) {
-        s.inTx = false;
-        s.resetTx();
-    }
-    rebuildHeap();
-    return session.take();
-}
-
-txn::RecoveryIndex
-NoLogRuntime::recoveryTriage()
-{
     txn::RecoveryIndex idx;
-    idx.supportsLazy = true;
-    idx.heapPending = true;
     for (SlotState& s : slots_) {
         s.inTx = false;
         s.resetTx();

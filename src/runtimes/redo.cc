@@ -201,7 +201,7 @@ RedoRuntime::skipSeq(unsigned tid)
 }
 
 void
-RedoRuntime::triageSlot(unsigned tid, txn::SlotClass cls)
+RedoRuntime::noteTriaged(unsigned tid, txn::SlotClass cls)
 {
     // Pending slots skip inside their heal instead: the skip must not
     // invalidate the very log entries the heal still has to replay.
@@ -261,22 +261,6 @@ RedoRuntime::healCommitting(unsigned tid)
         stats::bump(stats::Counter::recoveries);
     }
     recordSlot(std::move(sr));
-}
-
-txn::RecoveryReport
-RedoRuntime::recover()
-{
-    // The lazy path's heal loop run to completion inline. healOneSlot
-    // fences each slot's sequence skip individually where the old
-    // monolithic pass batched them behind one fence — a few extra
-    // recovery-time fences buy one shared code path.
-    RecoverySession session(*this);
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        healOneSlot(tid, txn::SlotClass::clean);
-        resetVolatileSlot(tid);
-    }
-    rebuildHeap();
-    return session.take();
 }
 
 }  // namespace cnvm::rt

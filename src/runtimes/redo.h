@@ -38,7 +38,6 @@ class RedoRuntime : public RuntimeBase {
               size_t n) override;
     /** Abort = drop the volatile write set (nothing was in place). */
     void txAbort(unsigned tid) override;
-    txn::RecoveryReport recover() override;
 
  protected:
     /** Also drops the slot's volatile write set. */
@@ -55,7 +54,7 @@ class RedoRuntime : public RuntimeBase {
      * by triageFinish), pending slots as part of their heal (fenced
      * per slot — each must be protected before it is re-admitted).
      */
-    void triageSlot(unsigned tid, txn::SlotClass cls) override;
+    void noteTriaged(unsigned tid, txn::SlotClass cls) override;
     void triageFinish() override;
     void healOneSlot(unsigned tid, txn::SlotClass cls) override;
 

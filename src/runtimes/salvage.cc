@@ -1,5 +1,6 @@
 #include "runtimes/salvage.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "alloc/pm_allocator.h"
@@ -177,6 +178,88 @@ scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
     st.endPos = pos;
     if (stats != nullptr)
         *stats = st;
+}
+
+bool
+beginLive(const TxDescriptor& d)
+{
+    return d.status == static_cast<uint64_t>(TxStatus::ongoing) &&
+           d.argLen <= kMaxArgBytes && beginChecksum(d) == d.beginSum;
+}
+
+bool
+intentsLive(const TxDescriptor& d)
+{
+    return d.intentSeq == d.txSeq && d.intentCount != 0 &&
+           d.intentCount <= kMaxIntents &&
+           intentChecksum(d.intentSeq, d.intentCount, d.intents) ==
+               d.intentSum;
+}
+
+const char*
+beginDamage(const nvm::Pool& pool, const TxDescriptor& d)
+{
+    constexpr size_t kBeginBytes = offsetof(TxDescriptor, intentSeq);
+    if (!readable(&pool, &d, kBeginBytes))
+        return "descriptor poisoned";
+    if (pool.isTainted(&d, kBeginBytes))
+        return "descriptor tainted (bit flip)";
+    return nullptr;
+}
+
+int
+intentsGuarded(const nvm::Pool& pool, const TxDescriptor& d)
+{
+    constexpr size_t kTableBytes =
+        sizeof(TxDescriptor) - offsetof(TxDescriptor, intentSeq);
+    if (!readable(&pool, &d.intentSeq, kTableBytes))
+        return -1;
+    if (intentsLive(d))
+        return 1;
+    // A table that *looks* live (right seq, sane count) but fails its
+    // checksum on a tainted line was corrupted, not torn: the alloc
+    // actions it described are unrecoverable.
+    if (d.intentSeq == d.txSeq && d.intentCount > 0 &&
+        d.intentCount <= kMaxIntents &&
+        pool.isTainted(&d.intentSeq, kTableBytes)) {
+        return -1;
+    }
+    return 0;
+}
+
+txn::SlotClass
+triageSlot(const nvm::Pool& pool, unsigned tid,
+           std::vector<txn::HoldRange>& holds)
+{
+    const auto& d = *static_cast<const TxDescriptor*>(pool.slot(tid));
+    // Read-only damage check — unlike RuntimeBase::slotRecoverable,
+    // triage must not salvage-reset anything (the heal does, once).
+    if (beginDamage(pool, d) != nullptr)
+        return txn::SlotClass::damaged;
+    int intents = intentsGuarded(pool, d);
+    if (intents > 0) {
+        // A live intent table may own blocks whose bitmap bits tore
+        // in the crash: pin them out of the free map until this
+        // slot's heal settles their true state.
+        for (uint32_t i = 0; i < d.intentCount; i++) {
+            const AllocIntent& in = d.intents[i];
+            txn::HoldRange h;
+            h.tid = tid;
+            h.off = in.payloadOff - sizeof(alloc::BlockHeader);
+            h.bytes = (sizeof(alloc::BlockHeader) + in.payloadBytes +
+                       alloc::kGranule - 1) /
+                      alloc::kGranule * alloc::kGranule;
+            holds.push_back(h);
+        }
+    }
+    if (beginLive(d))
+        return txn::SlotClass::ongoing;
+    if (d.status == static_cast<uint64_t>(TxStatus::committing))
+        return txn::SlotClass::committing;
+    // Both a live table and a poisoned/corrupt one need a heal (the
+    // heal records the latter as lost); only 0 means nothing to do.
+    return intents != 0 ? txn::SlotClass::idleIntents
+                        : txn::SlotClass::clean;
 }
 
 VerifyResult

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "runtimes/descriptor.h"
+#include "txn/recovery_index.h"
 
 namespace cnvm::alloc {
 class PmAllocator;
@@ -94,6 +95,47 @@ struct ScanStats {
 void scanLogArea(const nvm::Pool* pool, const uint8_t* area,
                  size_t cap, uint32_t seqLo,
                  std::vector<ScannedEntry>& out, ScanStats* stats);
+
+/**
+ * @name Read-only descriptor probes
+ *
+ * Shared by recovery triage, the per-slot heals and cnvm_inspect.
+ * None of them writes to the pool; the guarded ones turn a poisoned
+ * line into a result instead of a MediaFaultError.
+ */
+/// @{
+/** Does the begin record hold a valid interrupted transaction
+ *  (status ongoing, sane argLen, begin checksum matches)? */
+bool beginLive(const TxDescriptor& d);
+
+/** Does the alloc-intent table validate for the slot's txSeq? */
+bool intentsLive(const TxDescriptor& d);
+
+/**
+ * Why the begin record (status through the v_log args) cannot be
+ * trusted — "descriptor poisoned" or "descriptor tainted (bit
+ * flip)" — or null when it reads back clean. The intent table is not
+ * vetted here: it carries its own checksum and its own guarded probe
+ * (intentsGuarded) with better salvage semantics.
+ */
+const char* beginDamage(const nvm::Pool& pool, const TxDescriptor& d);
+
+/**
+ * intentsLive with media awareness: 1 = live table, 0 = none, -1 =
+ * the table is poisoned, or looks live but fails its checksum on a
+ * tainted line (recovery records it as lost).
+ */
+int intentsGuarded(const nvm::Pool& pool, const TxDescriptor& d);
+
+/**
+ * Triage one slot: classify it from its on-media descriptor and
+ * append to `holds` the heap ranges its live intent table pins until
+ * the slot heals. The one slot classifier: RuntimeBase's
+ * recoveryTriage() and `cnvm_inspect verify` both call it.
+ */
+txn::SlotClass triageSlot(const nvm::Pool& pool, unsigned tid,
+                          std::vector<txn::HoldRange>& holds);
+/// @}
 
 /** Result of an offline pool walk (cnvm_inspect verify). */
 struct VerifyResult {

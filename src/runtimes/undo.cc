@@ -129,20 +129,4 @@ UndoRuntime::rollbackSlot(unsigned tid)
     recordSlot(std::move(sr));
 }
 
-txn::RecoveryReport
-UndoRuntime::recover()
-{
-    // Stop-the-world recovery is the lazy path's heal loop run to
-    // completion inline: the same healOneSlot dispatch (vet the
-    // descriptor, roll ongoing slots back, finish idle slots' intent
-    // tables) over every slot, then the full heap rebuild.
-    RecoverySession session(*this);
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        healOneSlot(tid, txn::SlotClass::clean);
-        resetVolatileSlot(tid);
-    }
-    rebuildHeap();
-    return session.take();
-}
-
 }  // namespace cnvm::rt

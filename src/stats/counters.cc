@@ -30,8 +30,6 @@ counterName(Counter c)
     switch (c) {
       case Counter::nvmWrites: return "nvm_writes";
       case Counter::nvmWriteBytes: return "nvm_write_bytes";
-      case Counter::nvmReads: return "nvm_reads";
-      case Counter::nvmReadBytes: return "nvm_read_bytes";
       case Counter::flushes: return "flushes";
       case Counter::fences: return "fences";
       case Counter::txBegins: return "tx_begins";

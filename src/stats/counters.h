@@ -22,8 +22,6 @@ namespace cnvm::stats {
 enum class Counter : unsigned {
     nvmWrites,        ///< interposed stores reaching NVM addresses
     nvmWriteBytes,    ///< bytes of those stores
-    nvmReads,         ///< interposed loads from NVM addresses
-    nvmReadBytes,
     flushes,          ///< clwb/clflush issued
     fences,           ///< sfence issued
     txBegins,

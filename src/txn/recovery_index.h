@@ -1,11 +1,9 @@
 /**
  * @file
  * RecoveryIndex: the output of a triage pass — the bounded "what needs
- * healing" catalogue that instant restart is built on (DESIGN.md §17).
+ * healing" catalogue every restart is built on (DESIGN.md §17).
  *
- * Full recovery is stop-the-world: no transaction runs until every
- * slot has been rolled back / re-executed and the allocator bitmap has
- * been rescanned. Lazy recovery splits that work in two:
+ * Recovery runs in two steps, whether the restart is full or lazy:
  *
  *   triage  — a bounded pass over the per-slot TxDescriptors (and the
  *             allocator/quarantine metadata headers) that only
@@ -15,15 +13,18 @@
  *             after a crash: it rebuilds bit-for-bit from the same
  *             on-media descriptors, no matter how many times triage
  *             itself is interrupted.
- *   heal    — the existing salvage logic, now runnable one index entry
- *             at a time (Runtime::healSlot), on first touch or from a
- *             background salvage thread (txn::LazyRecovery).
+ *   heal    — the salvage logic, one index entry at a time
+ *             (Runtime::healSlot), then one heap reconcile
+ *             (Runtime::healHeap). A full restart heals every entry
+ *             inline before returning; a lazy one heals on first
+ *             touch or from a background salvage thread
+ *             (txn::LazyRecovery).
  *
  * Hold ranges: a slot that crashed with a live alloc-intent table may
  * own heap blocks whose allocation bits never retired to media. Until
  * that slot heals, those ranges must not re-enter the allocator's free
  * map — triage reads them out of the (checksummed) intent table and
- * the engine registers them as holds with the allocator.
+ * the recovery session registers them as holds with the allocator.
  */
 #ifndef CNVM_TXN_RECOVERY_INDEX_H
 #define CNVM_TXN_RECOVERY_INDEX_H
@@ -35,7 +36,7 @@ namespace cnvm::txn {
 
 /** How Engine::recover() brings a pool back. */
 enum class RecoveryMode : uint8_t {
-    full,  ///< stop-the-world: heal everything before admitting
+    full,  ///< heal everything inline before admitting
     lazy,  ///< triage, admit immediately, heal on touch/in background
 };
 
@@ -70,11 +71,6 @@ struct HoldRange {
 
 /** Result of Runtime::recoveryTriage(). */
 struct RecoveryIndex {
-    /** False when the runtime has no triage/heal split (mocks, future
-     *  protocols): the engine falls back to full recovery. */
-    bool supportsLazy = false;
-    /** The allocator's free map still needs (incremental) rebuilding. */
-    bool heapPending = false;
     /** Dirty slots, ascending tid. Clean slots are omitted. */
     std::vector<IndexEntry> entries;
     /** Heap ranges to pin until the owning slot heals. */

@@ -12,6 +12,13 @@
  * would insert at every memory access inside a transaction; alloc()/
  * dealloc() are the pmalloc callbacks; txBegin()/txCommit() are the
  * txbegin/txend macros.
+ *
+ * Recovery has one path. A protocol implements only its pieces —
+ * recoveryTriage() classifies the slots, healSlot() repairs one,
+ * healHeap() reconciles the allocator — and every restart runs them
+ * through a txn::LazyRecovery session: recover() (and
+ * Engine::recover in full mode) drains that session inline, lazy
+ * mode publishes it and heals on first touch or in the background.
  */
 #ifndef CNVM_TXN_RUNTIME_H
 #define CNVM_TXN_RUNTIME_H
@@ -139,52 +146,51 @@ class Runtime {
     /**
      * Repair the pool after a crash: roll back or re-execute every
      * interrupted transaction, then rebuild volatile allocator state.
-     * Corrupt media is salvaged, not aborted on: damaged log entries
-     * are dropped with protocol-correct semantics and poisoned
-     * allocator blocks quarantined. The returned report records every
-     * salvage action (all existing callers may ignore it; a clean
-     * crash on healthy media yields a report with clean() == true).
+     * This is lazy recovery run to completion on the calling thread —
+     * a txn::LazyRecovery session (triage, arm the allocator, pin the
+     * holds) drained inline: one healSlot() per pending slot, then
+     * one healHeap(). Corrupt media is salvaged, not aborted on:
+     * damaged log entries are dropped with protocol-correct semantics
+     * and poisoned allocator blocks quarantined. The returned report
+     * records every salvage action (all existing callers may ignore
+     * it; a clean crash on healthy media yields a report with
+     * clean() == true). Defined in lazy_recovery.cc.
      */
-    virtual RecoveryReport recover() = 0;
+    RecoveryReport recover();
 
     /**
-     * Bounded triage pass for lazy (instant-restart) recovery: scan
-     * the per-slot descriptors just enough to classify each slot and
-     * collect the heap ranges that must stay pinned until their slot
-     * heals. Idempotent — interrupt it anywhere and a re-run rebuilds
-     * the identical index from the same on-media state. The default
-     * (supportsLazy == false) makes Engine::recover fall back to the
-     * stop-the-world recover() above.
+     * Bounded triage pass: scan the per-slot descriptors just enough
+     * to classify each slot and collect the heap ranges that must
+     * stay pinned until their slot heals. Idempotent — interrupt it
+     * anywhere and a re-run rebuilds the identical index from the
+     * same on-media state.
      */
-    virtual RecoveryIndex recoveryTriage() { return {}; }
+    virtual RecoveryIndex recoveryTriage() = 0;
 
     /**
-     * Heal one triaged slot: the per-entry slice of recover() — roll
-     * back, roll forward, or re-execute exactly that slot, salvaging
-     * damage with the same declarations full recovery would make.
-     * Re-derives the slot's state from media (the entry's class is
-     * advisory), so healing a slot twice, or healing after a crash
-     * that landed mid-heal, is idempotent.
+     * Heal one triaged slot: roll back, roll forward, or re-execute
+     * exactly that slot, salvaging damage. Re-derives the slot's
+     * state from media (the entry's class is advisory), so healing a
+     * slot twice, or healing after a crash that landed mid-heal, is
+     * idempotent.
      */
-    virtual RecoveryReport healSlot(const IndexEntry& /* entry */)
-    {
-        return {};
-    }
+    virtual RecoveryReport healSlot(const IndexEntry& entry) = 0;
 
     /**
-     * Final heap reconciliation for lazy recovery: the full allocator
-     * rebuild (quarantine audit included), run once after every index
-     * entry has healed. Safe to run while foreground transactions are
-     * in flight — live reservations are preserved.
+     * Final heap reconciliation: the full allocator rebuild
+     * (quarantine audit included), run once after every index entry
+     * has healed. Safe to run while foreground transactions are in
+     * flight — live reservations are preserved.
      */
-    virtual RecoveryReport healHeap() { return {}; }
+    virtual RecoveryReport healHeap() = 0;
 
     /**
-     * True while recover() is re-executing an interrupted txfunc
-     * (recovery-via-resumption runtimes only). Volatile out-pointer
-     * arguments baked into the v_log point into stack frames of the
-     * crashed process; txfuncs must not dereference them when this is
-     * set (the caller that supplied them no longer exists).
+     * True while a heal is re-executing an interrupted txfunc on the
+     * calling thread (recovery-via-resumption runtimes only).
+     * Volatile out-pointer arguments baked into the v_log point into
+     * stack frames of the crashed process; txfuncs must not
+     * dereference them when this is set (the caller that supplied
+     * them no longer exists).
      */
     virtual bool recovering() const { return false; }
 };

@@ -236,6 +236,187 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+// ---------------------------------------------------------------
+// Two slots in flight at one crash: every heal runs slot by slot, so
+// the second pending slot must not be disturbed by the first one's
+// roll-back or re-execution, in full and lazy recovery alike.
+// ---------------------------------------------------------------
+
+struct TwoSlotCase {
+    RuntimeKind kind;
+    txn::RecoveryMode mode;
+};
+
+class TwoSlotCrash : public ::testing::TestWithParam<TwoSlotCase> {};
+
+/** Bind the calling thread to a runtime slot for one scope. */
+struct SlotBinding {
+    explicit SlotBinding(unsigned tid) { txn::setThreadTid(tid); }
+    ~SlotBinding() { txn::setThreadTid(0); }
+    SlotBinding(const SlotBinding&) = delete;
+    SlotBinding& operator=(const SlotBinding&) = delete;
+};
+
+/** A second, empty list root; its offset lands in the out-pointer. */
+const txn::FuncId kMakeList = txn::registerTxFunc(
+    "test_make_list", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto* out = a.get<uint64_t*>();
+        auto r = tx.pnew<TestRoot>();
+        if (!tx.recovering())
+            *out = r.raw();
+    });
+
+/** A list as it sits on media: node count, sum of node values, the
+ *  root's running sum, and the head node's value. */
+struct ListState {
+    size_t len = 0;
+    uint64_t nodeSum = 0;
+    uint64_t rootSum = 0;
+    uint64_t headValue = 0;
+};
+
+ListState
+readList(nvm::Pool& pool, uint64_t rootOff)
+{
+    const auto& root = *static_cast<const TestRoot*>(pool.at(rootOff));
+    ListState st;
+    st.rootSum = root.sum;
+    if (!root.head.isNull())
+        st.headValue = root.head->value;
+    for (auto n = root.head; !n.isNull(); n = n->next) {
+        st.nodeSum += n->value;
+        CNVM_CHECK(++st.len < 1000000, "list is cyclic");
+    }
+    return st;
+}
+
+/**
+ * Trap a push on slot 1 mid-transaction, then crash a push on slot 0
+ * (the two push onto disjoint lists, as two transactions holding
+ * their own locks would), at every trap point of the sweep. Wherever
+ * triage reports both slots pending, recovery must leave each push
+ * all-or-nothing with each list's sum matching its nodes, and
+ * resumption runtimes must re-execute both pushes.
+ */
+TEST_P(TwoSlotCrash, BothPendingSlotsHealAllOrNothing)
+{
+    auto [kind, mode] = GetParam();
+    Harness h(kind);
+    CrashScheduler sched(*h.pool);
+    auto eng = h.engine();
+    uint64_t roots[2] = {h.rootPtr().raw(), 0};
+    txn::run(eng, kMakeList, &roots[1]);
+    ASSERT_NE(roots[1], 0u);
+    for (uint64_t v = 1; v <= 3; v++) {
+        for (uint64_t r : roots)
+            txn::run(eng, kPushNode, r, v);
+    }
+
+    // Push `value` onto list `slot` from runtime slot `slot`, with the
+    // trap armed at event k. @return whether the push crashed.
+    auto crashPush = [&](unsigned slot, uint64_t k, uint64_t value) {
+        SlotBinding bind(slot);
+        sched.arm(k);
+        bool crashed = false;
+        try {
+            txn::run(eng, kPushNode, roots[slot], value);
+        } catch (const nvm::CrashInjected&) {
+            crashed = true;
+        }
+        sched.disarm();
+        return crashed;
+    };
+
+    bool resumes =
+        kind == RuntimeKind::clobber || kind == RuntimeKind::ido;
+    unsigned checked = 0;
+    for (uint64_t k = 1; k < 400; k++) {
+        SCOPED_TRACE(k);
+        ListState before[2] = {readList(*h.pool, roots[0]),
+                               readList(*h.pool, roots[1])};
+        uint64_t pushed[2] = {2000 + k, 1000 + k};
+        bool crashed1 = crashPush(1, k, pushed[1]);
+        bool crashed0 = crashed1 && crashPush(0, k, pushed[0]);
+        if (crashed1)
+            h.pool->cache().crashAllLost();
+        if (!crashed0) {
+            // Swept past the pushes' events: nothing left to tear.
+            h.runtime->recover();
+            break;
+        }
+        if (h.runtime->recoveryTriage().entries.size() != 2) {
+            h.runtime->recover();  // not both torn mid-flight
+            continue;
+        }
+        checked++;
+
+        txn::RecoveryReport rep;
+        if (mode == txn::RecoveryMode::full) {
+            rep = eng.recover(txn::RecoveryMode::full);
+        } else {
+            eng.recover(txn::RecoveryMode::lazy,
+                        /* backgroundHealer */ false);
+            EXPECT_EQ(eng.recoveryPending(), 3u);  // 2 slots + heap
+            {
+                SlotBinding bind(1);
+                eng.admitSlot(1);  // first touch heals slot 1 first
+            }
+            rep = eng.finishRecovery();
+        }
+        EXPECT_TRUE(rep.clean()) << rep.toString();
+        EXPECT_EQ(eng.recoveryPending(), 0u);
+
+        for (unsigned s = 0; s < 2; s++) {
+            SCOPED_TRACE(s);
+            ListState after = readList(*h.pool, roots[s]);
+            EXPECT_EQ(after.rootSum, after.nodeSum);
+            if (after.len == before[s].len + 1) {
+                EXPECT_EQ(after.headValue, pushed[s]);
+                EXPECT_EQ(after.nodeSum, before[s].nodeSum + pushed[s]);
+            } else {
+                EXPECT_FALSE(resumes) << "push was not re-executed";
+                EXPECT_EQ(after.len, before[s].len);
+                EXPECT_EQ(after.nodeSum, before[s].nodeSum);
+            }
+        }
+
+        // Both slots take new transactions afterwards.
+        for (unsigned s = 0; s < 2; s++) {
+            SlotBinding bind(s);
+            size_t len = readList(*h.pool, roots[s]).len;
+            txn::run(eng, kPushNode, roots[s], uint64_t{7});
+            EXPECT_EQ(readList(*h.pool, roots[s]).len, len + 1);
+        }
+    }
+    EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, TwoSlotCrash,
+    ::testing::ValuesIn([] {
+        std::vector<TwoSlotCase> cases;
+        for (RuntimeKind k :
+             {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber,
+              RuntimeKind::atlas, RuntimeKind::ido}) {
+            for (txn::RecoveryMode m :
+                 {txn::RecoveryMode::full, txn::RecoveryMode::lazy})
+                cases.push_back({k, m});
+        }
+        return cases;
+    }()),
+    [](const auto& info) {
+        std::string name;
+        switch (info.param.kind) {
+          case RuntimeKind::undo: name = "pmdk"; break;
+          case RuntimeKind::redo: name = "mnemosyne"; break;
+          case RuntimeKind::clobber: name = "clobber"; break;
+          case RuntimeKind::atlas: name = "atlas"; break;
+          case RuntimeKind::ido: name = "ido"; break;
+          default: name = "other"; break;
+        }
+        return name + "_" + txn::recoveryModeName(info.param.mode);
+    });
+
 /** Clobber re-execution must observe the *restored* inputs. */
 TEST(ClobberRecovery, ReexecutionSeesRestoredInputs)
 {

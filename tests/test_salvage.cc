@@ -428,7 +428,6 @@ TEST(LazyTriage, TriageIsStableAndLeavesDirtySlotsUntouched)
         rt::TxDescriptor before = desc0(h);
         txn::RecoveryIndex a = h.runtime->recoveryTriage();
         txn::RecoveryIndex b = h.runtime->recoveryTriage();
-        EXPECT_TRUE(a.supportsLazy);
         ASSERT_EQ(a.entries.size(), b.entries.size());
         for (size_t i = 0; i < a.entries.size(); i++) {
             EXPECT_EQ(a.entries[i].tid, b.entries[i].tid);

@@ -12,8 +12,8 @@
  * (rt::salvage::verifyPool): header bounds, per-slot descriptor and
  * log checksums, allocator metadata, quarantine table and allocated
  * block headers, printing every integrity violation it finds. It then
- * reports the pending-recovery state per region — the same read-only
- * classification recoveryTriage() computes: which slots a lazy
+ * reports the pending-recovery state per region through the classifier
+ * recovery triage itself runs (rt::salvage::triageSlot): which slots a
  * restart would leave pending (and why), and which heap ranges it
  * would pin until the owning slot heals. Exit status: 0 clean,
  * 1 problems found, 2 usage / unreadable pool.
@@ -48,93 +48,59 @@ statusName(uint64_t s)
     return "corrupt";
 }
 
+/** What a heal does with a slot of class `cls` (null: clean). */
+const char*
+pendingReason(txn::SlotClass cls, bool liveTable)
+{
+    switch (cls) {
+      case txn::SlotClass::clean: return nullptr;
+      case txn::SlotClass::damaged:
+        return "damaged descriptor (heal aborts + quarantines)";
+      case txn::SlotClass::ongoing:
+        return "interrupted transaction (heal rolls back or "
+               "re-executes)";
+      case txn::SlotClass::committing:
+        return "interrupted commit (heal completes it)";
+      case txn::SlotClass::idleIntents:
+        return liveTable ? "idle slot with live intent table (heal "
+                           "settles the allocations)"
+                         : "idle slot with corrupt intent table (heal "
+                           "records the allocations as lost)";
+    }
+    return nullptr;
+}
+
 /**
- * Read-only mirror of RuntimeBase::recoveryTriage()'s classification:
- * what a lazy restart would leave pending per slot, and which heap
- * ranges it would pin (holds) until the owning slot heals. Uses the
- * same media guards as triage (checkRead + isTainted over the begin
- * record, the guarded intent-table probe) and, like triage, never
- * writes to the pool.
+ * What a restart would leave pending per slot, and which heap ranges
+ * it would pin (holds) until the owning slot heals: recovery triage's
+ * own classifier (rt::salvage::triageSlot), which never writes to the
+ * pool.
  */
 void
 reportPendingRecovery(nvm::Pool& pool)
 {
-    constexpr size_t beginBytes = offsetof(rt::TxDescriptor, intentSeq);
-    constexpr size_t tableBytes =
-        sizeof(rt::TxDescriptor) - offsetof(rt::TxDescriptor, intentSeq);
     unsigned pending = 0;
-    unsigned holdRanges = 0;
     uint64_t holdBytes = 0;
+    std::vector<txn::HoldRange> holds;
     for (unsigned tid = 0; tid < pool.maxThreads(); tid++) {
-        const auto& d =
-            *static_cast<const rt::TxDescriptor*>(pool.slot(tid));
-        bool damaged = pool.isTainted(&d, beginBytes);
-        if (!damaged) {
-            try {
-                pool.checkRead(&d, beginBytes);
-            } catch (const nvm::MediaFaultError&) {
-                damaged = true;
-            }
-        }
-        // Guarded intent-table probe (liveIntentsGuarded): 1 = live
-        // table, -1 = unreadable/corrupt (heal records it as lost),
-        // 0 = nothing there.
-        int intents = 0;
-        bool live = d.intentSeq == d.txSeq && d.intentCount > 0 &&
-                    d.intentCount <= rt::kMaxIntents;
-        try {
-            pool.checkRead(&d.intentSeq, tableBytes);
-            if (live &&
-                rt::salvage::intentChecksum(d.intentSeq, d.intentCount,
-                                            d.intents) == d.intentSum)
-                intents = 1;
-            else if (live && pool.isTainted(&d.intentSeq, tableBytes))
-                intents = -1;
-        } catch (const nvm::MediaFaultError&) {
-            intents = -1;
-        }
-
-        const char* cls = nullptr;
-        if (damaged) {
-            cls = "damaged descriptor (heal aborts + quarantines)";
-        } else if (d.status ==
-                       static_cast<uint64_t>(rt::TxStatus::ongoing) &&
-                   d.argLen <= rt::kMaxArgBytes &&
-                   rt::salvage::beginChecksum(d) == d.beginSum) {
-            cls = "interrupted transaction (heal rolls back or "
-                  "re-executes)";
-        } else if (d.status == static_cast<uint64_t>(
-                                   rt::TxStatus::committing)) {
-            cls = "interrupted commit (heal completes it)";
-        } else if (intents != 0) {
-            cls = intents > 0
-                      ? "idle slot with live intent table (heal "
-                        "settles the allocations)"
-                      : "idle slot with corrupt intent table (heal "
-                        "records the allocations as lost)";
-        }
-        if (cls == nullptr)
+        size_t firstHold = holds.size();
+        txn::SlotClass cls = rt::salvage::triageSlot(pool, tid, holds);
+        // Only a live intent table contributes holds.
+        const char* why = pendingReason(cls, holds.size() > firstHold);
+        if (why == nullptr)
             continue;
         pending++;
+        const auto& d =
+            *static_cast<const rt::TxDescriptor*>(pool.slot(tid));
         std::printf("pending: slot %u seq=%llu: %s\n", tid,
-                    static_cast<unsigned long long>(d.txSeq), cls);
-        if (!damaged && intents == 1) {
-            for (uint32_t i = 0; i < d.intentCount; i++) {
-                const rt::AllocIntent& in = d.intents[i];
-                uint64_t off =
-                    in.payloadOff - sizeof(alloc::BlockHeader);
-                uint64_t bytes =
-                    (sizeof(alloc::BlockHeader) + in.payloadBytes +
-                     alloc::kGranule - 1) /
-                    alloc::kGranule * alloc::kGranule;
-                std::printf("pending:   hold [%llu, +%llu) until "
-                            "slot %u heals\n",
-                            static_cast<unsigned long long>(off),
-                            static_cast<unsigned long long>(bytes),
-                            tid);
-                holdRanges++;
-                holdBytes += bytes;
-            }
+                    static_cast<unsigned long long>(d.txSeq), why);
+        for (size_t i = firstHold; i < holds.size(); i++) {
+            std::printf("pending:   hold [%llu, +%llu) until "
+                        "slot %u heals\n",
+                        static_cast<unsigned long long>(holds[i].off),
+                        static_cast<unsigned long long>(holds[i].bytes),
+                        tid);
+            holdBytes += holds[i].bytes;
         }
     }
     if (pending == 0) {
@@ -143,10 +109,10 @@ reportPendingRecovery(nvm::Pool& pool)
         return;
     }
     std::printf("recovery: %u slot(s) pending", pending);
-    if (holdRanges > 0)
-        std::printf(", %u heap range(s) / %llu B pinned until their "
+    if (!holds.empty())
+        std::printf(", %zu heap range(s) / %llu B pinned until their "
                     "slots heal",
-                    holdRanges,
+                    holds.size(),
                     static_cast<unsigned long long>(holdBytes));
     std::printf("; a lazy restart admits transactions after triage "
                 "and heals these on first touch\n");
