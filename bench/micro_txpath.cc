@@ -23,8 +23,8 @@
  *   e2e_hashmap end-to-end hashmap YCSB-load-style inserts through
  *              txn::run (fig6-style anchor, wall clock).
  *
- * For threads=1 the JSON rows also carry fences/tx and log entries/tx
- * from the stats counters — the fence-elision evidence.
+ * Every row, at every thread count, also carries fences/tx and log
+ * entries/tx from the stats counters — the fence-elision evidence.
  *
  * Scale knobs: CNVM_OPS (ops per series per thread), CNVM_MAXTHREADS,
  * CNVM_POOL_MB, CNVM_SMOKE. Output: argv[1] (default
@@ -73,10 +73,10 @@ struct Row {
     std::string system;
     unsigned threads;
     double opsPerSec = 0;
-    double fencesPerTx = 0;   // threads==1 only, else 0
-    double entriesPerTx = 0;  // threads==1 only, else 0
-    double flushesPerTx = 0;  // log-writer flushes (threads==1 only)
-    double logBytesPerTx = 0; // appended log bytes (threads==1 only)
+    double fencesPerTx = 0;
+    double entriesPerTx = 0;
+    double flushesPerTx = 0;   // log-writer flushes
+    double logBytesPerTx = 0;  // appended log bytes
 };
 
 double
@@ -260,13 +260,13 @@ runMicroSeries(txn::RuntimeKind kind, const std::string& op,
     r.threads = threads;
     r.opsPerSec = static_cast<double>(txPerThread) * opsPerTx *
                   threads / (secs > 0 ? secs : 1e-9);
-    if (threads == 1) {
-        double txs = static_cast<double>(txPerThread);
-        r.fencesPerTx = delta[stats::Counter::fences] / txs;
-        r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
-        r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
-        r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
-    }
+    // Joined workers retire their counters into stats::aggregate(),
+    // so the delta covers every thread's transactions.
+    double txs = static_cast<double>(txPerThread) * threads;
+    r.fencesPerTx = delta[stats::Counter::fences] / txs;
+    r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
+    r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
+    r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
     return r;
 }
 

@@ -1,19 +1,18 @@
 /**
  * @file
- * Open-addressing hash map from uint64 block number to a small
- * per-block state bitmask, with O(1) clear.
+ * Open-addressing hash map from any uint64 key to a small state
+ * bitmask, with O(1) clear.
  *
- * The runtimes used to keep up to four separate EpochSets per
- * transaction slot (read set, write set, logged-block set, and the iDO
- * per-region sets), so one interposed store paid up to four independent
- * hash probes per 8-byte block. BlockMap folds all of that into one
- * epoch-tagged table: a single probe returns a mutable state byte
- * holding every per-block fact a protocol needs for its
- * clobber/suppress/log decision.
+ * The runtimes key it two ways per transaction slot. Keyed by 8-byte
+ * block number, one probe returns a mutable state byte holding every
+ * per-block fact a protocol needs for its clobber/suppress/log
+ * decision (read, written, logged, and the iDO per-region bits), where
+ * separate sets would cost one probe each. Keyed by cache-line number,
+ * it dedupes the commit-time dirty-line list.
  *
- * Like EpochSet, clearing bumps an epoch tag instead of touching every
- * bucket; a bucket is live iff its epoch matches, so key 0 is a valid
- * block number here (EpochSet reserved it for "empty").
+ * Transactions are short and frequent, so clearing bumps an epoch tag
+ * instead of touching every bucket; a bucket is live iff its epoch
+ * matches, so key 0 is a valid key.
  */
 #ifndef CNVM_COMMON_BLOCK_MAP_H
 #define CNVM_COMMON_BLOCK_MAP_H
@@ -25,7 +24,7 @@ namespace cnvm {
 
 class BlockMap {
  public:
-    /** Per-block state bits (meaning assigned by the runtimes). */
+    /** Per-key state bits (meaning assigned by the runtimes). */
     enum : uint8_t {
         kRead = 1,           ///< read before first written (clobber input)
         kWritten = 2,        ///< written (incl. fresh allocations)

@@ -78,32 +78,31 @@ RuntimeBase::writeDirty(unsigned tid, void* dst, const void* src,
     uint64_t first = off / nvm::kCacheLine;
     uint64_t last = (off + n - 1) / nvm::kCacheLine;
     // Same-line memo: repeated stores to the current cache line (field
-    // updates, sequential small writes) skip the hash insert.
+    // updates, sequential small writes) skip the dedupe probe.
     if (first == s.lastDirtyLine && last == s.lastDirtyLine)
         return;
-    for (uint64_t ln = first; ln <= last; ln++)
-        s.dirtyLines.insert(ln + 1);  // +1: EpochSet forbids key 0
+    for (uint64_t ln = first; ln <= last; ln++) {
+        uint8_t& seen = s.dirtySeen.ref(ln);
+        if (seen == 0) {
+            seen = BlockMap::kWritten;
+            s.dirtyLines.push_back(ln);
+        }
+    }
     s.lastDirtyLine = last;
 }
 
-// Pinned to a cache-line boundary: the inlined 4096-bucket
-// EpochSet::forEach scan below is most of commit time, and a code
-// change elsewhere that shifted this function by 16 bytes (the scan
-// loop then straddled a 32-byte fetch boundary) cost about a quarter
-// of kv-write's CPU time per op. The pin goes when the scan does.
-__attribute__((aligned(64))) void
+void
 RuntimeBase::flushDirty(unsigned tid)
 {
     SlotState& s = slot(tid);
     s.lastDirtyLine = ~0ULL;
-    if (s.dirtyLines.size() == 0)
-        return;  // read-only / already-flushed: skip the copy-out
-    s.flushScratch.clear();
-    s.dirtyLines.forEach([&](uint64_t lnPlus1) {
-        s.flushScratch.push_back(lnPlus1 - 1);
-    });
-    pool_.flushLines(s.flushScratch.data(), s.flushScratch.size());
+    if (s.dirtyLines.empty())
+        return;
+    pool_.flushLines(s.dirtyLines.data(), s.dirtyLines.size());
+    // Both go: iDO flushes at every region boundary, and a line
+    // re-dirtied after one must be written back again at commit.
     s.dirtyLines.clear();
+    s.dirtySeen.clear();
 }
 
 void

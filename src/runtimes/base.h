@@ -15,7 +15,6 @@
 
 #include "alloc/pm_allocator.h"
 #include "common/block_map.h"
-#include "common/epoch_set.h"
 #include "nvm/pool.h"
 #include "runtimes/descriptor.h"
 #include "runtimes/log_writer.h"
@@ -85,8 +84,14 @@ class RuntimeBase : public txn::Runtime {
         txn::FuncId pendingFid = 0;
         bool wantArgsPersist = false;
         std::vector<uint8_t> volatileArgs;
-        /** dirty cache lines to write back at commit */
-        EpochSet dirtyLines{4096};
+        /**
+         * Cache lines to write back at the next flushDirty, in
+         * first-store order, so write-back costs O(lines dirtied).
+         * dirtySeen marks each listed line so that a revisit does not
+         * append it twice; it starts small and grows on demand.
+         */
+        std::vector<uint64_t> dirtyLines;
+        BlockMap dirtySeen{64};
         /**
          * Unified per-block transaction state (READ / WRITTEN / LOGGED
          * / REGION_READ / REGION_WRITTEN), one probe per block where
@@ -108,12 +113,10 @@ class RuntimeBase : public txn::Runtime {
          */
         uint64_t loadRunLo = 1, loadRunHi = 0;
         uint64_t storeRunLo = 1, storeRunHi = 0;
-        /** last cache line inserted into dirtyLines (same-line memo) */
+        /** last cache line writeDirty recorded (same-line memo) */
         uint64_t lastDirtyLine = ~0ULL;
         /** allocation actions (payloadOff, isFree) */
         std::vector<std::pair<uint64_t, bool>> actions;
-        /** reusable buffer for batched commit-time write-back */
-        std::vector<uint64_t> flushScratch;
         /** reusable buffer for scanLog (recovery passes) */
         std::vector<ScannedEntry> scanScratch;
         /** bytes used in the slot's log area */
@@ -168,6 +171,7 @@ class RuntimeBase : public txn::Runtime {
             pendingFid = 0;
             wantArgsPersist = false;
             dirtyLines.clear();
+            dirtySeen.clear();
             blocks.clear();
             resetRuns();
             lastDirtyLine = ~0ULL;
@@ -187,7 +191,7 @@ class RuntimeBase : public txn::Runtime {
     /** Interposed in-place write: pool write + dirty-line tracking. */
     void writeDirty(unsigned tid, void* dst, const void* src, size_t n);
 
-    /** clwb every dirty line (no fence). */
+    /** clwb every dirty line (no fence), then forget them all. */
     void flushDirty(unsigned tid);
 
     /**

@@ -1,12 +1,10 @@
-/** @file Unit tests for common utilities (RNG, zipfian, EpochSet, BlockMap). */
+/** @file Unit tests for common utilities (RNG, zipfian, BlockMap). */
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <unordered_map>
 
 #include "common/block_map.h"
-#include "common/epoch_set.h"
 #include "common/error.h"
 #include "common/rand.h"
 
@@ -70,84 +68,6 @@ TEST(Fnv1a, KnownProperties)
     EXPECT_EQ(h1, fnv1a("hello", 5));
 }
 
-TEST(EpochSet, InsertContains)
-{
-    EpochSet s(16);
-    EXPECT_TRUE(s.insert(10));
-    EXPECT_FALSE(s.insert(10));
-    EXPECT_TRUE(s.contains(10));
-    EXPECT_FALSE(s.contains(11));
-    EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(EpochSet, ClearIsCheapAndComplete)
-{
-    EpochSet s(16);
-    for (uint64_t i = 1; i <= 100; i++)
-        s.insert(i);
-    EXPECT_EQ(s.size(), 100u);
-    s.clear();
-    EXPECT_EQ(s.size(), 0u);
-    for (uint64_t i = 1; i <= 100; i++)
-        EXPECT_FALSE(s.contains(i));
-    // Reusable after clear.
-    EXPECT_TRUE(s.insert(5));
-    EXPECT_TRUE(s.contains(5));
-}
-
-TEST(EpochSet, GrowsBeyondInitialCapacity)
-{
-    EpochSet s(16);
-    for (uint64_t i = 1; i <= 10000; i++)
-        EXPECT_TRUE(s.insert(i * 977));
-    for (uint64_t i = 1; i <= 10000; i++)
-        EXPECT_TRUE(s.contains(i * 977));
-    EXPECT_EQ(s.size(), 10000u);
-}
-
-TEST(EpochSet, ForEachVisitsExactlyCurrentKeys)
-{
-    EpochSet s(16);
-    s.insert(1);
-    s.insert(2);
-    s.clear();
-    s.insert(3);
-    s.insert(4);
-    std::set<uint64_t> seen;
-    s.forEach([&](uint64_t k) { seen.insert(k); });
-    EXPECT_EQ(seen, (std::set<uint64_t>{3, 4}));
-}
-
-TEST(EpochSet, RejectsZeroKey)
-{
-    EpochSet s(16);
-    EXPECT_THROW(s.insert(0), PanicError);
-}
-
-TEST(EpochSet, EpochWrapHardResets)
-{
-    EpochSet s(16);
-    s.insert(7);
-    s.insert(8);
-    // forceWrap preserves contents while priming the next clear() to
-    // take the epoch_ == 0 hard-reset branch.
-    s.forceWrap();
-    EXPECT_TRUE(s.contains(7));
-    EXPECT_TRUE(s.contains(8));
-    EXPECT_EQ(s.size(), 2u);
-    s.clear();
-    EXPECT_EQ(s.size(), 0u);
-    EXPECT_FALSE(s.contains(7));
-    EXPECT_FALSE(s.contains(8));
-    // The set must be fully usable after the wrap: stale buckets from
-    // before the reset must not alias new epochs.
-    EXPECT_TRUE(s.insert(7));
-    EXPECT_TRUE(s.contains(7));
-    EXPECT_FALSE(s.contains(8));
-    s.clear();
-    EXPECT_FALSE(s.contains(7));
-}
-
 TEST(BlockMap, RefInsertsAndAccumulatesBits)
 {
     BlockMap m(16);
@@ -156,7 +76,7 @@ TEST(BlockMap, RefInsertsAndAccumulatesBits)
     m.ref(5) |= BlockMap::kWritten;
     EXPECT_EQ(m.get(5), BlockMap::kRead | BlockMap::kWritten);
     EXPECT_EQ(m.size(), 1u);
-    // Key 0 is a valid block number (unlike EpochSet).
+    // Key 0 is a valid key.
     m.ref(0) |= BlockMap::kLogged;
     EXPECT_EQ(m.get(0), BlockMap::kLogged);
     EXPECT_EQ(m.size(), 2u);

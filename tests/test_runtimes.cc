@@ -1,6 +1,8 @@
 /** @file Functional tests of every runtime's transaction semantics. */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "stats/counters.h"
 #include "testutil.h"
 
@@ -11,6 +13,55 @@ using txn::RuntimeKind;
 
 class RuntimeSemantics
     : public ::testing::TestWithParam<RuntimeKind> {};
+
+/** Lines kStoreWide's scattered pass dirties in one transaction:
+ *  enough that the dirty-line dedupe map grows several times. */
+constexpr uint64_t kWideLines = 2048;
+/** Extra line pairs, each touched only by one straddling store. */
+constexpr uint64_t kStraddles = 16;
+constexpr uint64_t kRegionLines = kWideLines + 2 * kStraddles;
+constexpr uint64_t kLineWords = nvm::kCacheLine / sizeof(uint64_t);
+
+/**
+ * kStoreWide's stores over a line-aligned region of kRegionLines
+ * lines: fn(firstWord, words, v0) stores v0, v0+1, ... to `words`
+ * consecutive words. Every one of the first kWideLines lines
+ * once in a scattered order, then every eighth of them again in
+ * another order, then 16-byte stores that straddle two fresh lines.
+ * About 2,300 8-byte log entries, so the undo and atlas logs fit a
+ * 128 KiB slot.
+ */
+template <typename Fn>
+void
+forEachWideStore(Fn&& fn)
+{
+    for (uint64_t i = 0; i < kWideLines; i++) {
+        uint64_t line = i * 769 % kWideLines;
+        fn(line * kLineWords, 1, line + 1);
+    }
+    for (uint64_t i = kWideLines; i > 0; i -= 8)
+        fn(i * 1237 % kWideLines * kLineWords + 3, 1, ~i);
+    for (uint64_t line = kWideLines; line < kRegionLines; line += 2)
+        fn(line * kLineWords + kLineWords - 1, 2, line << 32);
+}
+
+/** Allocates a scratch region of args[1] bytes; its payload offset
+ *  lands in root->counter. */
+const txn::FuncId kMakeRegion = txn::registerTxFunc(
+    "test_make_region", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        uint64_t off = tx.pmallocOff(a.get<uint64_t>());
+        tx.st(root->counter, off);
+    });
+
+const txn::FuncId kStoreWide = txn::registerTxFunc(
+    "test_store_wide", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto* w = static_cast<uint64_t*>(tx.pool().at(a.get<uint64_t>()));
+        forEachWideStore([&](uint64_t first, uint64_t words, uint64_t v0) {
+            uint64_t v[2] = {v0, v0 + 1};
+            tx.stBytes(w + first, v, words * sizeof(uint64_t));
+        });
+    });
 
 TEST_P(RuntimeSemantics, CounterIncrements)
 {
@@ -78,6 +129,40 @@ TEST_P(RuntimeSemantics, ReadOnlyTransactionsCostNoFences)
     auto delta = stats::aggregate() - before;
     EXPECT_EQ(delta[stats::Counter::fences], 0u);
     EXPECT_EQ(delta[stats::Counter::txCommits], 10u);
+}
+
+TEST_P(RuntimeSemantics, CommitWritesBackEveryDirtiedLine)
+{
+    Harness h(GetParam());
+    auto eng = h.engine();
+    txn::run(eng, kMakeRegion, h.rootPtr().raw(),
+             uint64_t{(kRegionLines + 1) * nvm::kCacheLine});
+    uint64_t off = (h.root().counter + nvm::kCacheLine - 1) /
+                   nvm::kCacheLine * nvm::kCacheLine;
+    txn::run(eng, kStoreWide, off);
+
+    std::map<uint64_t, uint64_t> expect;  // word index -> value
+    forEachWideStore([&](uint64_t first, uint64_t words, uint64_t v0) {
+        for (uint64_t k = 0; k < words; k++)
+            expect[first + k] = v0 + k;
+    });
+    auto holds = [&]() -> ::testing::AssertionResult {
+        const auto* w = static_cast<const uint64_t*>(h.pool->at(off));
+        for (auto [i, v] : expect) {
+            if (w[i] != v)
+                return ::testing::AssertionFailure() << "word " << i;
+        }
+        return ::testing::AssertionSuccess();
+    };
+    EXPECT_TRUE(holds());
+    // No-log does no write-back at commit, so it gives no durability
+    // guarantee to check.
+    if (GetParam() == RuntimeKind::noLog)
+        return;
+    EXPECT_EQ(h.pool->cache().volatileLines(), 0u);
+    h.pool->cache().crashAllLost();
+    h.runtime->recover();
+    EXPECT_TRUE(holds());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -271,15 +356,8 @@ TEST(RedoRuntime, FewerFencesThanUndoForBigTx)
     stats::resetAll();
 }
 
-// Shared by the fence-accounting tests below: a scratch region big
-// enough that each stored word lands in its own 8-byte block.
-const txn::FuncId kMakeRegion = txn::registerTxFunc(
-    "test_make_region", [](txn::Tx& tx, txn::ArgReader& a) {
-        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
-        uint64_t off = tx.pmallocOff(1024);
-        tx.st(root->counter, off);
-    });
-
+// Shared by the fence-accounting tests below, over a 1 KiB region
+// from kMakeRegion: each stored word lands in its own 8-byte block.
 const txn::FuncId kStoreWords = txn::registerTxFunc(
     "test_store_words", [](txn::Tx& tx, txn::ArgReader& a) {
         uint64_t regionOff = a.get<uint64_t>();
@@ -337,7 +415,7 @@ TEST(RedoRuntime, CommitFencesAreConstantPerTx)
 {
     Harness h(RuntimeKind::redo);
     auto eng = h.engine();
-    txn::run(eng, kMakeRegion, h.rootPtr().raw());
+    txn::run(eng, kMakeRegion, h.rootPtr().raw(), uint64_t{1024});
     uint64_t regionOff = h.root().counter;
     auto fencesFor = [&](uint64_t count) {
         auto before = stats::aggregate();
@@ -357,7 +435,7 @@ TEST(AtlasLogging, MarkerRecordsAreFlushedWithoutFences)
 {
     Harness h(RuntimeKind::atlas);
     auto eng = h.engine();
-    txn::run(eng, kMakeRegion, h.rootPtr().raw());
+    txn::run(eng, kMakeRegion, h.rootPtr().raw(), uint64_t{1024});
     uint64_t regionOff = h.root().counter;
     auto fencesFor = [&](uint64_t count) {
         auto before = stats::aggregate();
@@ -372,6 +450,37 @@ TEST(AtlasLogging, MarkerRecordsAreFlushedWithoutFences)
     uint64_t f32 = fencesFor(32);
     EXPECT_EQ(f32 - f8, 24u);  // exactly one fence per extra store
     EXPECT_EQ(f8, 8u + 3u);
+}
+
+TEST(IdoLogging, LineRedirtiedAfterRegionBoundaryIsWrittenBack)
+{
+    // The load-then-store of w[16] closes an idempotent region, whose
+    // boundary writes back w[0]'s line; storing w[0] again dirties
+    // that line anew, and commit must write it back a second time.
+    static const txn::FuncId kAcrossBoundary = txn::registerTxFunc(
+        "test_store_across_boundary", [](txn::Tx& tx, txn::ArgReader& a) {
+            uint64_t off = a.get<uint64_t>();
+            auto* w = static_cast<uint64_t*>(tx.pool().at(off));
+            tx.st(w[0], uint64_t{1});
+            tx.st(w[16], tx.ld(w[16]) + 1);
+            tx.st(w[0], uint64_t{2});
+        });
+    Harness h(RuntimeKind::ido);
+    auto eng = h.engine();
+    txn::run(eng, kMakeRegion, h.rootPtr().raw(), uint64_t{1024});
+    uint64_t regionOff = h.root().counter;
+    auto* w = static_cast<uint64_t*>(h.pool->at(regionOff));
+    uint64_t w16 = w[16];
+    auto before = stats::aggregate();
+    txn::run(eng, kAcrossBoundary, regionOff);
+    auto delta = stats::aggregate() - before;
+    // The initial boundary record plus the one the tx crossed.
+    EXPECT_EQ(delta[stats::Counter::idoEntries], 2u);
+    EXPECT_EQ(h.pool->cache().volatileLines(), 0u);
+    h.pool->cache().crashAllLost();
+    h.runtime->recover();
+    EXPECT_EQ(w[0], 2u);
+    EXPECT_EQ(w[16], w16 + 1);
 }
 
 }  // namespace
