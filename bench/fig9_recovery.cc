@@ -5,10 +5,11 @@
  *
  * Method (paper Section 5.5): load the structure, crash a random
  * insert mid-transaction, then measure the three recovery steps —
- * reopening the pool (allocator/bitmap rebuild dominates, the paper's
- * "pool management"), applying the log (undo rollback vs clobber_log
- * restore), and, for Clobber-NVM, re-executing the interrupted
- * transaction. Latencies here are real wall time of the recovery code.
+ * reopening the pool (the allocator's bitmap rebuild, the paper's
+ * "pool management" and the largest of the three), applying the log
+ * (undo rollback vs clobber_log restore), and, for Clobber-NVM,
+ * re-executing the interrupted transaction. Latencies here are real
+ * wall time of the recovery code.
  *
  * On top of the figure, the binary always runs an instant-restart
  * sweep: time-to-first-transaction (TTFT) after a crash, full restart
@@ -185,9 +186,9 @@ runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
 
 /**
  * The instant-restart sweep: full vs lazy TTFT over clobber and undo
- * at increasing pool sizes (the acceptance bar for lazy recovery is a
- * >=10x TTFT win on the largest pool, where the eager bitmap scan
- * dominates the restart). Writes `path` and prints the ratios.
+ * at increasing pool sizes. Full TTFT grows with the pool, since two
+ * bitmap scans run before the first transaction; lazy TTFT runs no
+ * scan first and stays flat. Writes `path` and prints the ratios.
  */
 void
 runTtftSweep(const char* path)

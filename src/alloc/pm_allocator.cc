@@ -1,6 +1,7 @@
 #include "alloc/pm_allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -12,6 +13,11 @@
 namespace cnvm::alloc {
 
 namespace {
+
+// The bitmap scan loads 8 bitmap bytes as one word: bit g % 8 of byte
+// g / 8 is bit g % 64 of the word only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "lazyStepLocked's word loads assume little-endian");
 
 uint64_t
 alignUp(uint64_t v, uint64_t a)
@@ -565,7 +571,9 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
          step < chunks && lazyCursor_ < usedBitmapBytes; step++) {
         uint64_t c = lazyCursor_;
         uint64_t n = std::min<uint64_t>(64, usedBitmapBytes - c);
-        uint8_t local[64];
+        // Zeroed: a tail chunk (n < 64) leaves bytes past n that the
+        // last word load reads before its mask applies.
+        uint8_t local[64] = {};
         const void* src = pool_.at(h.bitmapOff + c);
         bool bad = pool_.isTainted(src, n);
         if (!bad) {
@@ -611,19 +619,34 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
                 }
             }
         }
-        for (uint64_t gi = firstG; gi < lastG; gi++) {
-            bool allocated =
-                (local[gi / 8 - c] & (1u << (gi % 8))) != 0;
-            if (!allocated) {
-                if (!lazyInRun_) {
+        // Walk the chunk a 64-bit word at a time. Inside an open free
+        // run the next allocated bit ends it; outside one the next
+        // free bit starts one. So an all-free word inside a run, or an
+        // all-allocated word outside one, costs a single test. The
+        // last word is masked to lastG: bits past the data area are
+        // formatted zero and would read as free granules past the end.
+        for (uint64_t w = firstG; w < lastG; w += 64) {
+            uint64_t bits = 0;
+            std::memcpy(&bits, local + (w - firstG) / 8, sizeof(bits));
+            uint64_t live = ~uint64_t{0};
+            if (lastG - w < 64)
+                live = (uint64_t{1} << (lastG - w)) - 1;
+            for (;;) {
+                uint64_t edges = (lazyInRun_ ? bits : ~bits) & live;
+                if (edges == 0)
+                    break;
+                int p = std::countr_zero(edges);
+                uint64_t gi = w + static_cast<uint64_t>(p);
+                if (lazyInRun_) {
+                    insertFreeRunMaskedLocked(
+                        h.dataOff + lazyRunStartG_ * kGranule,
+                        (gi - lazyRunStartG_) * kGranule);
+                    lazyInRun_ = false;
+                } else {
                     lazyRunStartG_ = gi;
                     lazyInRun_ = true;
                 }
-            } else if (lazyInRun_) {
-                insertFreeRunMaskedLocked(
-                    h.dataOff + lazyRunStartG_ * kGranule,
-                    (gi - lazyRunStartG_) * kGranule);
-                lazyInRun_ = false;
+                live &= ~uint64_t{1} << p;  // bits 0..p are consumed
             }
         }
         lazyCursor_ += n;

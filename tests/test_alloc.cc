@@ -1,12 +1,17 @@
 /** @file Unit tests for the persistent allocator. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc/pm_allocator.h"
 #include "common/error.h"
+#include "common/rand.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
 
@@ -257,6 +262,194 @@ TEST_F(AllocTest, FlippedAllocHeaderIsHealedOnRebuild)
     EXPECT_EQ(heap->payloadSize(a), 256u);
     // Healed in place: the next rebuild sees a pristine header.
     EXPECT_FALSE(heap->rebuild().headerHealed);
+}
+
+/**
+ * A small heap whose bitmap the scan tests write straight into the
+ * pool. Every size used below has a granule count that is not a
+ * multiple of 64, so the bitmap's last word is partial.
+ */
+struct ScanRig {
+    explicit ScanRig(size_t size)
+    {
+        nvm::PoolConfig cfg;
+        cfg.size = size;
+        cfg.maxThreads = 1;
+        cfg.slotBytes = 64 << 10;
+        pool = nvm::Pool::create(cfg);
+        heap = std::make_unique<PmAllocator>(*pool);
+        granules = heap->dataBytes() / kGranule;
+    }
+
+    /** Bit g % 8 of byte g / 8 set = granule g allocated. */
+    std::vector<uint8_t>
+    allocatedExcept(uint64_t lo, uint64_t hi) const
+    {
+        std::vector<uint8_t> bm((granules + 7) / 8, 0xff);
+        for (uint64_t g = lo; g < hi; g++)
+            bm[g / 8] &= static_cast<uint8_t>(~(1u << (g % 8)));
+        return bm;
+    }
+
+    /** Make `bm` the persistent bitmap. Bits past the last granule are
+     *  cleared, as the format leaves them. */
+    void
+    store(std::vector<uint8_t> bm) const
+    {
+        if (granules % 8 != 0)
+            bm.back() &= static_cast<uint8_t>((1u << (granules % 8)) - 1);
+        pool->writeAt(heap->bitmapOff(), bm.data(), bm.size());
+    }
+
+    /** The free map must equal a walk over the raw bitmap, one bit at
+     *  a time: the same free bytes in the same number of runs. */
+    void
+    expectFreeMapMatchesBitmap() const
+    {
+        const uint8_t* bm = pool->base() + heap->bitmapOff();
+        uint64_t bytes = 0;
+        uint64_t runs = 0;
+        bool inRun = false;
+        for (uint64_t g = 0; g < granules; g++) {
+            bool allocated = ((bm[g / 8] >> (g % 8)) & 1) != 0;
+            if (!allocated) {
+                bytes += kGranule;
+                runs += inRun ? 0 : 1;
+            }
+            inRun = !allocated;
+        }
+        EXPECT_EQ(heap->freeBytes(), bytes);
+        EXPECT_EQ(heap->freeExtents(), runs);
+    }
+
+    std::unique_ptr<nvm::Pool> pool;
+    std::unique_ptr<PmAllocator> heap;
+    uint64_t granules = 0;
+};
+
+TEST(BitmapScan, FreeMapMatchesBitByBitWalkOnRandomBitmaps)
+{
+    // 1 MiB: 60,604 granules, a 24-byte tail chunk. 1 MiB + 8 KiB:
+    // 61,112 granules, a 23-byte tail chunk. 600 KiB: 33,680 granules,
+    // past the first 32,768-granule reserve() pull.
+    for (size_t size : {size_t{1} << 20, (size_t{1} << 20) + 8192,
+                        size_t{600} << 10}) {
+        ScanRig r(size);
+        ASSERT_NE(r.granules % 64, 0u);
+        for (uint64_t seed = 1; seed <= 6; seed++) {
+            SCOPED_TRACE("size " + std::to_string(size) + " seed " +
+                         std::to_string(seed));
+            // Stretches of 1-300 free, allocated or random bytes.
+            Xorshift rng(seed * 1000 + size);
+            const uint8_t fill[2] = {0x00, 0xff};
+            std::vector<uint8_t> bm((r.granules + 7) / 8);
+            for (size_t i = 0; i < bm.size();) {
+                size_t end =
+                    std::min<size_t>(bm.size(), i + 1 + rng.nextUint(300));
+                uint64_t kind = rng.nextUint(3);
+                for (; i < end; i++) {
+                    auto random = static_cast<uint8_t>(rng.next());
+                    bm[i] = kind < 2 ? fill[kind] : random;
+                }
+            }
+            // Odd seeds end on a free granule, even seeds on an
+            // allocated one.
+            uint64_t last = r.granules - 1;
+            auto bit = static_cast<uint8_t>(1u << (last % 8));
+            if (seed % 2 != 0)
+                bm[last / 8] &= static_cast<uint8_t>(~bit);
+            else
+                bm[last / 8] |= bit;
+            r.store(bm);
+            r.heap->rebuild();
+            r.expectFreeMapMatchesBitmap();
+            SCOPED_TRACE("beginLazyRebuild + rebuild(true)");
+            r.heap->beginLazyRebuild();
+            r.heap->rebuild(true);
+            r.expectFreeMapMatchesBitmap();
+        }
+    }
+}
+
+TEST(BitmapScan, OneFreeRunIsFoundWholeAtEveryBoundary)
+{
+    // 2.5 MiB: 158,148 granules, five pulls, a 4-granule last word.
+    ScanRig r(size_t{5} << 19);
+    const uint64_t n = r.granules;
+    ASSERT_NE(n % 64, 0u);
+    // Run edges on both sides of a bitmap word (64 granules), a 64-byte
+    // chunk (512), a 64-chunk reserve() pull (32,768) and the heap's
+    // end.
+    std::vector<std::pair<uint64_t, uint64_t>> runs{{0, 1}, {0, n}};
+    for (uint64_t b : {uint64_t{64}, uint64_t{512}, uint64_t{32768}, n}) {
+        for (uint64_t edge : {b - 1, b, b + 1}) {
+            for (uint64_t len : {1, 2, 63, 64, 65, 513, 40000}) {
+                if (edge + len <= n)
+                    runs.emplace_back(edge, edge + len);
+                if (len <= edge && edge <= n)
+                    runs.emplace_back(edge - len, edge);
+            }
+        }
+    }
+    for (auto [s, e] : runs) {
+        SCOPED_TRACE("free run [" + std::to_string(s) + ", " +
+                     std::to_string(e) + ")");
+        r.store(r.allocatedExcept(s, e));
+        uint64_t want =
+            r.heap->dataOff() + kGranule * s + sizeof(BlockHeader);
+        for (bool lazy : {false, true}) {
+            SCOPED_TRACE(lazy ? "lazy" : "eager");
+            if (lazy)
+                r.heap->beginLazyRebuild();
+            else
+                r.heap->rebuild();
+            EXPECT_EQ(r.heap->reserve(kGranule * (e - s - 1)), want);
+            EXPECT_THROW(r.heap->reserve(0), FatalError);
+        }
+    }
+}
+
+TEST(BitmapScan, LazyPullFreesTheScannedPartOfAnOpenRun)
+{
+    // A fresh heap is one free run. The first lazy reserve() is served
+    // from the part of it the first pull scanned, not after the scan
+    // reaches the heap's end.
+    ScanRig r(size_t{5} << 19);
+    r.heap->beginLazyRebuild();
+    EXPECT_EQ(r.heap->reserve(0), r.heap->dataOff() + sizeof(BlockHeader));
+    EXPECT_GT(r.heap->freeBytes(), 0u);
+    EXPECT_LT(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+    r.heap->rebuild(true);
+    EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+}
+
+TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)
+{
+    for (bool lazy : {false, true}) {
+        SCOPED_TRACE(lazy ? "lazy" : "eager");
+        ScanRig r(size_t{1} << 20);
+        nvm::FaultConfig fc;
+        fc.poisons = 1;
+        r.pool->setFaultModel(std::make_unique<nvm::FaultModel>(fc));
+        // One 64-byte bitmap line administers 512 granules.
+        const uint64_t chunk = r.granules / 512 / 2;
+        const uint64_t lo = r.heap->dataOff() + kGranule * 512 * chunk;
+        const uint64_t bytes = kGranule * 512;
+        r.pool->faults()->poisonAt(r.heap->bitmapOff() + 64 * chunk);
+        if (lazy) {
+            r.heap->beginLazyRebuild();
+            r.heap->rebuild(true);
+        } else {
+            r.heap->rebuild();
+        }
+        EXPECT_TRUE(r.heap->isQuarantined(lo, bytes));
+        EXPECT_FALSE(r.heap->isQuarantined(lo - 1, 1));
+        EXPECT_FALSE(r.heap->isQuarantined(lo + bytes, 1));
+        EXPECT_FALSE(r.heap->quarantineViolation());
+        EXPECT_EQ(r.heap->freeExtents(), 2u);
+        EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - bytes);
+        r.expectFreeMapMatchesBitmap();
+    }
 }
 
 }  // namespace
