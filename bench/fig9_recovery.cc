@@ -13,8 +13,9 @@
  *
  * On top of the figure, the binary always runs an instant-restart
  * sweep: time-to-first-transaction (TTFT) after a crash, full restart
- * (eager allocator scan + recovery drained inline) vs lazy restart
- * (deferred rebuild + triage + first-touch heal), across pool sizes.
+ * (the allocator's one bitmap scan + recovery drained inline) vs lazy
+ * restart (deferred scan + triage + first-touch heal), across pool
+ * sizes.
  * Results land in a JSON file (argv[1], default
  * BENCH_recovery.current.json) that scripts/bench_recovery.sh merges
  * into BENCH_recovery.json.
@@ -125,8 +126,10 @@ usBetween(std::chrono::steady_clock::time_point a,
  * Crash a loaded hashmap, then restart the way a fresh process would:
  * construct the allocator and runtime over the surviving pool and run
  * recovery in `mode`. TTFT is the wall time from the first restart
- * instruction to the first committed transaction. The lazy arm defers
- * the bitmap scan (beginLazyRebuild + incremental reserve pulls) and
+ * instruction to the first committed transaction. The full arm scans
+ * the bitmap once, in the allocator's constructor, and the session
+ * finds nothing left to scan. The lazy arm defers the scan (the
+ * deferred constructor + incremental reserve pulls) and
  * heals the dirty slot on first touch; the drain to a fully healed
  * pool happens after the clock stops, exactly as the background healer
  * would do it in a server.
@@ -186,8 +189,8 @@ runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
 
 /**
  * The instant-restart sweep: full vs lazy TTFT over clobber and undo
- * at increasing pool sizes. Full TTFT grows with the pool, since two
- * bitmap scans run before the first transaction; lazy TTFT runs no
+ * at increasing pool sizes. Full TTFT grows with the pool, since one
+ * bitmap scan runs before the first transaction; lazy TTFT runs no
  * scan first and stays flat. Writes `path` and prints the ratios.
  */
 void

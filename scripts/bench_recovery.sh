@@ -9,9 +9,9 @@
 # (time-to-first-transaction) over clobber and pmdk at 64/256/512 MiB
 # pools, so the full-restart rows of the same run are the ablation
 # reference for the lazy rows — no pre-change capture is needed. Full
-# TTFT grows with the pool (two word-at-a-time bitmap scans before the
-# first transaction); lazy TTFT stays flat, ~3x below full at 512 MiB
-# in the "word-scan" rows. Nothing checks a ratio: the script records.
+# TTFT grows with the pool (one word-at-a-time bitmap scan before the
+# first transaction); lazy TTFT stays flat. Nothing checks a ratio:
+# the script records.
 #
 # Knobs (env): CNVM_OPS (loaded pairs x2, default 20000), CNVM_REPS
 # (per-cell repetitions, best kept, default 3), CNVM_SMOKE=1 (64 MiB

@@ -135,6 +135,18 @@ PmAllocator::payloadSize(uint64_t payloadOff) const
 }
 
 void
+PmAllocator::dropBySizeLocked(uint64_t off, uint64_t len)
+{
+    auto range = bySize_.equal_range(len);
+    for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == off) {
+            bySize_.erase(it);
+            return;
+        }
+    }
+}
+
+void
 PmAllocator::insertFreeExtentLocked(uint64_t off, uint64_t len)
 {
     // Coalesce with the predecessor / successor extents.
@@ -144,25 +156,13 @@ PmAllocator::insertFreeExtentLocked(uint64_t off, uint64_t len)
         if (prev->first + prev->second == off) {
             off = prev->first;
             len += prev->second;
-            auto range = bySize_.equal_range(prev->second);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == prev->first) {
-                    bySize_.erase(it);
-                    break;
-                }
-            }
+            dropBySizeLocked(prev->first, prev->second);
             free_.erase(prev);
         }
     }
     if (next != free_.end() && off + len == next->first) {
         len += next->second;
-        auto range = bySize_.equal_range(next->second);
-        for (auto it = range.first; it != range.second; ++it) {
-            if (it->second == next->first) {
-                bySize_.erase(it);
-                break;
-            }
-        }
+        dropBySizeLocked(next->first, next->second);
         free_.erase(next);
     }
     free_[off] = len;
@@ -209,6 +209,58 @@ PmAllocator::insertFreeRunMaskedLocked(uint64_t off, uint64_t len)
         insertFreeExtentLocked(cur, off + len - cur);
 }
 
+void
+PmAllocator::carveLocked(uint64_t off, uint64_t len)
+{
+    uint64_t end = off + len;
+    auto it = free_.lower_bound(off);
+    if (it != free_.begin() &&
+        std::prev(it)->first + std::prev(it)->second > off)
+        --it;
+    while (it != free_.end() && it->first < end) {
+        uint64_t lo = it->first;
+        uint64_t hi = lo + it->second;
+        dropBySizeLocked(lo, it->second);
+        it = free_.erase(it);
+        // The pieces left either side touch the carved range, not
+        // another extent: no coalescing to do.
+        if (lo < off) {
+            free_[lo] = off - lo;
+            bySize_.emplace(off - lo, lo);
+        }
+        if (end < hi) {
+            free_[end] = hi - end;
+            bySize_.emplace(hi - end, end);
+        }
+    }
+}
+
+void
+PmAllocator::syncRangeLocked(uint64_t off, uint64_t len)
+{
+    // Past the scan's cursor the bitmap speaks: the scan adds the
+    // range's clear runs when it gets there.
+    const AllocHeader& h = hdr();
+    uint64_t scannedG = std::min(lazyCursor_ * 8, h.dataBytes / kGranule);
+    uint64_t lo = std::max(off, h.dataOff);
+    uint64_t hi = std::min(off + len, h.dataOff + scannedG * kGranule);
+    if (lo >= hi)
+        return;
+    carveLocked(lo, hi - lo);
+    const auto* bm = static_cast<const uint8_t*>(pool_.at(h.bitmapOff));
+    uint64_t run = lo;  // start of the clear run being collected
+    for (uint64_t b = lo; b < hi; b += kGranule) {
+        uint64_t gi = (b - h.dataOff) / kGranule;
+        if (((bm[gi / 8] >> (gi % 8)) & 1) != 0) {
+            if (run < b)
+                insertFreeRunMaskedLocked(run, b - run);
+            run = b + kGranule;
+        }
+    }
+    if (run < hi)
+        insertFreeRunMaskedLocked(run, hi - run);
+}
+
 uint64_t
 PmAllocator::reserveLocked(uint64_t need)
 {
@@ -237,7 +289,7 @@ PmAllocator::reserve(size_t payload)
         // prefix of the bitmap: pull more of the scan before declaring
         // the heap exhausted. 64 chunks = 4 KiB of bitmap = 512 KiB of
         // data per pull keeps the stall bounded.
-        while (off == 0 && lazyActive_ && !lazyScanDone_) {
+        while (off == 0 && !lazyScanDone_) {
             lazyStepLocked(64);
             off = reserveLocked(need);
         }
@@ -259,7 +311,7 @@ PmAllocator::releaseReservation(uint64_t payloadOff)
     uint64_t len = blockGranules(payloadOff) * kGranule;
     std::lock_guard<std::mutex> g(mu_);
     reserved_.erase(off);
-    insertFreeExtentLocked(off, len);
+    syncRangeLocked(off, len);
 }
 
 void
@@ -309,13 +361,14 @@ PmAllocator::persistFree(uint64_t payloadOff, size_t payloadBytes)
     uint64_t bOff = blockOff(payloadOff);
     uint64_t granules =
         alignUp(sizeof(BlockHeader) + payloadBytes, kGranule) / kGranule;
+    uint64_t len = granules * kGranule;
     std::lock_guard<std::mutex> g(mu_);
     setBits(bOff, granules, false, true);
-    // Mid-lazy-rebuild, a range the scan has not reached yet must not
-    // enter the free map twice: the cleared bits make the ongoing scan
-    // (or the final reconcile) insert it exactly once.
-    if (scannedLocked(bOff, granules))
-        insertFreeExtentLocked(bOff, granules * kGranule);
+    for (Hold& hd : holds_) {
+        if (hd.off < bOff + len && bOff < hd.off + hd.bytes)
+            hd.freed = true;
+    }
+    syncRangeLocked(bOff, len);
     stats::bump(stats::Counter::frees);
 }
 
@@ -326,23 +379,19 @@ PmAllocator::revertBits(uint64_t payloadOff, size_t payloadBytes,
     uint64_t bOff = blockOff(payloadOff);
     uint64_t granules =
         alignUp(sizeof(BlockHeader) + payloadBytes, kGranule) / kGranule;
+    uint64_t len = granules * kGranule;
     std::lock_guard<std::mutex> g(mu_);
-    if (allocated && lazyActive_) {
+    if (allocated) {
         // Lazy recovery heals concurrently with foreground traffic: a
         // block the crashed transaction allocated (and committed) may
         // since have been freed again by a committed foreground
-        // transaction. Its free-map extent is the evidence — don't
-        // re-force such a block allocated, or the free would leak.
-        auto it = free_.upper_bound(bOff);
-        if (it != free_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->first <= bOff &&
-                bOff + granules * kGranule <=
-                    prev->first + prev->second)
+        // transaction, which marked the block's hold. Don't re-force
+        // such a block allocated, or the free would leak.
+        for (const Hold& hd : holds_) {
+            if (hd.freed && hd.off <= bOff &&
+                bOff + len <= hd.off + hd.bytes)
                 return;
         }
-    }
-    if (allocated) {
         // Restoring an allocated block whose header may have been
         // torn: rewrite the header from the intent table so later
         // frees can trust it.
@@ -351,6 +400,7 @@ PmAllocator::revertBits(uint64_t payloadOff, size_t payloadBytes,
         pool_.flush(pool_.at(bOff), sizeof(bh));
     }
     setBits(bOff, granules, allocated, true);
+    syncRangeLocked(bOff, len);
 }
 
 void
@@ -392,6 +442,7 @@ PmAllocator::quarantineLocked(uint64_t off, uint64_t bytes,
         uint64_t granules = (hi - lo + kGranule - 1) / kGranule;
         setBits(lo, granules, true, true);
     }
+    syncRangeLocked(off, bytes);
 }
 
 void
@@ -521,22 +572,20 @@ PmAllocator::armScanLocked(bool keepSession)
         reserved_.clear();
         holds_.clear();
     }
+    builtAt_ = pool_.upsets();
     healMetaLocked(&lazyStats_);
-    lazyActive_ = true;
     lazyScanDone_ = false;
     lazyCursor_ = 0;
     lazyInRun_ = false;
 }
 
 RebuildStats
-PmAllocator::rebuild(bool keepSession)
+PmAllocator::rebuild()
 {
     std::lock_guard<std::mutex> g(mu_);
-    armScanLocked(keepSession);
+    // The salvage earlier pulls found folds into this pass's stats.
+    armScanLocked(/* keepSession */ false);
     lazyStepLocked(~uint64_t{0});
-    // A full rebuild supersedes any lazy session: the salvage its
-    // pulls found folds into this pass's stats, and the session ends.
-    lazyActive_ = false;
     return std::exchange(lazyStats_, RebuildStats{});
 }
 
@@ -548,14 +597,26 @@ PmAllocator::beginLazyRebuild()
     armScanLocked(/* keepSession */ false);
 }
 
-bool
-PmAllocator::scannedLocked(uint64_t bOff, uint64_t granules) const
+void
+PmAllocator::beginSession()
 {
-    if (!lazyActive_ || lazyScanDone_)
-        return true;
-    const AllocHeader& h = hdr();
-    uint64_t lastG = (bOff - h.dataOff) / kGranule + granules - 1;
-    return lastG / 8 < lazyCursor_;
+    std::lock_guard<std::mutex> g(mu_);
+    // Holds left behind mean an earlier session ended before its
+    // slots healed: start over as after a crash.
+    if (!staleLocked() && holds_.empty())
+        return;
+    lazyStats_ = RebuildStats{};
+    armScanLocked(/* keepSession */ false);
+}
+
+RebuildStats
+PmAllocator::finishScan()
+{
+    std::lock_guard<std::mutex> g(mu_);
+    if (staleLocked())
+        armScanLocked(/* keepSession */ true);
+    lazyStepLocked(~uint64_t{0});
+    return std::exchange(lazyStats_, RebuildStats{});
 }
 
 void
@@ -684,17 +745,25 @@ PmAllocator::addHold(unsigned tid, uint64_t off, uint64_t bytes)
 {
     std::lock_guard<std::mutex> g(mu_);
     holds_.push_back({tid, off, bytes});
+    syncRangeLocked(off, bytes);
 }
 
 void
 PmAllocator::releaseHolds(unsigned tid)
 {
     std::lock_guard<std::mutex> g(mu_);
-    holds_.erase(std::remove_if(holds_.begin(), holds_.end(),
-                                [&](const Hold& hd) {
-                                    return hd.tid == tid;
-                                }),
-                 holds_.end());
+    auto kept = std::stable_partition(
+        holds_.begin(), holds_.end(),
+        [&](const Hold& hd) { return hd.tid != tid; });
+    std::vector<Hold> released(kept, holds_.end());
+    holds_.erase(kept, holds_.end());
+    // The slot's heal settled the released ranges' bits. After a crash
+    // or fault since the map was built they are left to finishScan's
+    // rescan instead: the bitmap may not be trusted here.
+    if (staleLocked())
+        return;
+    for (const Hold& hd : released)
+        syncRangeLocked(hd.off, hd.bytes);
 }
 
 size_t

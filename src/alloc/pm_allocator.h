@@ -13,7 +13,15 @@
  *    log by idempotent bit writes (revertBits);
  *  - Clobber-NVM's re-execution path simply re-reserves from the
  *    recovery session's incremental rebuild; blocks its roll-back
- *    reverted re-enter the free map only at the final reconcile.
+ *    reverted re-enter the free map once their slot's holds go.
+ *
+ * The volatile free map is exact for the prefix of the bitmap the
+ * scan has read: every writer of bitmap bits (persistFree, revertBits,
+ * quarantine) and every hold change re-syncs its range under the lock.
+ * So a restart scans the bitmap once. The scan a constructor ran (or
+ * armed) carries into the recovery session, which only finishes it;
+ * the session starts over only when the pool took a crash or a media
+ * fault after the map was built (nvm::Pool::upsets).
  *
  * Persistent layout inside the pool's heap region (pool version 2):
  *
@@ -119,11 +127,10 @@ class PmAllocator {
     static constexpr uint64_t kBlockMagic = 0xB10CB10CB10CB10Cull;
 
     /**
-     * Attach to (formatting if necessary) the pool's heap region.
-     * With `deferRebuild` the constructor skips the full bitmap scan
-     * and arms the incremental lazy rebuild instead (instant restart:
-     * the caller is expected to run beginLazyRebuild-style recovery
-     * through the engine; reserve() pulls scan work on demand).
+     * Attach to (formatting if necessary) the pool's heap region and
+     * scan its bitmap. With `deferRebuild` the constructor only arms
+     * the scan (instant restart: reserve() pulls scan work on demand,
+     * and the recovery session's finishScan() completes it).
      */
     explicit PmAllocator(nvm::Pool& pool, bool deferRebuild = false);
 
@@ -154,7 +161,8 @@ class PmAllocator {
 
     /**
      * Commit a deferred free: clear bitmap bits, flush, and return the
-     * space to the volatile free map. Caller issues the fence.
+     * space to the volatile free map (unless a hold pins it). Caller
+     * issues the fence.
      */
     void persistFree(uint64_t payloadOff);
 
@@ -175,33 +183,47 @@ class PmAllocator {
                     bool allocated);
 
     /**
-     * Rebuild the volatile free map from the persistent bitmap: the
-     * incremental scan reset to the bitmap's start and run to its
-     * end. Bitmap chunks that are poisoned or tainted are quarantined
-     * (the granules they administer are forced allocated,
-     * persistently) rather than trusted; already-quarantined ranges
-     * never re-enter the free map. @return what this pass salvaged.
-     *
-     * `keepSession` distinguishes the two callers: false (default) is
-     * fresh-process recovery — stale volatile reservations and holds
-     * are discarded before the scan; true is the recovery session's
-     * final reconcile (Runtime::healHeap), which may run while
-     * foreground transactions are in flight and must keep masking
-     * their live reservations (and any not-yet-released holds) out of
-     * the free map. Either way the lazy scan session ends here: its
-     * accumulated salvage stats are folded into the returned stats.
+     * Rebuild the volatile free map from scratch, as a fresh process
+     * would: discard reservations and holds, then run the bitmap scan
+     * from its start to its end. Bitmap chunks that are poisoned or
+     * tainted are quarantined (the granules they administer are forced
+     * allocated, persistently) rather than trusted; already-quarantined
+     * ranges never re-enter the free map. @return what this pass
+     * salvaged, with whatever earlier pulls of the scan found.
      */
-    RebuildStats rebuild(bool keepSession = false);
+    RebuildStats rebuild();
 
     /**
      * Arm an incremental (lazy) rebuild instead of scanning the whole
      * bitmap: discard all volatile state (fresh-process semantics),
      * heal the header and quarantine table — the O(1) prefix of
      * rebuild() — and leave the free map empty. reserve() then pulls
-     * chunks of the bitmap scan on demand; rebuild(true) reconciles at
-     * the end. Bounded by metadata size, not pool size.
+     * chunks of the bitmap scan on demand; finishScan() completes it.
+     * Bounded by metadata size, not pool size.
      */
     void beginLazyRebuild();
+
+    /**
+     * Start a recovery session over this heap. The free map and the
+     * scan's cursor carry over, so the session finishes the scan the
+     * constructor ran or armed. Only when the pool took a crash or a
+     * media fault after the map was built (or an earlier session
+     * ended before releasing its holds) is every piece of volatile
+     * state discarded and the scan re-armed (beginLazyRebuild).
+     */
+    void beginSession();
+
+    /**
+     * Run the bitmap scan from its cursor to the end: the recovery
+     * session's final reconcile (Runtime::healHeap), no work at all
+     * when the scan already ran in full. Safe while foreground
+     * transactions are in flight: their live reservations, and any
+     * holds not yet released, stay masked. If the pool took a crash
+     * or a media fault since the map was built, the map is rebuilt
+     * from the bitmap's start first. @return the salvage the scan
+     * found since it was armed.
+     */
+    RebuildStats finishScan();
 
     /**
      * Pin [off, off+bytes) out of the free map until releaseHolds(tid)
@@ -211,7 +233,9 @@ class PmAllocator {
      */
     void addHold(unsigned tid, uint64_t off, uint64_t bytes);
 
-    /** Drop every hold owned by `tid` (its slot healed). */
+    /** Drop every hold owned by `tid` (its slot healed): the clear
+     *  bits of the released ranges the scan has passed enter the
+     *  free map. */
     void releaseHolds(unsigned tid);
 
     /** Outstanding hold ranges (diagnostics / tests). */
@@ -265,9 +289,20 @@ class PmAllocator {
     uint64_t blockGranules(uint64_t payloadOff) const;
     void setBits(uint64_t blockOff, uint64_t granules, bool value,
                  bool flushBits);
+    void dropBySizeLocked(uint64_t off, uint64_t len);
+    /** Add a run no extent overlaps, coalescing with its neighbours. */
     void insertFreeExtentLocked(uint64_t off, uint64_t len);
     /** insertFreeExtentLocked minus hold/reservation overlaps. */
     void insertFreeRunMaskedLocked(uint64_t off, uint64_t len);
+    /** Remove [off, off+len) from the free map, splitting the extents
+     *  it cuts. */
+    void carveLocked(uint64_t off, uint64_t len);
+    /** Make the map mirror the bitmap over the part of [off, off+len)
+     *  the scan has passed: its clear runs minus holds and live
+     *  reservations are free, the rest is not. */
+    void syncRangeLocked(uint64_t off, uint64_t len);
+    /** Has the pool crashed or taken a media fault since armScan? */
+    bool staleLocked() const { return pool_.upsets() != builtAt_; }
     uint64_t reserveLocked(uint64_t need);
     void healMetaLocked(RebuildStats* st);
     /** Empty the free map, heal the metadata and point the
@@ -276,13 +311,15 @@ class PmAllocator {
     /** Scan up to `chunks` 64-byte bitmap chunks from the cursor into
      *  the free map (the allocator's one bitmap scan). */
     void lazyStepLocked(uint64_t chunks);
-    bool scannedLocked(uint64_t blockOff, uint64_t granules) const;
 
     /** A heap range pinned until its owning slot heals. */
     struct Hold {
         unsigned tid;
         uint64_t off;
         uint64_t bytes;
+        /** A committed transaction freed the block since the crash:
+         *  the slot's heal must not force it allocated again. */
+        bool freed = false;
     };
 
     nvm::Pool& pool_;
@@ -295,14 +332,14 @@ class PmAllocator {
      *  still clear on media; a concurrent rebuild must not free them) */
     std::map<uint64_t, uint64_t> reserved_;
     std::vector<Hold> holds_;
-    /** @name Lazy (incremental) rebuild session */
+    /** @name The bitmap scan (run eagerly, or pulled on demand) */
     /// @{
-    bool lazyActive_ = false;
     bool lazyScanDone_ = false;
     uint64_t lazyCursor_ = 0;     ///< bitmap bytes consumed so far
     uint64_t lazyRunStartG_ = 0;  ///< open free-run start granule
     bool lazyInRun_ = false;
-    RebuildStats lazyStats_{};    ///< salvage found by lazy steps
+    RebuildStats lazyStats_{};    ///< salvage found since armed
+    uint64_t builtAt_ = 0;        ///< pool_.upsets() when armed
     /// @}
 };
 

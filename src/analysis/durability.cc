@@ -112,13 +112,6 @@ DurabilityValidator::dirtyNow() const
     return dirty_.size();
 }
 
-size_t
-DurabilityValidator::pendingNow() const
-{
-    std::lock_guard<std::mutex> g(mu_);
-    return pending_.size();
-}
-
 std::string
 DurabilityValidator::summary() const
 {

@@ -88,7 +88,6 @@ class DurabilityValidator final : public nvm::LineObserver,
     uint64_t commitsChecked() const;
     uint64_t pendingAdvisories() const;
     size_t dirtyNow() const;
-    size_t pendingNow() const;
 
     /** One-line audit summary. */
     std::string summary() const;

@@ -325,12 +325,4 @@ ModuleSummaries::callees(const Function& f) const
     return out;
 }
 
-ModuleSummaries
-singleFunctionSummaries(const Function& f)
-{
-    std::vector<Function> fns;
-    fns.push_back(f);
-    return ModuleSummaries(fns);
-}
-
 }  // namespace cnvm::cir

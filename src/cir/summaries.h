@@ -125,9 +125,6 @@ class ModuleSummaries {
     int iterations_ = 0;
 };
 
-/** Convenience: summaries over a single function (no callees). */
-ModuleSummaries singleFunctionSummaries(const Function& f);
-
 }  // namespace cnvm::cir
 
 #endif  // CNVM_CIR_SUMMARIES_H

@@ -59,6 +59,29 @@ CacheSim::findSlot(Shard& sh, uint64_t ln)
 }
 
 void
+CacheSim::eraseSlot(Shard& sh, Slot* s)
+{
+    size_t mask = sh.slots.size() - 1;
+    auto hole = static_cast<size_t>(s - sh.slots.data());
+    // Walk the rest of the probe chain: an entry whose home lies
+    // cyclically outside (hole, j] was placed past the hole and would
+    // be unreachable once the hole empties, so it moves into the hole.
+    for (size_t j = (hole + 1) & mask; sh.slots[j].key != 0;
+         j = (j + 1) & mask) {
+        size_t home = mixLine(sh.slots[j].key - 1) & mask;
+        bool reachable = hole <= j ? hole < home && home <= j
+                                   : hole < home || home <= j;
+        if (!reachable) {
+            sh.slots[hole] = sh.slots[j];
+            hole = j;
+        }
+    }
+    sh.slots[hole].key = 0;
+    sh.slots[hole].state = kEmpty;
+    sh.used--;
+}
+
+void
 CacheSim::growShard(Shard& sh)
 {
     size_t cap = sh.slots.empty() ? 64 : sh.slots.size() * 2;
@@ -67,9 +90,7 @@ CacheSim::growShard(Shard& sh)
     sh.used = 0;
     size_t mask = cap - 1;
     for (const Slot& s : old) {
-        // Clean (durable) slots behave like absent entries; dropping
-        // them at rehash keeps long-lived sims from growing forever.
-        if (s.key == 0 || s.state == kClean)
+        if (s.key == 0)
             continue;
         size_t i = mixLine(s.key - 1) & mask;
         while (sh.slots[i].key != 0)
@@ -98,19 +119,10 @@ CacheSim::dirtyLocked(Shard& sh, uint64_t ln)
             return;
         }
         if (s.key == ln + 1) {
-            if (s.state == kPending) {
-                // A new store re-dirties a clwb'd line; clwb without a
-                // fence gives no durability, so the original snapshot
-                // stays the revert target.
-                s.state = kDirty;
-            } else if (s.state == kClean) {
-                // Durable line re-dirtied: current content is the new
-                // durable floor.
-                s.state = kDirty;
-                std::memcpy(s.snapshot.data(), base_ + ln * kCacheLine,
-                            kCacheLine);
-                volatile_.fetch_add(1, std::memory_order_relaxed);
-            }
+            // A new store re-dirties a clwb'd line; clwb without a
+            // fence gives no durability, so the original snapshot
+            // stays the revert target.
+            s.state = kDirty;
             return;
         }
         i = (i + 1) & mask;
@@ -229,10 +241,10 @@ CacheSim::fence()
         std::lock_guard<std::mutex> g(sh.mu);
         for (uint64_t ln : sh.pending) {
             Slot* s = findSlot(sh, ln);
-            // A re-dirtied (kDirty) or doubly-listed (kClean) entry is
-            // skipped; only a real pending line retires.
+            // A re-dirtied (kDirty) or doubly-listed (already erased)
+            // line is skipped; only a real pending line retires.
             if (s != nullptr && s->state == kPending) {
-                s->state = kClean;
+                eraseSlot(sh, s);
                 volatile_.fetch_sub(1, std::memory_order_relaxed);
             }
         }
@@ -251,10 +263,8 @@ CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
     for (Shard& sh : shards_) {
         std::lock_guard<std::mutex> g(sh.mu);
         for (Slot& s : sh.slots) {
-            if (s.key == 0 ||
-                (s.state != kDirty && s.state != kPending)) {
+            if (s.key == 0)
                 continue;
-            }
             uint64_t ln = s.key - 1;
             uint8_t* mem = base_ + ln * kCacheLine;
             double survival = s.state == kPending ? p.pendingSurvival
@@ -277,6 +287,7 @@ CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
     }
     volatile_.store(0, std::memory_order_relaxed);
     pendingShards_.store(0, std::memory_order_relaxed);
+    crashes_.fetch_add(1, std::memory_order_relaxed);
     bumpEpoch();
     if (auto* obs = lineObs_.load(std::memory_order_relaxed))
         obs->trackingReset();
@@ -301,24 +312,7 @@ CacheSim::isVolatile(uint64_t line)
 {
     Shard& sh = shardOf(line);
     std::lock_guard<std::mutex> g(sh.mu);
-    Slot* s = findSlot(sh, line);
-    return s != nullptr && (s->state == kDirty || s->state == kPending);
-}
-
-void
-CacheSim::discardAll()
-{
-    for (Shard& sh : shards_) {
-        std::lock_guard<std::mutex> g(sh.mu);
-        std::fill(sh.slots.begin(), sh.slots.end(), Slot{});
-        sh.used = 0;
-        sh.pending.clear();
-    }
-    volatile_.store(0, std::memory_order_relaxed);
-    pendingShards_.store(0, std::memory_order_relaxed);
-    bumpEpoch();
-    if (auto* obs = lineObs_.load(std::memory_order_relaxed))
-        obs->trackingReset();
+    return findSlot(sh, line) != nullptr;
 }
 
 void

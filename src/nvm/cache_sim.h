@@ -28,8 +28,10 @@
  *  - The line table is sharded: power-of-two shards keyed by line bits
  *    (16-line blocks round-robined over the shards), each an
  *    open-addressing flat table of line -> {state, snapshot} slots
- *    under its own mutex. Slots are never deleted, only retired to the
- *    "clean" state at fence time, so probe chains need no tombstones.
+ *    under its own mutex. It holds only dirty and pending lines: a
+ *    fence erases the slot of every line it retires, by backward-shift
+ *    deletion, so probe chains stay valid without tombstones and the
+ *    table's size follows the volatile lines, not every line written.
  *  - Repeated stores to an already-dirty line skip the shard lock
  *    entirely: willWrite() first probes the calling thread's
  *    DirtyLineCache (see hooks.h). Entries are tagged with the sim's
@@ -145,6 +147,13 @@ class CacheSim {
      */
     size_t crashAllLost();
 
+    /** Power losses simulated so far (crash() and crashAllLost()). */
+    uint64_t
+    crashes() const
+    {
+        return crashes_.load(std::memory_order_relaxed);
+    }
+
     /** Number of lines currently dirty or pending. O(1). */
     size_t
     volatileLines() const
@@ -156,9 +165,6 @@ class CacheSim {
      *  its lock (fault injection skips volatile lines). */
     bool isVolatile(uint64_t line);
 
-    /** Drop all tracking without mutating memory (clean shutdown). */
-    void discardAll();
-
     /**
      * Install (or clear, with nullptr) the line-event observer. While
      * an observer is installed the dirty-line fast path is disabled so
@@ -168,10 +174,9 @@ class CacheSim {
 
  private:
     enum LineState : uint8_t {
-        kEmpty = 0,    ///< slot never used
+        kEmpty = 0,    ///< no line in the slot
         kDirty,        ///< stored to since last durable point
         kPending,      ///< clwb issued, fence outstanding
-        kClean,        ///< durable; behaves like absent (slot reusable)
     };
 
     struct Slot {
@@ -214,8 +219,11 @@ class CacheSim {
                        DirtyLineCache& c);
     /** Mark `ln` dirty in `sh` (lock held), snapshotting as needed. */
     void dirtyLocked(Shard& sh, uint64_t ln);
-    /** Probe for `ln`; nullptr if absent (kClean slots ARE returned). */
+    /** Probe for `ln`; nullptr if absent. */
     Slot* findSlot(Shard& sh, uint64_t ln);
+    /** Empty `s` (a slot of `sh`), shifting later members of its probe
+     *  chain back so every chain stays unbroken. */
+    void eraseSlot(Shard& sh, Slot* s);
     void growShard(Shard& sh);
     /** Invalidate every thread's DirtyLineCache for this sim. */
     void bumpEpoch();
@@ -230,6 +238,7 @@ class CacheSim {
     std::atomic<size_t> volatile_{0};
     /** Bit i set => shard i may hold pending lines (fast fence). */
     std::atomic<uint64_t> pendingShards_{0};
+    std::atomic<uint64_t> crashes_{0};
     std::array<Shard, kShardCount> shards_;
     static_assert(kShardCount <= 64, "pendingShards_ is one word");
 };

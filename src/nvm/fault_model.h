@@ -166,6 +166,8 @@ class FaultModel {
     uint64_t transientsInjected() const { return transients_; }
     uint64_t poisonReads() const { return poisonReads_; }
     uint64_t retries() const { return retries_; }
+    /** Faults of every kind placed so far. */
+    uint64_t injected() const { return flips_ + poisons_ + transients_; }
     /// @}
 
     /** Tainted line numbers, sorted (tests / diagnostics). */

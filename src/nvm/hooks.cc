@@ -14,12 +14,6 @@ setPersistObserver(PersistObserver* obs)
     tlsObserver = obs;
 }
 
-PersistObserver*
-persistObserver()
-{
-    return tlsObserver;
-}
-
 void
 notifyFlush(uint64_t nlines, uint64_t bytes)
 {

@@ -40,9 +40,6 @@ class PersistObserver {
 /** Install (or clear, with nullptr) the calling thread's observer. */
 void setPersistObserver(PersistObserver* obs);
 
-/** The calling thread's observer, or nullptr. */
-PersistObserver* persistObserver();
-
 /**
  * Account one clwb burst of `nlines` adjacent lines (`bytes` total):
  * bumps the flush counter and reports the calling thread's

@@ -343,14 +343,6 @@ Pool::setAux(uint64_t off)
     persist(&h->auxOff, sizeof(off));
 }
 
-void
-Pool::setRuntimeId(uint32_t id)
-{
-    auto* h = mutableHeader();
-    write(&h->runtimeId, &id, sizeof(id));
-    persist(&h->runtimeId, sizeof(id));
-}
-
 void*
 Pool::slot(unsigned tid) const
 {
@@ -361,6 +353,8 @@ Pool::slot(unsigned tid) const
 void
 Pool::setFaultModel(std::unique_ptr<FaultModel> fm)
 {
+    if (faults_ != nullptr)
+        retiredFaults_ += faults_->injected();
     faults_ = std::move(fm);
     if (faults_ == nullptr)
         return;

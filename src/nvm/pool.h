@@ -159,9 +159,8 @@ class Pool {
     uint64_t aux() const { return header().auxOff; }
     void setAux(uint64_t off);
 
-    /** Runtime id recorded in the header (persisted immediately). */
+    /** Runtime id recorded in the header. */
     uint32_t runtimeId() const { return header().runtimeId; }
-    void setRuntimeId(uint32_t id);
 
     /** Per-thread runtime slot `tid` (tid < maxThreads). */
     void* slot(unsigned tid) const;
@@ -223,6 +222,19 @@ class Pool {
     size_t simulateCrashAllLost();
 
     /**
+     * Crashes and media faults this pool has taken: every simulated
+     * power loss plus every fault any attached FaultModel placed. It
+     * only grows, so volatile state built over the pool (the
+     * allocator's free map) is stale exactly when it has moved since.
+     */
+    uint64_t
+    upsets() const
+    {
+        return cache_->crashes() + retiredFaults_ +
+               (faults_ != nullptr ? faults_->injected() : 0);
+    }
+
+    /**
      * Arm a trap that throws CrashInjected instead of performing the
      * `countdown`-th subsequent write (1 = the very next write).
      * 0 disarms. Sweeping the countdown lets tests crash a transaction
@@ -257,6 +269,8 @@ class Pool {
     int fd_ = -1;
     std::unique_ptr<CacheSim> cache_;
     std::unique_ptr<FaultModel> faults_;
+    /** Faults placed by models setFaultModel has since replaced. */
+    uint64_t retiredFaults_ = 0;
     bool wasCurrent_ = false;
 };
 

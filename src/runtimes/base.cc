@@ -502,9 +502,9 @@ RuntimeBase::healHeap()
 {
     RecoverySession session(*this);
     session.report().slotsScanned = 0;
-    // keepSession: foreground transactions may be in flight (lazy
-    // mode), so their live reservations stay masked.
-    alloc::RebuildStats rs = heap_.rebuild(/* keepSession */ true);
+    // Foreground transactions may be in flight (lazy mode): the scan
+    // keeps their live reservations masked.
+    alloc::RebuildStats rs = heap_.finishScan();
     session.report().quarantinedBlocks += rs.quarantinedBlocks;
     session.report().quarantinedBytes += rs.quarantinedBytes;
     return session.take();

@@ -66,8 +66,9 @@ class RuntimeBase : public txn::Runtime {
      * the last heal) just means triage runs again. healSlot() repairs
      * one slot: it re-derives the slot's condition from media (the
      * triage class is advisory), so healing twice — or healing after
-     * a crash that landed mid-heal — is idempotent. healHeap() is the
-     * full allocator reconciliation, run once after all entries heal.
+     * a crash that landed mid-heal — is idempotent. healHeap()
+     * finishes the allocator's bitmap scan, once after all entries
+     * heal.
      */
     /// @{
     txn::RecoveryIndex recoveryTriage() override;

@@ -48,11 +48,4 @@ kindFromName(const std::string& name)
     fatal("unknown runtime name: " + name);
 }
 
-std::vector<txn::RuntimeKind>
-comparisonKinds()
-{
-    return {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
-            txn::RuntimeKind::redo, txn::RuntimeKind::atlas};
-}
-
 }  // namespace cnvm::rt

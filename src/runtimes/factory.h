@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "runtimes/clobber.h"
 #include "txn/runtime.h"
@@ -22,9 +21,6 @@ makeRuntime(txn::RuntimeKind kind, nvm::Pool& pool,
 
 /** Parse "clobber" / "pmdk" / "mnemosyne" / "atlas" / "nolog" / "ido". */
 txn::RuntimeKind kindFromName(const std::string& name);
-
-/** The systems compared in Figure 6 (in plot order). */
-std::vector<txn::RuntimeKind> comparisonKinds();
 
 }  // namespace cnvm::rt
 

@@ -95,7 +95,7 @@ struct Engine {
     /**
      * Run recovery in `mode`. Both modes build the same recovery
      * session (LazyRecovery: the bounded triage pass, the allocator's
-     * incremental rebuild armed, triaged hold ranges pinned).
+     * session opened over its scan, triaged hold ranges pinned).
      *
      * Full mode is Runtime::recover(): the session drained inline, so
      * every pending slot and the heap have healed on return.

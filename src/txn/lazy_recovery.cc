@@ -20,7 +20,7 @@ LazyRecovery::LazyRecovery(Runtime& rt)
       state_(idx_.entries.size(), kPending)
 {
     report_.slotsScanned = rt.pool().maxThreads();
-    rt_.heap().beginLazyRebuild();
+    rt_.heap().beginSession();
     for (const HoldRange& h : idx_.holds)
         rt_.heap().addHold(h.tid, h.off, h.bytes);
     unsigned maxTid = 0;

@@ -3,10 +3,12 @@
  * The recovery session: the one coordinator every restart runs.
  *
  * Constructing a LazyRecovery arms it: the runtime's bounded triage
- * pass builds the RecoveryIndex, the allocator switches to its
- * incremental rebuild, and the triaged hold ranges are pinned. Each
- * pending slot then heals exactly once, and the heap's reconciliation
- * (Runtime::healHeap) runs once, after every entry has healed.
+ * pass builds the RecoveryIndex, the allocator opens its session
+ * (PmAllocator::beginSession: the scan a fresh allocator ran or armed
+ * carries over; a heap that outlived a crash starts over), and the
+ * triaged hold ranges are pinned. Each pending slot then heals
+ * exactly once, and the heap's reconciliation (Runtime::healHeap,
+ * which finishes the scan) runs once, after every entry has healed.
  * Runtime::recover() — full recovery — drains the session inline on
  * the calling thread before returning. Engine::recover(lazy) publishes
  * it instead: transactions are admitted immediately and a pending slot
@@ -46,9 +48,10 @@ class LazyRecovery {
  public:
     /**
      * Arm a session over `rt`'s pool: triage, then
-     * PmAllocator::beginLazyRebuild(), then register the triaged
-     * holds (in that order — beginLazyRebuild discards all volatile
-     * allocator state, holds included). Does not start the healer.
+     * PmAllocator::beginSession(), then register the triaged holds
+     * (in that order — a session that starts over discards all
+     * volatile allocator state, holds included). Does not start the
+     * healer.
      */
     explicit LazyRecovery(Runtime& rt);
 

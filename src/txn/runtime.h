@@ -145,7 +145,7 @@ class Runtime {
 
     /**
      * Repair the pool after a crash: roll back or re-execute every
-     * interrupted transaction, then rebuild volatile allocator state.
+     * interrupted transaction, then finish the allocator's scan.
      * This is lazy recovery run to completion on the calling thread —
      * a txn::LazyRecovery session (triage, arm the allocator, pin the
      * holds) drained inline: one healSlot() per pending slot, then
@@ -177,10 +177,11 @@ class Runtime {
     virtual RecoveryReport healSlot(const IndexEntry& entry) = 0;
 
     /**
-     * Final heap reconciliation: the full allocator rebuild
-     * (quarantine audit included), run once after every index entry
-     * has healed. Safe to run while foreground transactions are in
-     * flight — live reservations are preserved.
+     * Final heap reconciliation: the allocator's bitmap scan run to
+     * its end (quarantine audit included; PmAllocator::finishScan),
+     * once after every index entry has healed. Safe to run while
+     * foreground transactions are in flight — live reservations are
+     * preserved.
      */
     virtual RecoveryReport healHeap() = 0;
 

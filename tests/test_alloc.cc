@@ -14,6 +14,7 @@
 #include "common/rand.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
+#include "testutil.h"
 
 namespace cnvm::alloc {
 namespace {
@@ -132,6 +133,59 @@ TEST_F(AllocTest, RevertBitsIsIdempotent)
     heap->revertBits(a, 256, true);
     heap->rebuild();
     EXPECT_LT(heap->freeBytes(), freed);
+}
+
+/**
+ * Every writer of bitmap bits keeps the free map exact as it goes:
+ * after each one, with no rebuild in between, the map equals a walk
+ * over the raw bitmap. Holds pin their range out of the map until
+ * released, and a committed free of a held block outlives the heal
+ * that would force it allocated again.
+ */
+TEST_F(AllocTest, WritersKeepFreeMapExactWithoutRebuild)
+{
+    const uint64_t block = 224;  // 200 payload bytes + header, aligned
+    std::vector<uint64_t> offs;
+    for (int i = 0; i < 8; i++) {
+        offs.push_back(heap->reserve(200));
+        heap->persistAllocate(offs.back());
+    }
+    pool->fence();
+    heap->releaseReservation(heap->reserve(500));
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+
+    heap->revertBits(offs[1], 200, false);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    heap->revertBits(offs[1], 200, false);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    heap->revertBits(offs[1], 200, true);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    heap->persistFree(offs[2]);
+    heap->persistFree(offs[3], 200);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    heap->quarantine(offs[2] - sizeof(BlockHeader), 64,
+                     kQuarCorruptHeader);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    EXPECT_FALSE(heap->quarantineViolation());
+
+    // The slot that holds offs[5] rolls it back; the space stays
+    // pinned until the slot's holds go.
+    size_t before = heap->freeBytes();
+    heap->addHold(0, offs[5] - sizeof(BlockHeader), block);
+    heap->revertBits(offs[5], 200, false);
+    EXPECT_EQ(heap->freeBytes(), before);
+    heap->releaseHolds(0);
+    EXPECT_EQ(heap->freeBytes(), before + block);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+
+    // A committed transaction frees held offs[6] before its slot's
+    // heal would complete the allocation: the free stands.
+    heap->addHold(1, offs[6] - sizeof(BlockHeader), block);
+    heap->persistFree(offs[6], 200);
+    heap->revertBits(offs[6], 200, true);
+    heap->releaseHolds(1);
+    EXPECT_EQ(heap->freeBytes(), before + 2 * block);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
 }
 
 TEST_F(AllocTest, ExhaustionIsFatalNotUb)
@@ -301,27 +355,6 @@ struct ScanRig {
         pool->writeAt(heap->bitmapOff(), bm.data(), bm.size());
     }
 
-    /** The free map must equal a walk over the raw bitmap, one bit at
-     *  a time: the same free bytes in the same number of runs. */
-    void
-    expectFreeMapMatchesBitmap() const
-    {
-        const uint8_t* bm = pool->base() + heap->bitmapOff();
-        uint64_t bytes = 0;
-        uint64_t runs = 0;
-        bool inRun = false;
-        for (uint64_t g = 0; g < granules; g++) {
-            bool allocated = ((bm[g / 8] >> (g % 8)) & 1) != 0;
-            if (!allocated) {
-                bytes += kGranule;
-                runs += inRun ? 0 : 1;
-            }
-            inRun = !allocated;
-        }
-        EXPECT_EQ(heap->freeBytes(), bytes);
-        EXPECT_EQ(heap->freeExtents(), runs);
-    }
-
     std::unique_ptr<nvm::Pool> pool;
     std::unique_ptr<PmAllocator> heap;
     uint64_t granules = 0;
@@ -362,11 +395,11 @@ TEST(BitmapScan, FreeMapMatchesBitByBitWalkOnRandomBitmaps)
                 bm[last / 8] |= bit;
             r.store(bm);
             r.heap->rebuild();
-            r.expectFreeMapMatchesBitmap();
-            SCOPED_TRACE("beginLazyRebuild + rebuild(true)");
+            test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
+            SCOPED_TRACE("beginLazyRebuild + finishScan");
             r.heap->beginLazyRebuild();
-            r.heap->rebuild(true);
-            r.expectFreeMapMatchesBitmap();
+            r.heap->finishScan();
+            test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
         }
     }
 }
@@ -419,7 +452,7 @@ TEST(BitmapScan, LazyPullFreesTheScannedPartOfAnOpenRun)
     EXPECT_EQ(r.heap->reserve(0), r.heap->dataOff() + sizeof(BlockHeader));
     EXPECT_GT(r.heap->freeBytes(), 0u);
     EXPECT_LT(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
-    r.heap->rebuild(true);
+    r.heap->finishScan();
     EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
 }
 
@@ -438,7 +471,7 @@ TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)
         r.pool->faults()->poisonAt(r.heap->bitmapOff() + 64 * chunk);
         if (lazy) {
             r.heap->beginLazyRebuild();
-            r.heap->rebuild(true);
+            r.heap->finishScan();
         } else {
             r.heap->rebuild();
         }
@@ -448,7 +481,7 @@ TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)
         EXPECT_FALSE(r.heap->quarantineViolation());
         EXPECT_EQ(r.heap->freeExtents(), 2u);
         EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - bytes);
-        r.expectFreeMapMatchesBitmap();
+        test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
     }
 }
 

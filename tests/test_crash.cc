@@ -417,6 +417,214 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_" + txn::recoveryModeName(info.param.mode);
     });
 
+// ---------------------------------------------------------------
+// A restart as a new process runs it: a new allocator and a new
+// runtime over the torn pool, then Engine::recover — the path
+// kvbench, cnvm_kvserver and the Fig. 9 TTFT sweep take. The sweeps
+// above reuse one allocator across the crash, so every session they
+// open starts the heap's scan over; here the session finishes the
+// scan the new allocator ran (full) or armed (lazy).
+// ---------------------------------------------------------------
+
+struct RestartCase {
+    RuntimeKind kind;
+    txn::RecoveryMode mode;
+};
+
+class RestartSweep : public ::testing::TestWithParam<RestartCase> {
+ protected:
+    /**
+     * Tear h's pool, then restart over it and run recovery to the end.
+     * The free map must then mirror the bitmap. @return whether
+     * recovery re-executed an interrupted transaction.
+     */
+    bool
+    crashAndRestart(Harness& h, uint64_t seed)
+    {
+        auto [kind, mode] = GetParam();
+        h.pool->simulateCrash(seed);
+        h.runtime.reset();
+        h.heap = std::make_unique<alloc::PmAllocator>(
+            *h.pool, /* deferRebuild */ mode == txn::RecoveryMode::lazy);
+        h.runtime = rt::makeRuntime(kind, *h.pool, *h.heap);
+        txn::Engine eng(*h.runtime);
+        auto pre = stats::aggregate();
+        eng.recover(mode, /* backgroundHealer */ false);
+        eng.finishRecovery();
+        auto rec = stats::aggregate() - pre;
+        expectFreeMapMatchesBitmap(*h.pool, *h.heap);
+        EXPECT_EQ(h.heap->holdCount(), 0u);
+        return rec[stats::Counter::reexecutions] > 0;
+    }
+
+    bool
+    resumes() const
+    {
+        return GetParam().kind == RuntimeKind::clobber ||
+               GetParam().kind == RuntimeKind::ido;
+    }
+};
+
+/** CrashSweep's push sweep (each push allocates a node). */
+TEST_P(RestartSweep, PushInterruptedAtEveryEvent)
+{
+    Harness h(GetParam().kind);
+    CrashScheduler sched(*h.pool);
+    {
+        auto eng = h.engine();
+        for (uint64_t v = 1; v <= 4; v++)
+            txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+    }
+    uint64_t expectedSum = 10;
+    size_t expectedLen = 4;
+
+    bool sawCrash = false;
+    int quietInARow = 0;
+    for (uint64_t k = 1; quietInARow < 2 && k < 1500; k++) {
+        uint64_t value = 100 + k;
+        bool crashed = false;
+        {
+            auto eng = h.engine();
+            sched.arm(k);
+            try {
+                txn::run(eng, kPushNode, h.rootPtr().raw(), value);
+            } catch (const nvm::CrashInjected&) {
+                crashed = true;
+                sawCrash = true;
+            }
+            sched.disarm();
+        }
+        if (crashed) {
+            quietInARow = 0;
+            bool reexecuted = crashAndRestart(h, 1234 + k);
+            size_t len = h.listLen();
+            if (resumes() && reexecuted)
+                ASSERT_EQ(len, expectedLen + 1) << "crash point " << k;
+            else
+                ASSERT_TRUE(len == expectedLen || len == expectedLen + 1)
+                    << "crash point " << k;
+            if (len == expectedLen + 1) {
+                expectedLen = len;
+                expectedSum += value;
+            }
+        } else {
+            quietInARow++;
+            expectedLen++;
+            expectedSum += value;
+        }
+        ASSERT_EQ(h.listLen(), expectedLen) << "crash point " << k;
+        ASSERT_EQ(h.root().sum, expectedSum) << "crash point " << k;
+        ASSERT_EQ(h.listSum(), expectedSum) << "crash point " << k;
+    }
+    EXPECT_TRUE(sawCrash);
+}
+
+/** CrashSweep's pop sweep (each pop frees a node at commit). */
+TEST_P(RestartSweep, PopInterruptedAtEveryEvent)
+{
+    Harness h(GetParam().kind);
+    CrashScheduler sched(*h.pool);
+    {
+        auto eng = h.engine();
+        for (uint64_t v = 1; v <= 60; v++)
+            txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+    }
+    size_t expectedLen = 60;
+
+    bool sawCrash = false;
+    int quietInARow = 0;
+    for (uint64_t k = 1; quietInARow < 2 && k < 1000 && expectedLen > 2;
+         k++) {
+        bool crashed = false;
+        {
+            auto eng = h.engine();
+            sched.arm(k);
+            try {
+                txn::run(eng, kPopNode, h.rootPtr().raw());
+            } catch (const nvm::CrashInjected&) {
+                crashed = true;
+                sawCrash = true;
+            }
+            sched.disarm();
+        }
+        if (crashed) {
+            quietInARow = 0;
+            bool reexecuted = crashAndRestart(h, 777 + k);
+            size_t len = h.listLen();
+            if (resumes() && reexecuted)
+                ASSERT_EQ(len, expectedLen - 1) << "crash point " << k;
+            else
+                ASSERT_TRUE(len == expectedLen || len == expectedLen - 1)
+                    << "crash point " << k;
+            expectedLen = len;
+        } else {
+            quietInARow++;
+            expectedLen--;
+        }
+        ASSERT_EQ(h.listLen(), expectedLen);
+        ASSERT_EQ(h.root().sum, h.listSum()) << "crash point " << k;
+    }
+    EXPECT_TRUE(sawCrash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, RestartSweep,
+    ::testing::ValuesIn([] {
+        std::vector<RestartCase> cases;
+        for (RuntimeKind k :
+             {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber,
+              RuntimeKind::atlas, RuntimeKind::ido}) {
+            for (txn::RecoveryMode m :
+                 {txn::RecoveryMode::full, txn::RecoveryMode::lazy})
+                cases.push_back({k, m});
+        }
+        return cases;
+    }()),
+    [](const auto& info) {
+        std::string name;
+        switch (info.param.kind) {
+          case RuntimeKind::undo: name = "pmdk"; break;
+          case RuntimeKind::redo: name = "mnemosyne"; break;
+          case RuntimeKind::clobber: name = "clobber"; break;
+          case RuntimeKind::atlas: name = "atlas"; break;
+          case RuntimeKind::ido: name = "ido"; break;
+          default: name = "other"; break;
+        }
+        return name + "_" + txn::recoveryModeName(info.param.mode);
+    });
+
+/**
+ * A media fault with no crash: a bitmap line poisoned after the heap
+ * scanned it. The fault moves the pool's upset count, so recover()'s
+ * session starts the scan over and quarantines the granules the line
+ * administers instead of trusting the map built before the fault.
+ */
+TEST(RestartFaults, BitmapPoisonedAfterScanIsQuarantined)
+{
+    Harness h(RuntimeKind::clobber);
+    {
+        auto eng = h.engine();
+        for (uint64_t v = 1; v <= 4; v++)
+            txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+    }
+    h.pool->setFaultModel(
+        std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
+    // One 64-byte bitmap line administers 512 granules; this one sits
+    // mid-heap, where every granule is free.
+    const uint64_t chunk = h.heap->dataBytes() / alloc::kGranule / 512 / 2;
+    const uint64_t lo = h.heap->dataOff() + alloc::kGranule * 512 * chunk;
+    const uint64_t bytes = alloc::kGranule * 512;
+    ASSERT_FALSE(h.heap->isQuarantined(lo, bytes));
+    h.pool->faults()->poisonAt(h.heap->bitmapOff() + 64 * chunk);
+
+    txn::RecoveryReport rep = h.runtime->recover();
+    EXPECT_EQ(rep.quarantinedBlocks, 1u);
+    EXPECT_TRUE(h.heap->isQuarantined(lo, bytes));
+    EXPECT_FALSE(h.heap->quarantineViolation());
+    expectFreeMapMatchesBitmap(*h.pool, *h.heap);
+    EXPECT_EQ(h.listLen(), 4u);
+}
+
 /** Clobber re-execution must observe the *restored* inputs. */
 TEST(ClobberRecovery, ReexecutionSeesRestoredInputs)
 {

@@ -1,5 +1,7 @@
 #include "testutil.h"
 
+#include <gtest/gtest.h>
+
 namespace cnvm::test {
 
 namespace {
@@ -65,6 +67,27 @@ const txn::FuncId kBlindWrite =
     txn::registerTxFunc("test_blind", blindWriteFn);
 const txn::FuncId kReadOnly =
     txn::registerTxFunc("test_readonly", readOnlyFn);
+
+void
+expectFreeMapMatchesBitmap(const nvm::Pool& pool,
+                           const alloc::PmAllocator& heap)
+{
+    const uint8_t* bm = pool.base() + heap.bitmapOff();
+    uint64_t granules = heap.dataBytes() / alloc::kGranule;
+    uint64_t bytes = 0;
+    uint64_t runs = 0;
+    bool inRun = false;
+    for (uint64_t g = 0; g < granules; g++) {
+        bool allocated = ((bm[g / 8] >> (g % 8)) & 1) != 0;
+        if (!allocated) {
+            bytes += alloc::kGranule;
+            runs += inRun ? 0 : 1;
+        }
+        inRun = !allocated;
+    }
+    EXPECT_EQ(heap.freeBytes(), bytes);
+    EXPECT_EQ(heap.freeExtents(), runs);
+}
 
 void
 Harness::makeRoot()

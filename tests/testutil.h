@@ -35,6 +35,15 @@ extern const txn::FuncId kPopNode;       ///< remove head; sum -= value
 extern const txn::FuncId kBlindWrite;    ///< overwrite sum without reading
 extern const txn::FuncId kReadOnly;      ///< loads only
 
+/**
+ * The heap's free map must equal a walk over its raw bitmap, one bit
+ * at a time: the same free bytes in the same number of runs. Holds
+ * for a heap whose scan has run to the end and that has no live
+ * reservation or hold.
+ */
+void expectFreeMapMatchesBitmap(const nvm::Pool& pool,
+                                const alloc::PmAllocator& heap);
+
 /** Pool + heap + runtime bundle over an anonymous mapping. */
 class Harness {
  public:

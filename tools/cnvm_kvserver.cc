@@ -181,7 +181,9 @@ main(int argc, char** argv)
     nvm::Pool::setCurrent(pool.get());
 
     // Under lazy restart the allocator must not pay the full bitmap
-    // scan in its constructor — recovery arms the incremental rebuild.
+    // scan in its constructor: it arms the scan, and reserve() and the
+    // recovery session pull it. A full restart scans here once, and
+    // the session finds nothing left to scan.
     bool lazy = recMode == txn::RecoveryMode::lazy && !fresh;
     alloc::PmAllocator heap(*pool, /* deferRebuild */ lazy);
     auto runtime = rt::makeRuntime(kind, *pool, heap);
