@@ -1,29 +1,40 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction benchmarks.
+ * Shared infrastructure for the benchmarks.
  *
- * Every bench binary regenerates one figure of the paper's evaluation
+ * Every figure bench regenerates one figure of the paper's evaluation
  * (Section 5): it runs the workload through the logical-thread
  * executor, reports *simulated* time to google-benchmark via manual
  * timing, and appends artifact-style rows to figN.csv (the original
  * artifact's `run_all.sh` emits the same `system,structure,threads,
  * run,valsize,throughput` rows).
  *
+ * The wall-clock suites (micro_hotpath, micro_txpath, micro_kvserver
+ * and fig9_recovery's restart sweep) write one JSON report each
+ * through `Report`, in the schema scripts/bench.sh merges into
+ * BENCH_<suite>.json and scripts/summarize_results.py reads.
+ *
  * Scale knobs (environment):
  *   CNVM_OPS        total operations per configuration (default varies)
  *   CNVM_MAXTHREADS cap for the thread sweep (default 24)
  *   CNVM_POOL_MB    pool size in MiB (default 512)
+ *   CNVM_REPS       wall-clock suites: reps per cell (default 3)
  *   CNVM_SMOKE      =1: CI smoke mode — tiny op counts, two threads,
- *                   64 MiB pool. Explicit knobs above still win.
+ *                   64 MiB pool, one rep. Explicit knobs above still
+ *                   win.
  */
 #ifndef CNVM_BENCH_COMMON_H
 #define CNVM_BENCH_COMMON_H
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/pm_allocator.h"
@@ -110,40 +121,40 @@ threadSweep()
     return out;
 }
 
-/** Appends artifact-style rows to a figN.csv next to the binary. */
+/**
+ * Appends artifact-style rows to a figN.csv next to the binary. A
+ * file that cannot be opened ends the bench with exit status 1.
+ */
 class Csv {
  public:
     explicit Csv(const std::string& path)
+        : f_(std::fopen(path.c_str(), "w"))
     {
-        f_ = std::fopen(path.c_str(), "w");
+        if (f_ == nullptr) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            std::exit(1);
+        }
     }
 
-    ~Csv()
-    {
-        if (f_ != nullptr)
-            std::fclose(f_);
-    }
+    ~Csv() { std::fclose(f_); }
 
     void
     comment(const std::string& text)
     {
-        if (f_ != nullptr)
-            std::fprintf(f_, "# %s\n", text.c_str());
+        std::fprintf(f_, "# %s\n", text.c_str());
     }
 
     template <typename... Args>
     void
     row(const char* fmt, Args... args)
     {
-        if (f_ != nullptr) {
-            std::fprintf(f_, fmt, args...);
-            std::fprintf(f_, "\n");
-            std::fflush(f_);
-        }
+        std::fprintf(f_, fmt, args...);
+        std::fprintf(f_, "\n");
+        std::fflush(f_);
     }
 
  private:
-    std::FILE* f_ = nullptr;
+    std::FILE* f_;
 };
 
 /** The systems compared in the throughput figures, in plot order. */
@@ -167,6 +178,253 @@ systemName(txn::RuntimeKind kind)
     }
     return "?";
 }
+
+using Clock = std::chrono::steady_clock;
+
+inline double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * Run `fn(tid)` on `threads` OS threads (inline when there is one)
+ * and return the wall seconds until the last one returns.
+ */
+template <typename Fn>
+double
+timed(unsigned threads, Fn&& fn)
+{
+    auto t0 = Clock::now();
+    if (threads == 1) {
+        fn(0u);
+    } else {
+        std::vector<std::thread> ts;
+        ts.reserve(threads);
+        for (unsigned t = 0; t < threads; t++)
+            ts.emplace_back([&fn, t] { fn(t); });
+        for (auto& th : ts)
+            th.join();
+    }
+    return secondsSince(t0);
+}
+
+/**
+ * Run `txBody(eng, tid)` `txPerThread` times on each of `threads` OS
+ * threads, each bound to its own runtime slot. Returns wall seconds.
+ */
+template <typename Fn>
+double
+timedTxLoop(Env& env, unsigned threads, size_t txPerThread, Fn&& txBody)
+{
+    double secs = timed(threads, [&](unsigned t) {
+        txn::setThreadTid(t);
+        auto eng = env.engine();
+        for (size_t i = 0; i < txPerThread; i++)
+            txBody(eng, t);
+    });
+    txn::setThreadTid(0);
+    return secs;
+}
+
+/** A JSON number; null when the value is not finite. */
+inline std::string
+jsonNumber(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    return std::isfinite(v) ? buf : "null";
+}
+
+/**
+ * One row of a Report: its dimensions, then metrics that collect one
+ * sample per rep. A timing is written with its spread over the reps,
+ * `{"stat": "median", "n": reps, "value": …, "min": …, "max": …}`;
+ * a count (exact per run, like fences per transaction) as its median.
+ */
+class Row {
+ public:
+    Row&
+    dim(const std::string& key, const std::string& v)
+    {
+        field(key, kDim).text = "\"" + v + "\"";
+        return *this;
+    }
+
+    Row&
+    dim(const std::string& key, double v)
+    {
+        field(key, kDim).text = jsonNumber(v);
+        return *this;
+    }
+
+    Row&
+    timing(const std::string& key, double v)
+    {
+        field(key, kTiming).samples.push_back(v);
+        return *this;
+    }
+
+    Row&
+    count(const std::string& key, double v)
+    {
+        field(key, kCount).samples.push_back(v);
+        return *this;
+    }
+
+    /**
+     * The paper's persistence columns (Figs. 7–8) per committed
+     * transaction, from a counter delta over the measured window:
+     * fences, log entries, log flushes and log bytes. A window in
+     * which nothing committed adds no columns rather than zeros.
+     */
+    Row&
+    persistence(const stats::Snapshot& d)
+    {
+        using stats::Counter;
+        double txs = static_cast<double>(d[Counter::txCommits]);
+        if (txs == 0)
+            return *this;
+        // clobber entries are a subset of undoEntries; don't double
+        // count.
+        double entries = static_cast<double>(
+            d[Counter::undoEntries] + d[Counter::redoEntries] +
+            d[Counter::idoEntries] + d[Counter::lockLogEntries]);
+        count("fences_per_tx", d[Counter::fences] / txs);
+        count("log_entries_per_tx", entries / txs);
+        count("log_flushes_per_tx", d[Counter::logFlushes] / txs);
+        return count("log_bytes_per_tx", d[Counter::logBytes] / txs);
+    }
+
+    /** `{"dims": {…}, "metrics": {…}}` on one line. */
+    std::string
+    json() const
+    {
+        std::string dims, metrics;
+        for (const Field& f : fields_) {
+            std::string& out = f.kind == kDim ? dims : metrics;
+            out += (out.empty() ? "\"" : ", \"") + f.key + "\": ";
+            if (f.kind == kDim) {
+                out += f.text;
+                continue;
+            }
+            std::vector<double> s = f.samples;
+            std::sort(s.begin(), s.end());
+            size_t n = s.size();
+            std::string median =
+                jsonNumber((s[(n - 1) / 2] + s[n / 2]) / 2);
+            out += f.kind == kCount
+                       ? median
+                       : "{\"stat\": \"median\", \"n\": " +
+                             std::to_string(n) + ", \"value\": " +
+                             median + ", \"min\": " +
+                             jsonNumber(s.front()) + ", \"max\": " +
+                             jsonNumber(s.back()) + "}";
+        }
+        return "{\"dims\": {" + dims + "}, \"metrics\": {" + metrics +
+               "}}";
+    }
+
+ private:
+    enum Kind { kDim, kTiming, kCount };
+    struct Field {
+        std::string key;
+        Kind kind;
+        std::string text;             ///< a dimension's JSON value
+        std::vector<double> samples;  ///< a metric's, one per rep
+    };
+
+    Field&
+    field(const std::string& key, Kind kind)
+    {
+        for (Field& f : fields_) {
+            if (f.key == key)
+                return f;
+        }
+        return fields_.emplace_back(Field{key, kind, {}, {}});
+    }
+
+    std::vector<Field> fields_;
+};
+
+/**
+ * The one JSON writer of the wall-clock suites. A report records the
+ * suite, its parameters, the reps per cell (CNVM_REPS) and the host's
+ * core count; scripts/bench.sh fills in the git sha (null here) when
+ * it merges the report into BENCH_<suite>.json under a label.
+ */
+class Report {
+ public:
+    explicit Report(std::string suite)
+        : suite_(std::move(suite)),
+          reps_(std::max<size_t>(
+              1, envSize("CNVM_REPS", smokeMode() ? 1 : 3)))
+    {
+    }
+
+    Report&
+    param(const std::string& key, double v)
+    {
+        params_ += (params_.empty() ? "\"" : ", \"") + key +
+                   "\": " + jsonNumber(v);
+        return *this;
+    }
+
+    /**
+     * Run `cell(i, row)` for every cell of the matrix, CNVM_REPS
+     * times. Reps interleave across the matrix (rep 1 of every cell,
+     * then rep 2, …): co-tenancy slowdowns on a shared host last
+     * seconds, and back-to-back reps would let one slow phase swallow
+     * every rep of one cell.
+     */
+    template <typename Fn>
+    void
+    sweep(size_t cells, Fn&& cell)
+    {
+        rows_.resize(cells);
+        for (size_t rep = 0; rep < reps_; rep++) {
+            for (size_t i = 0; i < cells; i++)
+                cell(i, rows_[i]);
+        }
+    }
+
+    /**
+     * Write the report to `path` and echo it to stdout. Returns false,
+     * after saying why, when the file cannot be written; the bench
+     * then exits non-zero.
+     */
+    bool
+    write(const std::string& path) const
+    {
+        std::string out =
+            "{\"suite\": \"" + suite_ + "\", \"nproc\": " +
+            std::to_string(std::thread::hardware_concurrency()) +
+            ", \"reps\": " + std::to_string(reps_) +
+            ", \"sha\": null,\n \"params\": {" + params_ +
+            "},\n \"rows\": [";
+        for (size_t i = 0; i < rows_.size(); i++)
+            out += (i > 0 ? ",\n  " : "\n  ") + rows_[i].json();
+        out += "\n]}\n";
+
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        bool ok = f != nullptr &&
+                  std::fwrite(out.data(), 1, out.size(), f) == out.size();
+        if (f != nullptr && std::fclose(f) != 0)
+            ok = false;
+        if (!ok) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return false;
+        }
+        std::fputs(out.c_str(), stdout);
+        return true;
+    }
+
+ private:
+    std::string suite_;
+    size_t reps_;
+    std::string params_;
+    std::vector<Row> rows_;
+};
 
 }  // namespace cnvm::bench
 

@@ -16,9 +16,9 @@
  * (the allocator's one bitmap scan + recovery drained inline) vs lazy
  * restart (deferred scan + triage + first-touch heal), across pool
  * sizes.
- * Results land in a JSON file (argv[1], default
- * BENCH_recovery.current.json) that scripts/bench_recovery.sh merges
- * into BENCH_recovery.json.
+ * Results land in a JSON report (argv[1], default
+ * BENCH_recovery.current.json) that `scripts/bench.sh recovery`
+ * merges into BENCH_recovery.json.
  */
 #include <benchmark/benchmark.h>
 
@@ -105,16 +105,6 @@ runFig9(benchmark::State& state, const std::string& structure,
     }
 }
 
-/** One cell of the instant-restart sweep. */
-struct TtftRow {
-    std::string system;
-    size_t poolMB = 0;
-    std::string mode;      ///< "full" or "lazy"
-    double recoverUs = 0;  ///< restart to "transactions admitted"
-    double ttftUs = 0;     ///< restart to first commit acked
-    uint64_t pendingAtFirstTx = 0;  ///< heal items still outstanding
-};
-
 double
 usBetween(std::chrono::steady_clock::time_point a,
           std::chrono::steady_clock::time_point b)
@@ -132,11 +122,12 @@ usBetween(std::chrono::steady_clock::time_point a,
  * deferred constructor + incremental reserve pulls) and
  * heals the dirty slot on first touch; the drain to a fully healed
  * pool happens after the clock stops, exactly as the background healer
- * would do it in a server.
+ * would do it in a server. The persistence columns cover the timed
+ * window: the restart plus the first transaction.
  */
-TtftRow
+void
 runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
-            size_t ops, Xorshift& rng)
+            size_t ops, Xorshift& rng, bench::Row& row)
 {
     bench::Env env(kind, rt::ClobberPolicy::refined, poolMB << 20);
     uint64_t rootOff = 0;
@@ -160,12 +151,8 @@ runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
             env.pool->simulateCrash(rng.next());
     }
 
-    TtftRow row;
-    row.system = bench::systemName(kind);
-    row.poolMB = poolMB;
-    row.mode = lazy ? "lazy" : "full";
-
     wl::Ycsb ycsb(wl::YcsbKind::load, ops + 2, 8, 256);
+    auto before = stats::aggregate();
     auto t0 = std::chrono::steady_clock::now();
     env.heap =
         std::make_unique<alloc::PmAllocator>(*env.pool, lazy);
@@ -180,76 +167,54 @@ runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
     kv->insert(ycsb.keyOf(ops + 1), ycsb.valueOf(ops + 1));
     auto tFirst = std::chrono::steady_clock::now();
 
-    row.recoverUs = usBetween(t0, tAdmit);
-    row.ttftUs = usBetween(t0, tFirst);
-    row.pendingAtFirstTx = eng.recoveryPending();
+    row.timing("recover_us", usBetween(t0, tAdmit))
+        .timing("ttft_us", usBetween(t0, tFirst))
+        .count("pending_at_first_tx",
+               static_cast<double>(eng.recoveryPending()))
+        .persistence(stats::aggregate() - before);
     eng.finishRecovery();  // off the clock: the healer's share
-    return row;
 }
 
 /**
  * The instant-restart sweep: full vs lazy TTFT over clobber and undo
  * at increasing pool sizes. Full TTFT grows with the pool, since one
  * bitmap scan runs before the first transaction; lazy TTFT runs no
- * scan first and stays flat. Writes `path` and prints the ratios.
+ * scan first and stays flat. Returns false when `path` cannot be
+ * written.
  */
-void
+bool
 runTtftSweep(const char* path)
 {
     size_t ops = bench::totalOps(20000) / 2;
     std::vector<size_t> poolsMB =
         bench::smokeMode() ? std::vector<size_t>{64}
                            : std::vector<size_t>{64, 256, 512};
-    size_t reps = bench::envSize("CNVM_REPS", 3);
-
-    std::vector<TtftRow> rows;
+    struct Cell {
+        txn::RuntimeKind kind;
+        size_t poolMB;
+        bool lazy;
+        Xorshift rng;  ///< crash points, continued across reps
+    };
+    std::vector<Cell> cells;
     for (auto kind :
          {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
         for (size_t mb : poolsMB) {
-            for (bool lazy : {false, true}) {
-                Xorshift rng(2026 + mb + (lazy ? 1 : 0));
-                TtftRow best;
-                for (size_t r = 0; r < reps; r++) {
-                    TtftRow one =
-                        runTtftCell(kind, mb, lazy, ops, rng);
-                    if (r == 0 || one.ttftUs < best.ttftUs)
-                        best = one;
-                }
-                rows.push_back(best);
-            }
+            for (bool lazy : {false, true})
+                cells.push_back({kind, mb, lazy,
+                                 Xorshift(2026 + mb + (lazy ? 1 : 0))});
         }
     }
 
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"load_ops\": %zu,\n  \"ttft\": [\n", ops);
-    for (size_t i = 0; i < rows.size(); i++) {
-        const TtftRow& r = rows[i];
-        std::fprintf(f,
-                     "    {\"system\": \"%s\", \"pool_mb\": %zu, "
-                     "\"mode\": \"%s\", \"recover_us\": %.1f, "
-                     "\"ttft_us\": %.1f, \"pending_at_first_tx\": "
-                     "%llu}%s\n",
-                     r.system.c_str(), r.poolMB, r.mode.c_str(),
-                     r.recoverUs, r.ttftUs,
-                     static_cast<unsigned long long>(
-                         r.pendingAtFirstTx),
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-
-    for (size_t i = 0; i + 1 < rows.size(); i += 2) {
-        const TtftRow& full = rows[i];
-        const TtftRow& lz = rows[i + 1];
-        std::printf("ttft %-8s pool=%3zuMB  full=%9.1fus  "
-                    "lazy=%8.1fus  speedup=%.1fx\n",
-                    full.system.c_str(), full.poolMB, full.ttftUs,
-                    lz.ttftUs, full.ttftUs / lz.ttftUs);
-    }
+    bench::Report report("recovery");
+    report.param("ops", static_cast<double>(ops));
+    report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
+        Cell& c = cells[i];
+        row.dim("system", bench::systemName(c.kind))
+            .dim("pool_mb", static_cast<double>(c.poolMB))
+            .dim("mode", c.lazy ? "lazy" : "full");
+        runTtftCell(c.kind, c.poolMB, c.lazy, ops, c.rng, row);
+    });
+    return report.write(path);
 }
 
 void
@@ -287,7 +252,8 @@ main(int argc, char** argv)
             argv[i] = argv[i + 1];
         argc--;
     }
-    runTtftSweep(ttftOut);
+    if (!runTtftSweep(ttftOut))
+        return 1;
 
     registerAll();
     benchmark::Initialize(&argc, argv);

@@ -5,9 +5,7 @@
  * Unlike the figure benches this measures *wall-clock* cost of the
  * model layer itself (Pool::write / flush / fence) with real
  * std::threads, so regressions in the tracking data structures are
- * visible independently of the logical-thread timing model. Results
- * go to BENCH_hotpath.json (artifact-style, one object per series) so
- * the perf trajectory is recorded across PRs.
+ * visible independently of the logical-thread timing model.
  *
  * Series:
  *   tracked_write        repeated 8-byte stores to a small per-thread
@@ -21,14 +19,12 @@
  *   fence                store + flush + fence round trips
  *
  * Scale knobs: CNVM_OPS (stores per thread), CNVM_MAXTHREADS,
- * CNVM_POOL_MB.
+ * CNVM_POOL_MB, CNVM_REPS. Output: argv[1] (default
+ * BENCH_hotpath.current.json); `scripts/bench.sh hotpath` merges it
+ * into BENCH_hotpath.json under a label.
  */
-#include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,19 +33,6 @@
 namespace {
 
 using namespace cnvm;
-using Clock = std::chrono::steady_clock;
-
-struct Series {
-    std::string op;
-    unsigned threads;
-    double opsPerSec;
-};
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::unique_ptr<nvm::Pool>
 makePool()
@@ -61,26 +44,12 @@ makePool()
     return nvm::Pool::create(cfg);
 }
 
-/**
- * Run `fn(tid)` on `threads` std::threads and return total ops/sec,
- * where each invocation performs `opsPerThread` operations.
- */
+/** Total ops/s of `fn(tid)` doing `opsPerThread` ops on each thread. */
 template <typename Fn>
 double
-timed(unsigned threads, size_t opsPerThread, Fn&& fn)
+opsPerSec(unsigned threads, size_t opsPerThread, Fn&& fn)
 {
-    auto t0 = Clock::now();
-    if (threads == 1) {
-        fn(0u);
-    } else {
-        std::vector<std::thread> ts;
-        ts.reserve(threads);
-        for (unsigned t = 0; t < threads; t++)
-            ts.emplace_back([&fn, t] { fn(t); });
-        for (auto& th : ts)
-            th.join();
-    }
-    double secs = secondsSince(t0);
+    double secs = bench::timed(threads, fn);
     return static_cast<double>(opsPerThread) * threads /
            (secs > 0 ? secs : 1e-9);
 }
@@ -99,7 +68,7 @@ benchTrackedWrite(unsigned threads, size_t ops, size_t stripeLines)
     auto pool = makePool();
     size_t stripeBytes = stripeLines * nvm::kCacheLine;
     uint64_t heap = pool->heapOff();
-    return timed(threads, ops, [&](unsigned tid) {
+    return opsPerSec(threads, ops, [&](unsigned tid) {
         uint64_t base = heap + 4096 + tid * (stripeBytes + 4096);
         size_t words = stripeBytes / 8;
         size_t w = 0;
@@ -118,7 +87,7 @@ benchFlushLine(unsigned threads, size_t ops)
     constexpr size_t kBatch = 64;  // 4 KiB of lines per fence
     uint64_t heap = pool->heapOff();
     size_t rounds = std::max<size_t>(1, ops / kBatch);
-    return timed(threads, rounds * kBatch, [&](unsigned tid) {
+    return opsPerSec(threads, rounds * kBatch, [&](unsigned tid) {
         uint64_t base = heap + 4096 +
                         tid * (kBatch * nvm::kCacheLine + 4096);
         std::vector<uint64_t> lines(kBatch);
@@ -139,7 +108,7 @@ benchFence(unsigned threads, size_t ops)
     auto pool = makePool();
     uint64_t heap = pool->heapOff();
     size_t rounds = std::max<size_t>(1, ops / 16);
-    return timed(threads, rounds, [&](unsigned tid) {
+    return opsPerSec(threads, rounds, [&](unsigned tid) {
         uint64_t off = heap + 4096 + tid * 4096;
         for (size_t r = 0; r < rounds; r++) {
             pool->writeAt(off, &r, sizeof(r));
@@ -149,54 +118,46 @@ benchFence(unsigned threads, size_t ops)
     });
 }
 
+/** Total ops/s of one series at `threads`. */
+double
+runSeries(const std::string& op, unsigned threads, size_t ops)
+{
+    if (op == "tracked_write")
+        return benchTrackedWrite(threads, ops, /*stripeLines=*/256);
+    if (op == "tracked_write_spread")
+        return benchTrackedWrite(threads, ops, /*stripeLines=*/65536);
+    if (op == "flush_line")
+        return benchFlushLine(threads, ops / 4);
+    return benchFence(threads, ops / 4);
+}
+
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    size_t ops = bench::totalOps(2000000);
+    size_t ops = bench::totalOps(1000000);
     auto maxThreads =
         static_cast<unsigned>(bench::envSize("CNVM_MAXTHREADS", 4));
-    std::vector<unsigned> threadCounts;
+    std::vector<std::pair<std::string, unsigned>> cells;
     for (unsigned t : {1u, 2u, 4u}) {
-        if (t <= maxThreads)
-            threadCounts.push_back(t);
+        for (const char* op : {"tracked_write", "tracked_write_spread",
+                               "flush_line", "fence"}) {
+            if (t <= maxThreads)
+                cells.emplace_back(op, t);
+        }
     }
 
-    std::vector<Series> out;
-    for (unsigned t : threadCounts) {
-        out.push_back({"tracked_write", t,
-                       benchTrackedWrite(t, ops, /*stripeLines=*/256)});
-        out.push_back(
-            {"tracked_write_spread", t,
-             benchTrackedWrite(t, ops, /*stripeLines=*/65536)});
-        out.push_back({"flush_line", t, benchFlushLine(t, ops / 4)});
-        out.push_back({"fence", t, benchFence(t, ops / 4)});
-    }
-
-    const char* path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"ops_per_thread\": %zu,\n", ops);
-    std::fprintf(f, "  \"pool_mb\": %zu,\n",
-                 bench::envSize("CNVM_POOL_MB", 256));
-    std::fprintf(f, "  \"series\": [\n");
-    for (size_t i = 0; i < out.size(); i++) {
-        std::fprintf(f,
-                     "    {\"op\": \"%s\", \"threads\": %u, "
-                     "\"ops_per_sec\": %.0f}%s\n",
-                     out[i].op.c_str(), out[i].threads, out[i].opsPerSec,
-                     i + 1 < out.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-
-    for (const auto& s : out) {
-        std::printf("%-22s threads=%u  %.2f Mops/s\n", s.op.c_str(),
-                    s.threads, s.opsPerSec / 1e6);
-    }
-    return 0;
+    bench::Report report("hotpath");
+    report.param("ops", static_cast<double>(ops))
+        .param("pool_mb",
+               static_cast<double>(bench::envSize("CNVM_POOL_MB", 256)));
+    report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
+        auto [op, t] = cells[i];
+        row.dim("op", op).dim("threads", t).timing(
+            "ops_per_sec", runSeries(op, t, ops));
+    });
+    return report.write(argc > 1 ? argv[1] : "BENCH_hotpath.current.json")
+               ? 0
+               : 1;
 }

@@ -15,21 +15,19 @@
  * window's worth of mutations share them.
  *
  * Output: argv[1] (default BENCH_kvserver.current.json);
- * scripts/bench_kvserver.sh merges it into BENCH_kvserver.json.
+ * `scripts/bench.sh kvserver` merges it into BENCH_kvserver.json.
  * Latency percentiles are *window* round trips (32 pipelined ops), in
- * microseconds.
+ * microseconds. Each row also carries the persistence columns per
+ * committed transaction: one per fused batch of mutations, one per
+ * read-only get.
  *
- * Each configuration runs CNVM_REPS times (default 3, smoke 1) and
- * reports the best rep: the sweep timeshares server and client
- * threads on whatever cores the box has, so best-of filters scheduler
- * noise out of the checked-in numbers. Reps are interleaved across
- * the matrix so one noisy phase cannot swallow every rep of a cell.
+ * The sweep timeshares server and client threads on whatever cores
+ * the host has, so every timing is reported as its median and range
+ * over CNVM_REPS interleaved reps.
  *
  * Knobs: CNVM_OPS (per config, default 60000), CNVM_POOL_MB,
  * CNVM_REPS, CNVM_SMOKE=1 (tiny run to prove the stack works).
  */
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "apps/kv/kv_server.h"
@@ -42,26 +40,14 @@ using namespace cnvm;
 
 namespace {
 
-struct Row {
-    std::string system;
-    std::string mix;
-    unsigned workers;
-    unsigned batch;
-    unsigned conns;
-    double opsPerSec;
-    double p50us, p95us, p99us;
-    double avgBatch;
-    uint64_t overflows;
-};
-
 struct Mix {
     const char* name;
     double writeRatio;
 };
 
-Row
+void
 runConfig(txn::RuntimeKind kind, const Mix& mix, unsigned workers,
-          unsigned batch, size_t ops)
+          unsigned batch, size_t ops, bench::Row& row)
 {
     bench::Env env(kind);
     txn::Engine eng = env.engine();
@@ -74,6 +60,9 @@ runConfig(txn::RuntimeKind kind, const Mix& mix, unsigned workers,
     svcCfg.workers = workers;
     svcCfg.batchMax = batch;
     server::KvService svc(kv, svcCfg);
+    // Taken before any server thread starts: stop() joins them all,
+    // and their counters retire into stats::aggregate().
+    auto before = stats::aggregate();
     svc.start();
 
     server::TcpServer tcp(svc, kv, server::TcpConfig{});
@@ -94,21 +83,20 @@ runConfig(txn::RuntimeKind kind, const Mix& mix, unsigned workers,
     svc.stop();
     auto st = svc.totalStats();
 
-    Row row;
-    row.system = bench::systemName(kind);
-    row.mix = mix.name;
-    row.workers = workers;
-    row.batch = batch;
-    row.conns = load.connections;
-    row.opsPerSec = res.opsPerSec;
-    row.p50us = res.p50us;
-    row.p95us = res.p95us;
-    row.p99us = res.p99us;
-    row.avgBatch = st.batches > 0
-                       ? double(st.batchedOps) / double(st.batches)
-                       : 1.0;
-    row.overflows = st.overflows;
-    return row;
+    row.dim("system", bench::systemName(kind))
+        .dim("mix", mix.name)
+        .dim("workers", workers)
+        .dim("batch", batch)
+        .dim("conns", load.connections)
+        .timing("ops_per_sec", res.opsPerSec)
+        .timing("p50_us", res.p50us)
+        .timing("p95_us", res.p95us)
+        .timing("p99_us", res.p99us)
+        .count("avg_batch", st.batches > 0 ? double(st.batchedOps) /
+                                                 double(st.batches)
+                                           : 1.0)
+        .count("overflows", static_cast<double>(st.overflows))
+        .persistence(stats::aggregate() - before);
 }
 
 }  // namespace
@@ -130,65 +118,29 @@ main(int argc, char** argv)
         workerSweep = {2};
     }
 
-    size_t reps = bench::envSize("CNVM_REPS", 3);
-    if (bench::smokeMode())
-        reps = 1;
-
-    std::vector<Row> rows;
-    for (size_t rep = 0; rep < reps; rep++) {
-        size_t cell = 0;
-        for (auto kind : systems) {
-            for (const auto& mix : mixes) {
-                for (unsigned w : workerSweep) {
-                    for (unsigned b : batches) {
-                        Row r = runConfig(kind, mix, w, b, ops);
-                        std::printf(
-                            "[rep %zu] %-10s %-8s workers=%u "
-                            "batch=%u  %9.0f ops/s  p50=%6.1fus "
-                            "p95=%6.1fus p99=%6.1fus  "
-                            "avg_batch=%.2f\n",
-                            rep + 1, r.system.c_str(), r.mix.c_str(),
-                            r.workers, r.batch, r.opsPerSec, r.p50us,
-                            r.p95us, r.p99us, r.avgBatch);
-                        std::fflush(stdout);
-                        if (rep == 0)
-                            rows.push_back(std::move(r));
-                        else if (r.opsPerSec > rows[cell].opsPerSec)
-                            rows[cell] = std::move(r);
-                        cell++;
-                    }
-                }
+    struct Cell {
+        txn::RuntimeKind kind;
+        const Mix* mix;
+        unsigned workers, batch;
+    };
+    std::vector<Cell> cells;
+    for (auto kind : systems) {
+        for (const auto& mix : mixes) {
+            for (unsigned w : workerSweep) {
+                for (unsigned b : batches)
+                    cells.push_back({kind, &mix, w, b});
             }
         }
     }
 
-    const char* path =
-        argc > 1 ? argv[1] : "BENCH_kvserver.current.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"ops_per_config\": %zu,\n",
-                 ops);
-    std::fprintf(f, "  \"window\": 32,\n  \"reps\": %zu,\n", reps);
-    std::fprintf(f, "  \"series\": [\n");
-    for (size_t i = 0; i < rows.size(); i++) {
-        const Row& r = rows[i];
-        std::fprintf(
-            f,
-            "   {\"system\": \"%s\", \"mix\": \"%s\", "
-            "\"workers\": %u, \"batch\": %u, \"conns\": %u, "
-            "\"ops_per_sec\": %.0f, \"p50_us\": %.1f, "
-            "\"p95_us\": %.1f, \"p99_us\": %.1f, "
-            "\"avg_batch\": %.2f, \"overflows\": %llu}%s\n",
-            r.system.c_str(), r.mix.c_str(), r.workers, r.batch,
-            r.conns, r.opsPerSec, r.p50us, r.p95us, r.p99us,
-            r.avgBatch, static_cast<unsigned long long>(r.overflows),
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-    return 0;
+    bench::Report report("kvserver");
+    report.param("ops", static_cast<double>(ops)).param("window", 32);
+    report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
+        const Cell& c = cells[i];
+        runConfig(c.kind, *c.mix, c.workers, c.batch, ops, row);
+    });
+    return report.write(argc > 1 ? argv[1]
+                                 : "BENCH_kvserver.current.json")
+               ? 0
+               : 1;
 }

@@ -23,32 +23,38 @@
  *   e2e_hashmap end-to-end hashmap YCSB-load-style inserts through
  *              txn::run (fig6-style anchor, wall clock).
  *
- * Every row, at every thread count, also carries fences/tx and log
- * entries/tx from the stats counters — the fence-elision evidence.
+ * The log writer is one more axis: every series runs under the
+ * baseline writer, and rmw8 and logheavy also under zerocached,
+ * selected per cell with rt::selectLogWriter (not the process-global
+ * CNVM_LOG_WRITER knob), so one run holds the writer ablation. rmw8
+ * and logheavy bracket the log-append cost: rmw8's first pass pays one
+ * append per word and the rest are suppressed (undo/clobber) or
+ * logged again (atlas/redo); logheavy is the one-append-per-store
+ * worst case the fence-eliding writer targets.
+ *
+ * Every row, at every thread count, also carries fences, log entries,
+ * log flushes and log bytes per transaction from the stats counters —
+ * the fence-elision and flush-coalescing evidence.
  *
  * Scale knobs: CNVM_OPS (ops per series per thread), CNVM_MAXTHREADS,
- * CNVM_POOL_MB, CNVM_SMOKE. Output: argv[1] (default
- * BENCH_txpath.current.json); scripts/bench_txpath.sh merges it into
- * BENCH_txpath.json under a series label.
+ * CNVM_POOL_MB, CNVM_REPS, CNVM_SMOKE. Output: argv[1] (default
+ * BENCH_txpath.current.json); `scripts/bench.sh txpath` merges it into
+ * BENCH_txpath.json under a label.
  */
-#include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "runtimes/log_writer.h"
 #include "structures/kv.h"
 #include "txn/txrun.h"
 
 namespace {
 
 using namespace cnvm;
-using Clock = std::chrono::steady_clock;
 
 constexpr size_t kRmwWords = 512;
 constexpr size_t kSeqBytes = 16ULL << 10;
@@ -67,23 +73,6 @@ constexpr size_t kLogWords = 512;  // 4 KiB
 
 /** Largest per-thread region any series touches. */
 constexpr size_t kRegionBytes = kSeqBytes;
-
-struct Row {
-    std::string op;
-    std::string system;
-    unsigned threads;
-    double opsPerSec = 0;
-    double fencesPerTx = 0;
-    double entriesPerTx = 0;
-    double flushesPerTx = 0;   // log-writer flushes
-    double logBytesPerTx = 0;  // appended log bytes
-};
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /**
  * Setup txfunc: allocate `count` regions of `bytes` and publish their
@@ -165,71 +154,37 @@ setupRegions(bench::Env& env, unsigned threads)
     return offs;
 }
 
-/**
- * Run `txBody(eng, regionOff)` repeatedly on `threads` OS threads
- * (each with its own runtime slot and region) until every thread has
- * issued `txPerThread` transactions. Returns wall seconds.
- */
-template <typename Fn>
-double
-timedTxLoop(bench::Env& env, const std::vector<uint64_t>& offs,
-            unsigned threads, size_t txPerThread, Fn&& txBody)
-{
-    auto t0 = Clock::now();
-    auto worker = [&](unsigned t) {
-        txn::setThreadTid(t);
-        auto eng = env.engine();
-        for (size_t i = 0; i < txPerThread; i++)
-            txBody(eng, offs[t]);
-    };
-    if (threads == 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> ts;
-        ts.reserve(threads);
-        for (unsigned t = 0; t < threads; t++)
-            ts.emplace_back(worker, t);
-        for (auto& th : ts)
-            th.join();
-        txn::setThreadTid(0);
-    }
-    return secondsSince(t0);
-}
+/** One cell of the matrix: a series under one protocol and writer. */
+struct Cell {
+    txn::RuntimeKind kind;
+    rt::LogWriterKind writer;
+    std::string op;
+    unsigned threads;
+    size_t ops;  ///< per thread (e2e_hashmap: inserts)
+};
 
-uint64_t
-logEntries(const stats::Snapshot& d)
+void
+runMicroSeries(bench::Env& env, const Cell& c, bench::Row& row)
 {
-    // clobber entries are a subset of undoEntries; don't double count.
-    return d[stats::Counter::undoEntries] +
-           d[stats::Counter::redoEntries] +
-           d[stats::Counter::idoEntries] +
-           d[stats::Counter::lockLogEntries];
-}
-
-Row
-runMicroSeries(txn::RuntimeKind kind, const std::string& op,
-               unsigned threads, size_t opsPerThread)
-{
-    bench::Env env(kind);
-    auto offs = setupRegions(env, threads);
+    auto offs = setupRegions(env, c.threads);
 
     size_t opsPerTx;
     std::function<void(txn::Engine&, uint64_t)> body;
-    if (op == "rmw8") {
+    if (c.op == "rmw8") {
         // Pass 1 over the working set populates the per-block sets;
         // the remaining passes are the pure probe hot path. iDO is
         // capped lower: it emits a 160-byte boundary record per RMW,
         // and 8 passes would overflow the slot log area.
-        size_t passes = kind == txn::RuntimeKind::ido ? 2 : 8;
-        opsPerTx = std::min<size_t>(kRmwWords * passes, opsPerThread);
+        size_t passes = c.kind == txn::RuntimeKind::ido ? 2 : 8;
+        opsPerTx = std::min<size_t>(kRmwWords * passes, c.ops);
         body = [opsPerTx](txn::Engine& eng, uint64_t off) {
             txn::run(eng, kTxpRmw, off,
                      static_cast<uint64_t>(kRmwWords),
                      static_cast<uint64_t>(opsPerTx));
         };
-    } else if (op == "seqcpy") {
-        size_t passes = (kind == txn::RuntimeKind::atlas ||
-                         kind == txn::RuntimeKind::redo)
+    } else if (c.op == "seqcpy") {
+        size_t passes = (c.kind == txn::RuntimeKind::atlas ||
+                         c.kind == txn::RuntimeKind::redo)
                             ? kSeqPassesEveryStoreLogged
                             : kSeqPasses;
         opsPerTx = (kSeqBytes / kSeqChunk) * passes;
@@ -246,63 +201,36 @@ runMicroSeries(txn::RuntimeKind kind, const std::string& op,
         };
     }
 
-    size_t txPerThread =
-        std::max<size_t>(1, opsPerThread / opsPerTx);
-    stats::resetAll();
+    size_t txPerThread = std::max<size_t>(1, c.ops / opsPerTx);
     auto before = stats::aggregate();
-    double secs =
-        timedTxLoop(env, offs, threads, txPerThread, body);
-    auto delta = stats::aggregate() - before;
-
-    Row r;
-    r.op = op;
-    r.system = env.runtime->name();
-    r.threads = threads;
-    r.opsPerSec = static_cast<double>(txPerThread) * opsPerTx *
-                  threads / (secs > 0 ? secs : 1e-9);
+    double secs = bench::timedTxLoop(
+        env, c.threads, txPerThread,
+        [&](txn::Engine& eng, unsigned t) { body(eng, offs[t]); });
     // Joined workers retire their counters into stats::aggregate(),
     // so the delta covers every thread's transactions.
-    double txs = static_cast<double>(txPerThread) * threads;
-    r.fencesPerTx = delta[stats::Counter::fences] / txs;
-    r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
-    r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
-    r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
-    return r;
+    row.timing("ops_per_sec", static_cast<double>(txPerThread) *
+                                  opsPerTx * c.threads /
+                                  (secs > 0 ? secs : 1e-9))
+        .persistence(stats::aggregate() - before);
 }
 
-Row
-runE2eHashmap(txn::RuntimeKind kind, size_t inserts)
+void
+runE2eHashmap(bench::Env& env, size_t inserts, bench::Row& row)
 {
-    bench::Env env(kind);
     auto eng = env.engine();
     auto kv = ds::makeKv("hashmap", eng);
     std::string val(64, 'v');
-    char key[24];
-    stats::resetAll();
+    char key[32];
     auto before = stats::aggregate();
-    auto t0 = Clock::now();
-    for (size_t i = 0; i < inserts; i++) {
-        std::snprintf(key, sizeof(key), "user%010zu", i);
-        kv->insert(key, val);
-    }
-    double secs = secondsSince(t0);
-    auto delta = stats::aggregate() - before;
-
-    Row r;
-    r.op = "e2e_hashmap";
-    r.system = env.runtime->name();
-    r.threads = 1;
-    r.opsPerSec =
-        static_cast<double>(inserts) / (secs > 0 ? secs : 1e-9);
-    double txs =
-        static_cast<double>(delta[stats::Counter::txCommits]);
-    if (txs > 0) {
-        r.fencesPerTx = delta[stats::Counter::fences] / txs;
-        r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
-        r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
-        r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
-    }
-    return r;
+    double secs = bench::timed(1, [&](unsigned) {
+        for (size_t i = 0; i < inserts; i++) {
+            std::snprintf(key, sizeof(key), "user%010zu", i);
+            kv->insert(key, val);
+        }
+    });
+    row.timing("ops_per_sec",
+               static_cast<double>(inserts) / (secs > 0 ? secs : 1e-9))
+        .persistence(stats::aggregate() - before);
 }
 
 }  // namespace
@@ -317,55 +245,44 @@ main(int argc, char** argv)
     if (maxThreads >= 2)
         threadCounts.push_back(2u);
 
-    const std::vector<txn::RuntimeKind> kinds = {
-        txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
-        txn::RuntimeKind::redo, txn::RuntimeKind::atlas,
-        txn::RuntimeKind::ido};
-
-    std::vector<Row> rows;
-    for (auto kind : kinds) {
+    const auto baseline = rt::LogWriterKind::baseline;
+    const auto zerocached = rt::LogWriterKind::zerocached;
+    std::vector<Cell> cells;
+    for (auto kind :
+         {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
+          txn::RuntimeKind::redo, txn::RuntimeKind::atlas,
+          txn::RuntimeKind::ido}) {
         for (unsigned t : threadCounts) {
-            rows.push_back(runMicroSeries(kind, "rmw8", t, ops));
-            rows.push_back(runMicroSeries(kind, "seqcpy", t, ops));
-            rows.push_back(
-                runMicroSeries(kind, "logheavy", t, ops / 4));
+            for (auto writer : {baseline, zerocached}) {
+                cells.push_back({kind, writer, "rmw8", t, ops});
+                if (writer == baseline)
+                    cells.push_back({kind, writer, "seqcpy", t, ops});
+                cells.push_back({kind, writer, "logheavy", t, ops / 4});
+            }
         }
-        rows.push_back(
-            runE2eHashmap(kind, std::min<size_t>(ops / 20, 50000)));
+        cells.push_back({kind, baseline, "e2e_hashmap", 1,
+                         std::min<size_t>(ops / 20, 50000)});
     }
 
-    const char* path =
-        argc > 1 ? argv[1] : "BENCH_txpath.current.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"ops_per_thread\": %zu,\n", ops);
-    std::fprintf(f, "  \"series\": [\n");
-    for (size_t i = 0; i < rows.size(); i++) {
-        const Row& r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"op\": \"%s\", \"system\": \"%s\", \"threads\": "
-            "%u, \"ops_per_sec\": %.0f, \"fences_per_tx\": %.2f, "
-            "\"log_entries_per_tx\": %.2f, "
-            "\"log_flushes_per_tx\": %.2f, "
-            "\"log_bytes_per_tx\": %.0f}%s\n",
-            r.op.c_str(), r.system.c_str(), r.threads, r.opsPerSec,
-            r.fencesPerTx, r.entriesPerTx, r.flushesPerTx,
-            r.logBytesPerTx,
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-
-    for (const auto& r : rows) {
-        std::printf("%-12s %-12s threads=%u  %8.2f Mops/s  "
-                    "fences/tx=%.1f entries/tx=%.1f flushes/tx=%.1f\n",
-                    r.op.c_str(), r.system.c_str(), r.threads,
-                    r.opsPerSec / 1e6, r.fencesPerTx, r.entriesPerTx,
-                    r.flushesPerTx);
-    }
-    return 0;
+    bench::Report report("txpath");
+    report.param("ops", static_cast<double>(ops));
+    report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
+        const Cell& c = cells[i];
+        row.dim("op", c.op)
+            .dim("system", bench::systemName(c.kind))
+            .dim("writer", rt::logWriterName(c.writer))
+            .dim("threads", c.threads);
+        bench::Env env(c.kind);
+        // The writer is swapped on the live runtime before any
+        // transaction, so the whole matrix runs in one process
+        // whatever CNVM_LOG_WRITER says.
+        rt::selectLogWriter(*env.runtime, c.writer);
+        if (c.op == "e2e_hashmap")
+            runE2eHashmap(env, c.ops, row);
+        else
+            runMicroSeries(env, c, row);
+    });
+    return report.write(argc > 1 ? argv[1] : "BENCH_txpath.current.json")
+               ? 0
+               : 1;
 }

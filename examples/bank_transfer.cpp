@@ -101,7 +101,7 @@ demo(txn::RuntimeKind kind)
             pool->simulateCrash(rng.next());
             auto report = runtime->recover();
             if (report.salvageAborted > 0) {
-                // A fence-eliding log writer (CNVM_LOG_WRITER=zero|
+                // A fence-eliding log writer (CNVM_LOG_WRITER=
                 // zerocached) *declares* a torn mid-flight transfer it
                 // could only roll back best-effort instead of hiding
                 // it (DESIGN.md §15); conservation restarts from the

@@ -106,8 +106,8 @@ main(int argc, char** argv)
     alloc::PmAllocator heap(*pool);
     rt::ClobberRuntime runtime(*pool, heap);
     // Re-executes the interrupted insert from its v_log — unless a
-    // fence-eliding log writer (CNVM_LOG_WRITER=zero|zerocached) was
-    // in use: then the interrupted transaction's inputs cannot be
+    // fence-eliding log writer (CNVM_LOG_WRITER=zerocached) was in
+    // use: then the interrupted transaction's inputs cannot be
     // trusted after a torn crash, so recovery rolls it back
     // best-effort and *declares* the salvage abort instead
     // (DESIGN.md §15).

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Summarize the fig*.csv outputs of the bench harness into markdown.
+"""Summarize the bench outputs into markdown.
 
-Usage: scripts/summarize_results.py [results-dir]
+Usage: scripts/summarize_results.py [results-dir ...]
 
-Reads the figN.csv files the bench binaries write (artifact-style rows)
-and prints, per figure, the comparison table EXPERIMENTS.md embeds:
-single-thread and max-thread throughputs with ratios for Figure 6/10,
-per-transaction log volumes for Figures 7/8, and so on.
+Reads, from each directory (default: the current one), the figN.csv
+files the figure benches write (artifact-style rows) and every
+BENCH_*.json report of the wall-clock suites, and prints the
+comparison tables EXPERIMENTS.md embeds: single-thread and max-thread
+throughputs with ratios for Figure 6/10, per-transaction log volumes
+for Figures 7/8, and so on; per suite, every label's rows, the log
+writer against baseline, batch 8 against batch 1 and lazy restart
+against full. Exits non-zero when a BENCH_*.json row does not parse.
 """
 import csv
+import glob
 import json
 import os
 import sys
@@ -190,101 +195,167 @@ def ablation(d):
               (sysname, wl, mode, float(tput), fences))
 
 
-def read_json(path):
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
+STATS = ('median', 'best', 'one')
 
 
-def logwriter(d):
-    doc = read_json(os.path.join(d, 'BENCH_logwriter.json'))
-    if not doc:
-        return
-    print('\n### Log-writer shootout (BENCH_logwriter.json)\n')
-    print('| label | op | system | threads | writer | Mops/s |'
-          ' vs baseline | fences/tx |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        base = {}
-        for row in run.get('series', []):
-            key = (row['op'], row['system'], row['threads'])
-            if row['writer'] == 'baseline':
-                base[key] = row['ops_per_sec']
-        for row in run.get('series', []):
-            key = (row['op'], row['system'], row['threads'])
-            b = base.get(key)
-            rel = ('%.2fx' % (row['ops_per_sec'] / b)
-                   if b else 'n/a')
-            print('| %s | %s | %s | %d | %s | %.2f | %s | %.1f |' %
-                  (label, row['op'], row['system'], row['threads'],
-                   row['writer'], row['ops_per_sec'] / 1e6, rel,
-                   row.get('fences_per_tx', float('nan'))))
+def check_run(run, where):
+    """Raise ValueError unless `run` is one report of the JSON schema.
 
+    A run is {"suite", "reps", "params", "rows", and "nproc" and "sha"
+    (null when unknown)}. A row is {"dims": {name: str|number},
+    "metrics": {name: metric}}. A metric is a number (a count), or a
+    timing {"stat": median|best|one, "n": reps, "value"} where a median
+    also carries "min" <= value <= "max"; "best" is the best of n reps
+    (the row's other timings come from the same rep), "one" a single
+    run.
+    """
+    def num(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-def recovery(d):
-    doc = read_json(os.path.join(d, 'BENCH_recovery.json'))
-    if not doc:
-        return
-    print('\n### Instant restart — time to first transaction '
-          '(BENCH_recovery.json)\n')
-    print('| label | system | pool MB | full TTFT us | lazy TTFT us |'
-          ' speedup | lazy admit us | pending @first tx |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        cells = {}
-        for row in run.get('ttft', []):
-            cells.setdefault((row['system'], row['pool_mb']),
-                             {})[row['mode']] = row
-        for (sysname, mb) in sorted(cells):
-            full = cells[(sysname, mb)].get('full')
-            lazy = cells[(sysname, mb)].get('lazy')
-            if full is None or lazy is None:
+    def fail(msg):
+        raise ValueError('%s: %s' % (where, msg))
+
+    for key in ('suite', 'reps', 'params', 'rows', 'nproc', 'sha'):
+        if not isinstance(run, dict) or key not in run:
+            fail('not a run with "%s"' % key)
+    for i, row in enumerate(run['rows']):
+        dims, metrics = row.get('dims'), row.get('metrics')
+        if not dims or not isinstance(dims, dict) or not all(
+                isinstance(v, str) or num(v) for v in dims.values()):
+            fail('row %d: bad dims %r' % (i, dims))
+        if not metrics or not isinstance(metrics, dict):
+            fail('row %d: bad metrics %r' % (i, metrics))
+        for name, m in metrics.items():
+            if num(m):
                 continue
-            sp = (full['ttft_us'] / lazy['ttft_us']
-                  if lazy['ttft_us'] else float('nan'))
-            print('| %s | %s | %d | %.0f | %.0f | %.1fx | %.0f |'
-                  ' %d |' %
-                  (label, sysname, mb, full['ttft_us'],
-                   lazy['ttft_us'], sp, lazy['recover_us'],
-                   lazy['pending_at_first_tx']))
+            ok = (isinstance(m, dict) and m.get('stat') in STATS and
+                  isinstance(m.get('n'), int) and num(m.get('value')))
+            if ok and m['stat'] == 'median':
+                ok = (num(m.get('min')) and num(m.get('max')) and
+                      m['min'] <= m['value'] <= m['max'])
+            if not ok:
+                fail('row %d: bad metric %s = %r' % (i, name, m))
 
 
-def kvserver(d):
-    doc = read_json(os.path.join(d, 'BENCH_kvserver.json'))
-    if not doc:
-        return
-    print('\n### KV service — group commit & worker scaling '
-          '(BENCH_kvserver.json)\n')
-    print('| label | system | mix | workers | batch=1 ops/s |'
-          ' batch=8 ops/s | speedup | p50/p95/p99 us (batch=8) |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        cells = {}
-        for row in run.get('series', []):
-            key = (row['system'], row['mix'], row['workers'])
-            cells.setdefault(key, {})[row['batch']] = row
-        for (sysname, mix, workers) in sorted(cells):
-            byb = cells[(sysname, mix, workers)]
-            b1 = byb.get(1)
-            bn = byb.get(max(byb))
-            if b1 is None or bn is b1:
+def load_bench(dirs):
+    """{suite: {label: run}} from every BENCH_*.json under `dirs`.
+
+    A merged file maps labels to runs; a bench's own output (a smoke
+    report, say) is one bare run and is labelled with its file name.
+    """
+    out = defaultdict(dict)
+    for d in dirs:
+        for path in sorted(glob.glob(os.path.join(d, 'BENCH_*.json'))):
+            with open(path) as f:
+                doc = json.load(f)
+            runs = {os.path.basename(path): doc} if 'suite' in doc else doc
+            for label, run in runs.items():
+                check_run(run, '%s [%s]' % (path, label))
+                out[run['suite']][label] = run
+    return out
+
+
+def value(metric):
+    """A count, or a timing's statistic (see check_run)."""
+    return metric['value'] if isinstance(metric, dict) else metric
+
+
+def fmt(v):
+    return '%.0f' % v if abs(v) >= 100 else '%.3g' % v
+
+
+def runs_table(suite, runs):
+    print('\n### %s — runs\n' % suite)
+    print('| label | sha | cores | reps | timing statistic | params |')
+    print('|---|---|---|---|---|---|')
+    for label, run in runs.items():
+        stats = {m['stat'] for r in run['rows']
+                 for m in r['metrics'].values() if isinstance(m, dict)}
+        print('| %s | %s | %s | %d | %s | %s |' %
+              (label, run['sha'] or 'n/a', run['nproc'] or 'n/a',
+               run['reps'], '/'.join(sorted(stats)),
+               ', '.join('%s=%s' % kv for kv in run['params'].items())))
+
+
+def by_label(title, runs, dims, keep=lambda dims: True):
+    """One line per `dims` cell, one Mops/s column per label."""
+    table = defaultdict(dict)
+    for label, run in runs.items():
+        for r in run['rows']:
+            if keep(r['dims']):
+                key = tuple(r['dims'][k] for k in dims)
+                table[key][label] = value(r['metrics']['ops_per_sec'])
+    print('\n### %s (Mops/s)\n' % title)
+    print('| %s | %s |' % (' | '.join(dims), ' | '.join(runs)))
+    print('|---' * (len(dims) + len(runs)) + '|')
+    for key in sorted(table, key=str):
+        print('| %s | %s |' % (
+            ' | '.join(str(k) for k in key),
+            ' | '.join('%.2f' % (table[key][l] / 1e6)
+                       if l in table[key] else '' for l in runs)))
+
+
+def versus(title, runs, dim, base, metric, extra=()):
+    """Each row against its label's row that differs only in `dim`,
+    which reads `base` there: `metric` of both and their ratio, then
+    the row's own `extra` metrics."""
+    print('\n### %s\n' % title)
+    header = False
+    for label, run in runs.items():
+        index = {frozenset(r['dims'].items()): r['metrics']
+                 for r in run['rows']}
+        for r in run['rows']:
+            dims, m = r['dims'], r['metrics']
+            ref = index.get(frozenset({**dims, dim: base}.items()))
+            if dims[dim] == base or ref is None:
                 continue
-            sp = (bn['ops_per_sec'] / b1['ops_per_sec']
-                  if b1['ops_per_sec'] else float('nan'))
-            print('| %s | %s | %s | %d | %.0f | %.0f | %.2fx |'
-                  ' %.0f/%.0f/%.0f |' %
-                  (label, sysname, mix, workers, b1['ops_per_sec'],
-                   bn['ops_per_sec'], sp, bn['p50_us'], bn['p95_us'],
-                   bn['p99_us']))
+            others = [k for k in dims if k != dim]
+            if not header:
+                cols = (['label'] + others + [dim, '%s @%s' % (metric, base),
+                        metric, 'ratio'] + list(extra))
+                print('| %s |\n%s|' % (' | '.join(cols), '|---' * len(cols)))
+                header = True
+            a, b = value(ref[metric]), value(m[metric])
+            print('| %s |' % ' | '.join(
+                [label] + [str(dims[k]) for k in others] +
+                [str(dims[dim]), fmt(a), fmt(b), '%.2fx' % (b / a)] +
+                [fmt(value(m[k])) for k in extra]))
+
+
+SUITES = {
+    'hotpath': lambda runs: by_label(
+        'hotpath — NVM model primitives', runs, ('op', 'threads')),
+    'txpath': lambda runs: (
+        by_label('txpath — baseline log writer', runs,
+                 ('op', 'system', 'threads'),
+                 lambda d: d['writer'] == 'baseline'),
+        versus('txpath — log writer against baseline', runs, 'writer',
+               'baseline', 'ops_per_sec',
+               ('fences_per_tx', 'log_flushes_per_tx'))),
+    'kvserver': lambda runs: versus(
+        'kvserver — group commit, batch 8 against batch 1', runs,
+        'batch', 1, 'ops_per_sec', ('p50_us', 'p95_us', 'p99_us')),
+    'recovery': lambda runs: versus(
+        'recovery — time to first transaction, lazy against full',
+        runs, 'mode', 'full', 'ttft_us',
+        ('recover_us', 'pending_at_first_tx')),
+}
 
 
 def main():
-    d = sys.argv[1] if len(sys.argv) > 1 else '.'
-    for fn in (fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
-               fig14, ablation, logwriter, recovery, kvserver):
-        fn(d)
-
+    dirs = sys.argv[1:] or ['.']
+    for d in dirs:
+        for fn in (fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
+                   fig14, ablation):
+            fn(d)
+    try:
+        suites = load_bench(dirs)
+    except (ValueError, KeyError, TypeError) as e:
+        sys.exit('summarize_results: %s' % e)
+    for suite, show in SUITES.items():
+        if suite in suites:
+            runs_table(suite, suites[suite])
+            show(suites[suite])
 
 if __name__ == '__main__':
     main()

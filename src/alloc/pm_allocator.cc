@@ -619,7 +619,11 @@ PmAllocator::finishScan()
     return std::exchange(lazyStats_, RebuildStats{});
 }
 
-void
+// Every restart's bitmap scan runs this word loop. It is aligned to a
+// cache line so its speed does not follow where the linker places it:
+// a 16-byte shift, caused by code removed elsewhere, made full
+// restarts ~20% slower on a 4-core Xeon VM.
+__attribute__((aligned(64))) void
 PmAllocator::lazyStepLocked(uint64_t chunks)
 {
     const AllocHeader& h = hdr();

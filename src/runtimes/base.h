@@ -199,9 +199,9 @@ class RuntimeBase : public txn::Runtime {
      * Append a self-validating log entry carrying `len` bytes of
      * `payload` attributed to `targetOff`, through the active log
      * writer. The baseline writer flushes the entry and fences iff
-     * `fence == LogFence::required`; the zero/zerocached writers
-     * elide the fence (and zerocached defers even the NVM write
-     * until a staging line fills or sealLog runs). Throws
+     * `fence == LogFence::required`; the zerocached writer
+     * elides the fence and defers even the NVM write until a
+     * staging window fills or sealLog runs. Throws
      * txn::LogOverflowError when the entry does not fit the slot's
      * log area (nothing is written in that case).
      */

@@ -61,7 +61,7 @@ ClobberRuntime::appendClobberEntry(unsigned tid, void* dst, size_t n)
     // block), so the widened image is the true pre-state. The fence
     // matters: the clobbered line can tear independently of the log
     // line, so the entry should be durable before the in-place write
-    // executes. Under the zero/zerocached writers it is elided and
+    // executes. Under the zerocached writer it is elided and
     // healOngoing() compensates by declaring the interrupted
     // transaction salvage-aborted instead of re-executing it.
     uint64_t off = pool_.offsetOf(dst);

@@ -50,33 +50,9 @@ class BaselineWriter : public LogWriter {
     nvm::Pool& pool_;
 };
 
-/** Write-through without the fence: validity by entry checksum. */
-class ZeroWriter : public LogWriter {
- public:
-    explicit ZeroWriter(nvm::Pool& pool) : pool_(pool) {}
-
-    LogWriterKind kind() const override { return LogWriterKind::zero; }
-    bool elidesRequiredFence() const override { return true; }
-
-    void
-    append(unsigned /* tid */, uint8_t* area, size_t tail, size_t need,
-           const LogEntryHeader& h, const void* payload,
-           LogFence /* fence */) override
-    {
-        uint8_t* dst = area + tail;
-        pool_.write(dst, &h, sizeof(h));
-        pool_.write(dst + sizeof(h), payload, h.len);
-        pool_.flush(dst, need);
-        stats::bump(stats::Counter::logFlushes);
-    }
-
- private:
-    nvm::Pool& pool_;
-};
-
 /**
  * pmembench-style zero-cached writer: entries are packed into a
- * per-slot DRAM window of 1-4 cache lines aligned to the log area's
+ * per-slot DRAM window of 4 cache lines aligned to the log area's
  * line grid, and reach NVM as one coalesced wide copy + flush when
  * the window fills (or at sealForFence). The window tracks the
  * caller's logical tail; any discontinuity — a new transaction
@@ -85,19 +61,10 @@ class ZeroWriter : public LogWriter {
  */
 class ZeroCachedWriter : public LogWriter {
  public:
-    static constexpr size_t kMaxLines = 4;
+    static constexpr size_t kWinBytes = 4 * nvm::kCacheLine;
 
     explicit ZeroCachedWriter(nvm::Pool& pool)
-        : pool_(pool), slots_(pool.maxThreads())
-    {
-        size_t lines = 4;
-        if (const char* v = std::getenv("CNVM_LOG_STAGE_LINES")) {
-            lines = std::strtoull(v, nullptr, 10);
-            lines = lines < 1 ? 1 : (lines > kMaxLines ? kMaxLines
-                                                       : lines);
-        }
-        winBytes_ = lines * nvm::kCacheLine;
-    }
+        : pool_(pool), slots_(pool.maxThreads()) {}
 
     LogWriterKind kind() const override
     {
@@ -146,8 +113,7 @@ class ZeroCachedWriter : public LogWriter {
         size_t winStart = 0;  ///< line-aligned area offset of buf[0]
         size_t fill = 0;      ///< staged bytes past winStart
         size_t written = 0;   ///< prefix of fill already copied out
-        alignas(nvm::kCacheLine) uint8_t buf[kMaxLines *
-                                             nvm::kCacheLine];
+        alignas(nvm::kCacheLine) uint8_t buf[kWinBytes];
     };
 
     void
@@ -168,15 +134,15 @@ class ZeroCachedWriter : public LogWriter {
     {
         const auto* p = static_cast<const uint8_t*>(src);
         while (n > 0) {
-            size_t take = winBytes_ - sl.fill;
+            size_t take = kWinBytes - sl.fill;
             take = n < take ? n : take;
             std::memcpy(sl.buf + sl.fill, p, take);
             sl.fill += take;
             p += take;
             n -= take;
-            if (sl.fill == winBytes_) {
+            if (sl.fill == kWinBytes) {
                 writeOut(sl, area);
-                sl.winStart += winBytes_;
+                sl.winStart += kWinBytes;
                 sl.fill = 0;
                 sl.written = 0;
             }
@@ -200,7 +166,6 @@ class ZeroCachedWriter : public LogWriter {
     }
 
     nvm::Pool& pool_;
-    size_t winBytes_;
     std::vector<Slot> slots_;
 };
 
@@ -211,7 +176,6 @@ logWriterName(LogWriterKind k)
 {
     switch (k) {
       case LogWriterKind::baseline: return "baseline";
-      case LogWriterKind::zero: return "zero";
       case LogWriterKind::zerocached: return "zerocached";
     }
     return "unknown";
@@ -223,8 +187,6 @@ logWriterKindFromName(const char* name, LogWriterKind* out)
     std::string s(name != nullptr ? name : "");
     if (s == "baseline") {
         *out = LogWriterKind::baseline;
-    } else if (s == "zero") {
-        *out = LogWriterKind::zero;
     } else if (s == "zerocached" || s == "zero-cached") {
         *out = LogWriterKind::zerocached;
     } else {
@@ -248,8 +210,6 @@ makeLogWriter(LogWriterKind kind, nvm::Pool& pool)
     switch (kind) {
       case LogWriterKind::baseline:
         return std::make_unique<BaselineWriter>(pool);
-      case LogWriterKind::zero:
-        return std::make_unique<ZeroWriter>(pool);
       case LogWriterKind::zerocached:
         return std::make_unique<ZeroCachedWriter>(pool);
     }

@@ -18,14 +18,13 @@
  *  - baseline    entry write + flush (+ fence when the protocol asks
  *                for LogFence::required). The classic path; the
  *                ablation reference.
- *  - zero        entry write + flush, never a fence. Entry validity
- *                rests entirely on the checksum.
- *  - zerocached  entries are packed into a small per-slot DRAM
- *                staging window (1-4 cache lines) and reach NVM as
- *                one coalesced wide copy + flush per window, when a
- *                window fills or at sealForFence(). Never a fence.
+ *  - zerocached  entries are packed into a per-slot DRAM staging
+ *                window of 4 cache lines and reach NVM as one
+ *                coalesced wide copy + flush per window, when a
+ *                window fills or at sealForFence(). Never a fence;
+ *                entry validity rests on the checksum.
  *
- * The zero/zerocached writers *elide* the required fence
+ * The zerocached writer *elides* the required fence
  * (elidesRequiredFence() == true). That is a real durability-ordering
  * relaxation, not a free lunch: an in-place store can now become
  * durable while the log entry covering it is lost, and after a torn
@@ -68,7 +67,7 @@ namespace cnvm::rt {
  * see DESIGN.md §12 for the torn-line argument).
  *
  * Only the baseline writer turns `required` into an actual sfence;
- * the zero/zerocached writers elide it (see the file comment).
+ * the zerocached writer elides it (see the file comment).
  */
 enum class LogFence {
     required,
@@ -77,11 +76,10 @@ enum class LogFence {
 
 enum class LogWriterKind : uint32_t {
     baseline,
-    zero,
     zerocached,
 };
 
-/** Stable engine name ("baseline", "zero", "zerocached"). */
+/** Stable engine name ("baseline", "zerocached"). */
 const char* logWriterName(LogWriterKind k);
 
 /** Parse an engine name (also accepts "zero-cached"). */

@@ -32,8 +32,8 @@ UndoRuntime::maybeUndoLog(unsigned tid, void* dst, size_t n)
     }
     if (needLog) {
         // The undo image must be durable before the in-place write can
-        // tear: per-entry fence required. (The zero/zerocached log
-        // writers elide this fence and recovery compensates with a
+        // tear: per-entry fence required. (The zerocached log
+        // writer elides this fence and recovery compensates with a
         // declared salvage abort — see rollbackSlot.)
         appendLogEntry(tid, pool_.offsetOf(dst), dst,
                        static_cast<uint32_t>(n), LogFence::required);

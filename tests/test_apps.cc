@@ -217,7 +217,8 @@ TEST_P(VacationTest, TasksKeepTablesConsistent)
     apps::Vacation vac(eng, 0, cfg);
 
     ASSERT_TRUE(vac.validate());
-    for (uint64_t seed = 1; seed <= 400; seed++)
+    // Seeds 469 and 529 draw the rare item-table tasks (remove, add).
+    for (uint64_t seed = 1; seed <= 600; seed++)
         vac.runTask(seed);
     EXPECT_TRUE(vac.validate());
     EXPECT_GT(vac.totalReservations(), 0u);

@@ -2,8 +2,8 @@
  * @file
  * Pluggable log-writer tests (DESIGN.md §15).
  *
- * Three contracts under test, each across the whole writer matrix
- * (baseline / zero / zerocached):
+ * Three contracts under test, each across both writers
+ * (baseline / zerocached):
  *
  *  - Overflow is a transaction-level failure, not a process panic:
  *    a transaction that outgrows its per-thread log area throws
@@ -14,8 +14,8 @@
  *    tears: commit paths seal the staged log before their data fence,
  *    so crashing any protocol at any persistency event and reverting
  *    every volatile line recovers to exactly the pre- or post-image —
- *    with the eliding writers allowed (and, mid-transaction, expected)
- *    to *declare* their best-effort roll-back while the baseline
+ *    with the eliding writer allowed (and, mid-transaction, expected)
+ *    to *declare* its best-effort roll-back while the baseline
  *    writer never declares on a plain tear.
  *
  *  - Triage: a half-flushed staging window at the log tail is a torn
@@ -32,6 +32,7 @@
 
 #include "runtimes/descriptor.h"
 #include "runtimes/log_writer.h"
+#include "stats/counters.h"
 #include "testing/crash_scheduler.h"
 #include "testing/torture.h"
 #include "testutil.h"
@@ -47,7 +48,6 @@ const RuntimeKind kAllKinds[] = {RuntimeKind::undo, RuntimeKind::clobber,
                                  RuntimeKind::redo, RuntimeKind::atlas,
                                  RuntimeKind::ido};
 const LogWriterKind kAllWriters[] = {LogWriterKind::baseline,
-                                     LogWriterKind::zero,
                                      LogWriterKind::zerocached};
 
 constexpr uint64_t kRegionWords = 8;
@@ -118,15 +118,13 @@ TEST(LogWriterTest, NameParsing)
     LogWriterKind k = LogWriterKind::baseline;
     EXPECT_TRUE(rt::logWriterKindFromName("baseline", &k));
     EXPECT_EQ(k, LogWriterKind::baseline);
-    EXPECT_TRUE(rt::logWriterKindFromName("zero", &k));
-    EXPECT_EQ(k, LogWriterKind::zero);
     EXPECT_TRUE(rt::logWriterKindFromName("zerocached", &k));
     EXPECT_EQ(k, LogWriterKind::zerocached);
     EXPECT_TRUE(rt::logWriterKindFromName("zero-cached", &k));
     EXPECT_EQ(k, LogWriterKind::zerocached);
-    k = LogWriterKind::zero;
     EXPECT_FALSE(rt::logWriterKindFromName("bogus", &k));
-    EXPECT_EQ(k, LogWriterKind::zero);  // untouched on failure
+    EXPECT_EQ(k, LogWriterKind::zerocached);  // untouched on failure
+    EXPECT_FALSE(rt::logWriterKindFromName("zero", &k));
 
     for (auto w : kAllWriters) {
         LogWriterKind back = LogWriterKind::baseline;
@@ -138,6 +136,8 @@ TEST(LogWriterTest, NameParsing)
     setenv("CNVM_LOG_WRITER", "zerocached", 1);
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::zerocached);
     setenv("CNVM_LOG_WRITER", "no-such-engine", 1);
+    EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
+    setenv("CNVM_LOG_WRITER", "zero", 1);
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
     unsetenv("CNVM_LOG_WRITER");
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
@@ -187,7 +187,7 @@ TEST(LogWriterTest, OverflowAbortsOnlyTheTransaction)
  * Crash kLwMulti at every persistency event under an allLost tear:
  * recovery must land on exactly the pre- or post-image for every
  * writer. The baseline writer never declares salvage on a plain tear;
- * the eliding writers may (their mid-transaction roll-back is
+ * the eliding writer may (its mid-transaction roll-back is
  * best-effort by contract), but the recovered *state* is the same.
  */
 TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
@@ -247,8 +247,8 @@ TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
                 checkImage(committed);
             }
             EXPECT_GT(committed, 2u);
-            // The eliding writers must have hit at least one
-            // mid-transaction crash that they declared — except redo,
+            // The eliding writer must have hit at least one
+            // mid-transaction crash that it declared — except redo,
             // which buffers in-place writes and so never needs to:
             // losing unfenced redo entries before the commit record
             // is indistinguishable from never appending them.
@@ -267,46 +267,42 @@ TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
  */
 TEST(LogWriterTest, TornStagingTailDeclaresZeroFenceNotCorruption)
 {
-    for (auto writer :
-         {LogWriterKind::zero, LogWriterKind::zerocached}) {
-        SCOPED_TRACE(rt::logWriterName(writer));
-        Harness h(RuntimeKind::undo);
-        ASSERT_TRUE(rt::selectLogWriter(*h.runtime, writer));
-        prepRegion(h, kRegionWords * 8);
-        auto eng = h.engine();
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
+    Harness h(RuntimeKind::undo);
+    ASSERT_TRUE(
+        rt::selectLogWriter(*h.runtime, LogWriterKind::zerocached));
+    prepRegion(h, kRegionWords * 8);
+    auto eng = h.engine();
+    txn::run(eng, kLwMulti, h.rootPtr().raw());
 
-        // Event 20 lands mid-transaction, past several appends (the
-        // transaction stages 9 entries and generates far more events).
-        CrashScheduler sched(*h.pool);
-        sched.arm(20);
-        bool crashed = false;
-        try {
-            txn::run(eng, kLwMulti, h.rootPtr().raw());
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        sched.disarm();
-        ASSERT_TRUE(crashed);
-        h.pool->simulateCrashAllLost();
-        auto rep = h.runtime->recover();
-        ASSERT_GE(rep.salvageAborted, 1u) << rep.toString();
-        EXPECT_EQ(rep.poisonedReads, 0u);
-        bool sawNote = false;
-        for (const auto& sr : rep.slots) {
-            if (sr.action != txn::SlotAction::salvageAborted)
-                continue;
-            sawNote = true;
-            EXPECT_NE(sr.note.find("zero-fence"), std::string::npos)
-                << sr.note;
-            EXPECT_EQ(sr.note.find("corrupt"), std::string::npos)
-                << sr.note;
-            EXPECT_EQ(sr.note.find("poison"), std::string::npos)
-                << sr.note;
-        }
-        EXPECT_TRUE(sawNote);
-        EXPECT_EQ(h.root().counter, 1u);
+    // Event 20 lands mid-transaction, past several appends (the
+    // transaction stages 9 entries and generates far more events).
+    CrashScheduler sched(*h.pool);
+    sched.arm(20);
+    bool crashed = false;
+    try {
+        txn::run(eng, kLwMulti, h.rootPtr().raw());
+    } catch (const nvm::CrashInjected&) {
+        crashed = true;
     }
+    sched.disarm();
+    ASSERT_TRUE(crashed);
+    h.pool->simulateCrashAllLost();
+    auto rep = h.runtime->recover();
+    ASSERT_GE(rep.salvageAborted, 1u) << rep.toString();
+    EXPECT_EQ(rep.poisonedReads, 0u);
+    bool sawNote = false;
+    for (const auto& sr : rep.slots) {
+        if (sr.action != txn::SlotAction::salvageAborted)
+            continue;
+        sawNote = true;
+        EXPECT_NE(sr.note.find("zero-fence"), std::string::npos)
+            << sr.note;
+        EXPECT_EQ(sr.note.find("corrupt"), std::string::npos)
+            << sr.note;
+        EXPECT_EQ(sr.note.find("poison"), std::string::npos) << sr.note;
+    }
+    EXPECT_TRUE(sawNote);
+    EXPECT_EQ(h.root().counter, 1u);
 }
 
 /**
@@ -359,36 +355,50 @@ TEST(LogWriterTest, BitFlipInDurableEntryTriagesAsCorruption)
     EXPECT_EQ(h.root().counter, 1u);
 }
 
-/** CNVM_LOG_STAGE_LINES=1 shrinks the window to one line; semantics
- *  (commit, crash, recover) are unchanged. */
-TEST(LogWriterTest, SingleLineStagingWindow)
+/**
+ * The staging window is fixed at 4 lines (256 B). kLwMulti appends 9
+ * undo entries of 32 B (24-byte header + 8-byte payload), 288 B in
+ * all, so one full window retires mid-transaction and the commit seal
+ * copies out the 32-byte rest. A crash between the two rolls back.
+ */
+TEST(LogWriterTest, StagingWindowRetiresMidTransaction)
 {
-    setenv("CNVM_LOG_STAGE_LINES", "1", 1);
     Harness h(RuntimeKind::undo);
-    // selectLogWriter constructs a fresh writer, which re-reads the
-    // staging knob.
     ASSERT_TRUE(
         rt::selectLogWriter(*h.runtime, LogWriterKind::zerocached));
-    unsetenv("CNVM_LOG_STAGE_LINES");
     prepRegion(h, kRegionWords * 8);
     auto eng = h.engine();
-    for (int i = 0; i < 3; i++)
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
-    ASSERT_EQ(h.root().counter, 3u);
-
-    CrashScheduler sched(*h.pool);
-    sched.arm(15);
-    try {
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
-    } catch (const nvm::CrashInjected&) {
-    }
-    sched.disarm();
-    h.pool->simulateCrashAllLost();
-    h.runtime->recover();
-    uint64_t c = h.root().counter;
-    EXPECT_TRUE(c == 3u || c == 4u);
+    auto before = stats::aggregate();
     txn::run(eng, kLwMulti, h.rootPtr().raw());
-    EXPECT_EQ(h.root().counter, c + 1);
+    auto d = stats::aggregate() - before;
+    EXPECT_EQ(d[stats::Counter::logBytes], 9u * 32);
+    EXPECT_EQ(d[stats::Counter::logFlushes], 2u);  // retire + seal
+
+    // Crash at each event in turn until one lands after the retire
+    // and before the seal; every such crash rolls the counter back.
+    CrashScheduler sched(*h.pool);
+    bool between = false;
+    for (uint64_t k = 1; !between; k++) {
+        uint64_t c = h.root().counter;
+        before = stats::aggregate();
+        sched.arm(k);
+        bool crashed = false;
+        try {
+            txn::run(eng, kLwMulti, h.rootPtr().raw());
+        } catch (const nvm::CrashInjected&) {
+            crashed = true;
+        }
+        sched.disarm();
+        ASSERT_TRUE(crashed) << "the seal came before any crash at "
+                             << k;
+        auto flushed = stats::aggregate() - before;
+        between = flushed[stats::Counter::logFlushes] == 1;
+        h.pool->simulateCrashAllLost();
+        h.runtime->recover();
+        ASSERT_EQ(h.root().counter, c) << "event " << k;
+    }
+    txn::run(eng, kLwMulti, h.rootPtr().raw());
+    EXPECT_EQ(h.root().counter, 2u);
 }
 
 /**
