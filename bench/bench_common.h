@@ -241,6 +241,7 @@ jsonNumber(double v)
  * sample per rep. A timing is written with its spread over the reps,
  * `{"stat": "median", "n": reps, "value": …, "min": …, "max": …}`;
  * a count (exact per run, like fences per transaction) as its median.
+ * String dimensions are identifiers and are written unescaped.
  */
 class Row {
  public:

@@ -300,7 +300,7 @@ def versus(title, runs, dim, base, metric, extra=()):
     which reads `base` there: `metric` of both and their ratio, then
     the row's own `extra` metrics."""
     print('\n### %s\n' % title)
-    header = False
+    others = None
     for label, run in runs.items():
         index = {frozenset(r['dims'].items()): r['metrics']
                  for r in run['rows']}
@@ -309,17 +309,18 @@ def versus(title, runs, dim, base, metric, extra=()):
             ref = index.get(frozenset({**dims, dim: base}.items()))
             if dims[dim] == base or ref is None:
                 continue
-            others = [k for k in dims if k != dim]
-            if not header:
-                cols = (['label'] + others + [dim, '%s @%s' % (metric, base),
-                        metric, 'ratio'] + list(extra))
-                print('| %s |\n%s|' % (' | '.join(cols), '|---' * len(cols)))
-                header = True
+            if others is None:
+                others = [k for k in dims if k != dim]
+                cols = (['label'] + others +
+                        [dim, '%s @%s=%s' % (metric, dim, base), metric,
+                         'ratio'] + list(extra))
+                print('| %s |\n%s|' % (' | '.join(cols),
+                                       '|---' * len(cols)))
             a, b = value(ref[metric]), value(m[metric])
             print('| %s |' % ' | '.join(
-                [label] + [str(dims[k]) for k in others] +
+                [label] + [str(dims.get(k, '')) for k in others] +
                 [str(dims[dim]), fmt(a), fmt(b), '%.2fx' % (b / a)] +
-                [fmt(value(m[k])) for k in extra]))
+                [fmt(value(m[k])) if k in m else '' for k in extra]))
 
 
 SUITES = {

@@ -389,8 +389,8 @@ TEST(LogWriterTest, StagingWindowRetiresMidTransaction)
             crashed = true;
         }
         sched.disarm();
-        ASSERT_TRUE(crashed) << "the seal came before any crash at "
-                             << k;
+        ASSERT_TRUE(crashed)
+            << "no crash landed between the retire and the seal";
         auto flushed = stats::aggregate() - before;
         between = flushed[stats::Counter::logFlushes] == 1;
         h.pool->simulateCrashAllLost();
