@@ -14,9 +14,9 @@
 #             first transaction
 #
 # The script adds the git sha to the run; the label defaults to that
-# sha, so a run never replaces an older label by accident. Knobs (env):
-# CNVM_OPS, CNVM_REPS, CNVM_MAXTHREADS, CNVM_POOL_MB, CNVM_SMOKE (see
-# bench/bench_common.h), BUILD_DIR (default build).
+# sha, so a run never replaces another commit's label by accident.
+# Knobs (env): CNVM_OPS, CNVM_REPS, CNVM_MAXTHREADS, CNVM_POOL_MB,
+# CNVM_SMOKE (see bench/bench_common.h), BUILD_DIR (default build).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
