@@ -70,27 +70,34 @@ PmAllocator::PmAllocator(nvm::Pool& pool, bool deferRebuild)
     : pool_(pool)
 {
     auto* h = static_cast<AllocHeader*>(pool_.at(pool_.heapOff()));
-    if (h->magic != kMagic) {
-        // Format a fresh heap region.
+    // Only a zero magic word means a fresh region. Any other wrong
+    // value is a damaged header, which healMetaLocked recomputes in
+    // place like every other header field: reformatting would free
+    // every live block.
+    if (h->magic == 0) {
         AllocHeader newHdr = expectedHeader();
-        // Zero the bitmap and quarantine table first (a re-created
-        // pool file is already zero, but a recycled region may not
-        // be).
-        std::vector<uint8_t> zeros(4096, 0);
+        // Zero the bitmap (a re-created pool file is already zero, but
+        // a recycled region may not be). With no line volatile, memory
+        // is the durable image, so a byte that reads zero is durably
+        // zero already: only the others are written and flushed. A
+        // fresh pool's format then stores nothing into its bitmap and
+        // leaves no lines in the cache model's table.
+        bool memIsDurable = pool_.cache().volatileLines() == 0;
+        static constexpr uint8_t kZeroLine[nvm::kCacheLine] = {};
         for (uint64_t off = newHdr.bitmapOff;
              off < newHdr.bitmapOff + newHdr.bitmapBytes;
-             off += zeros.size()) {
-            uint64_t n = std::min<uint64_t>(
-                zeros.size(),
-                newHdr.bitmapOff + newHdr.bitmapBytes - off);
-            pool_.writeAt(off, zeros.data(), n);
+             off += nvm::kCacheLine) {
+            if (memIsDurable &&
+                std::memcmp(pool_.at(off), kZeroLine, nvm::kCacheLine) == 0)
+                continue;
+            pool_.writeAt(off, kZeroLine, nvm::kCacheLine);
+            pool_.flush(pool_.at(off), nvm::kCacheLine);
         }
         QuarantineTable qt{};
         qt.checksum = quarantineChecksum(0, qt.entries);
         pool_.writeAt(newHdr.quarOff, &qt, sizeof(qt));
         pool_.writeAt(pool_.heapOff(), &newHdr, sizeof(newHdr));
         pool_.flush(pool_.at(newHdr.quarOff), sizeof(qt));
-        pool_.flush(pool_.at(newHdr.bitmapOff), newHdr.bitmapBytes);
         pool_.persist(h, sizeof(*h));
     }
     if (deferRebuild)
@@ -650,6 +657,32 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         }
         uint64_t firstG = c * 8;
         uint64_t lastG = std::min(firstG + n * 8, nGranules);
+        uint64_t lo = h.dataOff + firstG * kGranule;
+        uint64_t hi = h.dataOff + lastG * kGranule;
+        // Quarantined granules are forced allocated below, so a chunk
+        // a quarantined range touches never takes the one-test path.
+        bool touchesQuar = qt->count != 0 &&
+                           qt->count <= QuarantineTable::kCapacity &&
+                           isQuarantinedLocked(lo, hi - lo);
+        // A whole, readable chunk whose bits all continue the current
+        // state (clear inside an open free run, set outside one)
+        // changes nothing: one OR/AND test over its eight words
+        // advances the cursor past it, with no copy and no word loop.
+        if (!bad && !touchesQuar && n == 64 && lastG - firstG == 512) {
+            const auto* p = static_cast<const uint8_t*>(src);
+            uint64_t any = 0;
+            uint64_t all = ~uint64_t{0};
+            for (int i = 0; i < 8; i++) {
+                uint64_t word;
+                std::memcpy(&word, p + 8 * i, sizeof(word));
+                any |= word;
+                all &= word;
+            }
+            if (lazyInRun_ ? any == 0 : all == ~uint64_t{0}) {
+                lazyCursor_ += n;
+                continue;
+            }
+        }
         if (bad) {
             // A chunk that cannot be read (poison) or was bit-flipped
             // (taint) cannot tell its allocated granules from its free
@@ -661,11 +694,9 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
             pool_.writeAt(h.bitmapOff + c, local, n);
             pool_.flush(src, n);
             wroteBits = true;
-            quarantineLocked(h.dataOff + firstG * kGranule,
-                             (lastG - firstG) * kGranule,
-                             kQuarPoisonedBitmap);
+            quarantineLocked(lo, hi - lo, kQuarPoisonedBitmap);
             lazyStats_.quarantinedBlocks++;
-            lazyStats_.quarantinedBytes += (lastG - firstG) * kGranule;
+            lazyStats_.quarantinedBytes += hi - lo;
         } else {
             std::memcpy(local, src, n);
         }
@@ -673,11 +704,9 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         if (qt->count <= QuarantineTable::kCapacity) {
             for (uint32_t i = 0; i < qt->count; i++) {
                 const QuarantineEntry& e = qt->entries[i];
-                uint64_t lo = std::max(e.off, h.dataOff +
-                                                  firstG * kGranule);
-                uint64_t hi = std::min(e.off + e.bytes,
-                                       h.dataOff + lastG * kGranule);
-                for (uint64_t b = lo; b < hi; b += kGranule) {
+                uint64_t qlo = std::max(e.off, lo);
+                uint64_t qhi = std::min(e.off + e.bytes, hi);
+                for (uint64_t b = qlo; b < qhi; b += kGranule) {
                     uint64_t gi = (b - h.dataOff) / kGranule;
                     local[gi / 8 - c] |=
                         static_cast<uint8_t>(1u << (gi % 8));

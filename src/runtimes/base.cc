@@ -448,7 +448,7 @@ RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
 void
 RuntimeBase::resetVolatileSlot(unsigned tid)
 {
-    slot(tid) = SlotState{};
+    slot(tid).reset();
 }
 
 txn::RecoveryIndex

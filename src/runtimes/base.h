@@ -99,9 +99,12 @@ class RuntimeBase : public txn::Runtime {
          * the old readSet/writeSet/loggedBlocks/region sets cost up to
          * four. Bits are only ever set during a transaction (clear()
          * at reset, clearBits() at iDO region boundaries), which is
-         * what makes the access-run cache below sound.
+         * what makes the access-run cache below sound. Like dirtySeen
+         * it starts small and grows to the largest transaction the
+         * slot has run, so a slot costs the same to build however
+         * many a runtime has.
          */
-        BlockMap blocks{4096};
+        BlockMap blocks{64};
         /**
          * Access-run memoization: inclusive block ranges known to be
          * fully processed by the owning runtime's load (loadRun) or
@@ -178,6 +181,17 @@ class RuntimeBase : public txn::Runtime {
             lastDirtyLine = ~0ULL;
             actions.clear();
             logTail = 0;
+        }
+
+        /** Back to a new slot's state, in place: every buffer keeps
+         *  its capacity, so triage and heals allocate nothing. */
+        void
+        reset()
+        {
+            inTx = false;
+            volatileArgs.clear();
+            scanScratch.clear();
+            resetTx();
         }
     };
 

@@ -164,7 +164,7 @@ ClobberRuntime::reexecuteSlot(unsigned tid)
     pool_.persist(&d.beginSum, sizeof(sum));
 
     SlotState& s = slot(tid);
-    s = SlotState{};
+    s.reset();
     s.inTx = true;
     s.begunPersist = true;  // the v_log entry is already durable
     // The only surviving copy of the transaction's inputs is the
@@ -198,7 +198,7 @@ ClobberRuntime::abortReexecution(unsigned tid, const char* why)
     // abort is declared in the report rather than papered over.
     restoreSlot(tid);
     salvageResetSlot(tid);
-    slot(tid) = SlotState{};
+    slot(tid).reset();
     txn::SlotRecovery sr;
     sr.tid = tid;
     sr.action = txn::SlotAction::salvageAborted;

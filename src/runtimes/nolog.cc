@@ -67,10 +67,8 @@ NoLogRuntime::recoveryTriage()
     // so it never declares a salvage abort and the media sweep's
     // shadow audit stays strict.
     txn::RecoveryIndex idx;
-    for (SlotState& s : slots_) {
-        s.inTx = false;
-        s.resetTx();
-    }
+    for (SlotState& s : slots_)
+        s.reset();
     return idx;
 }
 

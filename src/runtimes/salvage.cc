@@ -349,17 +349,20 @@ verifyPool(nvm::Pool& pool)
     }
 
     // Allocator metadata: parse raw, never via PmAllocator (whose
-    // constructor would *format* a heap with a damaged magic).
+    // constructor writes: it formats a zero heap and heals a damaged
+    // header in place).
     const auto* ah = static_cast<const alloc::AllocHeader*>(
         pool.at(h.heapOff));
     if (!readable(&pool, ah, sizeof(*ah))) {
         problem("heap: allocator header is poisoned");
         return r;
     }
-    if (ah->magic != alloc::PmAllocator::kMagic) {
+    if (ah->magic == 0) {
         note("heap: not formatted (no allocator magic)");
         return r;
     }
+    if (ah->magic != alloc::PmAllocator::kMagic)
+        problem("heap: allocator magic damaged");
     uint64_t heapEnd = h.heapOff + h.heapSize;
     if (ah->bitmapOff < h.heapOff || ah->bitmapOff >= heapEnd ||
         ah->bitmapOff + ah->bitmapBytes > heapEnd ||

@@ -151,8 +151,8 @@ struct VerifyResult {
  * Walk an open pool read-only: header bounds, per-slot descriptor and
  * log checksums (via scanLogArea), allocator header, quarantine
  * table, and the block headers of allocated extents. Never mutates
- * the pool and never constructs a PmAllocator (which would format a
- * heap whose header is damaged — exactly what we want to report).
+ * the pool and never constructs a PmAllocator (which would heal a
+ * damaged header in place — exactly what we want to report).
  */
 VerifyResult verifyPool(nvm::Pool& pool);
 

@@ -114,8 +114,15 @@ ThreadCounters::~ThreadCounters()
 {
     auto& r = registry();
     std::lock_guard<std::mutex> g(r.mu);
-    r.retired += snap_;
+    addTo(r.retired);
     std::erase(r.live, this);
+}
+
+void
+ThreadCounters::addTo(Snapshot& out) const
+{
+    for (size_t i = 0; i < kNumCounters; i++)
+        out.v[i] += v_[i].load(std::memory_order_relaxed);
 }
 
 Snapshot
@@ -125,7 +132,7 @@ aggregate()
     std::lock_guard<std::mutex> g(r.mu);
     Snapshot out = r.retired;
     for (auto* t : r.live)
-        out += t->snap_;
+        t->addTo(out);
     return out;
 }
 
@@ -135,8 +142,10 @@ resetAll()
     auto& r = registry();
     std::lock_guard<std::mutex> g(r.mu);
     r.retired = Snapshot{};
-    for (auto* t : r.live)
-        t->snap_ = Snapshot{};
+    for (auto* t : r.live) {
+        for (auto& v : t->v_)
+            v.store(0, std::memory_order_relaxed);
+    }
 }
 
 }  // namespace cnvm::stats

@@ -7,12 +7,14 @@
  * (Figures 7, 8, 13) and the headline ratios in Section 5.3.
  *
  * Counters are per-thread (no contention on the hot path); a global
- * registry aggregates them on demand.
+ * registry aggregates them on demand, also while the owning threads
+ * keep counting.
  */
 #ifndef CNVM_STATS_COUNTERS_H
 #define CNVM_STATS_COUNTERS_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -85,7 +87,11 @@ struct Snapshot {
     std::string toString() const;
 };
 
-/** Per-thread counter block, registered globally on construction. */
+/**
+ * Per-thread counter block, registered globally on construction. Only
+ * the owning thread bumps it; aggregate() may read it from any thread
+ * at any time, so each counter is a relaxed atomic.
+ */
 class ThreadCounters {
  public:
     ThreadCounters();
@@ -94,15 +100,20 @@ class ThreadCounters {
     void
     add(Counter c, uint64_t n = 1)
     {
-        snap_.v[static_cast<size_t>(c)] += n;
+        // One writer, so a relaxed load and store suffice: the bump
+        // stays a plain load, add and store, with no locked
+        // read-modify-write.
+        std::atomic<uint64_t>& v = v_[static_cast<size_t>(c)];
+        v.store(v.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
     }
-
-    const Snapshot& snapshot() const { return snap_; }
 
  private:
     friend Snapshot aggregate();
     friend void resetAll();
-    Snapshot snap_;
+    /** Add this block's current values to `out`. */
+    void addTo(Snapshot& out) const;
+    std::array<std::atomic<uint64_t>, kNumCounters> v_{};
 };
 
 /** The calling thread's counter block. Inline: bump() is on the
@@ -124,7 +135,8 @@ bump(Counter c, uint64_t n = 1)
 /** Sum of all live (and retired) thread counters. */
 Snapshot aggregate();
 
-/** Zero every counter (between benchmark configurations). */
+/** Zero every counter (between benchmark configurations, while no
+ *  thread counts: a concurrent bump may undo the reset). */
 void resetAll();
 
 }  // namespace cnvm::stats

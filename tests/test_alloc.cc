@@ -318,6 +318,84 @@ TEST_F(AllocTest, FlippedAllocHeaderIsHealedOnRebuild)
     EXPECT_FALSE(heap->rebuild().headerHealed);
 }
 
+TEST_F(AllocTest, FlippedMagicIsHealedNotReformatted)
+{
+    // Only a zero magic word formats the heap: one flipped bit of it
+    // is a damaged header like any other, and the live block stays
+    // allocated whether the next allocator scans eagerly or lazily.
+    uint64_t a = heap->reserve(1000);
+    heap->persistAllocate(a);
+    pool->fence();
+    const uint64_t blockBytes = 1024;  // header + payload, in granules
+    pool->setFaultModel(
+        std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
+    for (bool deferred : {false, true}) {
+        SCOPED_TRACE(deferred ? "deferred" : "eager");
+        pool->faults()->flipBit(
+            *pool, pool->heapOff() + offsetof(AllocHeader, magic), 3);
+        const auto& hdr =
+            *static_cast<const AllocHeader*>(pool->at(pool->heapOff()));
+        ASSERT_NE(hdr.magic, PmAllocator::kMagic);
+        ASSERT_NE(hdr.magic, 0u);
+        PmAllocator again(*pool, deferred);
+        EXPECT_EQ(again.payloadSize(a), 1000u);
+        for (int i = 0; i < 8; i++)
+            EXPECT_NE(again.reserve(1000), a);
+        again.finishScan();
+        EXPECT_EQ(again.freeBytes(),
+                  again.dataBytes() - 9 * blockBytes);
+    }
+}
+
+TEST(AllocFormat, FreshPoolLeavesNoLineVolatile)
+{
+    nvm::PoolConfig cfg;
+    cfg.size = 16 << 20;
+    cfg.maxThreads = 2;
+    cfg.slotBytes = 64 << 10;
+    auto pool = nvm::Pool::create(cfg);
+    PmAllocator heap(*pool);
+    EXPECT_EQ(pool->cache().volatileLines(), 0u);
+    EXPECT_EQ(heap.freeBytes(), heap.dataBytes());
+}
+
+TEST(AllocFormat, VolatileZeroBitmapLineIsStillWritten)
+{
+    // Format skips bitmap bytes that read zero only while memory is
+    // the durable image. Here one bitmap line reads zero but is dirty
+    // over a durable all-ones image: format must still write and
+    // flush it, so losing every volatile word leaves it zero.
+    nvm::PoolConfig cfg;
+    cfg.size = 1 << 20;
+    cfg.maxThreads = 1;
+    cfg.slotBytes = 64 << 10;
+    auto pool = nvm::Pool::create(cfg);
+    uint64_t bitmapOff = 0;
+    uint64_t bitmapBytes = 0;
+    {
+        PmAllocator heap(*pool);
+        bitmapOff = heap.bitmapOff();
+        bitmapBytes = heap.bitmapBytes();
+    }
+    const uint64_t line = bitmapOff + 2 * nvm::kCacheLine;
+    std::vector<uint8_t> ones(nvm::kCacheLine, 0xff);
+    pool->writeAt(line, ones.data(), ones.size());
+    pool->persist(pool->at(line), ones.size());
+    uint64_t zeroMagic = 0;
+    pool->writeAt(pool->heapOff() + offsetof(AllocHeader, magic),
+                  &zeroMagic, sizeof(zeroMagic));
+    pool->persist(pool->at(pool->heapOff()), sizeof(zeroMagic));
+    std::vector<uint8_t> zeros(nvm::kCacheLine, 0);
+    pool->writeAt(line, zeros.data(), zeros.size());
+    ASSERT_EQ(pool->cache().volatileLines(), 1u);
+
+    PmAllocator heap(*pool);
+    pool->simulateCrashAllLost();
+    const uint8_t* bm = pool->base() + bitmapOff;
+    EXPECT_TRUE(std::all_of(bm, bm + bitmapBytes,
+                            [](uint8_t b) { return b == 0; }));
+}
+
 /**
  * A small heap whose bitmap the scan tests write straight into the
  * pool. Every size used below has a granule count that is not a
@@ -454,6 +532,42 @@ TEST(BitmapScan, LazyPullFreesTheScannedPartOfAnOpenRun)
     EXPECT_LT(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
     r.heap->finishScan();
     EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+}
+
+TEST(BitmapScan, QuarantinedRangeWithClearBitsStaysOutOfTheFreeMap)
+{
+    // A crash between the quarantine table's fence and the fence of
+    // the bits it forces leaves a quarantined range whose bits read
+    // clear. Here it sits mid-chunk in a chunk that is otherwise clear
+    // too, inside the heap's one free run: the scan must still force
+    // it allocated, not pass the chunk over as uniform.
+    ScanRig r(size_t{1} << 20);
+    const uint64_t chunk = 3;  // inside the first reserve() pull
+    const uint64_t lo = r.heap->dataOff() + kGranule * (512 * chunk + 100);
+    const uint64_t bytes = kGranule * 40;
+    r.heap->quarantine(lo, bytes, kQuarCorruptHeader);
+    std::vector<uint8_t> zeros(nvm::kCacheLine, 0);
+    const uint64_t line = r.heap->bitmapOff() + nvm::kCacheLine * chunk;
+    r.pool->writeAt(line, zeros.data(), zeros.size());
+    r.pool->persist(r.pool->at(line), zeros.size());
+    const uint64_t wantFree = r.heap->dataBytes() - bytes;
+
+    r.heap->rebuild();
+    EXPECT_FALSE(r.heap->quarantineViolation());
+    EXPECT_EQ(r.heap->freeBytes(), wantFree);
+
+    SCOPED_TRACE("beginLazyRebuild + finishScan");
+    r.heap->beginLazyRebuild();
+    r.heap->finishScan();
+    EXPECT_FALSE(r.heap->quarantineViolation());
+    EXPECT_EQ(r.heap->freeBytes(), wantFree);
+
+    SCOPED_TRACE("lazy reserve() pull");
+    r.heap->beginLazyRebuild();
+    uint64_t got = r.heap->reserve(0);
+    EXPECT_FALSE(r.heap->isQuarantined(got - sizeof(BlockHeader),
+                                       kGranule));
+    EXPECT_FALSE(r.heap->quarantineViolation());
 }
 
 TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)

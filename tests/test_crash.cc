@@ -567,31 +567,134 @@ TEST_P(RestartSweep, PopInterruptedAtEveryEvent)
     EXPECT_TRUE(sawCrash);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Protocols, RestartSweep,
-    ::testing::ValuesIn([] {
-        std::vector<RestartCase> cases;
-        for (RuntimeKind k :
-             {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber,
-              RuntimeKind::atlas, RuntimeKind::ido}) {
-            for (txn::RecoveryMode m :
-                 {txn::RecoveryMode::full, txn::RecoveryMode::lazy})
-                cases.push_back({k, m});
+/** The five protocols, each in full and lazy recovery. */
+std::vector<RestartCase>
+restartCases()
+{
+    std::vector<RestartCase> cases;
+    for (RuntimeKind k :
+         {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber,
+          RuntimeKind::atlas, RuntimeKind::ido}) {
+        for (txn::RecoveryMode m :
+             {txn::RecoveryMode::full, txn::RecoveryMode::lazy})
+            cases.push_back({k, m});
+    }
+    return cases;
+}
+
+std::string
+restartCaseName(const ::testing::TestParamInfo<RestartCase>& info)
+{
+    std::string name;
+    switch (info.param.kind) {
+      case RuntimeKind::undo: name = "pmdk"; break;
+      case RuntimeKind::redo: name = "mnemosyne"; break;
+      case RuntimeKind::clobber: name = "clobber"; break;
+      case RuntimeKind::atlas: name = "atlas"; break;
+      case RuntimeKind::ido: name = "ido"; break;
+      default: name = "other"; break;
+    }
+    return name + "_" + txn::recoveryModeName(info.param.mode);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, RestartSweep,
+                         ::testing::ValuesIn(restartCases()),
+                         restartCaseName);
+
+// ---------------------------------------------------------------
+// Recovery resets every slot's volatile state in place, on the
+// runtime object that ran the crashed transaction. A reset slot must
+// act like a new one: same recovery, same follow-up transaction.
+// ---------------------------------------------------------------
+
+/** What recovery plus the follow-up pushes cost, and what they left. */
+struct AfterRecovery {
+    uint64_t logEntries = 0;
+    uint64_t fences = 0;
+    uint64_t flushes = 0;
+    size_t len = 0;
+    uint64_t sum = 0;
+};
+
+class SlotReset : public ::testing::TestWithParam<RestartCase> {
+ protected:
+    /**
+     * Push four nodes, crash the fifth push at persistency event `k`
+     * and tear the pool. Then recover either on the same allocator and
+     * runtime objects or on new ones, and push two more nodes.
+     * `crashed` reports whether event `k` fell inside the push.
+     *
+     * Two follow-ups, not one: Atlas's dependency-ring cursor is
+     * runtime-wide state that a new runtime starts at zero, and its
+     * 32-byte records straddle a cache line every other position, so
+     * only an even number of records flushes as many lines from any
+     * cursor.
+     */
+    AfterRecovery
+    crashRecoverPush(uint64_t k, bool newObjects, bool* crashed)
+    {
+        auto [kind, mode] = GetParam();
+        Harness h(kind);
+        {
+            auto eng = h.engine();
+            for (uint64_t v = 1; v <= 4; v++)
+                txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+            CrashScheduler sched(*h.pool);
+            sched.arm(k);
+            try {
+                txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{100});
+            } catch (const nvm::CrashInjected&) {
+                *crashed = true;
+            }
         }
-        return cases;
-    }()),
-    [](const auto& info) {
-        std::string name;
-        switch (info.param.kind) {
-          case RuntimeKind::undo: name = "pmdk"; break;
-          case RuntimeKind::redo: name = "mnemosyne"; break;
-          case RuntimeKind::clobber: name = "clobber"; break;
-          case RuntimeKind::atlas: name = "atlas"; break;
-          case RuntimeKind::ido: name = "ido"; break;
-          default: name = "other"; break;
+        h.pool->simulateCrash(4321 + k);
+        if (newObjects) {
+            h.runtime.reset();
+            h.heap = std::make_unique<alloc::PmAllocator>(
+                *h.pool, mode == txn::RecoveryMode::lazy);
+            h.runtime = rt::makeRuntime(kind, *h.pool, *h.heap);
         }
-        return name + "_" + txn::recoveryModeName(info.param.mode);
-    });
+        txn::Engine eng(*h.runtime);
+        auto pre = stats::aggregate();
+        eng.recover(mode, /* backgroundHealer */ false);
+        txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{200});
+        txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{300});
+        eng.finishRecovery();
+        auto d = stats::aggregate() - pre;
+        AfterRecovery out;
+        out.logEntries = d[stats::Counter::logEntries];
+        out.fences = d[stats::Counter::fences];
+        out.flushes = d[stats::Counter::flushes];
+        out.len = h.listLen();
+        out.sum = h.listSum();
+        return out;
+    }
+};
+
+/** Every crash point of the fifth push, until it outruns the trap. */
+TEST_P(SlotReset, InPlaceResetActsLikeANewSlot)
+{
+    bool crashed = true;
+    for (uint64_t k = 1; crashed; k++) {
+        SCOPED_TRACE("crash point " + std::to_string(k));
+        crashed = false;
+        bool crashedToo = false;
+        AfterRecovery same = crashRecoverPush(k, false, &crashed);
+        AfterRecovery fresh = crashRecoverPush(k, true, &crashedToo);
+        ASSERT_EQ(crashed, crashedToo);
+        EXPECT_EQ(same.logEntries, fresh.logEntries);
+        EXPECT_EQ(same.fences, fresh.fences);
+        EXPECT_EQ(same.flushes, fresh.flushes);
+        EXPECT_EQ(same.len, fresh.len);
+        EXPECT_EQ(same.sum, fresh.sum);
+        if (HasFailure())
+            break;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, SlotReset,
+                         ::testing::ValuesIn(restartCases()),
+                         restartCaseName);
 
 /**
  * A media fault with no crash: a bitmap line poisoned after the heap

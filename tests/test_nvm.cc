@@ -1,11 +1,13 @@
 /** @file Unit tests for the pool, cache model, and persistent pointers. */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 
@@ -232,6 +234,58 @@ TEST(CacheSimConcurrency, ShardedStressSurvivesCrash)
         EXPECT_EQ(got, 0xF00D0000ull + t);
     }
     EXPECT_EQ(p->cache().volatileLines(), 0u);
+}
+
+TEST(StatsConcurrency, AggregateDuringTraffic)
+{
+    // Four threads bump their own counters while a fifth aggregates
+    // them: every read sees each total grow, and after the joins the
+    // totals are exact (the exiting threads' blocks fold into the
+    // registry's retired sum).
+    constexpr unsigned kThreads = 4;
+    constexpr uint64_t kBumps = 50000;
+    const stats::Snapshot before = stats::aggregate();
+    auto grown = [&](const stats::Snapshot& s, stats::Counter c) {
+        return s[c] - before[c];
+    };
+    std::atomic<bool> go{false};
+    std::atomic<unsigned> running{kThreads};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (uint64_t i = 0; i < kBumps; i++) {
+                stats::bump(stats::Counter::persistChecks);
+                stats::bump(stats::Counter::salvageAborts, 3);
+            }
+            running.fetch_sub(1);
+        });
+    }
+    uint64_t reads = 0;
+    std::thread reader([&] {
+        uint64_t last = 0;
+        go.store(true);
+        while (running.load() > 0) {
+            stats::Snapshot s = stats::aggregate();
+            uint64_t checks = grown(s, stats::Counter::persistChecks);
+            EXPECT_GE(checks, last);
+            EXPECT_LE(checks, kThreads * kBumps);
+            EXPECT_LE(grown(s, stats::Counter::salvageAborts),
+                      3 * kThreads * kBumps);
+            last = checks;
+            reads++;
+        }
+    });
+    for (auto& th : threads)
+        th.join();
+    reader.join();
+    EXPECT_GT(reads, 0u);
+    const stats::Snapshot after = stats::aggregate();
+    EXPECT_EQ(grown(after, stats::Counter::persistChecks),
+              kThreads * kBumps);
+    EXPECT_EQ(grown(after, stats::Counter::salvageAborts),
+              3 * kThreads * kBumps);
 }
 
 TEST(PPtr, NullAndRoundtrip)

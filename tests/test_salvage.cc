@@ -644,5 +644,18 @@ TEST(VerifyPool, CleanPoolThenCorruptBlockHeader)
     EXPECT_FALSE(dirty.ok());
 }
 
+TEST(VerifyPool, DamagedAllocatorMagicIsAProblem)
+{
+    // Only a zero magic means an unformatted heap; any other wrong
+    // value is a damaged header, which the next open heals.
+    Harness h(RuntimeKind::undo);
+    auto* ah = static_cast<alloc::AllocHeader*>(
+        h.pool->at(h.pool->heapOff()));
+    ah->magic ^= 1u << 9;
+    rt::salvage::VerifyResult r = rt::salvage::verifyPool(*h.pool);
+    ASSERT_EQ(r.problems.size(), 1u);
+    EXPECT_EQ(r.problems.front(), "heap: allocator magic damaged");
+}
+
 }  // namespace
 }  // namespace cnvm::test
