@@ -14,6 +14,7 @@
 #include "common/rand.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
+#include "stats/counters.h"
 #include "testutil.h"
 
 namespace cnvm::alloc {
@@ -347,14 +348,22 @@ TEST_F(AllocTest, FlippedMagicIsHealedNotReformatted)
     }
 }
 
-TEST(AllocFormat, FreshPoolLeavesNoLineVolatile)
+TEST(AllocFormat, FreshPoolStoresNothingIntoItsBitmap)
 {
+    // A new pool's bitmap is already durably zero: format stores only
+    // the quarantine table and the header, and leaves no line
+    // volatile.
     nvm::PoolConfig cfg;
     cfg.size = 16 << 20;
     cfg.maxThreads = 2;
     cfg.slotBytes = 64 << 10;
     auto pool = nvm::Pool::create(cfg);
+    stats::Snapshot before = stats::aggregate();
     PmAllocator heap(*pool);
+    stats::Snapshot d = stats::aggregate() - before;
+    EXPECT_EQ(d[stats::Counter::nvmWrites], 2u);
+    EXPECT_EQ(d[stats::Counter::nvmWriteBytes],
+              sizeof(QuarantineTable) + sizeof(AllocHeader));
     EXPECT_EQ(pool->cache().volatileLines(), 0u);
     EXPECT_EQ(heap.freeBytes(), heap.dataBytes());
 }
