@@ -643,9 +643,6 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
          step < chunks && lazyCursor_ < usedBitmapBytes; step++) {
         uint64_t c = lazyCursor_;
         uint64_t n = std::min<uint64_t>(64, usedBitmapBytes - c);
-        // Zeroed: a tail chunk (n < 64) leaves bytes past n that the
-        // last word load reads before its mask applies.
-        uint8_t local[64] = {};
         const void* src = pool_.at(h.bitmapOff + c);
         bool bad = pool_.isTainted(src, n);
         if (!bad) {
@@ -683,6 +680,9 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
                 continue;
             }
         }
+        // Zeroed: a tail chunk (n < 64) leaves bytes past n that the
+        // last word load reads before its mask applies.
+        uint8_t local[64] = {};
         if (bad) {
             // A chunk that cannot be read (poison) or was bit-flipped
             // (taint) cannot tell its allocated granules from its free
