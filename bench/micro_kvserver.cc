@@ -1,9 +1,9 @@
 /**
  * @file
  * KV service throughput/latency matrix: the full serving stack
- * (TCP loopback front-end → thread-per-core workers → group commit →
- * persistent store) swept over protocol × worker count × batch cap ×
- * workload mix.
+ * (TCP loopback accept → workers that own their connections → group
+ * commit → persistent store) swept over protocol × worker count ×
+ * batch cap × workload mix.
  *
  * This is the paper's memcached+memslap experiment (Section 5.6)
  * rebuilt on the network server: each configuration boots a fresh

@@ -36,7 +36,7 @@ done
 case "$RECOVERY_MODE" in full|lazy) ;; *)
     echo "bad --recovery (want full|lazy)"; exit 2 ;;
 esac
-CONNS=2
+CONNS=3
 WORKERS=2
 KILL_DELAY=1.5
 if [ "${CNVM_SMOKE:-0}" = "1" ]; then

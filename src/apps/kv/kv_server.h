@@ -11,11 +11,11 @@
  * (the paper's Figure 10 compares exactly these).
  *
  * The store is the engine room of the network-facing KV service
- * (src/server/): every piece of state one shard owns — its locks,
- * its served-request counters, and the engine slot of the worker
- * thread that owns it in thread-per-core mode — lives in one
- * ShardState struct, so a server worker touches exactly one cache
- * neighborhood per shard. Mutations can be applied one per
+ * (src/server/): every piece of state one shard has — its locks and
+ * its served-request counters — lives in one ShardState struct, so a
+ * server worker touches exactly one cache neighborhood per shard.
+ * The shard locks are what serialize conflicting transactions from
+ * different server workers. Mutations can be applied one per
  * transaction (set/del/cas) or batched into a single transaction
  * (applyBatch — the group-commit path: one begin persist, one seal,
  * one commit fence for the whole batch).
@@ -117,12 +117,10 @@ class KvServer {
     };
 
     /**
-     * Everything one shard owns, in one struct: its two lock
-     * implementations (one is active per LockMode), its serving
-     * counters, and — in thread-per-core server mode — the engine
-     * slot of the worker thread that owns the shard. The counters
-     * are relaxed atomics: they are served from the protocol `stats`
-     * command while workers mutate them.
+     * Everything one shard has, in one struct: its two lock
+     * implementations (one is active per LockMode) and its serving
+     * counters. The counters are relaxed atomics: they are served
+     * from the protocol `stats` command while workers mutate them.
      */
     struct ShardState {
         sim::SimMutex spin{/* spin */ true};
@@ -137,10 +135,6 @@ class KvServer {
             std::atomic<uint64_t> casStores{0};
             std::atomic<uint64_t> casMisses{0};
         } stats;
-
-        /** Engine slot of the owning worker (server mode; set by
-         *  KvService before its workers start, 0 otherwise). */
-        unsigned ownerSlot = 0;
     };
 
     /** Aggregate of every shard's counters (stats command). */
@@ -191,11 +185,10 @@ class KvServer {
      *  concurrent mutation). */
     uint64_t itemCount() const;
 
-    /** @name Shard topology (the server partitions these) */
+    /** @name Shard topology */
     /// @{
     size_t shardCount() const { return shards_.size(); }
     size_t shardOf(std::string_view key) const;
-    ShardState& shardState(size_t idx) { return shards_[idx]; }
     StatsTotals statsTotals() const;
     /// @}
 

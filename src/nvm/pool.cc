@@ -7,10 +7,6 @@
 
 #include <cstring>
 
-#if defined(__SSE2__) || defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "common/error.h"
 #include "stats/counters.h"
 
@@ -228,61 +224,6 @@ Pool::write(void* dst, const void* src, size_t n)
         std::memcpy(dst, src, 8);  // common pointer/field case
     else
         std::memcpy(dst, src, n);
-    if (faults_ != nullptr) [[unlikely]]
-        faults_->noteWrite(offsetOf(dst), n);
-    auto& tc = stats::local();
-    tc.add(stats::Counter::nvmWrites);
-    tc.add(stats::Counter::nvmWriteBytes, n);
-}
-
-namespace {
-
-/**
- * Unaligned-safe wide copy: 32-byte (AVX2) or 16-byte (SSE2) vector
- * moves for the bulk, memcpy for the tail. Non-temporal stores are
- * deliberately not used — the cache model tracks visibility through
- * willWrite/flush, and ntstores would model a different (bypassing)
- * durability path than the clwb the runtimes account for.
- */
-inline void
-wideCopy(uint8_t* dst, const uint8_t* src, size_t n)
-{
-#if defined(__AVX2__)
-    while (n >= 32) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)));
-        dst += 32;
-        src += 32;
-        n -= 32;
-    }
-#elif defined(__SSE2__)
-    while (n >= 16) {
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i*>(dst),
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src)));
-        dst += 16;
-        src += 16;
-        n -= 16;
-    }
-#endif
-    if (n > 0)
-        std::memcpy(dst, src, n);
-}
-
-}  // namespace
-
-void
-Pool::writeStream(void* dst, const void* src, size_t n)
-{
-    CNVM_CHECK(contains(dst), "write outside pool");
-    writeCount_.fetch_add(1, std::memory_order_relaxed);
-    if (trapCountdown_.load(std::memory_order_relaxed) > 0 &&
-        trapCountdown_.fetch_sub(1, std::memory_order_relaxed) == 1)
-        throw CrashInjected{};
-    cache_->willWrite(offsetOf(dst), n);
-    wideCopy(static_cast<uint8_t*>(dst),
-             static_cast<const uint8_t*>(src), n);
     if (faults_ != nullptr) [[unlikely]]
         faults_->noteWrite(offsetOf(dst), n);
     auto& tc = stats::local();

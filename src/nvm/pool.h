@@ -131,13 +131,6 @@ class Pool {
     void writeAt(uint64_t off, const void* src, size_t n);
     /** Write an 8-byte value (the common pointer/field case). */
     void write64(void* dst, uint64_t v);
-    /**
-     * write() with a SIMD-wide copy loop for bulk (≥ 64-byte) stores —
-     * the zero-cached log writer's staging-window copy-out. Identical
-     * interposition (trap, cache model, fault notes, counters); only
-     * the memcpy strategy differs, so it is always safe to use.
-     */
-    void writeStream(void* dst, const void* src, size_t n);
     void flush(const void* addr, size_t n);
     /**
      * Batched clwb of `n` arbitrary cache-line numbers (commit-time

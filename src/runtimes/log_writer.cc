@@ -53,7 +53,7 @@ class BaselineWriter : public LogWriter {
 /**
  * pmembench-style zero-cached writer: entries are packed into a
  * per-slot DRAM window of 4 cache lines aligned to the log area's
- * line grid, and reach NVM as one coalesced wide copy + flush when
+ * line grid, and reach NVM as one coalesced write + flush when
  * the window fills (or at sealForFence). The window tracks the
  * caller's logical tail; any discontinuity — a new transaction
  * resetting its tail to 0, recovery, a writer swap — re-anchors the
@@ -158,8 +158,8 @@ class ZeroCachedWriter : public LogWriter {
         if (sl.fill == sl.written)
             return;
         size_t from = sl.written & ~(nvm::kCacheLine - 1);
-        pool_.writeStream(area + sl.winStart + from, sl.buf + from,
-                          sl.fill - from);
+        pool_.write(area + sl.winStart + from, sl.buf + from,
+                    sl.fill - from);
         pool_.flush(area + sl.winStart + from, sl.fill - from);
         stats::bump(stats::Counter::logFlushes);
         sl.written = sl.fill;

@@ -20,7 +20,7 @@
  *                ablation reference.
  *  - zerocached  entries are packed into a per-slot DRAM staging
  *                window of 4 cache lines and reach NVM as one
- *                coalesced wide copy + flush per window, when a
+ *                coalesced write + flush per window, when a
  *                window fills or at sealForFence(). Never a fence;
  *                entry validity rests on the checksum.
  *

@@ -1,31 +1,40 @@
 /**
  * @file
- * Thread-per-core KV service: the execution layer between a front-end
- * (TCP server or in-process load generator) and the persistent
- * KvServer store.
+ * KV service: the worker threads that serve the persistent KvServer
+ * store over the memcached text protocol (server/protocol.h).
  *
- * Topology. The store's shards are partitioned statically over N
- * worker threads: shard s belongs to worker s % N, and every request
- * for a key is routed to the worker that owns the key's shard
- * (workerOf). Each worker binds a dedicated engine slot
- * (Engine::bindThisThread), so per-thread log areas are never shared
- * and no two workers ever contend on a slot. Because routing is by
- * shard, per-key ordering is total: all operations on one key land in
- * one worker's FIFO queue.
+ * Topology. N workers, each bound to its own engine slot
+ * (Engine::bindThisThread(slotBase + w)), so per-thread log areas are
+ * never shared. Each worker runs one epoll loop over the connections
+ * it owns and its inbox. TcpServer's accept thread hands each accepted
+ * socket to the next worker in turn (adopt); from then on that worker
+ * alone reads the connection, runs each window of commands on its own
+ * slot and answers it. No window is split across threads. Workers do
+ * not own shards: KvServer's shard locks serialize conflicting
+ * transactions from different workers (a multi-shard batch locks in
+ * ascending order), so no request is ever forwarded between workers.
  *
- * Group commit. A worker drains its queue in FIFO order and groups
+ * Order. A connection's commands run in its worker's program order.
+ * Nothing orders commands of different connections except the shard
+ * locks; clients that check what they read (cnvm_kvload, kvbench)
+ * partition keys per connection.
+ *
+ * Group commit. A worker runs a window in order and fuses each run of
  * consecutive *mutations* (set/del/cas) into one transaction via
  * KvServer::applyBatch, up to batchMax per transaction — one begin
- * persist, one log seal, one commit fence for the whole group. Reads
- * break a group (read-your-writes: a get must observe the mutations
- * queued before it, so those commit first). Completions are signaled
- * only after the covering transaction commits, which is what makes a
+ * persist, one log seal, one commit fence for the whole run. A get
+ * breaks a run (read-your-writes: it must observe the mutations
+ * before it, so those commit first). Replies are formatted and sent
+ * only after the window's last commit, which is what makes a
  * client-visible ack a durability guarantee (DESIGN.md §16).
  *
  * If a batch overflows the slot's log area (txn::LogOverflowError,
- * thrown before any mutation applies), the worker falls back to
- * applying that group op-by-op; an op that overflows alone reports
- * MutResult::error.
+ * thrown before any mutation applies), the worker replays that run
+ * op by op; an op that overflows alone reports MutResult::error.
+ *
+ * In-process callers hand requests to a worker with submitMany; the
+ * worker runs them like a window and signals each request's
+ * Completion after the covering transaction commits.
  */
 #ifndef CNVM_SERVER_KV_SERVICE_H
 #define CNVM_SERVER_KV_SERVICE_H
@@ -33,7 +42,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,8 +58,8 @@ namespace cnvm::server {
  * mutations, committed).
  *
  * arrive() is lock-free except for the final arrival of a window:
- * workers signal once per request, so the latch sits on the per-op
- * hot path and must not cost a mutex round trip per op.
+ * workers signal once per run of requests that share a latch, so the
+ * latch must not cost a mutex round trip per op.
  */
 class Completion {
  public:
@@ -85,8 +93,8 @@ class Completion {
     std::atomic<long> outstanding_{0};
 };
 
-/** One queued operation. String members own their bytes (the socket
- *  buffer they were parsed from is reused immediately). */
+/** One operation. String members own their bytes (the socket buffer
+ *  they were parsed from is reused immediately). */
 struct Request {
     enum class Op : uint8_t { get, set, del, cas };
 
@@ -106,16 +114,11 @@ struct Request {
 
 struct ServiceConfig {
     unsigned workers = 2;
-    /** Max mutations fused into one transaction; 0 → $CNVM_BATCH,
-     *  default 8. 1 disables group commit (one tx per mutation). */
-    unsigned batchMax = 0;
-    /** Per-worker queue bound; submit() blocks when full. */
-    size_t queueCap = 4096;
+    /** Max mutations fused into one transaction, at least 1; 1
+     *  disables group commit (one transaction per mutation). */
+    unsigned batchMax = 8;
     /** First engine slot; worker w binds slot slotBase + w. */
     unsigned slotBase = 0;
-
-    /** batchMax with the env default applied. */
-    unsigned resolvedBatchMax() const;
 };
 
 class KvService {
@@ -134,57 +137,53 @@ class KvService {
     KvService(const KvService&) = delete;
     KvService& operator=(const KvService&) = delete;
 
-    /** Bind shards to workers and launch the worker threads.
+    /** Launch the worker threads.
      *  @throws txn::SlotRangeError if slotBase + workers exceeds the
      *          pool's runtime slots. */
     void start();
 
-    /** Drain every queue, then stop and join the workers. Queued
-     *  requests still execute and signal their completions. */
+    /** Stop and join the workers and close every connection they
+     *  own. Requests already handed over by submitMany still execute
+     *  and signal their completions. */
     void stop();
 
-    /** Worker owning `key`'s shard. */
+    /** The worker an in-process caller should hand `key` to: requests
+     *  on one key handed to one worker run in the order given. */
     unsigned workerOf(std::string_view key) const;
 
     /**
-     * Hand one request to its owning worker (FIFO per worker). Blocks
-     * while the worker's queue is at queueCap. The request object must
-     * stay alive until its completion arrives.
-     */
-    void submit(Request* req);
-
-    /**
-     * Hand a run of requests that all route to worker `worker`
-     * (workerOf on each key must agree) to that worker in one lock
-     * acquisition and one wakeup — the per-window submission path.
-     * Order within the run is preserved. Blocks for queue room.
+     * Append a run of requests to worker `worker`'s inbox; never
+     * blocks. The worker runs the run in order, like a window, and
+     * signals each request's completion after the covering
+     * transaction commits. Each request must stay alive until then.
      */
     void submitMany(unsigned worker, Request* const* reqs, size_t n);
 
-    unsigned workers() const { return cfg_.workers; }
-    unsigned batchMax() const { return batchMax_; }
+    /** Hand an accepted, non-blocking socket to the next worker in
+     *  turn, which owns it from then on (closes it after a stop). */
+    void adopt(int fd);
 
-    WorkerStats workerStats(unsigned w) const;
+    unsigned workers() const { return cfg_.workers; }
+    unsigned batchMax() const { return cfg_.batchMax; }
+
+    /** Sum of every worker's counters; safe while traffic runs. */
     WorkerStats totalStats() const;
 
  private:
-    struct Worker {
-        mutable std::mutex mu;
-        std::condition_variable nonEmpty;
-        std::condition_variable nonFull;
-        std::deque<Request*> queue;
-        WorkerStats stats;  ///< guarded by mu
-        std::thread thread;
-    };
+    struct Conn;
+    struct Worker;
 
-    void workerLoop(unsigned w);
-    void execGroup(Worker& wk, Request** group, size_t n);
+    void workerLoop(Worker& wk);
+    bool serveConn(Worker& wk, Conn& c);
+    void runWindow(Worker& wk, Conn& c);
+    void runRequests(Worker& wk, Request* const* reqs, size_t n);
+    void execGroup(Request* const* group, size_t n, WorkerStats& delta);
+    void appendStats(std::string& out) const;
 
     apps::KvServer& kv_;
     ServiceConfig cfg_;
-    unsigned batchMax_;
     bool running_ = false;
-    std::atomic<bool> stopping_{false};
+    std::atomic<unsigned> nextWorker_{0};
     std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -231,21 +231,6 @@ formatSet(std::string& out, std::string_view key, std::string_view val,
 }
 
 void
-formatCas(std::string& out, std::string_view key, std::string_view val,
-          uint32_t flags, uint64_t casUnique, bool noreply)
-{
-    char head[160];
-    int n = std::snprintf(
-        head, sizeof(head), "cas %.*s %u 0 %zu %llu%s\r\n",
-        static_cast<int>(key.size()), key.data(), flags, val.size(),
-        static_cast<unsigned long long>(casUnique),
-        noreply ? " noreply" : "");
-    out.append(head, static_cast<size_t>(n));
-    out.append(val);
-    out += "\r\n";
-}
-
-void
 formatDelete(std::string& out, std::string_view key, bool noreply)
 {
     out += "delete ";

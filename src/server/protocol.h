@@ -75,8 +75,6 @@ class Parser {
      */
     Status next(Command* out, std::string* error);
 
-    size_t buffered() const { return buf_.size() - pos_; }
-
  private:
     Status parseLine(std::string_view line, Command* out,
                      std::string* error);
@@ -106,9 +104,6 @@ appendEnd(std::string& out)
 void formatGet(std::string& out, std::string_view key, bool withCas);
 void formatSet(std::string& out, std::string_view key,
                std::string_view val, uint32_t flags, bool noreply);
-void formatCas(std::string& out, std::string_view key,
-               std::string_view val, uint32_t flags,
-               uint64_t casUnique, bool noreply);
 void formatDelete(std::string& out, std::string_view key,
                   bool noreply);
 /// @}

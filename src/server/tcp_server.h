@@ -1,16 +1,15 @@
 /**
  * @file
- * TCP front-end for the KV service: one accept thread plus a thread
- * per connection, speaking the memcached text protocol
- * (server/protocol.h) over loopback or LAN.
+ * TCP front-end for the KV service: the listening socket on
+ * 127.0.0.1 and its accept thread.
  *
- * Each connection thread turns a burst of received bytes into a
- * *window* of parsed commands, submits them all to the KvService
- * (which routes each to its shard-owning worker and group-commits
- * runs of mutations), waits for the window's completion, then writes
- * every response back in command order. Pipelining clients therefore
- * get batching for free: the deeper the pipeline, the more mutations
- * fuse into one transaction.
+ * The accept thread hands each accepted socket to the next KvService
+ * worker in turn (KvService::adopt). That worker owns the connection
+ * from then on: it reads each burst, runs the window of memcached
+ * text-protocol commands it holds (server/protocol.h), and answers in
+ * command order. Pipelining clients therefore get batching for free:
+ * the deeper the pipeline, the more mutations fuse into one
+ * transaction.
  *
  * Replies are sent only after the covering transaction committed, so
  * any response the client has seen is durable across a crash
@@ -20,11 +19,8 @@
 #ifndef CNVM_SERVER_TCP_SERVER_H
 #define CNVM_SERVER_TCP_SERVER_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "server/kv_service.h"
 
@@ -33,11 +29,12 @@ namespace cnvm::server {
 struct TcpConfig {
     /** 0 → ephemeral; read the bound port back with port(). */
     uint16_t port = 0;
-    int backlog = 64;
 };
 
 class TcpServer {
  public:
+    /** `kv` is the store `svc` serves; the workers reach it through
+     *  `svc`, so the front-end itself never touches it. */
     TcpServer(KvService& svc, apps::KvServer& kv,
               const TcpConfig& cfg);
     ~TcpServer();
@@ -49,41 +46,24 @@ class TcpServer {
      *  @throws FatalError if the socket cannot be bound. */
     void start();
 
-    /** Close the listener, shut down live connections, join all
-     *  threads. In-flight windows finish first. */
+    /** Close the listener and join the accept thread. Connections
+     *  already handed over belong to the service: KvService::stop()
+     *  closes them. */
     void stop();
 
     /** The bound port (valid after start()). */
     uint16_t port() const { return port_; }
 
-    uint64_t connectionsAccepted() const
-    {
-        return accepted_.load(std::memory_order_relaxed);
-    }
-
  private:
-    struct Conn {
-        int fd = -1;
-        std::thread thread;
-        bool closed = false;
-    };
-
     void acceptLoop();
-    void handleConnection(int fd);
 
     KvService& svc_;
-    apps::KvServer& kv_;
     TcpConfig cfg_;
 
     int listenFd_ = -1;
     uint16_t port_ = 0;
-    std::thread acceptThread_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<uint64_t> accepted_{0};
-
-    std::mutex connMu_;
-    std::vector<std::unique_ptr<Conn>> conns_;
     bool running_ = false;
+    std::thread acceptThread_;
 };
 
 }  // namespace cnvm::server

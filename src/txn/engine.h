@@ -82,20 +82,10 @@ struct Engine {
     RecoveryReport lastRecovery;
 
     /**
-     * Run recovery and keep its report in lastRecovery. The mode comes
-     * from CNVM_RECOVERY (full unless set to "lazy"); see the
-     * two-argument overload for what lazy returns.
-     */
-    RecoveryReport
-    recover()
-    {
-        return recover(recoveryModeFromEnv(), true);
-    }
-
-    /**
-     * Run recovery in `mode`. Both modes build the same recovery
-     * session (LazyRecovery: the bounded triage pass, the allocator's
-     * session opened over its scan, triaged hold ranges pinned).
+     * Run recovery in `mode` and keep its report in lastRecovery.
+     * Both modes build the same recovery session (LazyRecovery: the
+     * bounded triage pass, the allocator's session opened over its
+     * scan, triaged hold ranges pinned).
      *
      * Full mode is Runtime::recover(): the session drained inline, so
      * every pending slot and the heap have healed on return.
@@ -109,14 +99,14 @@ struct Engine {
      * triage pass; the cumulative report accretes in the session and
      * lands in lastRecovery at finishRecovery().
      */
-    RecoveryReport recover(RecoveryMode mode,
+    RecoveryReport recover(RecoveryMode mode = RecoveryMode::full,
                            bool backgroundHealer = true);
 
     /**
      * First-touch admission gate, called by txn::run before every
-     * txBegin (and by server workers before serving). A single
-     * pointer test outside recovery; during lazy recovery it blocks
-     * until the slot's pending entry (if any) has healed.
+     * txBegin. A single pointer test outside recovery; during lazy
+     * recovery it blocks until the slot's pending entry (if any) has
+     * healed.
      */
     void
     admitSlot(unsigned tid)

@@ -1,18 +1,6 @@
 #include "txn/recovery_index.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace cnvm::txn {
-
-RecoveryMode
-recoveryModeFromEnv()
-{
-    if (const char* v = std::getenv("CNVM_RECOVERY"))
-        if (std::strcmp(v, "lazy") == 0)
-            return RecoveryMode::lazy;
-    return RecoveryMode::full;
-}
 
 const char*
 recoveryModeName(RecoveryMode m)

@@ -40,9 +40,6 @@ enum class RecoveryMode : uint8_t {
     lazy,  ///< triage, admit immediately, heal on touch/in background
 };
 
-/** CNVM_RECOVERY=lazy selects lazy mode; anything else is full. */
-RecoveryMode recoveryModeFromEnv();
-
 const char* recoveryModeName(RecoveryMode m);
 
 /** Triage classification of one slot's on-media descriptor state. */

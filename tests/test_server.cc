@@ -11,7 +11,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <deque>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "apps/kv/kv_server.h"
@@ -254,11 +257,13 @@ TEST(KvService, GroupCommitMatchesModel)
     server::KvService svc(kv, svcCfg);
     svc.start();
 
-    // Submit windows of mixed traffic; per-key order is preserved by
-    // shard routing, so the final state must match in-order apply.
+    // Submit windows of mixed traffic, each split by workerOf; per-key
+    // order is preserved by that routing, so the final state must
+    // match in-order apply.
     std::map<std::string, std::string> model;
     Xorshift rng(23);
     std::deque<server::Request> reqs;
+    std::vector<std::vector<server::Request*>> byWorker(svc.workers());
     for (int round = 0; round < 50; round++) {
         server::Completion done;
         reqs.clear();
@@ -278,8 +283,14 @@ TEST(KvService, GroupCommitMatchesModel)
             r.done = &done;
         }
         done.expect(16);
+        for (auto& b : byWorker)
+            b.clear();
         for (auto& r : reqs)
-            svc.submit(&r);
+            byWorker[svc.workerOf(r.key)].push_back(&r);
+        for (unsigned w = 0; w < byWorker.size(); w++)
+            if (!byWorker[w].empty())
+                svc.submitMany(w, byWorker[w].data(),
+                               byWorker[w].size());
         done.wait();
     }
     auto st = svc.totalStats();
@@ -333,8 +344,10 @@ TEST(KvService, BatchOverflowFallsBackPerOp)
         r.done = &done;
     }
     done.expect(8);
+    std::vector<server::Request*> run;
     for (auto& r : reqs)
-        svc.submit(&r);
+        run.push_back(&r);
+    svc.submitMany(0, run.data(), run.size());
     done.wait();
     auto st = svc.totalStats();
     svc.stop();
@@ -371,9 +384,19 @@ TEST(KvService, RejectsWorkerCountBeyondPoolSlots)
 
 class SockClient {
  public:
-    explicit SockClient(uint16_t port)
+    /** Connect to `port`. A reply that never comes fails the test
+     *  after `timeoutSec` instead of hanging it. `rcvbuf` > 0 pins
+     *  the receive buffer (no autotuning). */
+    explicit SockClient(uint16_t port, int timeoutSec = 10,
+                        int rcvbuf = 0)
     {
         fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (rcvbuf > 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf));
+        timeval tv{};
+        tv.tv_sec = timeoutSec;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -385,14 +408,28 @@ class SockClient {
 
     ~SockClient() { ::close(fd_); }
 
-    /** Send `req`, read exactly `expect.size()` bytes back. */
-    std::string
-    roundTrip(const std::string& req, size_t expectBytes)
+    int fd() const { return fd_; }
+
+    /** Send all of `data`; stops early once the socket fails. */
+    void
+    sendAll(const std::string& data)
     {
-        EXPECT_EQ(::send(fd_, req.data(), req.size(), 0),
-                  static_cast<ssize_t>(req.size()));
+        size_t off = 0;
+        while (off < data.size()) {
+            ssize_t n = ::send(fd_, data.data() + off,
+                               data.size() - off, MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            off += static_cast<size_t>(n);
+        }
+    }
+
+    /** Read until `expectBytes` arrived, EOF, or the timeout. */
+    std::string
+    recvUpTo(size_t expectBytes)
+    {
         std::string out;
-        char buf[4096];
+        char buf[65536];
         while (out.size() < expectBytes) {
             ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
             if (n <= 0)
@@ -402,14 +439,24 @@ class SockClient {
         return out;
     }
 
+    /** Send `req`, read exactly `expectBytes` back. */
+    std::string
+    roundTrip(const std::string& req, size_t expectBytes)
+    {
+        sendAll(req);
+        return recvUpTo(expectBytes);
+    }
+
+    std::string readToEof() { return recvUpTo(SIZE_MAX); }
+
  private:
     int fd_ = -1;
 };
 
 struct Stack {
-    explicit Stack(Harness& h)
+    explicit Stack(Harness& h, unsigned workers = 2)
         : eng(h.engine()), kv(eng, 0, kvCfg()),
-          svc(kv, svcCfg()), tcp(svc, kv, server::TcpConfig{})
+          svc(kv, svcCfg(workers)), tcp(svc, kv, server::TcpConfig{})
     {
         svc.start();
         tcp.start();
@@ -430,10 +477,10 @@ struct Stack {
     }
 
     static server::ServiceConfig
-    svcCfg()
+    svcCfg(unsigned workers)
     {
         server::ServiceConfig cfg;
-        cfg.workers = 2;
+        cfg.workers = workers;
         cfg.batchMax = 8;
         return cfg;
     }
@@ -529,6 +576,187 @@ TEST(TcpServer, LoadGeneratorRoundTrip)
     auto st = s.svc.totalStats();
     EXPECT_GT(st.batches, 0u);
     EXPECT_GT(st.batchedOps, st.batches);
+}
+
+
+TEST(TcpServer, SlowClientStallsOnlyItself)
+{
+    // One worker, two connections. A pipelines gets of a 1 KiB value
+    // and reads nothing: its replies (tens of MB) overflow both socket
+    // buffers, so the worker must park them and keep serving B. A
+    // worker that sent with a blocking send() would hang on A.
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    Stack s(h, /* workers */ 1);
+    std::string big(ds::kMaxValLen, 'v');
+    SockClient a(s.tcp.port(), 10, /* rcvbuf */ 64 << 10);
+    std::string exp = "STORED\r\n";
+    ASSERT_EQ(a.roundTrip("set big 0 0 1024\r\n" + big + "\r\n",
+                          exp.size()),
+              exp);
+
+    std::string gets;
+    for (int i = 0; i < 30000; i++)
+        gets += "get big\r\n";
+    std::thread flood([&] { a.sendAll(gets); });
+
+    // Let the worker run into A's full buffers: its op count stops.
+    uint64_t last = 0;
+    int quiet = 0;
+    for (int i = 0; i < 400 && quiet < 4; i++) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+        uint64_t ops = s.svc.totalStats().ops;
+        quiet = ops == last && ops > 1 ? quiet + 1 : 0;
+        last = ops;
+    }
+    EXPECT_EQ(quiet, 4) << "the worker never stalled on A";
+
+    SockClient b(s.tcp.port(), /* timeoutSec */ 5);
+    auto t0 = std::chrono::steady_clock::now();
+    exp = "STORED\r\nVALUE bk 0 2\r\nok\r\nEND\r\n";
+    EXPECT_EQ(b.roundTrip("set bk 0 0 2\r\nok\r\nget bk\r\n", exp.size()),
+              exp);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(5));
+
+    ::shutdown(a.fd(), SHUT_RDWR);  // unblocks the flood's send
+    flood.join();
+}
+
+TEST(TcpServer, HalfClosedClientGetsEveryReply)
+{
+    // The client sends a pipelined burst, shuts its write side and
+    // reads to EOF: every reply must arrive, in order, before the
+    // server closes.
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    Stack s(h);
+    SockClient c(s.tcp.port());
+    std::string req, exp;
+    for (int i = 0; i < 400; i++) {
+        std::string key = "hk" + std::to_string(i);
+        std::string val = std::to_string(i) + ":";
+        val.resize(ds::kMaxValLen, 'h');
+        std::string len = std::to_string(val.size());
+        req += "set " + key + " 0 0 " + len + "\r\n" + val + "\r\n";
+        req += "get " + key + "\r\n";
+        exp += "STORED\r\nVALUE " + key + " 0 " + len + "\r\n" + val +
+               "\r\nEND\r\n";
+    }
+    std::thread writer([&] {
+        c.sendAll(req);
+        ::shutdown(c.fd(), SHUT_WR);
+    });
+    std::string got = c.readToEof();
+    writer.join();
+    EXPECT_EQ(got.size(), exp.size());
+    EXPECT_TRUE(got == exp) << "replies out of order or corrupted";
+}
+
+TEST(TcpServer, QuitMidBurstAnswersOnlyWhatCameBefore)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    Stack s(h);
+    SockClient c(s.tcp.port());
+    c.sendAll("set qa 0 0 2\r\naa\r\n"
+              "get qa\r\n"
+              "quit\r\n"
+              "set qb 0 0 2\r\nbb\r\n"
+              "get qa\r\n");
+    EXPECT_EQ(c.readToEof(), "STORED\r\nVALUE qa 0 2\r\naa\r\nEND\r\n");
+
+    SockClient d(s.tcp.port());
+    std::string exp = "END\r\n";  // the set after quit never ran
+    EXPECT_EQ(d.roundTrip("get qb\r\n", exp.size()), exp);
+}
+
+TEST(TcpServer, ConnectionsOnSharedShardsMatchTheirModels)
+{
+    // 4 connections on 2 workers. Each connection has its own keys,
+    // but every shard holds keys of at least two connections, so the
+    // workers contend on shards and only the shard locks keep them
+    // apart. Every reply and the final store must match each
+    // connection's model.
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    Stack s(h);
+    constexpr unsigned kConns = 4;
+    constexpr int kKeys = 40;
+    auto keyOf = [](unsigned conn, uint64_t i) {
+        return "c" + std::to_string(conn) + "-" + std::to_string(i);
+    };
+    std::vector<std::set<unsigned>> connsOfShard(s.kv.shardCount());
+    for (unsigned c = 0; c < kConns; c++)
+        for (int i = 0; i < kKeys; i++)
+            connsOfShard[s.kv.shardOf(keyOf(c, i))].insert(c);
+    for (const auto& conns : connsOfShard)
+        ASSERT_GE(conns.size(), 2u);
+
+    std::vector<std::map<std::string, std::string>> models(kConns);
+    std::vector<int> mismatches(kConns, 0);
+    std::vector<std::thread> threads;
+    for (unsigned c = 0; c < kConns; c++) {
+        threads.emplace_back([&, c] {
+            SockClient sock(s.tcp.port());
+            auto& model = models[c];
+            Xorshift rng(101 + c);
+            for (int round = 0; round < 60; round++) {
+                std::string req, exp;
+                for (int i = 0; i < 24; i++) {
+                    std::string key = keyOf(c, rng.nextUint(kKeys));
+                    uint64_t dice = rng.nextUint(20);
+                    auto it = model.find(key);
+                    if (dice < 10) {
+                        std::string val = "v" + std::to_string(round) +
+                                          "." + std::to_string(i);
+                        req += "set " + key + " 0 0 " +
+                               std::to_string(val.size()) + "\r\n" +
+                               val + "\r\n";
+                        exp += "STORED\r\n";
+                        model[key] = val;
+                    } else if (dice < 13) {
+                        req += "delete " + key + "\r\n";
+                        exp += it != model.end() ? "DELETED\r\n"
+                                                 : "NOT_FOUND\r\n";
+                        if (it != model.end())
+                            model.erase(it);
+                    } else {
+                        req += "get " + key + "\r\n";
+                        if (it != model.end())
+                            exp += "VALUE " + key + " 0 " +
+                                   std::to_string(it->second.size()) +
+                                   "\r\n" + it->second + "\r\n";
+                        exp += "END\r\n";
+                    }
+                }
+                if (sock.roundTrip(req, exp.size()) != exp)
+                    mismatches[c]++;
+            }
+        });
+    }
+    for (auto& t : threads)
+        t.join();
+    // Joining the workers orders their slot use before this thread's.
+    s.tcp.stop();
+    s.svc.stop();
+
+    size_t items = 0;
+    for (unsigned c = 0; c < kConns; c++) {
+        EXPECT_EQ(mismatches[c], 0) << "connection " << c;
+        for (int i = 0; i < kKeys; i++) {
+            std::string key = keyOf(c, i);
+            auto it = models[c].find(key);
+            ds::LookupResult r;
+            bool found = s.kv.get(key, &r);
+            ASSERT_EQ(found, it != models[c].end()) << key;
+            if (found) {
+                EXPECT_EQ(r.str(), it->second) << key;
+            }
+        }
+        items += models[c].size();
+    }
+    EXPECT_EQ(s.kv.itemCount(), items);
 }
 
 }  // namespace

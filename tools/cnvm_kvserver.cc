@@ -2,28 +2,30 @@
  * @file
  * Network-facing persistent KV server (memcached text protocol).
  *
- * Thread-per-core serving stack over a file-backed pool: an accept
- * thread feeds per-connection threads, which route requests to shard-
- * owning workers (server/kv_service.h) that group-commit runs of
- * mutations. On startup the pool is created if missing, otherwise
- * opened and *recovered* — the tool prints a RECOVERY line describing
- * what recovery did, then READY with the bound port. Kill it with
- * SIGKILL mid-traffic and start it again: acked data must all be
- * there (scripts/torture_kvserver.sh automates exactly that).
+ * Serving stack over a file-backed pool: an accept thread hands each
+ * connection to the next of --workers worker threads. Each worker
+ * runs one event loop over the connections it owns and runs every
+ * window of commands on its own engine slot, group-committing runs of
+ * mutations (server/kv_service.h). On startup the pool is created if
+ * missing, otherwise opened and *recovered* — the tool prints a
+ * RECOVERY line describing what recovery did, then READY with the
+ * bound port. Kill it with SIGKILL mid-traffic and start it again:
+ * acked data must all be there (scripts/torture_kvserver.sh automates
+ * exactly that).
  *
  *   cnvm_kvserver --pool /tmp/kv.pool --protocol clobber \
  *                 --workers 4 --batch 8 --port 0 --port-file /tmp/kv.port
  *
  * Knobs: --protocol clobber|pmdk|mnemosyne|atlas|nolog|ido,
  * --workers N (engine slots slotBase..slotBase+N-1), --batch N (max
- * mutations fused per transaction; 0 → $CNVM_BATCH, default 8),
+ * mutations fused per transaction, at least 1; default 8),
  * --shards N, --lock rw|spin, --port 0 → ephemeral (published via
  * --port-file, atomically). CNVM_POOL_MB sizes a fresh pool.
  *
- * --recovery full|lazy (default: $CNVM_RECOVERY, else full) picks the
- * restart mode. Lazy runs the bounded triage pass and starts serving
- * immediately — the heap rebuild proceeds incrementally and pending
- * slots heal on first touch or from the background salvage thread.
+ * --recovery full|lazy (default full) picks the restart mode. Lazy
+ * runs the bounded triage pass and starts serving immediately — the
+ * heap rebuild proceeds incrementally and pending slots heal on first
+ * touch or from the background salvage thread.
  * The tool prints RECOVERY with the mode and triage time, READY with
  * time-to-first-request (startup to listening), HEALING progress
  * lines while the background drain runs, and HEALED when recovery is
@@ -78,10 +80,10 @@ struct Options {
     std::string protocol = "clobber";
     std::string portFile;
     std::string lock = "rw";
-    std::string recovery;  ///< "", "full" or "lazy" ("" → env)
+    std::string recovery = "full";
     unsigned port = 0;
     unsigned workers = 2;
-    unsigned batch = 0;
+    unsigned batch = 8;
     unsigned shards = 64;
 };
 
@@ -141,13 +143,15 @@ main(int argc, char** argv)
             usage(argv[0]);
     }
 
-    txn::RecoveryMode recMode = txn::recoveryModeFromEnv();
-    if (opt.recovery == "full")
-        recMode = txn::RecoveryMode::full;
-    else if (opt.recovery == "lazy")
+    txn::RecoveryMode recMode = txn::RecoveryMode::full;
+    if (opt.recovery == "lazy") {
         recMode = txn::RecoveryMode::lazy;
-    else if (!opt.recovery.empty()) {
+    } else if (opt.recovery != "full") {
         std::fprintf(stderr, "bad --recovery (want full|lazy)\n");
+        return 2;
+    }
+    if (opt.batch == 0) {
+        std::fprintf(stderr, "bad --batch (want at least 1)\n");
         return 2;
     }
 
