@@ -471,8 +471,11 @@ struct Stack {
     static apps::KvServer::Config
     kvCfg()
     {
+        // Few buckets per shard: keys of different connections share
+        // hash chains, so workers serving them meet inside the store.
         apps::KvServer::Config cfg;
         cfg.shards = 16;
+        cfg.bucketsPerShard = 4;
         return cfg;
     }
 
@@ -625,32 +628,49 @@ TEST(TcpServer, SlowClientStallsOnlyItself)
 
 TEST(TcpServer, HalfClosedClientGetsEveryReply)
 {
-    // The client sends a pipelined burst, shuts its write side and
-    // reads to EOF: every reply must arrive, in order, before the
-    // server closes.
+    // The client sends a pipelined burst, shuts its write side, and
+    // only then reads to EOF: every reply must arrive, in order,
+    // before the server closes. The burst (~45 KB) fits the socket
+    // buffers, but its replies (~11 MB of multi-key gets of a 1 KiB
+    // value) do not, so the server still holds unsent replies and
+    // unread commands when the client's EOF arrives.
     Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
               64ULL << 20);
     Stack s(h);
-    SockClient c(s.tcp.port());
-    std::string req, exp;
-    for (int i = 0; i < 400; i++) {
-        std::string key = "hk" + std::to_string(i);
-        std::string val = std::to_string(i) + ":";
-        val.resize(ds::kMaxValLen, 'h');
-        std::string len = std::to_string(val.size());
-        req += "set " + key + " 0 0 " + len + "\r\n" + val + "\r\n";
-        req += "get " + key + "\r\n";
-        exp += "STORED\r\nVALUE " + key + " 0 " + len + "\r\n" + val +
-               "\r\nEND\r\n";
+    SockClient c(s.tcp.port(), 10, /* rcvbuf */ 64 << 10);
+    std::string big(ds::kMaxValLen, 'h');
+    std::string exp = "STORED\r\n";
+    ASSERT_EQ(c.roundTrip("set big 0 0 1024\r\n" + big + "\r\n",
+                          exp.size()),
+              exp);
+
+    std::string req, line = "get";
+    std::string value = "VALUE big 0 1024\r\n" + big + "\r\n";
+    std::string values;
+    for (int k = 0; k < 100; k++) {
+        line += " big";
+        values += value;
     }
-    std::thread writer([&] {
-        c.sendAll(req);
-        ::shutdown(c.fd(), SHUT_WR);
-    });
+    line += "\r\n";
+    exp.clear();
+    for (int i = 0; i < 110; i++) {
+        if (i % 10 == 0) {  // distinct replies pin the order
+            std::string key = "hk" + std::to_string(i);
+            std::string val = "v" + std::to_string(i);
+            req += "set " + key + " 0 0 " + std::to_string(val.size()) +
+                   "\r\n" + val + "\r\nget " + key + "\r\n";
+            exp += "STORED\r\nVALUE " + key + " 0 " +
+                   std::to_string(val.size()) + "\r\n" + val +
+                   "\r\nEND\r\n";
+        }
+        req += line;
+        exp += values + "END\r\n";
+    }
+    c.sendAll(req);
+    ::shutdown(c.fd(), SHUT_WR);
     std::string got = c.readToEof();
-    writer.join();
     EXPECT_EQ(got.size(), exp.size());
-    EXPECT_TRUE(got == exp) << "replies out of order or corrupted";
+    EXPECT_TRUE(got == exp) << "replies lost, out of order or corrupted";
 }
 
 TEST(TcpServer, QuitMidBurstAnswersOnlyWhatCameBefore)
@@ -674,9 +694,10 @@ TEST(TcpServer, QuitMidBurstAnswersOnlyWhatCameBefore)
 TEST(TcpServer, ConnectionsOnSharedShardsMatchTheirModels)
 {
     // 4 connections on 2 workers. Each connection has its own keys,
-    // but every shard holds keys of at least two connections, so the
-    // workers contend on shards and only the shard locks keep them
-    // apart. Every reply and the final store must match each
+    // but every shard holds keys of at least two connections (and
+    // Stack's shards have 4 buckets each, so they share chains too):
+    // the workers contend on shards and only the shard locks keep
+    // them apart. Every reply and the final store must match each
     // connection's model.
     Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
               64ULL << 20);
@@ -701,7 +722,7 @@ TEST(TcpServer, ConnectionsOnSharedShardsMatchTheirModels)
             SockClient sock(s.tcp.port());
             auto& model = models[c];
             Xorshift rng(101 + c);
-            for (int round = 0; round < 60; round++) {
+            for (int round = 0; round < 150; round++) {
                 std::string req, exp;
                 for (int i = 0; i < 24; i++) {
                     std::string key = keyOf(c, rng.nextUint(kKeys));
