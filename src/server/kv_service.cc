@@ -189,9 +189,8 @@ void
 KvService::adopt(int fd)
 {
     CNVM_CHECK(!workers_.empty(), "service not started");
-    Worker& wk = *workers_[nextWorker_.fetch_add(
-                               1, std::memory_order_relaxed) %
-                           workers_.size()];
+    unsigned w = nextWorker_.fetch_add(1, std::memory_order_relaxed);
+    Worker& wk = *workers_[w % workers_.size()];
     {
         std::lock_guard<std::mutex> g(wk.mu);
         if (wk.stopping) {
