@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -96,7 +95,7 @@ struct KvService::Worker {
     std::vector<Slot> slots;  ///< window scratch, reused
     std::vector<Request> reqs;
     std::vector<Request*> ptrs;
-    std::deque<apps::KvReadResult> reads;  ///< grows only
+    std::vector<std::unique_ptr<apps::KvReadResult>> reads;  ///< grows
 
     struct {
         std::atomic<uint64_t> ops{0}, batches{0}, batchedOps{0},
@@ -422,11 +421,12 @@ KvService::runWindow(Worker& wk, Conn& c)
                 if (key.size() > ds::kMaxKeyLen)
                     continue;  // cannot exist in the store
                 if (gets == wk.reads.size())
-                    wk.reads.emplace_back();
+                    wk.reads.push_back(
+                        std::make_unique<apps::KvReadResult>());
                 Request& r = reqs.emplace_back();
                 r.op = Request::Op::get;
                 r.key = std::move(key);
-                r.read = &wk.reads[gets++];
+                r.read = wk.reads[gets++].get();
             }
             slot.count = reqs.size() - slot.first;
             break;
