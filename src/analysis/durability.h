@@ -20,14 +20,19 @@
  * is the only cost knob: with no observer installed, CacheSim and
  * txn::run each pay a single null check (zero-cost-when-off).
  *
- * Attaching also disables CacheSim's per-thread dirty-line fast path
- * (the install bumps the sim's epoch, and no cache refills happen
+ * Attaching also disables CacheSim's per-domain dirty-line fast path
+ * (the install bumps the sim's generation, and no cache refills happen
  * while an observer is present), so the validator still receives every
  * per-line transition — including re-dirties of already-dirty lines —
  * exactly as the pre-sharding single-table implementation reported
  * them. Callbacks now arrive under the owning *shard's* lock rather
  * than one global mutex; the validator's own mutex serializes them.
  * Attach/detach during quiescence.
+ *
+ * The mirror is exact for one persistence domain. fenceRetired() means
+ * the calling domain's pending lines retired, but the mirror drops
+ * every pending line it holds, so with several domains fencing it
+ * under-reports pending advisories; dirty-line violations stay exact.
  */
 #ifndef CNVM_ANALYSIS_DURABILITY_H
 #define CNVM_ANALYSIS_DURABILITY_H

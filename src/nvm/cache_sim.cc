@@ -8,19 +8,9 @@ namespace cnvm::nvm {
 
 namespace {
 
-/**
- * Source of epoch values for every CacheSim in the process. Uniqueness
- * across sims is what lets DirtyLineCache ways omit an owner field: a
- * way tagged with some epoch can only validate against the one sim
- * whose current epoch it is.
- */
-std::atomic<uint64_t> gEpochSource{0};
-
-uint64_t
-nextEpoch()
-{
-    return gEpochSource.fetch_add(1, std::memory_order_relaxed) + 1;
-}
+/** Source of CacheSim ids: never reused, so a PersistDomain's cached
+ *  state for a destroyed sim can never match a new one. */
+std::atomic<uint64_t> gSimIds{0};
 
 uint64_t
 mixLine(uint64_t x)
@@ -33,12 +23,78 @@ mixLine(uint64_t x)
 
 }  // namespace
 
-CacheSim::CacheSim(uint8_t* base) : base_(base), epoch_(nextEpoch()) {}
-
-void
-CacheSim::bumpEpoch()
+CacheSim::CacheSim(uint8_t* base)
+    : base_(base),
+      id_(gSimIds.fetch_add(1, std::memory_order_relaxed) + 1)
 {
-    epoch_.store(nextEpoch(), std::memory_order_release);
+}
+
+CacheSim::Domain&
+CacheSim::domainSlow(PersistDomain& k)
+{
+    uint64_t key = k.id();
+    std::lock_guard<std::mutex> g(domainsMu_);
+    Domain* d = nullptr;
+    for (const auto& p : domains_) {
+        if (p->key == key) {
+            d = p.get();
+            break;
+        }
+    }
+    if (d == nullptr) {
+        size_t idx = domains_.size();
+        domains_.push_back(std::make_unique<Domain>());
+        d = domains_.back().get();
+        d->key = key;
+        // Tags past the field's range fall back to "several"/"any",
+        // which only costs extra invalidations and list entries.
+        d->cacheTag = static_cast<uint8_t>(
+            std::min<size_t>(idx + 1, kManyCachers));
+        d->flushTag = static_cast<uint16_t>(
+            std::min<size_t>(idx + 1, kAnyFlusher));
+    }
+    k.simId_ = id_;
+    k.state_ = d;
+    return *d;
+}
+
+uint64_t
+CacheSim::writes() const
+{
+    std::lock_guard<std::mutex> g(domainsMu_);
+    uint64_t n = 0;
+    for (const auto& d : domains_)
+        n += d->writes.load(std::memory_order_relaxed);
+    return n;
+}
+
+size_t
+CacheSim::volatileLines() const
+{
+    std::lock_guard<std::mutex> g(domainsMu_);
+    // Lines leave the table (retired, dropped) only after they entered
+    // it, under the same shard lock. Reading the leaving counts first,
+    // with acquire, makes every entry they cover visible to the
+    // dirtied sum read next, so the difference never goes negative.
+    uint64_t gone = 0;
+    for (const auto& d : domains_)
+        gone += d->retired.load(std::memory_order_acquire);
+    gone += dropped_.load(std::memory_order_acquire);
+    uint64_t in = 0;
+    for (const auto& d : domains_)
+        in += d->dirtied.load(std::memory_order_relaxed);
+    return static_cast<size_t>(in - gone);
+}
+
+size_t
+CacheSim::slotCapacity() const
+{
+    size_t n = 0;
+    for (const Shard& sh : shards_) {
+        std::lock_guard<std::mutex> g(sh.mu);
+        n += sh.slots.size();
+    }
+    return n;
 }
 
 CacheSim::Slot*
@@ -82,12 +138,10 @@ CacheSim::eraseSlot(Shard& sh, Slot* s)
 }
 
 void
-CacheSim::growShard(Shard& sh)
+CacheSim::resizeShard(Shard& sh, size_t cap)
 {
-    size_t cap = sh.slots.empty() ? 64 : sh.slots.size() * 2;
     std::vector<Slot> old = std::move(sh.slots);
-    sh.slots.assign(cap, Slot{});
-    sh.used = 0;
+    sh.slots = std::vector<Slot>(cap);
     size_t mask = cap - 1;
     for (const Slot& s : old) {
         if (s.key == 0)
@@ -96,15 +150,15 @@ CacheSim::growShard(Shard& sh)
         while (sh.slots[i].key != 0)
             i = (i + 1) & mask;
         sh.slots[i] = s;
-        sh.used++;
     }
 }
 
-void
-CacheSim::dirtyLocked(Shard& sh, uint64_t ln)
+CacheSim::Slot&
+CacheSim::dirtyLocked(Domain& d, Shard& sh, uint64_t ln)
 {
     if ((sh.used + 1) * 10 > sh.slots.size() * 7)
-        growShard(sh);
+        resizeShard(sh, sh.slots.empty() ? kInitialSlots
+                                         : sh.slots.size() * 2);
     size_t mask = sh.slots.size() - 1;
     size_t i = mixLine(ln) & mask;
     while (true) {
@@ -112,48 +166,95 @@ CacheSim::dirtyLocked(Shard& sh, uint64_t ln)
         if (s.key == 0) {
             s.key = ln + 1;
             s.state = kDirty;
+            s.seq = ++sh.seq;
+            s.flusher = 0;
+            s.cacher = 0;
             std::memcpy(s.snapshot.data(), base_ + ln * kCacheLine,
                         kCacheLine);
             sh.used++;
-            volatile_.fetch_add(1, std::memory_order_relaxed);
-            return;
+            d.dirtied.store(
+                d.dirtied.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+            return s;
         }
         if (s.key == ln + 1) {
             // A new store re-dirties a clwb'd line; clwb without a
             // fence gives no durability, so the original snapshot
-            // stays the revert target.
-            s.state = kDirty;
-            return;
+            // stays the revert target. The new sequence voids every
+            // domain's listing of the earlier clwb.
+            if (s.state == kPending) {
+                s.state = kDirty;
+                s.seq = ++sh.seq;
+                s.flusher = 0;
+            }
+            return s;
         }
         i = (i + 1) & mask;
     }
 }
 
 void
-CacheSim::willWriteSlow(uint64_t first, uint64_t last, uint64_t e,
-                        DirtyLineCache& c)
+CacheSim::willWriteSlow(Domain& d, uint64_t first, uint64_t last,
+                        uint64_t g)
 {
     LineObserver* obs = lineObs_.load(std::memory_order_relaxed);
     uint64_t ln = first;
     while (ln <= last) {
         Shard& sh = shardOf(ln);
-        std::lock_guard<std::mutex> g(sh.mu);
+        std::lock_guard<std::mutex> lk(sh.mu);
         do {
             if (obs != nullptr)
                 obs->lineDirtied(ln);
-            dirtyLocked(sh, ln);
+            Slot& s = dirtyLocked(d, sh, ln);
             if (obs == nullptr) {
-                // Tagging with the pre-lock epoch keeps the way safe:
-                // if a flush/fence raced us, the current epoch already
-                // moved past `e` and the way never validates.
-                DirtyLineCache::Way& w =
-                    c.ways[ln & (DirtyLineCache::kWays - 1)];
+                // Tagging with the pre-lock generation keeps the way
+                // safe: if a cross-domain flush raced us, the
+                // generation already moved past `g` and the way never
+                // validates.
+                Domain::Way& w = d.ways[ln & (kWays - 1)];
                 w.line1 = ln + 1;
-                w.epoch = e;
+                w.gen = g;
+                if (s.cacher == 0)
+                    s.cacher = d.cacheTag;
+                else if (s.cacher != d.cacheTag)
+                    s.cacher = kManyCachers;
             }
             ln++;
         } while (ln <= last && &shardOf(ln) == &sh);
     }
+}
+
+void
+CacheSim::flushLocked(Domain& d, Shard& sh, uint64_t ln,
+                      LineObserver* obs, bool& cross)
+{
+    Slot* s = findSlot(sh, ln);
+    if (s == nullptr)
+        return;
+    if (s->state == kDirty) {
+        s->state = kPending;
+        // The line leaves the dirty state: no way may validate it
+        // any longer. Ours is cleared here; another domain's needs a
+        // generation bump.
+        if (s->cacher != 0 &&
+            (s->cacher != d.cacheTag || d.cacheTag == kManyCachers))
+            cross = true;
+        s->cacher = 0;
+        Domain::Way& w = d.ways[ln & (kWays - 1)];
+        if (w.line1 == ln + 1)
+            w.line1 = 0;
+        if (obs != nullptr)
+            obs->lineFlushed(ln);
+    } else if (s->flusher == d.flushTag && d.flushTag != kAnyFlusher) {
+        return;  // already listed by this domain
+    }
+    // A pending line another domain flushed is listed here too: this
+    // domain's clwb makes it durable at this domain's fence.
+    s->flusher = d.flushTag;
+    size_t idx = static_cast<size_t>(&sh - shards_.data());
+    if (d.pending[idx].empty())
+        d.pendingShards |= uint64_t{1} << idx;
+    d.pending[idx].push_back({ln, s->seq});
 }
 
 void
@@ -161,28 +262,23 @@ CacheSim::flush(uint64_t off, size_t len)
 {
     if (len == 0)
         return;
+    Domain& d = domain();
     uint64_t first = off / kCacheLine;
     uint64_t last = (off + len - 1) / kCacheLine;
     uint64_t nlines = last - first + 1;
     LineObserver* obs = lineObs_.load(std::memory_order_relaxed);
+    bool cross = false;
     uint64_t ln = first;
     while (ln <= last) {
         Shard& sh = shardOf(ln);
         std::lock_guard<std::mutex> g(sh.mu);
         do {
-            Slot* s = findSlot(sh, ln);
-            if (s != nullptr && s->state == kDirty) {
-                s->state = kPending;
-                if (sh.pending.empty())
-                    markPending(sh);
-                sh.pending.push_back(ln);
-                if (obs != nullptr)
-                    obs->lineFlushed(ln);
-            }
+            flushLocked(d, sh, ln, obs, cross);
             ln++;
         } while (ln <= last && &shardOf(ln) == &sh);
     }
-    bumpEpoch();
+    if (cross)
+        bumpGen();
     notifyFlush(nlines, nlines * kCacheLine);
 }
 
@@ -191,28 +287,22 @@ CacheSim::flushLines(uint64_t* lines, size_t n)
 {
     if (n == 0)
         return;
+    Domain& d = domain();
     std::sort(lines, lines + n);
     n = static_cast<size_t>(std::unique(lines, lines + n) - lines);
     LineObserver* obs = lineObs_.load(std::memory_order_relaxed);
+    bool cross = false;
     size_t i = 0;
     while (i < n) {
         Shard& sh = shardOf(lines[i]);
         std::lock_guard<std::mutex> g(sh.mu);
         do {
-            uint64_t ln = lines[i];
-            Slot* s = findSlot(sh, ln);
-            if (s != nullptr && s->state == kDirty) {
-                s->state = kPending;
-                if (sh.pending.empty())
-                    markPending(sh);
-                sh.pending.push_back(ln);
-                if (obs != nullptr)
-                    obs->lineFlushed(ln);
-            }
+            flushLocked(d, sh, lines[i], obs, cross);
             i++;
         } while (i < n && &shardOf(lines[i]) == &sh);
     }
-    bumpEpoch();
+    if (cross)
+        bumpGen();
     // Adjacent lines coalesce into one clwb burst each; scattered
     // lines remain independent (overlapping) flushes for the timing
     // model, like back-to-back clwbs on hardware.
@@ -229,28 +319,44 @@ CacheSim::flushLines(uint64_t* lines, size_t n)
 void
 CacheSim::fence()
 {
+    Domain& d = domain();
     LineObserver* obs = lineObs_.load(std::memory_order_relaxed);
-    // Only visit shards that took a clwb since the last fence; a
-    // fence with nothing outstanding touches no locks at all.
-    uint64_t mask =
-        pendingShards_.exchange(0, std::memory_order_acq_rel);
+    // Only visit shards this domain flushed into since its last
+    // fence; a fence with nothing outstanding touches no locks.
+    uint64_t mask = d.pendingShards;
+    d.pendingShards = 0;
+    uint64_t retired = 0;
     while (mask != 0) {
         auto idx = static_cast<size_t>(std::countr_zero(mask));
         mask &= mask - 1;
         Shard& sh = shards_[idx];
+        std::vector<PendingLine>& list = d.pending[idx];
         std::lock_guard<std::mutex> g(sh.mu);
-        for (uint64_t ln : sh.pending) {
-            Slot* s = findSlot(sh, ln);
-            // A re-dirtied (kDirty) or doubly-listed (already erased)
-            // line is skipped; only a real pending line retires.
-            if (s != nullptr && s->state == kPending) {
+        for (const PendingLine& p : list) {
+            Slot* s = findSlot(sh, p.line);
+            // A line re-dirtied since this domain's clwb, already
+            // retired by another domain's fence, or listed twice is
+            // skipped; only a line still pending from this clwb
+            // retires.
+            if (s != nullptr && s->state == kPending && s->seq == p.seq) {
                 eraseSlot(sh, s);
-                volatile_.fetch_sub(1, std::memory_order_relaxed);
+                retired++;
             }
         }
-        sh.pending.clear();
+        list.clear();
+        // Size the table to the lines in flight: a shard the fence
+        // left at 1/8 load or less shrinks to a quarter full (at
+        // least its initial size), so one burst does not tax every
+        // later probe and crash sweep.
+        size_t cap = sh.slots.size();
+        if (cap > kInitialSlots && sh.used * 8 <= cap)
+            resizeShard(sh, std::max(kInitialSlots,
+                                     std::bit_ceil(sh.used * 4)));
     }
-    bumpEpoch();
+    if (retired != 0)
+        d.retired.store(d.retired.load(std::memory_order_relaxed) +
+                            retired,
+                        std::memory_order_release);
     if (obs != nullptr)
         obs->fenceRetired();
     notifyFence();
@@ -260,6 +366,7 @@ size_t
 CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
 {
     size_t reverted = 0;
+    uint64_t dropped = 0;
     for (Shard& sh : shards_) {
         std::lock_guard<std::mutex> g(sh.mu);
         for (Slot& s : sh.slots) {
@@ -281,14 +388,18 @@ CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
                 }
             }
         }
-        std::fill(sh.slots.begin(), sh.slots.end(), Slot{});
+        dropped += sh.used;
+        // Domains' pending listings go stale with their slots: the
+        // shard's sequence keeps counting, so none matches again.
+        if (sh.slots.size() > kInitialSlots)
+            sh.slots = std::vector<Slot>(kInitialSlots);
+        else
+            std::fill(sh.slots.begin(), sh.slots.end(), Slot{});
         sh.used = 0;
-        sh.pending.clear();
     }
-    volatile_.store(0, std::memory_order_relaxed);
-    pendingShards_.store(0, std::memory_order_relaxed);
+    dropped_.fetch_add(dropped, std::memory_order_release);
     crashes_.fetch_add(1, std::memory_order_relaxed);
-    bumpEpoch();
+    bumpGen();
     if (auto* obs = lineObs_.load(std::memory_order_relaxed))
         obs->trackingReset();
     return reverted;
@@ -322,7 +433,7 @@ CacheSim::setLineObserver(LineObserver* obs)
     // Block the fast path: no way survives the bump, and no new ways
     // are inserted while an observer is present, so it sees every
     // subsequent transition.
-    bumpEpoch();
+    bumpGen();
 }
 
 }  // namespace cnvm::nvm

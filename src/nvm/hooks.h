@@ -11,21 +11,23 @@
  *    event bumps the stats counter *and* feeds the observer, so every
  *    flush path (range flush, batched line flush, fence) accounts
  *    identically.
- *  - DirtyLineCache: the per-thread epoch-tagged cache of lines this
- *    thread already dirtied. Pool::write consults it to skip the shard
- *    lock of CacheSim entirely for repeated stores to a dirty line; any
- *    event that can move a line out of the dirty state (flush, fence,
- *    crash, observer install) invalidates all caches by bumping the
- *    owning CacheSim's epoch.
+ *  - PersistDomain: the identity of the calling thread's persistence
+ *    domain, whose fence orders only its own flushes (one core's sfence
+ *    orders that core's clwbs). Each OS thread has one; sim::Scope
+ *    installs a logical thread's in its place. CacheSim keeps the
+ *    domain's state (pending lines, dirty-line cache, counters) per
+ *    sim, keyed by the domain's id; the identity only remembers where
+ *    that state lives in the sim it used last.
  */
 #ifndef CNVM_NVM_HOOKS_H
 #define CNVM_NVM_HOOKS_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace cnvm::nvm {
+
+class CacheSim;
 
 /** Receives persistence events for the calling thread. */
 class PersistObserver {
@@ -51,31 +53,56 @@ void notifyFlush(uint64_t nlines, uint64_t bytes);
 void notifyFence();
 
 /**
- * Direct-mapped, epoch-tagged cache of cache-line numbers the calling
- * thread knows to be dirty in some CacheSim. A way is valid iff its
- * epoch equals the probing CacheSim's current epoch; epochs are drawn
- * from a process-global counter, so a value never recurs across sims
- * (or across flush/fence/crash boundaries within one sim) and stale
- * ways simply miss. Collisions evict silently — the cache is purely an
- * optimization; the shard table stays authoritative.
+ * Identity of one persistence domain, used by one thread at a time. A
+ * copy is a new domain. Each CacheSim the domain touches registers
+ * state for it under id(); the identity caches that state for the last
+ * sim it used, tagged with the sim's never-reused id, so a destroyed
+ * sim's entry never matches.
  */
-struct DirtyLineCache {
-    static constexpr size_t kWays = 1024;   // 16 KiB per thread
+class PersistDomain {
+ public:
+    constexpr PersistDomain() = default;
+    PersistDomain(const PersistDomain&) {}
+    PersistDomain&
+    operator=(const PersistDomain&)
+    {
+        return *this;
+    }
 
-    struct Way {
-        uint64_t line1 = 0;   ///< line number + 1; 0 = empty
-        uint64_t epoch = 0;   ///< epoch the entry was inserted under
-    };
+    /** Never reused; drawn on first call. */
+    uint64_t id();
 
-    std::array<Way, kWays> ways;
+ private:
+    friend class CacheSim;
+    uint64_t id_ = 0;
+    uint64_t simId_ = 0;     ///< sim whose state `state_` is
+    void* state_ = nullptr;  ///< that sim's CacheSim::Domain
 };
 
-/** The calling thread's dirty-line cache. Inline: probed per store. */
-inline DirtyLineCache&
-dirtyLineCache()
+namespace detail {
+/** The installed logical domain, or nullptr for the thread's own. */
+inline PersistDomain*&
+installedDomain()
 {
-    static thread_local DirtyLineCache tc;
-    return tc;
+    static thread_local PersistDomain* d = nullptr;
+    return d;
+}
+}  // namespace detail
+
+/** Install (or clear, with nullptr) the calling thread's domain. */
+inline void
+setPersistDomain(PersistDomain* d)
+{
+    detail::installedDomain() = d;
+}
+
+/** The calling thread's domain. Inline: looked up per store. */
+inline PersistDomain&
+persistDomain()
+{
+    static thread_local PersistDomain own;
+    PersistDomain* d = detail::installedDomain();
+    return d != nullptr ? *d : own;
 }
 
 }  // namespace cnvm::nvm

@@ -215,11 +215,12 @@ void
 Pool::write(void* dst, const void* src, size_t n)
 {
     CNVM_CHECK(contains(dst), "write outside pool");
-    writeCount_.fetch_add(1, std::memory_order_relaxed);
+    CacheSim::Domain& d = cache_->domain();
+    d.countWrite();
     if (trapCountdown_.load(std::memory_order_relaxed) > 0 &&
         trapCountdown_.fetch_sub(1, std::memory_order_relaxed) == 1)
         throw CrashInjected{};
-    cache_->willWrite(offsetOf(dst), n);
+    cache_->willWrite(d, offsetOf(dst), n);
     if (n == 8)
         std::memcpy(dst, src, 8);  // common pointer/field case
     else

@@ -238,11 +238,12 @@ class Pool {
         trapCountdown_.store(countdown, std::memory_order_relaxed);
     }
 
-    /** Writes performed since construction (to size trap sweeps). */
-    uint64_t writeCount() const
-    {
-        return writeCount_.load(std::memory_order_relaxed);
-    }
+    /**
+     * Writes performed since construction (to size trap sweeps): a sum
+     * of per-domain counts that each store bumps without a locked
+     * read-modify-write. Exact while no other thread writes.
+     */
+    uint64_t writeCount() const { return cache_->writes(); }
 
     /** Ambient pool used by PPtr<T>. */
     static Pool* current();
@@ -254,9 +255,8 @@ class Pool {
     PoolHeader* mutableHeader() const;
 
     // Atomic: Pool::write runs concurrently in the CacheSim stress
-    // tests; these counters carry no ordering, relaxed is enough.
+    // tests; the trap carries no ordering, relaxed is enough.
     std::atomic<uint64_t> trapCountdown_{0};
-    std::atomic<uint64_t> writeCount_{0};
     uint8_t* base_ = nullptr;
     size_t mappedSize_ = 0;
     int fd_ = -1;

@@ -12,7 +12,9 @@
  *  - flush/fence events (reported by the NVM layer through the
  *    PersistObserver hook) add modeled stall time;
  *  - SimMutex / SimSharedMutex (lock.h) merge clocks so contended locks
- *    serialize logical time exactly as real locks serialize wall time.
+ *    serialize logical time exactly as real locks serialize wall time;
+ *  - each logical thread is its own persistence domain, so its fences
+ *    retire only its own flushes, as on a real core.
  *
  * Simulated throughput is ops / max(logical clocks). The library itself
  * remains safe under real std::thread use (see tests); only the
@@ -28,12 +30,14 @@
 
 namespace cnvm::sim {
 
-/** One logical thread: a clock plus its persistence pipeline. */
+/** One logical thread: a clock, its persistence pipeline and its
+ *  persistence domain. */
 class ThreadCtx : public nvm::PersistObserver {
  public:
     explicit ThreadCtx(unsigned tid = 0) : tid_(tid) {}
 
     unsigned tid() const { return tid_; }
+    nvm::PersistDomain& domain() { return domain_; }
     uint64_t clockNs() const { return clockNs_; }
 
     /** Advance the clock by compute (measured or modeled) time. */
@@ -71,6 +75,7 @@ class ThreadCtx : public nvm::PersistObserver {
     unsigned tid_;
     uint64_t clockNs_ = 0;
     stats::PersistClock persist_;
+    nvm::PersistDomain domain_;
 };
 
 /** The logical thread currently executing, or nullptr (real-thread mode). */
@@ -79,19 +84,22 @@ ThreadCtx* cur();
 /** Install/clear the calling OS thread's logical context. */
 void setCur(ThreadCtx* ctx);
 
-/** RAII scope installing a logical context (and its persist observer). */
+/** RAII scope installing a logical context (and its persist observer
+ *  and persistence domain). */
 class Scope {
  public:
     explicit Scope(ThreadCtx* ctx)
     {
         setCur(ctx);
         nvm::setPersistObserver(ctx);
+        nvm::setPersistDomain(&ctx->domain());
     }
 
     ~Scope()
     {
         setCur(nullptr);
         nvm::setPersistObserver(nullptr);
+        nvm::setPersistDomain(nullptr);
     }
 
     Scope(const Scope&) = delete;

@@ -25,12 +25,36 @@
 #include <string_view>
 #include <vector>
 
+#include "common/error.h"
 #include "txn/engine.h"
+#include "txn/tx.h"
 
 namespace cnvm::ds {
 
 constexpr size_t kMaxKeyLen = 64;
 constexpr size_t kMaxValLen = 1024;
+
+/**
+ * Bounds one walk along a structure's links. The heap has room for at
+ * most heapSize / nodeBytes nodes, so a longer walk revisits a node:
+ * the structure has a cycle, which only a broken persistence order
+ * leaves behind. Failing through CNVM_CHECK lets the torture oracle
+ * report the case with its replay line instead of spinning forever.
+ */
+class WalkBound {
+ public:
+    WalkBound(txn::Tx& tx, size_t nodeBytes)
+        : left_(tx.pool().heapSize() / nodeBytes) {}
+
+    void
+    step()
+    {
+        CNVM_CHECK(left_-- > 0, "walk outgrew the heap: a link cycle");
+    }
+
+ private:
+    uint64_t left_;
+};
 
 /** Volatile out-parameter for lookups (read-only transactions are
  *  never re-executed, so passing its address is safe). */

@@ -48,7 +48,9 @@ listPutFn(txn::Tx& tx, txn::ArgReader& a)
     auto val = a.getString();
 
     // Replace in place if the key exists.
+    WalkBound walk(tx, sizeof(ListNode));
     for (auto n = tx.ld(root->head); !n.isNull(); n = tx.ld(n->next)) {
+        walk.step();
         if (!keyEquals(tx, n, key))
             continue;
         if (tx.ld(n->valLen) == val.size()) {
@@ -75,8 +77,10 @@ listDelFn(txn::Tx& tx, txn::ArgReader& a)
     auto root = nvm::PPtr<PList>(a.get<uint64_t>());
     auto key = a.getString();
     auto prev = nvm::PPtr<ListNode>();
+    WalkBound walk(tx, sizeof(ListNode));
     for (auto n = tx.ld(root->head); !n.isNull();
          prev = n, n = tx.ld(n->next)) {
+        walk.step();
         if (!keyEquals(tx, n, key))
             continue;
         auto next = tx.ld(n->next);
@@ -99,7 +103,9 @@ listGetFn(txn::Tx& tx, txn::ArgReader& a)
     if (tx.recovering())
         return;  // out points into the crashed process's stack
     out->found = false;
+    WalkBound walk(tx, sizeof(ListNode));
     for (auto n = tx.ld(root->head); !n.isNull(); n = tx.ld(n->next)) {
+        walk.step();
         if (!keyEquals(tx, n, key))
             continue;
         out->found = true;
@@ -124,8 +130,10 @@ removeAndReinsert(txn::Tx& tx, nvm::PPtr<PList> root,
                   std::string_view key, std::string_view val)
 {
     auto prev = nvm::PPtr<ListNode>();
+    WalkBound walk(tx, sizeof(ListNode));
     for (auto n = tx.ld(root->head); !n.isNull();
          prev = n, n = tx.ld(n->next)) {
+        walk.step();
         if (!keyEquals(tx, n, key))
             continue;
         auto next = tx.ld(n->next);

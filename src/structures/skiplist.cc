@@ -34,8 +34,10 @@ findPredecessors(txn::Tx& tx, nvm::PPtr<PSkiplist> root, uint64_t key,
 {
     auto cur = nvm::PPtr<SkNode>::of(&root->head);
     for (int lvl = kSkipMaxLevel - 1; lvl >= 0; lvl--) {
+        WalkBound walk(tx, sizeof(SkNode));
         for (auto nxt = tx.ld(cur->next[lvl]); !nxt.isNull();
              nxt = tx.ld(cur->next[lvl])) {
+            walk.step();
             if (tx.ld(nxt->key) < key)
                 cur = nxt;
             else

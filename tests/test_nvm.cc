@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -14,6 +17,7 @@
 #include "common/rand.h"
 #include "nvm/pool.h"
 #include "nvm/pptr.h"
+#include "sim/executor.h"
 #include "stats/counters.h"
 
 namespace cnvm::nvm {
@@ -234,6 +238,202 @@ TEST(CacheSimConcurrency, ShardedStressSurvivesCrash)
         EXPECT_EQ(got, 0xF00D0000ull + t);
     }
     EXPECT_EQ(p->cache().volatileLines(), 0u);
+}
+
+/**
+ * Run `steps` in order, each on the real thread its first member names
+ * (0 .. nThreads-1), so every thread stays one persistence domain
+ * across its steps.
+ */
+using Step = std::pair<unsigned, std::function<void()>>;
+
+void
+inTurns(unsigned nThreads, const std::vector<Step>& steps)
+{
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < nThreads; t++) {
+        threads.emplace_back([&, t] {
+            for (size_t i = 0; i < steps.size(); i++) {
+                if (steps[i].first != t)
+                    continue;
+                while (next.load() != i)
+                    std::this_thread::yield();
+                steps[i].second();
+                next.store(i + 1);
+            }
+        });
+    }
+    for (auto& th : threads)
+        th.join();
+}
+
+TEST(CacheSimConcurrency, FenceRetiresOnlyItsOwnDomainsFlushes)
+{
+    // sfence orders only the issuing core's clwbs: B's flushed line
+    // stays volatile across A's fence, and B's own fence retires it.
+    auto p = makePool();
+    auto* x = reinterpret_cast<uint64_t*>(p->at(p->heapOff() + 8192));
+    auto* y = x + 64;  // another line, for the two-flusher case
+    uint64_t before = 1, after = 2;
+    p->write(x, &before, sizeof(before));
+    p->write(y, &before, sizeof(before));
+    p->persist(x, 8 * 65);
+    constexpr unsigned A = 0, B = 1;
+    inTurns(2, {{B,
+                 [&] {
+                     p->write(x, &after, sizeof(after));
+                     p->flush(x, sizeof(after));
+                 }},
+                {A, [&] { p->fence(); }}});
+    EXPECT_EQ(p->cache().volatileLines(), 1u);
+    p->cache().crashAllLost();
+    EXPECT_EQ(*x, before) << "A's fence retired B's clwb";
+
+    // A line both domains flushed retires at the first fence, and the
+    // second finds nothing left to retire.
+    inTurns(2, {{B,
+                 [&] {
+                     p->write(y, &after, sizeof(after));
+                     p->flush(y, sizeof(after));
+                 }},
+                {A,
+                 [&] {
+                     p->flush(y, sizeof(after));
+                     p->fence();
+                 }},
+                {B, [&] { p->fence(); }}});
+    EXPECT_EQ(p->cache().volatileLines(), 0u);
+    p->cache().crashAllLost();
+    EXPECT_EQ(*y, after);
+}
+
+TEST(CacheSimConcurrency, LogicalThreadsAreSeparateDomains)
+{
+    // The same case under sim::Executor: logical thread 1 (B) stores
+    // and flushes, logical thread 0 (A) fences in the next round, both
+    // on one OS thread.
+    auto p = makePool();
+    auto* x = reinterpret_cast<uint64_t*>(p->at(p->heapOff() + 8192));
+    uint64_t before = 1, after = 2;
+    p->write(x, &before, sizeof(before));
+    p->persist(x, sizeof(before));
+    sim::Executor ex(2);
+    ex.run(2, [&](sim::ThreadCtx& ctx, size_t i) {
+        if (ctx.tid() == 1 && i == 0) {
+            p->write(x, &after, sizeof(after));
+            p->flush(x, sizeof(after));
+        }
+        if (ctx.tid() == 0 && i == 1)
+            p->fence();
+    });
+    p->cache().crashAllLost();
+    EXPECT_EQ(*x, before);
+}
+
+TEST(CacheSimConcurrency, CrossDomainFlushInvalidatesFastPath)
+{
+    // B's second store validates B's dirty-line cache. A then flushes
+    // and fences the line, so B's way no longer names a dirty line:
+    // B's third store must take the slow path and snapshot the line
+    // again, or a crash would keep a store that was never flushed.
+    auto p = makePool();
+    auto* x = reinterpret_cast<uint64_t*>(p->at(p->heapOff() + 8192));
+    uint64_t v1 = 1, v2 = 2, v3 = 3;
+    constexpr unsigned A = 0, B = 1;
+    inTurns(2, {{B,
+                 [&] {
+                     p->write(x, &v1, sizeof(v1));
+                     p->write(x, &v2, sizeof(v2));
+                 }},
+                {A,
+                 [&] {
+                     p->flush(x, sizeof(v2));
+                     p->fence();
+                 }},
+                {B, [&] { p->write(x, &v3, sizeof(v3)); }}});
+    EXPECT_EQ(p->cache().volatileLines(), 1u);
+    p->cache().crashAllLost();
+    EXPECT_EQ(*x, v2);
+}
+
+TEST(CacheSimConcurrency, CountsStayExactAcrossDomains)
+{
+    // writeCount() and volatileLines() are sums of per-domain counts.
+    // A reader polls them while four threads store, flush and fence;
+    // at each barrier they are exact.
+    auto p = makePool(16 << 20);
+    constexpr unsigned kThreads = 4;
+    constexpr uint64_t kLines = 512;
+    const uint64_t w0 = p->writeCount();
+    ASSERT_EQ(p->cache().volatileLines(), 0u);
+    auto lineOff = [&](unsigned t, uint64_t l) {
+        return p->heapOff() + 4096 + (t * kLines + l) * kCacheLine;
+    };
+    std::barrier sync(kThreads + 1);
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+        uint64_t last = 0;
+        while (!stop.load()) {
+            uint64_t w = p->writeCount() - w0;
+            EXPECT_GE(w, last);
+            EXPECT_LE(w, 2 * kThreads * kLines);
+            EXPECT_LE(p->cache().volatileLines(), kThreads * kLines);
+            last = w;
+        }
+    });
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            for (uint64_t l = 0; l < kLines; l++) {
+                p->writeAt(lineOff(t, l), &l, sizeof(l));
+                p->writeAt(lineOff(t, l) + 8, &l, sizeof(l));
+            }
+            sync.arrive_and_wait();
+            sync.arrive_and_wait();
+            p->flush(p->at(lineOff(t, 0)), kLines / 2 * kCacheLine);
+            p->fence();
+            sync.arrive_and_wait();
+            sync.arrive_and_wait();
+            p->flush(p->at(lineOff(t, kLines / 2)),
+                     kLines / 2 * kCacheLine);
+            p->fence();
+            sync.arrive_and_wait();
+        });
+    }
+    sync.arrive_and_wait();
+    EXPECT_EQ(p->writeCount() - w0, 2 * kThreads * kLines);
+    EXPECT_EQ(p->cache().volatileLines(), kThreads * kLines);
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    EXPECT_EQ(p->cache().volatileLines(), kThreads * kLines / 2);
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    EXPECT_EQ(p->cache().volatileLines(), 0u);
+    for (auto& th : threads)
+        th.join();
+    stop.store(true);
+    reader.join();
+    EXPECT_EQ(p->writeCount() - w0, 2 * kThreads * kLines);
+}
+
+TEST(CacheSim, FenceShrinksTableAfterBurst)
+{
+    // A 1 MiB store under one fence grows every shard; the fence that
+    // retires the burst returns each to its initial 64 slots.
+    auto p = makePool();
+    constexpr size_t kInitial = 64 * 64;  // shards x initial slots
+    std::vector<uint8_t> burst(1 << 20, 0x5a);
+    uint8_t* dst = static_cast<uint8_t*>(p->at(p->heapOff() + 4096));
+    p->write(dst, burst.data(), burst.size());
+    EXPECT_GT(p->cache().slotCapacity(), kInitial);
+    p->persist(dst, burst.size());
+    EXPECT_EQ(p->cache().volatileLines(), 0u);
+    EXPECT_EQ(p->cache().slotCapacity(), kInitial);
+    // A crash likewise leaves every shard at its initial size.
+    p->write(dst, burst.data(), burst.size());
+    p->cache().crashAllLost();
+    EXPECT_EQ(p->cache().slotCapacity(), kInitial);
 }
 
 TEST(StatsConcurrency, AggregateDuringTraffic)
