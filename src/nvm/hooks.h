@@ -63,11 +63,7 @@ class PersistDomain {
  public:
     constexpr PersistDomain() = default;
     PersistDomain(const PersistDomain&) {}
-    PersistDomain&
-    operator=(const PersistDomain&)
-    {
-        return *this;
-    }
+    PersistDomain& operator=(const PersistDomain&) { return *this; }
 
     /** Never reused; drawn on first call. */
     uint64_t id();

@@ -12,6 +12,7 @@
 #include "structures/avltree.h"
 #include "structures/bptree.h"
 #include "structures/kv.h"
+#include "structures/list.h"
 #include "structures/rbtree.h"
 #include "testutil.h"
 
@@ -408,6 +409,23 @@ TEST(AvlInvariants, BalancedUnderChurn)
                  reinterpret_cast<uint64_t>(&got));
         ASSERT_EQ(got, v);
     }
+}
+
+TEST(ListWalks, CycleFailsInsteadOfSpinning)
+{
+    // A link cycle, which only a broken persistence order leaves
+    // behind, must fail the walk through CNVM_CHECK (so the torture
+    // oracle reports the case) instead of spinning forever.
+    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
+    auto eng = h.engine();
+    ds::List list(eng);
+    list.insert("a", "1");
+    list.insert("b", "2");  // prepended: head -> b -> a
+    auto* root = static_cast<ds::PList*>(h.pool->at(list.rootOff()));
+    ds::ListNode* a = root->head->next.get();
+    h.pool->write(&a->next, &root->head, sizeof(root->head));  // a -> b
+    ds::LookupResult r;
+    EXPECT_THROW(list.lookup("zz", &r), PanicError);
 }
 
 TEST(RealThreads, HashMapParallelInserts)
