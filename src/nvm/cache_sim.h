@@ -143,8 +143,8 @@ class CacheSim {
 
     /**
      * One persistence domain's state in this sim. Only the owning
-     * domain touches it, except that writes(), volatileLines() and
-     * crash() read the counters.
+     * domain touches it, except that writes() and volatileLines() read
+     * the counters.
      */
     struct alignas(64) Domain {
         std::atomic<uint64_t> writes{0};   ///< Pool::write calls
@@ -248,7 +248,7 @@ class CacheSim {
     uint64_t writes() const;
 
     /** Lines currently dirty or pending: a sum over the domains. Exact
-     *  when quiescent; never below the true count while traffic runs. */
+     *  when quiescent; never negative while traffic runs. */
     size_t volatileLines() const;
 
     /** Slots allocated over all shards: the sizing rule's witness

@@ -13,7 +13,8 @@
  *   store   a cache line is dirtied (observer runs before the store's
  *           memcpy, so a crash here loses the store entirely);
  *   clwb    a dirty line moves to the pending state;
- *   sfence  the fence retires every pending line to durable.
+ *   sfence  the fence retires the fencing domain's pending lines to
+ *           durable (every pending line, with one domain).
  *
  * arm(k) throws nvm::CrashInjected in place of the k-th subsequent
  * event (k = 1 is the very next one). The trap disarms itself when it
