@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
-#include "common/rand.h"
 #include "stats/counters.h"
 
 namespace cnvm::alloc {
@@ -30,9 +30,10 @@ alignUp(uint64_t v, uint64_t a)
 uint64_t
 quarantineChecksum(uint32_t count, const QuarantineEntry* entries)
 {
-    uint64_t sum = fnv1a(&count, sizeof(count));
-    sum ^= fnv1a(entries, count * sizeof(QuarantineEntry));
-    return sum == 0 ? 1 : sum;
+    WordSum s;
+    s.add(count);
+    s.addBytes(entries, count * sizeof(QuarantineEntry));
+    return s.value();
 }
 
 AllocHeader
@@ -329,9 +330,11 @@ PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
     uint64_t firstGranule = (bOff - h.dataOff) / kGranule;
     uint64_t firstByte = h.bitmapOff + firstGranule / 8;
     uint64_t lastByte = h.bitmapOff + (firstGranule + granules - 1) / 8;
-    // Read-modify-write whole bytes under the allocator lock.
-    std::vector<uint8_t> buf(lastByte - firstByte + 1);
-    std::memcpy(buf.data(), pool_.at(firstByte), buf.size());
+    // Read-modify-write whole bytes under the allocator lock, in a
+    // buffer that keeps its capacity across calls.
+    std::vector<uint8_t>& buf = bitsScratch_;
+    const auto* src = static_cast<const uint8_t*>(pool_.at(firstByte));
+    buf.assign(src, src + (lastByte - firstByte + 1));
     for (uint64_t g = 0; g < granules; g++) {
         uint64_t bit = firstGranule + g;
         uint64_t byte = (h.bitmapOff + bit / 8) - firstByte;

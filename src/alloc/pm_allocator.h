@@ -23,7 +23,8 @@
  * the session starts over only when the pool took a crash or a media
  * fault after the map was built (nvm::Pool::upsets).
  *
- * Persistent layout inside the pool's heap region (pool version 2):
+ * Persistent layout inside the pool's heap region (pool version 3,
+ * which changed only the quarantine table's checksum):
  *
  *   [ AllocHeader | quarantine table | bitmap (1 bit / 16-byte
  *     granule) | data ]
@@ -93,7 +94,8 @@ struct QuarantineTable {
     QuarantineEntry entries[kCapacity];
 };
 
-/** fnv1a over the live prefix of the table (0 maps to 1). */
+/** WordSum (common/checksum.h) over the count and the table's live
+ *  prefix, so a change to any one covered word changes it. */
 uint64_t quarantineChecksum(uint32_t count,
                             const QuarantineEntry* entries);
 
@@ -341,6 +343,9 @@ class PmAllocator {
     RebuildStats lazyStats_{};    ///< salvage found since armed
     uint64_t builtAt_ = 0;        ///< pool_.upsets() when armed
     /// @}
+    /** setBits' copy of the bitmap bytes it rewrites (guarded by mu_,
+     *  like every setBits call) */
+    std::vector<uint8_t> bitsScratch_;
 };
 
 }  // namespace cnvm::alloc

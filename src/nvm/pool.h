@@ -91,8 +91,13 @@ struct PoolHeader {
 class Pool {
  public:
     static constexpr uint64_t kMagic = 0xC10BBE12A112F00DULL;
-    /** v2: heap region gained the persistent quarantine table. */
-    static constexpr uint64_t kVersion = 2;
+    /**
+     * v2: heap region gained the persistent quarantine table.
+     * v3: every record checksum is a WordSum (common/checksum.h), not
+     * an xor of per-field fnv1a sums; a v2 pool is refused, since its
+     * sums would read as damage.
+     */
+    static constexpr uint64_t kVersion = 3;
 
     /** Create and format a new pool (truncates an existing file). */
     static std::unique_ptr<Pool> create(const PoolConfig& cfg);

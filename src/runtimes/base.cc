@@ -7,10 +7,14 @@
 #include "common/rand.h"
 #include "nvm/cache_sim.h"
 #include "stats/counters.h"
+#include "txn/args.h"
 
 namespace cnvm::rt {
 
 using salvage::alignUp8;
+
+static_assert(txn::ArgWriter::kInlineBytes == kMaxArgBytes,
+              "ArgWriter's inline buffer must hold any v_log blob");
 
 RuntimeBase::RuntimeBase(nvm::Pool& pool, alloc::PmAllocator& heap)
     : pool_(pool), heap_(heap), slots_(pool.maxThreads()),
@@ -190,8 +194,8 @@ RuntimeBase::persistIntentsAndAllocs(unsigned tid)
     CNVM_CHECK(s.actions.size() <= kMaxIntents,
                "too many allocation actions in one transaction");
     TxDescriptor& d = desc(tid);
-    std::vector<AllocIntent> table;
-    table.reserve(s.actions.size());
+    std::vector<AllocIntent>& table = s.intentScratch;
+    table.clear();
     for (const auto& [off, isFree] : s.actions) {
         AllocIntent in{};
         in.payloadOff = off;

@@ -125,6 +125,9 @@ class RuntimeBase : public txn::Runtime {
         std::vector<ScannedEntry> scanScratch;
         /** bytes used in the slot's log area */
         size_t logTail = 0;
+        /** the intent table persistIntentsAndAllocs builds from
+         *  actions, kept so a commit reuses its capacity */
+        std::vector<AllocIntent> intentScratch;
 
         bool
         inLoadRun(uint64_t lo, uint64_t hi) const

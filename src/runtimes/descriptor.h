@@ -83,7 +83,10 @@ struct LogEntryHeader {
     uint64_t targetOff;   ///< pool offset the payload belongs to
     uint32_t len;         ///< payload bytes (0 is invalid)
     uint32_t seqLo;       ///< low 32 bits of the owning txSeq
-    uint64_t checksum;    ///< fnv1a over (targetOff, len, seqLo, data)
+    /** WordSum (common/checksum.h) over the words (targetOff),
+     *  (len, seqLo) and the payload, zero-padded to a word: a change
+     *  to any one of them changes it. */
+    uint64_t checksum;
 };
 
 static_assert(sizeof(LogEntryHeader) == 24);

@@ -3,9 +3,10 @@
  * Pluggable log-append engines ("log writers").
  *
  * Every protocol log entry in the repository is self-validating: the
- * header carries the owning transaction's sequence number and an
- * fnv1a checksum over (targetOff, len, seqLo, payload), and there is
- * no persistent tail pointer (descriptor.h). Recovery therefore never
+ * header carries the owning transaction's sequence number and a
+ * word-at-a-time checksum over (targetOff, len, seqLo, payload) that
+ * any one torn word changes (common/checksum.h), and there is no
+ * persistent tail pointer (descriptor.h). Recovery therefore never
  * needs an *ordering* fence between an entry's header and payload —
  * a torn entry simply fails validation and scanning stops. What the
  * per-entry fence in the classic append path actually buys is

@@ -4,42 +4,46 @@
 #include <cstring>
 
 #include "alloc/pm_allocator.h"
+#include "common/checksum.h"
 #include "common/error.h"
-#include "common/rand.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
 
 namespace cnvm::rt::salvage {
 
+// Each sum folds in the record's media words in media order, two
+// 32-bit fields sharing a word as that one word (little-endian), so
+// a torn media word is a changed checksum word (common/checksum.h).
+
 uint64_t
 entryChecksum(const LogEntryHeader& h, const uint8_t* data)
 {
-    uint64_t sum = fnv1a(&h.targetOff, sizeof(h.targetOff));
-    sum ^= fnv1a(&h.len, sizeof(h.len));
-    sum ^= fnv1a(&h.seqLo, sizeof(h.seqLo));
-    sum ^= fnv1a(data, h.len);
-    // A zero checksum would look like freshly-zeroed media.
-    return sum == 0 ? 1 : sum;
+    WordSum s;
+    s.add(h.targetOff);
+    s.add(uint64_t{h.len} | uint64_t{h.seqLo} << 32);
+    s.addBytes(data, h.len);
+    return s.value();
 }
 
 uint64_t
 beginChecksum(const TxDescriptor& d)
 {
-    uint64_t sum = fnv1a(&d.txSeq, sizeof(d.txSeq));
-    sum ^= fnv1a(&d.fid, sizeof(d.fid));
-    sum ^= fnv1a(&d.argLen, sizeof(d.argLen));
+    WordSum s;
+    s.add(d.txSeq);
+    s.add(uint64_t{d.fid} | uint64_t{d.argLen} << 32);
     if (d.argLen > 0 && d.argLen <= kMaxArgBytes)
-        sum ^= fnv1a(d.args, d.argLen);
-    return sum == 0 ? 1 : sum;
+        s.addBytes(d.args, d.argLen);
+    return s.value();
 }
 
 uint64_t
 intentChecksum(uint64_t seq, uint32_t count, const AllocIntent* table)
 {
-    uint64_t sum = fnv1a(&seq, sizeof(seq));
-    sum ^= fnv1a(&count, sizeof(count));
-    sum ^= fnv1a(table, count * sizeof(AllocIntent));
-    return sum == 0 ? 1 : sum;
+    WordSum s;
+    s.add(seq);
+    s.add(count);
+    s.addBytes(table, count * sizeof(AllocIntent));
+    return s.value();
 }
 
 namespace {

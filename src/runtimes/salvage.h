@@ -53,7 +53,12 @@ struct ScannedEntry {
 
 namespace salvage {
 
-/** @name Self-validation checksums (shared by append, scan, verify) */
+/**
+ * @name Self-validation checksums (shared by append, scan, verify)
+ *
+ * Each is a WordSum (common/checksum.h) over the record's media
+ * words, so a change to any one covered word changes it.
+ */
 /// @{
 uint64_t entryChecksum(const LogEntryHeader& h, const uint8_t* data);
 uint64_t beginChecksum(const TxDescriptor& d);

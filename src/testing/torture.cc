@@ -263,7 +263,7 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         rig.reset();  // LIFO pool-slot nesting: destroy before create
         rig = std::make_unique<TortureRig>(kind, structure);
         rig->setRecoveryMode(cfg.recovery);
-        try {
+        std::string escaped = escapeOf([&] {
             for (const CommittedOp& op : history) {
                 if (op.isInsert) {
                     rig->kv().insert(op.key, op.val);
@@ -273,11 +273,9 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
                     rig->shadow().noteRemove(op.key);
                 }
             }
-        } catch (const PanicError& e) {
-            fail(strprintf("history replay after declared salvage "
-                           "panicked: %s",
-                           e.what()));
-        }
+        });
+        if (!escaped.empty())
+            fail("history replay after declared salvage " + escaped);
     };
     auto budgetLeft = [&] {
         if (cfg.budget != 0 && usedOps >= cfg.budget) {
@@ -315,28 +313,24 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         res.attempts++;
         rig->sched().arm(k);
         bool crashed = false;
+        std::string escaped;
         try {
-            if (isInsert)
-                rig->kv().insert(key, val);
-            else
-                rig->kv().remove(key);
+            escaped = escapeOf([&] {
+                if (isInsert)
+                    rig->kv().insert(key, val);
+                else
+                    rig->kv().remove(key);
+            });
         } catch (const nvm::CrashInjected&) {
             crashed = true;
-        } catch (const PanicError& e) {
-            rig->sched().disarm();
-            fail(strprintf("%s sweep, event index %llu: op panicked: "
-                           "%s",
-                           phase, static_cast<unsigned long long>(k),
-                           e.what()));
-            return;
-        } catch (const FatalError& e) {
-            rig->sched().disarm();
-            fail(strprintf("%s sweep, event index %llu: op failed: %s",
-                           phase, static_cast<unsigned long long>(k),
-                           e.what()));
-            return;
         }
         rig->sched().disarm();
+        if (!escaped.empty()) {
+            fail(strprintf("%s sweep, event index %llu: op %s", phase,
+                           static_cast<unsigned long long>(k),
+                           escaped.c_str()));
+            return;
+        }
         if (!crashed) {
             (*quiet)++;
             if (isInsert)
@@ -349,20 +343,14 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         *quiet = 0;
         res.crashes++;
         res.maxEventIndex = std::max(res.maxEventIndex, k);
-        try {
+        escaped = escapeOf([&] {
             rig->crashAndRecover(cfg.tear, cfg.seed * 1000003 + k,
                                  paramsFor(cfg.seed ^ (k << 20)));
-        } catch (const PanicError& e) {
-            fail(strprintf("%s sweep, event index %llu: recovery "
-                           "panicked: %s",
+        });
+        if (!escaped.empty()) {
+            fail(strprintf("%s sweep, event index %llu: recovery %s",
                            phase, static_cast<unsigned long long>(k),
-                           e.what()));
-            return;
-        } catch (const FatalError& e) {
-            fail(strprintf("%s sweep, event index %llu: recovery "
-                           "failed: %s",
-                           phase, static_cast<unsigned long long>(k),
-                           e.what()));
+                           escaped.c_str()));
             return;
         }
         if (rig->lastReport().salvageAborted > 0) {
@@ -413,13 +401,14 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
     for (int i = 0; i < cfg.baselineKeys && res.passed; i++) {
         std::string key = strprintf("b%07d", i);
         std::string val = valueFor(key, cfg.seed, 20);
-        try {
-            rig->kv().insert(key, val);
-            commitInsert(key, val);
-            usedOps++;
-        } catch (const PanicError& e) {
-            fail(strprintf("baseline insert panicked: %s", e.what()));
+        std::string escaped =
+            escapeOf([&] { rig->kv().insert(key, val); });
+        if (!escaped.empty()) {
+            fail("baseline insert " + escaped);
+            break;
         }
+        commitInsert(key, val);
+        usedOps++;
     }
 
     if (cfg.sweepInsert && res.passed) {
@@ -441,13 +430,13 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
     if (cfg.sweepUpdate && res.passed) {
         std::string key = "u-target";
         std::string val = valueFor(key, cfg.seed, 20);
-        try {
-            rig->kv().insert(key, val);
+        std::string escaped =
+            escapeOf([&] { rig->kv().insert(key, val); });
+        if (escaped.empty()) {
             commitInsert(key, val);
             usedOps++;
-        } catch (const PanicError& e) {
-            fail(strprintf("update-target insert panicked: %s",
-                           e.what()));
+        } else {
+            fail("update-target insert " + escaped);
         }
         int quiet = 0;
         for (uint64_t k = 1; quiet < cfg.quietRuns && res.passed; k++) {
@@ -480,15 +469,14 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
             std::string key = strprintf(
                 "r%07llu", static_cast<unsigned long long>(k));
             std::string val = valueFor(key, cfg.seed, 20);
-            try {
-                rig->kv().insert(key, val);
-                commitInsert(key, val);
-                usedOps++;
-            } catch (const PanicError& e) {
-                fail(strprintf("victim insert panicked: %s",
-                               e.what()));
+            std::string escaped =
+                escapeOf([&] { rig->kv().insert(key, val); });
+            if (!escaped.empty()) {
+                fail("victim insert " + escaped);
                 break;
             }
+            commitInsert(key, val);
+            usedOps++;
             attempt(k, "remove", false, key, val, &quiet);
         }
     }
@@ -502,30 +490,27 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         for (const auto& [k, v] : rig->shadow().entries())
             keys.push_back(k);
         for (const std::string& k : keys) {
-            try {
-                rig->kv().remove(k);
-                commitRemove(k);
-                usedOps++;
-            } catch (const PanicError& e) {
-                fail(strprintf("cleanup remove panicked: %s",
-                               e.what()));
+            std::string escaped = escapeOf([&] { rig->kv().remove(k); });
+            if (!escaped.empty()) {
+                fail("cleanup remove " + escaped);
                 break;
             }
+            commitRemove(k);
+            usedOps++;
         }
         if (res.passed) {
             verifyAll(0, "cleanup");
             TortureRig ref(kind, structure);
-            try {
+            std::string escaped = escapeOf([&] {
                 for (const CommittedOp& op : history) {
                     if (op.isInsert)
                         ref.kv().insert(op.key, op.val);
                     else
                         ref.kv().remove(op.key);
                 }
-            } catch (const PanicError& e) {
-                fail(strprintf("leak-audit replay panicked: %s",
-                               e.what()));
-            }
+            });
+            if (!escaped.empty())
+                fail("leak-audit replay " + escaped);
             if (res.passed &&
                 ref.heap().freeBytes() != rig->heap().freeBytes()) {
                 fail(strprintf(
@@ -614,14 +599,14 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
         for (int i = 0; ok && i < cfg.baselineKeys; i++) {
             std::string key = strprintf("b%07d", i);
             std::string val = valueFor(key, cfg.seed, 20);
-            try {
-                rig.kv().insert(key, val);
-                rig.shadow().noteInsert(key, val);
-            } catch (const PanicError& e) {
-                fail(k, strprintf("baseline insert panicked: %s",
-                                  e.what()));
+            std::string escaped =
+                escapeOf([&] { rig.kv().insert(key, val); });
+            if (!escaped.empty()) {
+                fail(k, "baseline insert " + escaped);
                 ok = false;
+                break;
             }
+            rig.shadow().noteInsert(key, val);
         }
         if (!ok)
             break;
@@ -649,23 +634,22 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
         res.cases++;
         rig.sched().arm(k);
         bool crashed = false;
+        std::string escaped;
         try {
-            if (isInsert)
-                rig.kv().insert(key, val);
-            else
-                rig.kv().remove(key);
+            escaped = escapeOf([&] {
+                if (isInsert)
+                    rig.kv().insert(key, val);
+                else
+                    rig.kv().remove(key);
+            });
         } catch (const nvm::CrashInjected&) {
             crashed = true;
-        } catch (const PanicError& e) {
-            rig.sched().disarm();
-            fail(k, strprintf("armed op panicked: %s", e.what()));
-            break;
-        } catch (const FatalError& e) {
-            rig.sched().disarm();
-            fail(k, strprintf("armed op failed: %s", e.what()));
-            break;
         }
         rig.sched().disarm();
+        if (!escaped.empty()) {
+            fail(k, "armed op " + escaped);
+            break;
+        }
         if (!crashed) {
             quiet++;
             if (isInsert)
@@ -679,15 +663,13 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
         }
         quiet = 0;
         res.crashes++;
-        try {
+        escaped = escapeOf([&] {
             rig.crashAndRecover(cfg.tear, cfg.seed * 1000003 + k,
                                 paramsFor(cfg.seed ^ (k << 20)),
                                 cfg.faults.duringRecoveryRounds);
-        } catch (const PanicError& e) {
-            fail(k, strprintf("recovery panicked: %s", e.what()));
-            break;
-        } catch (const FatalError& e) {
-            fail(k, strprintf("recovery failed: %s", e.what()));
+        });
+        if (!escaped.empty()) {
+            fail(k, "recovery " + escaped);
             break;
         }
         // Declared or not, quarantined blocks must never resurface in
@@ -732,31 +714,27 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
             // declared collateral, not failure.
             res.relaxedAudits++;
             res.salvageAborts += rep.salvageAborted;
+            // A probe that throws leaves its key counted.
             for (const auto& [sk, sv] : rig.shadow().entries()) {
-                try {
+                bool intact = false;
+                (void)escapeOf([&] {
                     ds::LookupResult r;
-                    bool found = rig.kv().lookup(sk, &r);
-                    if (!found || r.str() != sv)
-                        res.collateralKeys++;
-                } catch (const PanicError&) {
+                    intact = rig.kv().lookup(sk, &r) && r.str() == sv;
+                });
+                if (!intact)
                     res.collateralKeys++;
-                } catch (const FatalError&) {
-                    res.collateralKeys++;
-                }
             }
-            try {
-                std::string sk = strprintf(
-                    "s%07llu", static_cast<unsigned long long>(k));
-                std::string sv = valueFor(sk, cfg.seed, 20);
+            std::string sk = strprintf(
+                "s%07llu", static_cast<unsigned long long>(k));
+            std::string sv = valueFor(sk, cfg.seed, 20);
+            bool intact = false;
+            (void)escapeOf([&] {
                 rig.kv().insert(sk, sv);
                 ds::LookupResult r;
-                if (!rig.kv().lookup(sk, &r) || r.str() != sv)
-                    res.collateralKeys++;
-            } catch (const PanicError&) {
+                intact = rig.kv().lookup(sk, &r) && r.str() == sv;
+            });
+            if (!intact)
                 res.collateralKeys++;
-            } catch (const FatalError&) {
-                res.collateralKeys++;
-            }
         }
     }
     return res;
@@ -869,19 +847,19 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
         rig.sched().arm(c.crashAt);
     bool crashed = false;
     try {
-        sim::Executor ex(threads);
-        ex.run(c.nOps, [&](sim::ThreadCtx& ctx, size_t i) {
-            applyOne(ctx.tid(), sched[ctx.tid()][i]);
-            done[ctx.tid()] = static_cast<uint32_t>(i) + 1;
+        std::string escaped = escapeOf([&] {
+            sim::Executor ex(threads);
+            ex.run(c.nOps, [&](sim::ThreadCtx& ctx, size_t i) {
+                applyOne(ctx.tid(), sched[ctx.tid()][i]);
+                done[ctx.tid()] = static_cast<uint32_t>(i) + 1;
+            });
         });
+        if (!escaped.empty())
+            res.failure = "history " + escaped;
     } catch (const nvm::CrashInjected&) {
         crashed = true;
     } catch (const OracleMismatch& m) {
         res.failure = m.msg;
-    } catch (const PanicError& e) {
-        res.failure = strprintf("history panicked: %s", e.what());
-    } catch (const FatalError& e) {
-        res.failure = strprintf("history failed: %s", e.what());
     }
     rig.sched().disarm();
     res.events = rig.sched().eventCount();
@@ -891,18 +869,16 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
 
     if (crashed) {
         const FuzzOp* op = inFlight;
-        try {
+        std::string escaped = escapeOf([&] {
             rig.crashAndRecover(cfg.tear,
                                 c.seed ^ (c.crashAt * 2654435761ULL),
                                 paramsFor(c.seed + c.crashAt),
                                 cfg.faults.enabled
                                     ? cfg.faults.duringRecoveryRounds
                                     : 0);
-        } catch (const PanicError& e) {
-            res.failure = strprintf("recovery panicked: %s", e.what());
-            return res;
-        } catch (const FatalError& e) {
-            res.failure = strprintf("recovery failed: %s", e.what());
+        });
+        if (!escaped.empty()) {
+            res.failure = "recovery " + escaped;
             return res;
         }
         if (rig.lastReport().salvageAborted > 0) {
@@ -945,26 +921,23 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
         // restarted process draining the rest of the workload would
         // (the interrupted op itself was resolved above).
         try {
-            for (uint32_t i = 0; i < c.nOps; i++) {
-                for (unsigned t = 0; t < threads; t++) {
-                    if (i < done[t])
-                        continue;
-                    if (&sched[t][i] == op)
-                        continue;
-                    applyOne(t, sched[t][i]);
+            escaped = escapeOf([&] {
+                for (uint32_t i = 0; i < c.nOps; i++) {
+                    for (unsigned t = 0; t < threads; t++) {
+                        if (i < done[t])
+                            continue;
+                        if (&sched[t][i] == op)
+                            continue;
+                        applyOne(t, sched[t][i]);
+                    }
                 }
-            }
+            });
         } catch (const OracleMismatch& m) {
             res.failure = "post-recovery " + m.msg;
             return res;
-        } catch (const PanicError& e) {
-            res.failure = strprintf("post-recovery history panicked: "
-                                    "%s",
-                                    e.what());
-            return res;
-        } catch (const FatalError& e) {
-            res.failure = strprintf("post-recovery history failed: %s",
-                                    e.what());
+        }
+        if (!escaped.empty()) {
+            res.failure = "post-recovery history " + escaped;
             return res;
         }
     }

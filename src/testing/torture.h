@@ -32,12 +32,14 @@
 #include <vector>
 
 #include "alloc/pm_allocator.h"
+#include "common/error.h"
 #include "nvm/pool.h"
 #include "runtimes/factory.h"
 #include "structures/kv.h"
 #include "testing/crash_scheduler.h"
 #include "testing/oracle.h"
 #include "txn/engine.h"
+#include "txn/runtime.h"
 
 namespace cnvm::torture {
 
@@ -48,6 +50,32 @@ enum class Tear {
 };
 
 const char* tearName(Tear t);
+
+/**
+ * Run `op` and say what it let escape: "" when it returned,
+ * "panicked: <what>" for a PanicError, and "failed: <what>" for a
+ * FatalError or a transaction's txn::LogOverflowError (small torture
+ * ops overflow their log only when a damaged structure loops). The
+ * drivers prefix it with what ran ("op", "recovery", "history") and
+ * fail the case, so the report carries the case's reproduce line
+ * instead of the process ending in std::terminate. Anything else,
+ * nvm::CrashInjected included, propagates.
+ */
+template <typename Fn>
+std::string
+escapeOf(Fn&& op)
+{
+    try {
+        op();
+    } catch (const PanicError& e) {
+        return strprintf("panicked: %s", e.what());
+    } catch (const FatalError& e) {
+        return strprintf("failed: %s", e.what());
+    } catch (const txn::LogOverflowError& e) {
+        return strprintf("failed: %s", e.what());
+    }
+    return {};
+}
 
 /**
  * Media-fault campaign axis layered on the crash sweeps: every tear

@@ -10,6 +10,12 @@
  * the Clobber runtime persists as the v_log entry; the txfunc reads its
  * arguments back out of that blob in both normal execution and recovery
  * re-execution, guaranteeing the two executions see identical inputs.
+ *
+ * Every transaction serializes its arguments, so ArgWriter keeps them
+ * in an inline buffer as large as the biggest blob the v_log can
+ * persist (rt::kMaxArgBytes): building one allocates nothing. Only a
+ * larger blob, which a persisting runtime refuses anyway, spills to
+ * the heap.
  */
 #ifndef CNVM_TXN_ARGS_H
 #define CNVM_TXN_ARGS_H
@@ -27,6 +33,10 @@ namespace cnvm::txn {
 
 class ArgWriter {
  public:
+    /** Inline capacity; runtimes/base.cc checks it against the
+     *  descriptor's kMaxArgBytes. */
+    static constexpr size_t kInlineBytes = 3072;
+
     template <typename T>
     void
     put(const T& v)
@@ -42,24 +52,38 @@ class ArgWriter {
     {
         auto len32 = static_cast<uint32_t>(len);
         append(&len32, sizeof(len32));
-        append(data, len);
+        if (len > 0)  // an empty view may carry a null pointer
+            append(data, len);
     }
 
     std::span<const uint8_t>
     bytes() const
     {
-        return {buf_.data(), buf_.size()};
+        if (!spill_.empty())
+            return {spill_.data(), spill_.size()};
+        return {inline_, size_};
     }
 
  private:
     void
     append(const void* data, size_t len)
     {
+        if (len <= kInlineBytes - size_ && spill_.empty()) [[likely]] {
+            std::memcpy(inline_ + size_, data, len);
+            size_ += len;
+            return;
+        }
+        if (spill_.empty())
+            spill_.assign(inline_, inline_ + size_);
         const auto* p = static_cast<const uint8_t*>(data);
-        buf_.insert(buf_.end(), p, p + len);
+        spill_.insert(spill_.end(), p, p + len);
     }
 
-    std::vector<uint8_t> buf_;
+    size_t size_ = 0;  ///< bytes in inline_ (unused once spilled)
+    /** Left uninitialized: only [0, size_) is read, and zeroing 3 KiB
+     *  would cost every transaction more than its arguments do. */
+    uint8_t inline_[kInlineBytes];
+    std::vector<uint8_t> spill_;  ///< the whole blob, past kInlineBytes
 };
 
 class ArgReader {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,57 @@
 #include "apps/vacation/vacation.h"
 #include "apps/yada/yada.h"
 #include "testutil.h"
+
+// Counting replacements of the global operator new and delete for
+// this test binary (the allocation tests below read tNewCalls). Every
+// form a replaced new can reach is replaced, so memory a sanitizer
+// runtime's new handed out never reaches a replaced delete or back.
+namespace {
+
+/** Calls of the global operator new made on this thread. */
+thread_local uint64_t tNewCalls = 0;
+
+void*
+countedAlloc(size_t n) noexcept
+{
+    tNewCalls++;
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line: inlined into a delete, GCC's -Wmismatched-new-delete
+// would see a new-expression's pointer reach free().
+__attribute__((noinline)) void
+release(void* p) noexcept
+{
+    std::free(p);
+}
+
+}  // namespace
+
+void*
+operator new(size_t n)
+{
+    if (void* p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](size_t n)
+{
+    if (void* p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void* operator new(size_t n, const std::nothrow_t&) noexcept { return countedAlloc(n); }
+void* operator new[](size_t n, const std::nothrow_t&) noexcept { return countedAlloc(n); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, size_t) noexcept { release(p); }
+void operator delete[](void* p, size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace cnvm::test {
 namespace {
@@ -199,6 +252,106 @@ TEST(KvServerCrash, InterruptedSetsRecover)
         ds::LookupResult r;
         if (server.get("crash" + std::to_string(i), &r))
             ASSERT_EQ(r.str(), "payload-" + std::to_string(i));
+    }
+}
+
+/**
+ * A warmed-up store of 64 keys for counting heap allocations: every
+ * key has been set twice and read, so each per-slot buffer has grown
+ * to what a set of its value size needs.
+ */
+struct WarmStore {
+    explicit WarmStore(RuntimeKind kind)
+        : h(kind, rt::ClobberPolicy::refined, 64ULL << 20),
+          eng(h.engine()), server(eng, 0, config())
+    {
+        for (int i = 0; i < kKeys; i++)
+            keys.push_back(strprintf("key-%012d", i));
+        for (int round = 0; round < 2; round++) {
+            for (const std::string& k : keys) {
+                server.set(k, round == 0 ? longVal : shortVal, 0);
+                server.get(k, result.get());
+            }
+        }
+    }
+
+    static apps::KvServer::Config
+    config()
+    {
+        apps::KvServer::Config cfg;
+        cfg.shards = 8;
+        cfg.bucketsPerShard = 64;
+        return cfg;
+    }
+
+    static constexpr int kKeys = 64;
+    Harness h;
+    txn::Engine eng;
+    apps::KvServer server;
+    std::vector<std::string> keys;
+    const std::string shortVal = std::string(24, 's');
+    const std::string longVal = std::string(40, 'l');
+    std::unique_ptr<apps::KvReadResult> result =
+        std::make_unique<apps::KvReadResult>();
+};
+
+/**
+ * The fixed cost of a transaction is its persistence, not the heap:
+ * after warm-up an in-place set and a get make no heap allocation.
+ * txn::run serializes the arguments into ArgWriter's inline buffer,
+ * and every per-slot buffer keeps its capacity between transactions.
+ * (Pool layout v2 made 5 per set and 4 per get here, all of them the
+ * argument vector growing.) Mnemosyne is left out: its volatile write
+ * set is a std::unordered_map, one node per word a set writes.
+ */
+TEST(KvServerAllocation, InPlaceSetAndGetAllocateNothing)
+{
+    for (RuntimeKind kind : {RuntimeKind::clobber, RuntimeKind::undo}) {
+        WarmStore w(kind);
+        uint64_t before = tNewCalls;
+        for (int i = 0; i < 1000; i++)
+            w.server.set(w.keys[i % WarmStore::kKeys], w.shortVal,
+                         static_cast<uint32_t>(i));
+        uint64_t setNews = tNewCalls - before;
+        before = tNewCalls;
+        int found = 0;
+        for (int i = 0; i < 1000; i++)
+            found += w.server.get(w.keys[i % WarmStore::kKeys],
+                                  w.result.get());
+        uint64_t getNews = tNewCalls - before;
+        EXPECT_EQ(setNews, 0u) << static_cast<int>(kind);
+        EXPECT_EQ(getNews, 0u) << static_cast<int>(kind);
+        EXPECT_EQ(found, 1000);
+    }
+}
+
+/**
+ * A set that changes a value's size replaces its item: one pmalloc
+ * and one pfree in one transaction. The allocator's reservation and
+ * free-extent maps still allocate (4.8 per set here, 14.8 with
+ * mnemosyne's write set); the argument blob, the intent table and
+ * the bitmap bytes no longer do. Pool layout v2 made 13.3 per set on
+ * clobber and pmdk and 23.3 on mnemosyne.
+ */
+TEST(KvServerAllocation, AllocatingSetAllocatesOnlyForAllocatorMaps)
+{
+    struct Case {
+        RuntimeKind kind;
+        uint64_t maxPerSet;
+    };
+    for (Case c : {Case{RuntimeKind::clobber, 5},
+                   Case{RuntimeKind::undo, 5},
+                   Case{RuntimeKind::redo, 15}}) {
+        WarmStore w(c.kind);
+        constexpr int kSets = 1024;
+        uint64_t before = tNewCalls;
+        for (int i = 0; i < kSets; i++) {
+            bool odd = (i / WarmStore::kKeys) % 2 != 0;
+            w.server.set(w.keys[i % WarmStore::kKeys],
+                         odd ? w.shortVal : w.longVal, 0);
+        }
+        uint64_t news = tNewCalls - before;
+        EXPECT_LE(news, c.maxPerSet * kSets) << static_cast<int>(c.kind);
     }
 }
 

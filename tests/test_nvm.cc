@@ -637,13 +637,18 @@ TEST(PoolErrors, TypedReasonBadMagic)
 
 TEST(PoolErrors, TypedReasonBadVersion)
 {
-    std::string path = "/tmp/cnvm_badversion.pool";
-    makePoolFile(path);
-    uint64_t futureVersion = Pool::kVersion + 7;
-    patchFile(path, offsetof(PoolHeader, version), &futureVersion,
-              sizeof(futureVersion));
-    EXPECT_EQ(openReason(path), PoolOpenError::Reason::badVersion);
-    ::unlink(path.c_str());
+    // A future layout, and layout 2, whose per-field fnv1a checksums
+    // this build would read as damage on every record.
+    ASSERT_EQ(Pool::kVersion, 3u);
+    for (uint64_t version : {Pool::kVersion + 7, uint64_t{2}}) {
+        std::string path = "/tmp/cnvm_badversion.pool";
+        makePoolFile(path);
+        patchFile(path, offsetof(PoolHeader, version), &version,
+                  sizeof(version));
+        EXPECT_EQ(openReason(path), PoolOpenError::Reason::badVersion)
+            << "version " << version;
+        ::unlink(path.c_str());
+    }
 }
 
 TEST(PoolErrors, TypedReasonSizeMismatchOnReopen)

@@ -14,8 +14,13 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <optional>
 
 #include "alloc/pm_allocator.h"
+#include "common/checksum.h"
+#include "common/rand.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
 #include "runtimes/descriptor.h"
@@ -114,6 +119,211 @@ crashWithOngoingLog(Harness& h, CrashScheduler& sched,
         h.runtime->recover();
     }
     return false;
+}
+
+// ---------------------------------------------------------------
+// Media checksums (pool layout v3): one representative record each.
+// ---------------------------------------------------------------
+
+/** One covered 8-byte media word: its index and the bits it covers
+ *  (a record's last payload word is covered only up to its length). */
+struct CoveredWord {
+    size_t index;
+    uint64_t mask = ~0ULL;
+};
+
+/**
+ * Exhaustive over one record: flip each covered bit of each covered
+ * word alone, and replace each covered word with 0, all-ones and 16
+ * pseudo-random values. Every variant `sum` accepts must change the
+ * checksum and none may read 0. `sum` recomputes the checksum from
+ * `rec` as recovery does, or returns nullopt when the record's length
+ * field is one recovery rejects before summing.
+ */
+void
+expectEveryWordCounts(uint8_t* rec, const std::vector<CoveredWord>& words,
+                      const std::function<std::optional<uint64_t>()>& sum)
+{
+    std::optional<uint64_t> base = sum();
+    ASSERT_TRUE(base.has_value());
+    ASSERT_NE(*base, 0u);
+    Xorshift rng(23);
+    size_t variants = 0;
+    for (const CoveredWord& cw : words) {
+        uint64_t orig;
+        std::memcpy(&orig, rec + cw.index * 8, 8);
+        std::vector<uint64_t> diffs;
+        for (int b = 0; b < 64; b++)
+            diffs.push_back(1ULL << b);
+        diffs.push_back(orig);
+        diffs.push_back(~orig);
+        for (int i = 0; i < 16; i++)
+            diffs.push_back(rng.next());
+        for (uint64_t diff : diffs) {
+            diff &= cw.mask;
+            if (diff == 0)
+                continue;
+            uint64_t torn = orig ^ diff;
+            std::memcpy(rec + cw.index * 8, &torn, 8);
+            std::optional<uint64_t> s = sum();
+            std::memcpy(rec + cw.index * 8, &orig, 8);
+            if (!s.has_value())
+                continue;
+            variants++;
+            EXPECT_NE(*s, *base) << "word " << cw.index << " xor 0x"
+                                 << std::hex << diff;
+            EXPECT_NE(*s, 0u);
+        }
+    }
+    EXPECT_GT(variants, words.size() * 60);
+}
+
+TEST(MediaChecksum, LogEntryChangesWithEveryWord)
+{
+    // Header (targetOff | len, seqLo | checksum) then a 20-byte
+    // payload in three words, the last covered for 4 bytes.
+    alignas(8) uint8_t rec[sizeof(rt::LogEntryHeader) + 24] = {};
+    rt::LogEntryHeader h{};
+    h.targetOff = 0x12345678;
+    h.len = 20;
+    h.seqLo = 0xabcdef01;
+    for (size_t i = 0; i < 20; i++)
+        rec[sizeof(h) + i] = static_cast<uint8_t>(0x40 + i * 7);
+    const uint8_t* data = rec + sizeof(h);
+    h.checksum = rt::salvage::entryChecksum(h, data);
+    std::memcpy(rec, &h, sizeof(h));
+    auto sum = [&]() -> std::optional<uint64_t> {
+        rt::LogEntryHeader m;
+        std::memcpy(&m, rec, sizeof(m));
+        if (m.len == 0 ||
+            sizeof(m) + rt::salvage::alignUp8(m.len) > sizeof(rec))
+            return std::nullopt;  // scanLogArea's bounds check
+        return rt::salvage::entryChecksum(m, data);
+    };
+    expectEveryWordCounts(rec, {{0}, {1}, {3}, {4}, {5, 0xffffffffULL}},
+                          sum);
+
+    // A record whose raw sum is 0 reads 1: fold the header words, and
+    // make the 8-byte payload equal the state they leave.
+    rt::LogEntryHeader z{};
+    z.targetOff = 77;
+    z.len = 8;
+    z.seqLo = 5;
+    WordSum prefix;
+    prefix.add(z.targetOff);
+    prefix.add(uint64_t{z.len} | uint64_t{z.seqLo} << 32);
+    uint64_t payload = prefix.value();
+    ASSERT_GT(payload, 1u);
+    EXPECT_EQ(rt::salvage::entryChecksum(
+                  z, reinterpret_cast<const uint8_t*>(&payload)),
+              1u);
+}
+
+TEST(MediaChecksum, BeginRecordChangesWithEveryWord)
+{
+    auto d = std::make_unique<rt::TxDescriptor>();
+    std::memset(d.get(), 0, sizeof(*d));
+    d->status = static_cast<uint64_t>(rt::TxStatus::ongoing);
+    d->txSeq = 0x1122334455;
+    d->fid = 0xfeedbeef;
+    d->argLen = 37;
+    for (size_t i = 0; i < d->argLen; i++)
+        d->args[i] = static_cast<uint8_t>(i * 13 + 1);
+    auto* rec = reinterpret_cast<uint8_t*>(d.get());
+    constexpr size_t kArgs = offsetof(rt::TxDescriptor, args) / 8;
+    static_assert(offsetof(rt::TxDescriptor, txSeq) == 8 &&
+                  offsetof(rt::TxDescriptor, fid) == 16 &&
+                  offsetof(rt::TxDescriptor, argLen) == 20);
+    expectEveryWordCounts(
+        rec,
+        {{1}, {2}, {kArgs}, {kArgs + 1}, {kArgs + 2}, {kArgs + 3},
+         {kArgs + 4, 0xffffffffffULL}},
+        [&]() -> std::optional<uint64_t> {
+            return rt::salvage::beginChecksum(*d);
+        });
+
+    d->argLen = 8;
+    WordSum prefix;
+    prefix.add(d->txSeq);
+    prefix.add(uint64_t{d->fid} | uint64_t{d->argLen} << 32);
+    uint64_t arg = prefix.value();
+    ASSERT_GT(arg, 1u);
+    std::memcpy(d->args, &arg, sizeof(arg));
+    EXPECT_EQ(rt::salvage::beginChecksum(*d), 1u);
+}
+
+TEST(MediaChecksum, IntentTableChangesWithEveryWord)
+{
+    auto d = std::make_unique<rt::TxDescriptor>();
+    std::memset(d.get(), 0, sizeof(*d));
+    d->txSeq = d->intentSeq = 991;
+    d->intentCount = 3;
+    for (uint32_t i = 0; i < 3; i++) {
+        d->intents[i].payloadOff = 4096 + i * 160;
+        d->intents[i].payloadBytes = 40 + i;
+        d->intents[i].isFree = i % 2;
+    }
+    auto* rec = reinterpret_cast<uint8_t*>(d.get());
+    constexpr size_t kSeq = offsetof(rt::TxDescriptor, intentSeq) / 8;
+    constexpr size_t kTable = offsetof(rt::TxDescriptor, intents) / 8;
+    static_assert(offsetof(rt::TxDescriptor, intentSeq) % 8 == 0 &&
+                  offsetof(rt::TxDescriptor, intentCount) ==
+                      offsetof(rt::TxDescriptor, intentSeq) + 8 &&
+                  sizeof(rt::AllocIntent) == 24);
+    std::vector<CoveredWord> words{{kSeq}, {kSeq + 1, 0xffffffffULL}};
+    for (size_t w = 0; w < 9; w++)
+        words.push_back({kTable + w});
+    expectEveryWordCounts(rec, words, [&]() -> std::optional<uint64_t> {
+        if (d->intentCount > rt::kMaxIntents)
+            return std::nullopt;  // intentsLive's bound check
+        return rt::salvage::intentChecksum(d->intentSeq,
+                                           d->intentCount, d->intents);
+    });
+
+    d->intentCount = 1;
+    WordSum prefix;
+    prefix.add(d->intentSeq);
+    prefix.add(d->intentCount);
+    prefix.add(d->intents[0].payloadOff);
+    prefix.add(d->intents[0].payloadBytes);
+    uint64_t last = prefix.value();
+    ASSERT_GT(last, 1u);
+    std::memcpy(&d->intents[0].isFree, &last, sizeof(last));
+    EXPECT_EQ(rt::salvage::intentChecksum(d->intentSeq, d->intentCount,
+                                          d->intents),
+              1u);
+}
+
+TEST(MediaChecksum, QuarantineTableChangesWithEveryWord)
+{
+    auto qt = std::make_unique<alloc::QuarantineTable>();
+    std::memset(qt.get(), 0, sizeof(*qt));
+    qt->count = 2;
+    qt->entries[0] = {1 << 20, 4096, alloc::kQuarPoisonedBitmap, 0};
+    qt->entries[1] = {3 << 20, 160, alloc::kQuarCorruptHeader, 0};
+    auto* rec = reinterpret_cast<uint8_t*>(qt.get());
+    constexpr size_t kEntries =
+        offsetof(alloc::QuarantineTable, entries) / 8;
+    static_assert(offsetof(alloc::QuarantineTable, count) == 0 &&
+                  sizeof(alloc::QuarantineEntry) == 24);
+    std::vector<CoveredWord> words{{0, 0xffffffffULL}};
+    for (size_t w = 0; w < 6; w++)
+        words.push_back({kEntries + w});
+    expectEveryWordCounts(rec, words, [&]() -> std::optional<uint64_t> {
+        if (qt->count > alloc::QuarantineTable::kCapacity)
+            return std::nullopt;  // the allocator's bound check
+        return alloc::quarantineChecksum(qt->count, qt->entries);
+    });
+
+    qt->count = 1;
+    WordSum prefix;
+    prefix.add(qt->count);
+    prefix.add(qt->entries[0].off);
+    prefix.add(qt->entries[0].bytes);
+    uint64_t last = prefix.value();
+    ASSERT_GT(last, 1u);
+    std::memcpy(&qt->entries[0].reason, &last, sizeof(last));
+    EXPECT_EQ(alloc::quarantineChecksum(qt->count, qt->entries), 1u);
 }
 
 // ---------------------------------------------------------------

@@ -30,6 +30,29 @@ using torture::SweepConfig;
 using torture::Tear;
 using txn::RuntimeKind;
 
+/**
+ * What an op lets escape decides how its case ends. A transaction's
+ * log overflow fails the case like a fatal error (a torture op is far
+ * too small to overflow unless a damaged structure loops), so the
+ * driver prints the case's reproduce line instead of the process
+ * dying in std::terminate; a trap's CrashInjected still reaches the
+ * driver's crash path.
+ */
+TEST(TortureEscape, LogOverflowFailsTheCaseInsteadOfAborting)
+{
+    EXPECT_EQ(torture::escapeOf([] {}), "");
+    std::string overflow = torture::escapeOf(
+        [] { throw txn::LogOverflowError(200000, 131072); });
+    EXPECT_EQ(overflow.rfind("failed: transaction log overflow", 0), 0u)
+        << overflow;
+    EXPECT_EQ(torture::escapeOf([] { fatal("no space"); }),
+              "failed: no space");
+    EXPECT_EQ(torture::escapeOf([] { panic("bad link"); }),
+              "panicked: bad link");
+    EXPECT_THROW(torture::escapeOf([] { throw nvm::CrashInjected{}; }),
+                 nvm::CrashInjected);
+}
+
 struct MatrixCase {
     RuntimeKind kind;
     const char* structure;

@@ -32,6 +32,28 @@ TEST(Args, RoundTripScalarsAndSpans)
     EXPECT_EQ(r.getString(), "");
 }
 
+TEST(Args, RoundTripsPastTheInlineBuffer)
+{
+    // A blob of exactly kInlineBytes stays inline; the next byte moves
+    // the whole blob to the heap, and a reader sees no seam.
+    std::string big(txn::ArgWriter::kInlineBytes - 8 - 4, 'b');
+    txn::ArgWriter w;
+    w.put<uint64_t>(7);
+    w.putBytes(big.data(), big.size());
+    ASSERT_EQ(w.bytes().size(), txn::ArgWriter::kInlineBytes);
+    const uint8_t* inlineData = w.bytes().data();
+    w.putBytes(std::string_view().data(), 0);  // empty view, null data
+    w.put<uint32_t>(9);
+    EXPECT_NE(w.bytes().data(), inlineData);
+
+    txn::ArgReader r(w.bytes());
+    EXPECT_EQ(r.get<uint64_t>(), 7u);
+    EXPECT_EQ(r.getString(), big);
+    EXPECT_EQ(r.getString(), "");
+    EXPECT_EQ(r.get<uint32_t>(), 9u);
+    EXPECT_THROW(r.get<uint8_t>(), PanicError);
+}
+
 TEST(Args, UnderflowIsCaught)
 {
     txn::ArgWriter w;
