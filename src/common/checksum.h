@@ -16,9 +16,10 @@
  * media would otherwise carry a matching sum; that merges raw sums 0
  * and 1, the one pair of records the one-word guarantee leaves out.
  *
- * Layout v2 summed each field with a byte-at-a-time fnv1a, one
- * dependent multiply per byte. fnv1a stays where its values are
- * names and placements (txfunc ids, key hashing, lock striping).
+ * fnv1a (common/rand.h) is not used here: it is byte-serial, one
+ * dependent multiply per byte. It stays where its values are names
+ * and placements that must not move (txfunc ids, key hashing, lock
+ * striping).
  */
 #ifndef CNVM_COMMON_CHECKSUM_H
 #define CNVM_COMMON_CHECKSUM_H
