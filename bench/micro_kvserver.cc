@@ -11,7 +11,7 @@
  * the pipelined load generator (window 32, memslap-style 64-byte
  * values). batch=1 vs batch=8 isolates what group commit buys on a
  * write-heavy mix: with one transaction per mutation every set pays
- * its own begin persist, log seal and commit fence; with batching a
+ * its own begin persist and commit fence; with batching a
  * window's worth of mutations share them.
  *
  * Output: argv[1] (default BENCH_kvserver.current.json);

@@ -23,18 +23,13 @@
  *   e2e_hashmap end-to-end hashmap YCSB-load-style inserts through
  *              txn::run (fig6-style anchor, wall clock).
  *
- * The log writer is one more axis: every series runs under the
- * baseline writer, and rmw8 and logheavy also under zerocached,
- * selected per cell with rt::selectLogWriter (not the process-global
- * CNVM_LOG_WRITER knob), so one run holds the writer ablation. rmw8
- * and logheavy bracket the log-append cost: rmw8's first pass pays one
- * append per word and the rest are suppressed (undo/clobber) or
- * logged again (atlas/redo); logheavy is the one-append-per-store
- * worst case the fence-eliding writer targets.
+ * rmw8 and logheavy bracket the log-append cost: rmw8's first pass
+ * pays one append per word and the rest are suppressed (undo/clobber)
+ * or logged again (atlas/redo); logheavy is the one-append-per-store
+ * worst case.
  *
  * Every row, at every thread count, also carries fences, log entries,
- * log flushes and log bytes per transaction from the stats counters —
- * the fence-elision and flush-coalescing evidence.
+ * log flushes and log bytes per transaction from the stats counters.
  *
  * Scale knobs: CNVM_OPS (ops per series per thread), CNVM_MAXTHREADS,
  * CNVM_POOL_MB, CNVM_REPS, CNVM_SMOKE. Output: argv[1] (default
@@ -48,7 +43,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtimes/log_writer.h"
 #include "structures/kv.h"
 #include "txn/txrun.h"
 
@@ -154,10 +148,9 @@ setupRegions(bench::Env& env, unsigned threads)
     return offs;
 }
 
-/** One cell of the matrix: a series under one protocol and writer. */
+/** One cell of the matrix: a series under one protocol. */
 struct Cell {
     txn::RuntimeKind kind;
-    rt::LogWriterKind writer;
     std::string op;
     unsigned threads;
     size_t ops;  ///< per thread (e2e_hashmap: inserts)
@@ -245,22 +238,17 @@ main(int argc, char** argv)
     if (maxThreads >= 2)
         threadCounts.push_back(2u);
 
-    const auto baseline = rt::LogWriterKind::baseline;
-    const auto zerocached = rt::LogWriterKind::zerocached;
     std::vector<Cell> cells;
     for (auto kind :
          {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
           txn::RuntimeKind::redo, txn::RuntimeKind::atlas,
           txn::RuntimeKind::ido}) {
         for (unsigned t : threadCounts) {
-            for (auto writer : {baseline, zerocached}) {
-                cells.push_back({kind, writer, "rmw8", t, ops});
-                if (writer == baseline)
-                    cells.push_back({kind, writer, "seqcpy", t, ops});
-                cells.push_back({kind, writer, "logheavy", t, ops / 4});
-            }
+            cells.push_back({kind, "rmw8", t, ops});
+            cells.push_back({kind, "seqcpy", t, ops});
+            cells.push_back({kind, "logheavy", t, ops / 4});
         }
-        cells.push_back({kind, baseline, "e2e_hashmap", 1,
+        cells.push_back({kind, "e2e_hashmap", 1,
                          std::min<size_t>(ops / 20, 50000)});
     }
 
@@ -270,13 +258,8 @@ main(int argc, char** argv)
         const Cell& c = cells[i];
         row.dim("op", c.op)
             .dim("system", bench::systemName(c.kind))
-            .dim("writer", rt::logWriterName(c.writer))
             .dim("threads", c.threads);
         bench::Env env(c.kind);
-        // The writer is swapped on the live runtime before any
-        // transaction, so the whole matrix runs in one process
-        // whatever CNVM_LOG_WRITER says.
-        rt::selectLogWriter(*env.runtime, c.writer);
         if (c.op == "e2e_hashmap")
             runE2eHashmap(env, c.ops, row);
         else

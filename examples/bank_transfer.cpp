@@ -84,10 +84,9 @@ demo(txn::RuntimeKind kind)
     txn::run(eng, kMakeBank);
     auto bank = nvm::PPtr<Bank>(pool->root());
 
-    uint64_t expected = kAccounts * kInitialBalance;
+    const uint64_t expected = kAccounts * kInitialBalance;
     Xorshift rng(kind == txn::RuntimeKind::clobber ? 11 : 22);
     int crashes = 0;
-    int declared = 0;
     for (int i = 0; i < 500; i++) {
         uint64_t from = rng.nextUint(kAccounts);
         uint64_t to = rng.nextUint(kAccounts);
@@ -99,18 +98,7 @@ demo(txn::RuntimeKind kind)
         } catch (const nvm::CrashInjected&) {
             crashes++;
             pool->simulateCrash(rng.next());
-            auto report = runtime->recover();
-            if (report.salvageAborted > 0) {
-                // A fence-eliding log writer (CNVM_LOG_WRITER=
-                // zerocached) *declares* a torn mid-flight transfer it
-                // could only roll back best-effort instead of hiding
-                // it (DESIGN.md §15); conservation restarts from the
-                // salvaged total. The default baseline writer never
-                // declares here, so the strict invariant holds
-                // throughout.
-                declared++;
-                expected = totalBalance(bank);
-            }
+            runtime->recover();
         }
         pool->armWriteTrap(0);
         uint64_t total = totalBalance(bank);
@@ -122,16 +110,9 @@ demo(txn::RuntimeKind kind)
             return 1;
         }
     }
-    if (declared > 0) {
-        std::printf("  %-8s: 500 transfers, %d injected crashes, %d "
-                    "declared salvage aborts, balance conserved "
-                    "between declarations\n",
-                    runtime->name(), crashes, declared);
-    } else {
-        std::printf("  %-8s: 500 transfers, %d injected crashes, "
-                    "balance invariant held throughout\n",
-                    runtime->name(), crashes);
-    }
+    std::printf("  %-8s: 500 transfers, %d injected crashes, "
+                "balance invariant held throughout\n",
+                runtime->name(), crashes);
     nvm::Pool::setCurrent(nullptr);
     return 0;
 }

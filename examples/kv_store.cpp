@@ -105,19 +105,8 @@ main(int argc, char** argv)
     }
     alloc::PmAllocator heap(*pool);
     rt::ClobberRuntime runtime(*pool, heap);
-    // Re-executes the interrupted insert from its v_log — unless a
-    // fence-eliding log writer (CNVM_LOG_WRITER=zerocached) was in
-    // use: then the interrupted transaction's inputs cannot be
-    // trusted after a torn crash, so recovery rolls it back
-    // best-effort and *declares* the salvage abort instead
-    // (DESIGN.md §15).
-    auto report = runtime.recover();
-    if (report.salvageAborted > 0)
-        std::printf("[second run] recovery declared %llu salvage "
-                    "abort(s): the interrupted insert was rolled "
-                    "back, not re-executed\n",
-                    static_cast<unsigned long long>(
-                        report.salvageAborted));
+    // Re-executes the interrupted insert from its v_log.
+    runtime.recover();
     txn::Engine eng(runtime);
     ds::HashMap map(eng, pool->root());
 
@@ -139,8 +128,7 @@ main(int argc, char** argv)
     ::unlink(path.c_str());
     std::printf("[second run] pool removed; run again for a fresh "
                 "demo\n");
-    // Committed records must always survive; the interrupted insert is
-    // present exactly when recovery did not declare a salvage abort.
-    int expectPresent = kRecords + (report.salvageAborted > 0 ? 0 : 1);
-    return present == expectPresent && intact == present ? 0 : 1;
+    // Committed records must always survive, and so must the
+    // re-executed insert.
+    return present == kRecords + 1 && intact == present ? 0 : 1;
 }

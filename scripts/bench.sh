@@ -5,9 +5,9 @@
 # usage: scripts/bench.sh <hotpath|txpath|kvserver|recovery> [label]
 #
 #   hotpath   micro_hotpath: NVM model write/flush/fence primitives
-#   txpath    micro_txpath: per-protocol transaction paths, with the
-#             log writer as one axis (baseline vs zerocached rows of
-#             one run are the writer ablation)
+#   txpath    micro_txpath: per-protocol transaction paths, with
+#             fences, log entries, log flushes and log bytes per
+#             transaction
 #   kvserver  micro_kvserver: the serving stack over loopback TCP
 #             (batch 1 vs batch 8 rows are the group-commit ablation)
 #   recovery  fig9_recovery's restart sweep: full vs lazy time to

@@ -298,7 +298,7 @@ def by_label(title, runs, dims, keep=lambda dims: True):
 def versus(title, runs, dim, base, metric, extra=()):
     """Each row against its label's row that differs only in `dim`,
     which reads `base` there: `metric` of both and their ratio, then
-    the row's own `extra` metrics."""
+    the row's own `extra` metrics. A row without `dim` reads `base`."""
     print('\n### %s\n' % title)
     others = None
     for label, run in runs.items():
@@ -307,7 +307,7 @@ def versus(title, runs, dim, base, metric, extra=()):
         for r in run['rows']:
             dims, m = r['dims'], r['metrics']
             ref = index.get(frozenset({**dims, dim: base}.items()))
-            if dims[dim] == base or ref is None:
+            if dims.get(dim, base) == base or ref is None:
                 continue
             if others is None:
                 others = [k for k in dims if k != dim]
@@ -327,9 +327,11 @@ SUITES = {
     'hotpath': lambda runs: by_label(
         'hotpath — NVM model primitives', runs, ('op', 'threads')),
     'txpath': lambda runs: (
+        # Rows recorded since the append path has one writer carry no
+        # `writer` dimension: they are baseline rows.
         by_label('txpath — baseline log writer', runs,
                  ('op', 'system', 'threads'),
-                 lambda d: d['writer'] == 'baseline'),
+                 lambda d: d.get('writer', 'baseline') == 'baseline'),
         versus('txpath — log writer against baseline', runs, 'writer',
                'baseline', 'ops_per_sec',
                ('fences_per_tx', 'log_flushes_per_tx'))),

@@ -23,8 +23,8 @@
  * the session starts over only when the pool took a crash or a media
  * fault after the map was built (nvm::Pool::upsets).
  *
- * Persistent layout inside the pool's heap region (pool version 3,
- * which changed only the quarantine table's checksum):
+ * Persistent layout inside the pool's heap region (pool versions 3
+ * and 4; version 3 changed only the quarantine table's checksum):
  *
  *   [ AllocHeader | quarantine table | bitmap (1 bit / 16-byte
  *     granule) | data ]

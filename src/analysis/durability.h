@@ -7,13 +7,15 @@
  * transaction commit: a runtime that claims durability must leave no
  * line dirty (written but never flushed) when txCommit returns.
  *
- * Flushed-but-unfenced lines at commit are reported separately as
- * advisories, not violations: the shipped runtimes deliberately clear
- * the allocation-intent count with a lazy (unfenced) flush after the
- * commit point, which is crash-safe because re-running the empty
- * free-completion path is idempotent (see RuntimeBase::
- * finishIntentsAfterCommit). Options::failOnPending upgrades the
- * advisory to a violation for stricter protocols.
+ * Flushed-but-unfenced ("pending") lines at commit are counted as
+ * advisories, not violations. No logging runtime leaves any: each
+ * commit ends with a fence (persistIdle's, then, when the transaction
+ * allocated or freed, the one after RuntimeBase::
+ * finishIntentsAfterCommit clears the intent count), and cnvm_lint
+ * reads zero pending-line advisories for all five. Only the no-log
+ * baseline, which flushes its bitmap writes without a fence and makes
+ * no durability claim, reports them. Options::failOnPending upgrades
+ * the advisory to a violation.
  *
  * The validator only models lines dirtied after it attaches, so
  * pre-existing setup writes never produce false positives. Attaching

@@ -17,8 +17,8 @@
  * The shard locks are what serialize conflicting transactions from
  * different server workers. Mutations can be applied one per
  * transaction (set/del/cas) or batched into a single transaction
- * (applyBatch — the group-commit path: one begin persist, one seal,
- * one commit fence for the whole batch).
+ * (applyBatch — the group-commit path: one begin persist and one
+ * commit fence for the whole batch).
  */
 #ifndef CNVM_APPS_KV_SERVER_H
 #define CNVM_APPS_KV_SERVER_H
@@ -172,8 +172,8 @@ class KvServer {
 
     /**
      * Group commit: apply every mutation of `ops` in ONE transaction,
-     * paying one begin persist, one log seal and one commit fence for
-     * the whole batch. Locks every involved shard (in index order, so
+     * paying one begin persist and one commit fence for the whole
+     * batch. Locks every involved shard (in index order, so
      * concurrent batches cannot deadlock) for the duration. Fills
      * `results[i]` for each op. Throws txn::LogOverflowError — with
      * no mutation applied — when the batch outgrows the slot's log

@@ -96,8 +96,14 @@ class Pool {
      * v3: every record checksum is a WordSum (common/checksum.h), not
      * an xor of per-field fnv1a sums; a v2 pool is refused, since its
      * sums would read as damage.
+     * v4: the layout is v3's, but a v3 build could append log
+     * entries without their required fence (a fence-eliding log
+     * writer chosen at run time). This build's recovery trusts every
+     * required entry to have been fenced, so it would roll back or
+     * re-execute such a pool's interrupted transaction as if its log
+     * were complete; a v3 pool is refused instead.
      */
-    static constexpr uint64_t kVersion = 3;
+    static constexpr uint64_t kVersion = 4;
 
     /** Create and format a new pool (truncates an existing file). */
     static std::unique_ptr<Pool> create(const PoolConfig& cfg);

@@ -26,13 +26,13 @@ AtlasRuntime::appendLockRecord(unsigned tid, uint64_t code)
     // Markers are bookkeeping, not memory images: recovery only needs
     // one durably *before* any later undo image is acted on, and every
     // undo entry's own required fence drains this flush first. A torn
-    // marker with a durable successor entry is impossible for the same
-    // reason — the successor's fence would have retired this line (see
-    // DESIGN.md §12). Under the eliding log writers no such fence
-    // exists, but the undo-family declared-salvage rule covers Atlas
-    // too (rollbackSlot never claims a clean roll-back then), and the
-    // zerocached staging window is strictly FIFO, so markers keep
-    // their position relative to undo entries on media.
+    // marker can still be followed by a valid entry: when the next
+    // undo entry shares the marker's cache line and the crash lands
+    // before that entry's fence, the word-granular tear can keep the
+    // entry and revert a word of the marker. The scan then resyncs
+    // past the marker and calls the log corrupted, so recovery
+    // declares a salvage abort for a transaction it did fully roll
+    // back — the entry's in-place store had not run (DESIGN.md §12).
     appendLogEntry(tid, kMarkerOff, &code, sizeof(code),
                    LogFence::deferred);
     stats::bump(stats::Counter::lockLogEntries);

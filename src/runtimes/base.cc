@@ -17,19 +17,19 @@ static_assert(txn::ArgWriter::kInlineBytes == kMaxArgBytes,
               "ArgWriter's inline buffer must hold any v_log blob");
 
 RuntimeBase::RuntimeBase(nvm::Pool& pool, alloc::PmAllocator& heap)
-    : pool_(pool), heap_(heap), slots_(pool.maxThreads()),
-      logWriter_(makeLogWriter(logWriterKindFromEnv(), pool))
+    : pool_(pool), heap_(heap), slots_(pool.maxThreads())
 {
     CNVM_CHECK(pool.slotBytes() > logAreaOffset() + 4096,
                "pool slots too small for descriptor + log area");
 }
 
-void
-RuntimeBase::setLogWriter(LogWriterKind kind)
+// Kept for kvbench (kvbench/src/workloads.cc), which names the log
+// writer when it pins its configuration; every RuntimeBase appends
+// through the one writer.
+bool
+selectLogWriter(txn::Runtime& rt, LogWriterKind /* kind */)
 {
-    for (const SlotState& s : slots_)
-        CNVM_CHECK(!s.inTx, "cannot swap log writers mid-transaction");
-    logWriter_ = makeLogWriter(kind, pool_);
+    return dynamic_cast<RuntimeBase*>(&rt) != nullptr;
 }
 
 TxDescriptor&
@@ -125,17 +125,16 @@ RuntimeBase::appendLogEntry(unsigned tid, uint64_t targetOff,
     h.seqLo = static_cast<uint32_t>(desc(tid).txSeq);
     h.checksum =
         salvage::entryChecksum(h, static_cast<const uint8_t*>(payload));
-    logWriter_->append(tid, logArea(tid), s.logTail, need, h, payload,
-                       fence);
+    uint8_t* dst = logArea(tid) + s.logTail;
+    pool_.write(dst, &h, sizeof(h));
+    pool_.write(dst + sizeof(h), payload, len);
+    pool_.flush(dst, need);
+    stats::bump(stats::Counter::logFlushes);
+    if (fence == LogFence::required)
+        pool_.fence();
     s.logTail += need;
     stats::bump(stats::Counter::logEntries);
     stats::bump(stats::Counter::logBytes, need);
-}
-
-void
-RuntimeBase::sealLog(unsigned tid)
-{
-    logWriter_->sealForFence(tid, logArea(tid), slot(tid).logTail);
 }
 
 const std::vector<ScannedEntry>&
@@ -375,9 +374,7 @@ RuntimeBase::txAbort(unsigned tid)
         // Roll the in-place writes back from the log, in reverse
         // (for clobber-family runtimes this restores the clobbered
         // inputs only; blind stores to pre-existing blocks stay, the
-        // same caveat their recovery documents). Staged entries must
-        // reach the log area first or the scan cannot see them.
-        sealLog(tid);
+        // same caveat their recovery documents).
         const auto& entries = scanLog(tid);
         for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
             if (it->targetOff == kMarkerOff)

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,16 +37,6 @@ class RuntimeBase : public txn::Runtime {
      * transactions two fences each (see bench/ablation_lazy_begin).
      */
     void setEagerBeginPersist(bool on) { eagerBegin_ = on; }
-
-    /**
-     * Swap the log-append engine (see log_writer.h). The default is
-     * CNVM_LOG_WRITER (baseline when unset). Must not be called with
-     * a transaction in flight on any slot: the new writer's staging
-     * state re-anchors lazily per slot, but entries already staged by
-     * the old writer would be lost.
-     */
-    void setLogWriter(LogWriterKind kind);
-    LogWriterKind logWriterKind() const { return logWriter_->kind(); }
 
     void initZero(unsigned tid, void* dst, size_t n) override;
     uint64_t alloc(unsigned tid, size_t n) override;
@@ -214,35 +203,14 @@ class RuntimeBase : public txn::Runtime {
 
     /**
      * Append a self-validating log entry carrying `len` bytes of
-     * `payload` attributed to `targetOff`, through the active log
-     * writer. The baseline writer flushes the entry and fences iff
-     * `fence == LogFence::required`; the zerocached writer
-     * elides the fence and defers even the NVM write until a
-     * staging window fills or sealLog runs. Throws
-     * txn::LogOverflowError when the entry does not fit the slot's
-     * log area (nothing is written in that case).
+     * `payload` attributed to `targetOff`: write it to the slot's log
+     * area, flush it, and fence iff `fence == LogFence::required`.
+     * Throws txn::LogOverflowError when the entry does not fit the
+     * slot's log area (nothing is written in that case).
      */
     void appendLogEntry(unsigned tid, uint64_t targetOff,
                         const void* payload, uint32_t len,
                         LogFence fence);
-
-    /**
-     * Write out + flush any log bytes the active writer still stages
-     * in DRAM for slot `tid` (no fence — the caller's next fence
-     * retires them). Commit paths call this before their first data
-     * fence; any path about to scanLog() an in-flight transaction's
-     * area must call it first or staged entries are invisible.
-     */
-    void sealLog(unsigned tid);
-
-    /** True when the active writer never fences required appends:
-     *  recovery of an interrupted transaction must declare a salvage
-     *  abort instead of claiming a clean roll-back (DESIGN.md §15). */
-    bool
-    logWriterElides() const
-    {
-        return logWriter_->elidesRequiredFence();
-    }
 
     /**
      * All valid entries of the slot's current transaction, in order,
@@ -463,9 +431,6 @@ class RuntimeBase : public txn::Runtime {
     alloc::PmAllocator& heap_;
     std::vector<SlotState> slots_;
     bool eagerBegin_ = false;
-    /** Active log-append engine (never null; CNVM_LOG_WRITER picks
-     *  the initial one at construction). */
-    std::unique_ptr<LogWriter> logWriter_;
 };
 
 }  // namespace cnvm::rt

@@ -60,10 +60,8 @@ ClobberRuntime::appendClobberEntry(unsigned tid, void* dst, size_t n)
     // log (the READ bit requires a load before any store to the
     // block), so the widened image is the true pre-state. The fence
     // matters: the clobbered line can tear independently of the log
-    // line, so the entry should be durable before the in-place write
-    // executes. Under the zerocached writer it is elided and
-    // healOngoing() compensates by declaring the interrupted
-    // transaction salvage-aborted instead of re-executing it.
+    // line, so the entry must be durable before the in-place write
+    // executes.
     uint64_t off = pool_.offsetOf(dst);
     uint64_t lo = off & ~(kBlock - 1);
     uint64_t hi = (off + n + kBlock - 1) & ~(kBlock - 1);
@@ -121,9 +119,6 @@ ClobberRuntime::txCommit(unsigned tid)
         stats::bump(stats::Counter::txCommits);
         return;
     }
-    // Staged log bytes (zerocached writer) must hit the media before
-    // the data fence: see UndoRuntime::txCommit.
-    sealLog(tid);
     persistIntentsAndAllocs(tid);
     flushDirty(tid);
     pool_.fence();
@@ -210,24 +205,18 @@ void
 ClobberRuntime::declareRestoreAbort(unsigned tid,
                                     const salvage::ScanStats& st)
 {
-    // Damaged log — or an eliding writer, under which a lost trailing
-    // clobber entry looks exactly like a clean log end while its
-    // in-place write survived. Re-executing would feed the txfunc
-    // those unrestored inputs and commit garbage on top; restore what
-    // validated and declare the abort instead.
+    // Damaged log: some clobbered inputs could not be restored.
+    // Re-executing would feed the txfunc those unrestored inputs and
+    // commit garbage on top; restore what validated and declare the
+    // abort instead.
     salvageResetSlot(tid);
     txn::SlotRecovery sr;
     sr.tid = tid;
     sr.action = txn::SlotAction::salvageAborted;
     sr.entriesApplied = st.entries;
     sr.entriesDropped = st.droppedEntries;
-    if (st.damaged()) {
-        sr.note = st.sawPoison ? "clobber log poisoned"
-                               : "clobber log corrupted mid-log";
-    } else {
-        sr.note = "zero-fence log writer: inputs not "
-                  "provably restored, not re-executed";
-    }
+    sr.note = st.sawPoison ? "clobber log poisoned"
+                           : "clobber log corrupted mid-log";
     recordSlot(std::move(sr));
 }
 
@@ -268,7 +257,7 @@ void
 ClobberRuntime::healOngoing(unsigned tid)
 {
     salvage::ScanStats st = restoreSlot(tid);
-    if (st.damaged() || logWriterElides()) {
+    if (st.damaged()) {
         declareRestoreAbort(tid, st);
         return;
     }

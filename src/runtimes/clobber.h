@@ -83,8 +83,8 @@ class ClobberRuntime : public RuntimeBase {
 
     /**
      * Interrupted transaction: restore its clobbered inputs, then —
-     * unless the log was damaged or an eliding writer was active —
-     * re-execute the txfunc to completion on the calling thread.
+     * unless the log was damaged — re-execute the txfunc to
+     * completion on the calling thread.
      * Every restart heals slot by slot, so there is no heap rebuild
      * between restore and re-execution: the allocator's incremental
      * scan is already live.
@@ -111,8 +111,8 @@ class ClobberRuntime : public RuntimeBase {
     void reexecuteSlot(unsigned tid);
     /** Roll back a partially re-executed slot and abandon it. */
     void abortReexecution(unsigned tid, const char* why);
-    /** Record the restore-only salvage abort (damaged log / eliding
-     *  writer: inputs not provably restored, not re-executed). */
+    /** Record the restore-only salvage abort (damaged log: inputs
+     *  not provably restored, not re-executed). */
     void declareRestoreAbort(unsigned tid,
                              const salvage::ScanStats& st);
     /** reexecuteSlot inside the recovery catch set (media fault,

@@ -90,11 +90,7 @@ IdoRuntime::store(unsigned tid, void* dst, const void* src, size_t n)
     };
     if (!pass()) {
         // Idempotent-region boundary: persist the modified memory of
-        // the closing region, then the register snapshot. (Under an
-        // eliding log writer the snapshot's fence is gone and the
-        // boundary guarantee weakens with it — harmless here, because
-        // the inherited clobber recovery never resumes from a
-        // boundary and declares interrupted slots instead.)
+        // the closing region, then the register snapshot.
         flushDirty(tid);
         uint8_t registers[kRegisterSnapshotBytes] = {};
         appendLogEntry(tid, kMarkerOff, registers, sizeof(registers),

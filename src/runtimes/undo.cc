@@ -32,9 +32,7 @@ UndoRuntime::maybeUndoLog(unsigned tid, void* dst, size_t n)
     }
     if (needLog) {
         // The undo image must be durable before the in-place write can
-        // tear: per-entry fence required. (The zerocached log
-        // writer elides this fence and recovery compensates with a
-        // declared salvage abort — see rollbackSlot.)
+        // tear: per-entry fence required.
         appendLogEntry(tid, pool_.offsetOf(dst), dst,
                        static_cast<uint32_t>(n), LogFence::required);
         stats::bump(stats::Counter::undoEntries);
@@ -70,12 +68,6 @@ UndoRuntime::txCommit(unsigned tid)
         stats::bump(stats::Counter::txCommits);
         return;
     }
-    // Staged log bytes (zerocached writer) must be on media and
-    // flushed before the data fence below: once any in-place write is
-    // durable while the slot is still ongoing, recovery depends on
-    // the full undo log being there. The commit fence retires the
-    // seal's flushes together with the write-back.
-    sealLog(tid);
     persistIntentsAndAllocs(tid);
     flushDirty(tid);
     pool_.fence();
@@ -103,24 +95,15 @@ UndoRuntime::rollbackSlot(unsigned tid)
     sr.tid = tid;
     sr.entriesApplied = applied;
     sr.entriesDropped = st.droppedEntries;
-    if (st.damaged() || logWriterElides()) {
-        // Some pre-images were unrecoverable — or an eliding log
-        // writer was active, in which case an in-place write can have
-        // outlived its (unfenced) undo entry and the log's clean end
-        // proves nothing: a fully-torn trailing entry is
-        // indistinguishable from one never appended. Either way the
+    if (st.damaged()) {
+        // The scan saw damage, so some pre-images may be lost: the
         // roll-back restored every value that still validated, but a
         // full revert cannot be promised. Abandon the transaction,
         // visibly.
         salvageResetSlot(tid);
         sr.action = txn::SlotAction::salvageAborted;
-        if (st.damaged()) {
-            sr.note = st.sawPoison ? "undo log poisoned"
-                                   : "undo log corrupted mid-log";
-        } else {
-            sr.note = "zero-fence log writer: roll-back is "
-                      "best-effort";
-        }
+        sr.note = st.sawPoison ? "undo log poisoned"
+                               : "undo log corrupted mid-log";
     } else {
         persistIdle(tid);
         sr.action = txn::SlotAction::rolledBack;

@@ -22,7 +22,7 @@
  * Group commit. A worker runs a window in order and fuses each run of
  * consecutive *mutations* (set/del/cas) into one transaction via
  * KvServer::applyBatch, up to batchMax per transaction — one begin
- * persist, one log seal, one commit fence for the whole run. A get
+ * persist and one commit fence for the whole run. A get
  * breaks a run (read-your-writes: it must observe the mutations
  * before it, so those commit first). Replies are formatted and sent
  * only after the window's last commit, which is what makes a

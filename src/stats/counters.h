@@ -43,8 +43,7 @@ enum class Counter : unsigned {
     logEntries,       ///< log appends through RuntimeBase (any protocol)
     logBytes,         ///< log-area bytes those appends consumed
     logFlushes,       ///< flush operations issued for log bytes
-                      ///  (per entry for write-through writers, per
-                      ///  staging-window copy-out for zerocached)
+                      ///  (one per entry)
     allocs,
     frees,
     recoveries,       ///< transactions repaired at recovery

@@ -255,7 +255,7 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         }
     };
     // After a *declared* salvage abort the image may hold arbitrarily
-    // torn state (an eliding log writer's roll-back is best-effort) —
+    // torn state (a roll-back past damaged entries is best-effort) —
     // even walking it can loop on a torn pointer. Discard it and
     // rebuild an equivalent clean rig by replaying the committed
     // history, so the sweep keeps auditing strictly from here on.
@@ -355,9 +355,10 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
         }
         if (rig->lastReport().salvageAborted > 0) {
             // Recovery abandoned the interrupted transaction and said
-            // so — media damage, or an eliding (zero-fence) log
-            // writer whose roll-back is best-effort. The declaration
-            // is the contract, exactly as in the media sweep: the
+            // so: a plain tear can leave a log scan reporting damage
+            // (Atlas's deferred acquire marker, DESIGN.md §12), and a
+            // roll-back past damage is best-effort. The declaration is
+            // the contract, exactly as in the media sweep: the
             // abandoned op did not commit, per-image state may
             // disagree with the shadow, and only quarantine
             // integrity still binds. Rebuild a clean rig from the
@@ -886,9 +887,9 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
             // longer binds for this history. Audit what must still
             // hold — quarantine integrity — and end the case here;
             // the declaration is the contract. (No structural probe:
-            // under an eliding log writer the abandoned image may
-            // hold arbitrarily torn pointers, and even a read-only
-            // walk can loop. A real deployment re-creates the
+            // after a roll-back past damaged entries the abandoned
+            // image may hold arbitrarily torn pointers, and even a
+            // read-only walk can loop. A real deployment re-creates the
             // structure from its committed state, which is exactly
             // what the next case's fresh rig does.)
             if (rig.heap().quarantineViolation()) {

@@ -201,10 +201,10 @@ struct SweepResult {
      *  oracle stops binding for that image (same contract the media
      *  sweep honors); the sweep audits quarantine integrity, then
      *  rebuilds the rig from the committed history so later attempts
-     *  are audited strictly again. Plain tears never declare under
-     *  the fencing baseline log writer — this counts only media
-     *  damage and the eliding (zero-fence) writers' best-effort
-     *  roll-backs. */
+     *  are audited strictly again. Besides media damage, a plain
+     *  tear can declare: Atlas's deferred acquire marker can tear
+     *  under a valid undo entry that shares its cache line, and the
+     *  scan then reports the log corrupted (DESIGN.md §12). */
     uint64_t declaredAborts = 0;
     uint64_t maxEventIndex = 0;
     std::string failure;     ///< first violation (empty if none)
