@@ -1,27 +1,12 @@
 #include "nvm/fault_model.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
 #include "nvm/pool.h"
 #include "stats/counters.h"
 
 namespace cnvm::nvm {
-
-namespace {
-
-uint64_t
-envU64(const char* name, uint64_t dflt)
-{
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::strtoull(v, nullptr, 0)
-                                      : dflt;
-}
-
-}  // namespace
 
 uint32_t
 parseFaultRegions(const std::string& list)
@@ -69,42 +54,6 @@ faultRegionNames(uint32_t mask)
     add(kFaultAllocMeta, "alloc");
     add(kFaultHeap, "heap");
     return out;
-}
-
-bool
-FaultConfig::envEnabled()
-{
-    return envU64("CNVM_FAULT_BITFLIP", 0) +
-               envU64("CNVM_FAULT_POISON", 0) +
-               envU64("CNVM_FAULT_TRANSIENT", 0) >
-           0;
-}
-
-FaultConfig
-FaultConfig::fromEnv()
-{
-    FaultConfig cfg;
-    cfg.seed = envU64("CNVM_FAULT_SEED", 1);
-    cfg.bitFlips =
-        static_cast<uint32_t>(envU64("CNVM_FAULT_BITFLIP", 0));
-    cfg.poisons =
-        static_cast<uint32_t>(envU64("CNVM_FAULT_POISON", 0));
-    cfg.transients =
-        static_cast<uint32_t>(envU64("CNVM_FAULT_TRANSIENT", 0));
-    if (const char* r = std::getenv("CNVM_FAULT_REGIONS")) {
-        uint32_t mask = parseFaultRegions(r);
-        if (mask == 0)
-            fatal(strprintf("CNVM_FAULT_REGIONS: cannot parse \"%s\" "
-                            "(want a comma list of header, desc, log, "
-                            "alloc, heap)",
-                            r));
-        cfg.regionMask = mask;
-    }
-    cfg.maxRetries =
-        static_cast<unsigned>(envU64("CNVM_FAULT_RETRIES", 4));
-    cfg.backoffUs =
-        static_cast<unsigned>(envU64("CNVM_FAULT_BACKOFF_US", 0));
-    return cfg;
 }
 
 FaultModel::FaultModel(const FaultConfig& cfg)
@@ -247,14 +196,12 @@ FaultModel::onRead(uint64_t off, size_t n)
                           static_cast<unsigned long long>(
                               ln * kCacheLine)));
         }
-        // Transient: retry with bounded exponential backoff. Each
-        // retry "heals" one failing read; success once they run out.
+        // Transient: retry up to maxRetries times. Each retry
+        // "heals" one failing read; success once they run out.
         bool recovered = false;
         for (unsigned r = 0; r < cfg_.maxRetries; r++) {
             retries_++;
             stats::bump(stats::Counter::mediaRetries);
-            if (cfg_.backoffUs > 0)
-                ::usleep(cfg_.backoffUs << r);
             if (--it->second <= 0) {
                 poison_.erase(it);
                 recovered = true;

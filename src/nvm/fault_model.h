@@ -80,9 +80,6 @@ struct FaultConfig {
     uint32_t regionMask = kFaultDesc | kFaultLog | kFaultAllocMeta;
     /** Guarded-read retries before a transient fault escalates. */
     unsigned maxRetries = 4;
-    /** Base exponential backoff between retries, microseconds
-     *  (0 = account the retries but do not sleep). */
-    unsigned backoffUs = 0;
     /** Inject a round automatically inside Pool::simulateCrash*. */
     bool injectOnCrash = true;
 
@@ -90,12 +87,6 @@ struct FaultConfig {
     {
         return bitFlips + poisons + transients > 0;
     }
-
-    /** Is any CNVM_FAULT_* knob set to a non-zero fault count? */
-    static bool envEnabled();
-    /** Parse CNVM_FAULT_{SEED,BITFLIP,POISON,TRANSIENT,REGIONS,
-     *  RETRIES,BACKOFF_US}. */
-    static FaultConfig fromEnv();
 };
 
 /** Parse a "log,desc,alloc,heap,header" list into a region mask.
@@ -146,8 +137,8 @@ class FaultModel {
 
     /**
      * Guarded read of [off, off+n): transient faults are retried
-     * internally (bounded exponential backoff per cfg), permanent
-     * poison and retry exhaustion raise MediaFaultError.
+     * internally (up to cfg.maxRetries), permanent poison and retry
+     * exhaustion raise MediaFaultError.
      */
     void onRead(uint64_t off, size_t n);
 

@@ -101,9 +101,6 @@ Pool::create(const PoolConfig& cfg)
     // The fresh mapping is already zero; persist the header explicitly.
     pool->write(pool->base_, &hdr, sizeof(hdr));
     pool->persist(pool->base_, sizeof(hdr));
-    if (FaultConfig::envEnabled())
-        pool->setFaultModel(
-            std::make_unique<FaultModel>(FaultConfig::fromEnv()));
     if (gCurrent == nullptr) {
         gCurrent = pool.get();
         pool->wasCurrent_ = true;
@@ -191,9 +188,6 @@ Pool::open(const std::string& path)
                      " header offsets are inconsistent (corrupt "
                      "header)");
     }
-    if (FaultConfig::envEnabled())
-        pool->setFaultModel(
-            std::make_unique<FaultModel>(FaultConfig::fromEnv()));
     if (gCurrent == nullptr) {
         gCurrent = pool.get();
         pool->wasCurrent_ = true;

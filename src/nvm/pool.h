@@ -182,8 +182,8 @@ class Pool {
      * Attaching a FaultModel arms guarded reads (checkRead) and makes
      * simulateCrash* run one seeded injection round after the tear.
      * When no model is attached every hook is a null-pointer check.
-     * Pool::create/open attach one automatically when the
-     * CNVM_FAULT_* environment knobs request faults.
+     * Tests and the torture rig attach one; no pool has one by
+     * default.
      */
     /// @{
     /** Install `fm` (nullptr detaches) and set the coarse region map

@@ -86,7 +86,7 @@ void
 AtlasRuntime::txBegin(unsigned tid, txn::FuncId fid,
                       std::span<const uint8_t> args)
 {
-    UndoRuntime::txBegin(tid, fid, args);
+    RuntimeBase::txBegin(tid, fid, args);
     // Atlas infers FASEs from lock operations and cannot tell a
     // read-only critical section apart, so it persists eagerly.
     ensureBegun(tid);
@@ -110,17 +110,11 @@ AtlasRuntime::store(unsigned tid, void* dst, const void* src, size_t n)
 }
 
 void
-AtlasRuntime::onLock(unsigned tid)
-{
-    appendLockRecord(tid, /* inner */ 2);
-}
-
-void
 AtlasRuntime::txCommit(unsigned tid)
 {
     appendLockRecord(tid, /* release */ 3);
     appendDepRecord(tid);
-    UndoRuntime::txCommit(tid);
+    RuntimeBase::txCommit(tid);
     if (++commitsSincePrune_ >= kPruneInterval) {
         commitsSincePrune_ = 0;
         pruneLogs();

@@ -11,9 +11,9 @@
  *
  * This model reproduces those costs mechanically:
  *  - undo logging identical to the PMDK model;
- *  - a persisted lock-acquire record at FASE begin, a persisted
- *    lock-release record at FASE end, and one per inner lock event
- *    (each entry write + flush + fence);
+ *  - a lock-acquire marker at FASE begin and a lock-release marker
+ *    at FASE end (each an entry write + flush, fenced by the next
+ *    undo entry or the commit);
  *  - a cross-FASE dependency record appended to a *global* persistent
  *    ring under a global lock (a real scalability bottleneck in the
  *    logical-time model);
@@ -42,7 +42,6 @@ class AtlasRuntime : public UndoRuntime {
     void txCommit(unsigned tid) override;
     void store(unsigned tid, void* dst, const void* src,
                size_t n) override;
-    void onLock(unsigned tid) override;
 
  private:
     static constexpr size_t kDepRingBytes = 4096;

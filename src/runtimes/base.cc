@@ -356,12 +356,38 @@ RuntimeBase::abandonSlot(unsigned tid)
 }
 
 void
-RuntimeBase::salvageResetSlot(unsigned tid)
+RuntimeBase::declareSalvageAbort(unsigned tid, std::string note,
+                                 uint64_t applied, uint64_t dropped)
 {
-    // The slot is being abandoned because some of its lines are
-    // poisoned, flipped or unparseable.
     abandonSlot(tid);
     stats::bump(stats::Counter::salvageAborts);
+    txn::SlotRecovery sr;
+    sr.tid = tid;
+    sr.action = txn::SlotAction::salvageAborted;
+    sr.entriesApplied = applied;
+    sr.entriesDropped = dropped;
+    sr.note = std::move(note);
+    recordSlot(std::move(sr));
+}
+
+uint64_t
+RuntimeBase::rollBackLog(unsigned tid, salvage::ScanStats* stats)
+{
+    const auto& entries = scanLog(tid, stats);
+    uint64_t applied = 0;
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+        if (it->targetOff == kMarkerOff)
+            continue;  // bookkeeping record, not a memory image
+        pool_.writeAt(it->targetOff, it->data, it->len);
+        pool_.flush(pool_.at(it->targetOff), it->len);
+        applied++;
+    }
+    pool_.fence();
+    // Outside recovery an intent table only persists inside txCommit,
+    // after every append, so an abort finds none; a crashed
+    // transaction's table is reverted here.
+    recoverIntents(tid, /* committed */ false);
+    return applied;
 }
 
 void
@@ -370,24 +396,12 @@ RuntimeBase::txAbort(unsigned tid)
     SlotState& s = slot(tid);
     if (!s.inTx)
         return;
-    if (s.begunPersist) {
-        // Roll the in-place writes back from the log, in reverse
-        // (for clobber-family runtimes this restores the clobbered
-        // inputs only; blind stores to pre-existing blocks stay, the
-        // same caveat their recovery documents).
-        const auto& entries = scanLog(tid);
-        for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-            if (it->targetOff == kMarkerOff)
-                continue;
-            pool_.writeAt(it->targetOff, it->data, it->len);
-            pool_.flush(pool_.at(it->targetOff), it->len);
-        }
-        pool_.fence();
-        // An intent table only persists inside txCommit, after every
-        // append — it cannot be live here unless a protocol grows an
-        // early-persist path; revert it if it is.
-        recoverIntents(tid, /* committed */ false);
-    }
+    // Roll the in-place writes back from the log (for clobber-family
+    // runtimes this restores the clobbered inputs only; blind stores
+    // to pre-existing blocks stay, the same caveat their recovery
+    // documents).
+    if (s.begunPersist)
+        rollBackLog(tid, nullptr);
     // Un-reserve this transaction's allocations (volatile only: their
     // bitmap bits are not set until commit).
     for (const auto& [off, isFree] : s.actions) {
@@ -414,12 +428,7 @@ RuntimeBase::slotRecoverable(unsigned tid)
     const char* why = salvage::beginDamage(pool_, desc(tid));
     if (why == nullptr)
         return true;
-    txn::SlotRecovery sr;
-    sr.tid = tid;
-    sr.action = txn::SlotAction::salvageAborted;
-    sr.note = why;
-    recordSlot(std::move(sr));
-    salvageResetSlot(tid);
+    declareSalvageAbort(tid, why);
     return false;
 }
 
@@ -437,12 +446,7 @@ RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
     } else if (live < 0) {
         if (report_ != nullptr)
             report_->intentTablesLost++;
-        salvageResetSlot(tid);
-        txn::SlotRecovery sr;
-        sr.tid = tid;
-        sr.action = txn::SlotAction::salvageAborted;
-        sr.note = "alloc intent table unreadable or corrupt";
-        recordSlot(std::move(sr));
+        declareSalvageAbort(tid, "alloc intent table unreadable or corrupt");
     }
 }
 
@@ -555,6 +559,38 @@ RuntimeBase::ensureBegun(unsigned tid)
                  {s.volatileArgs.data(), s.volatileArgs.size()},
                  s.wantArgsPersist);
     beganPersistently(tid);
+}
+
+void
+RuntimeBase::txBegin(unsigned tid, txn::FuncId fid,
+                     std::span<const uint8_t> args)
+{
+    stageBegin(tid, fid, args, /* persistArgs */ false);
+}
+
+void
+RuntimeBase::txCommit(unsigned tid)
+{
+    SlotState& s = slot(tid);
+    CNVM_CHECK(s.inTx, "commit outside transaction");
+    if (!s.begunPersist) {
+        // Read-only transaction: nothing durable happened.
+        s.inTx = false;
+        stats::bump(stats::Counter::txCommits);
+        return;
+    }
+    persistIntentsAndAllocs(tid);
+    flushDirty(tid);
+    pool_.fence();
+    persistIdle(tid);
+    finishIntentsAfterCommit(tid);
+    s.inTx = false;
+}
+
+void
+RuntimeBase::load(unsigned, void* dst, const void* src, size_t n)
+{
+    std::memcpy(dst, src, n);
 }
 
 void

@@ -8,8 +8,8 @@
 #define CNVM_RUNTIMES_BASE_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "alloc/pm_allocator.h"
@@ -37,6 +37,28 @@ class RuntimeBase : public txn::Runtime {
      * transactions two fences each (see bench/ablation_lazy_begin).
      */
     void setEagerBeginPersist(bool on) { eagerBegin_ = on; }
+
+    /**
+     * @name The undo family's transaction steps
+     *
+     * Begin stages a begin record without the v_log (clobber and iDO
+     * persist it), commit is the in-place commit below, and a load is
+     * a plain read. Redo overrides all three, no-log begin and
+     * commit.
+     */
+    /// @{
+    void txBegin(unsigned tid, txn::FuncId fid,
+                 std::span<const uint8_t> args) override;
+    /**
+     * In-place commit: persist the intent table and the allocation
+     * bits, write back every dirty line, fence, persist idle (the
+     * commit point), then finish the frees. A transaction that never
+     * persisted its begin record commits with no fence at all.
+     */
+    void txCommit(unsigned tid) override;
+    void load(unsigned tid, void* dst, const void* src,
+              size_t n) override;
+    /// @}
 
     void initZero(unsigned tid, void* dst, size_t n) override;
     uint64_t alloc(unsigned tid, size_t n) override;
@@ -87,11 +109,11 @@ class RuntimeBase : public txn::Runtime {
          * / REGION_READ / REGION_WRITTEN), one probe per block where
          * the old readSet/writeSet/loggedBlocks/region sets cost up to
          * four. Bits are only ever set during a transaction (clear()
-         * at reset, clearBits() at iDO region boundaries), which is
-         * what makes the access-run cache below sound. Like dirtySeen
-         * it starts small and grows to the largest transaction the
-         * slot has run, so a slot costs the same to build however
-         * many a runtime has.
+         * at reset, clearRegionBits() at iDO region boundaries), which
+         * is what makes the access-run cache below sound. Like
+         * dirtySeen it starts small and grows to the largest
+         * transaction the slot has run, so a slot costs the same to
+         * build however many a runtime has.
          */
         BlockMap blocks{64};
         /**
@@ -284,6 +306,17 @@ class RuntimeBase : public txn::Runtime {
     void persistIdle(unsigned tid);
 
     /**
+     * Roll the slot's logged images back: scan its log, write each
+     * image back in reverse order (skipping kMarkerOff records) and
+     * flush it, fence, then revert a live intent table. This is PMDK's
+     * roll-back and Clobber-NVM's restore of the clobbered inputs
+     * alike: both logs hold the pre-images of what the transaction
+     * overwrote. `stats` (optional) receives what the scan observed.
+     * @return the number of images written back.
+     */
+    uint64_t rollBackLog(unsigned tid, salvage::ScanStats* stats);
+
+    /**
      * @name Salvage support
      *
      * healSlot() and healHeap() open a RecoverySession, which exposes
@@ -323,17 +356,19 @@ class RuntimeBase : public txn::Runtime {
     void abandonSlot(unsigned tid);
 
     /**
-     * Abandon a slot's transaction after salvage: invalidate the
-     * intent table and the begin record, persist idle. Unlike
-     * persistIdle this does not count a commit.
+     * Abandon the slot's transaction because some of its lines are
+     * poisoned, flipped or unparseable, and say so: abandonSlot(),
+     * count a salvage abort, and record the slot as salvage-aborted
+     * with `note` and the entry counts of its last log scan.
      */
-    void salvageResetSlot(unsigned tid);
+    void declareSalvageAbort(unsigned tid, std::string note,
+                             uint64_t applied = 0, uint64_t dropped = 0);
 
     /**
      * Common heal preamble for one slot. False means the descriptor
-     * itself is unreadable: the slot has been recorded as
-     * salvage-aborted and persistently reset (the reset writes heal
-     * the poisoned lines), and the caller must skip it.
+     * itself is unreadable: the slot has been declared
+     * salvage-aborted (the descriptor rewrite heals the poisoned
+     * lines), and the caller must skip it.
      */
     bool slotRecoverable(unsigned tid);
 
@@ -396,14 +431,7 @@ class RuntimeBase : public txn::Runtime {
     /** Checksum of the slot's current begin record. */
     uint64_t beginChecksum(unsigned tid) const;
 
-    /** Helpers for 8-byte block bookkeeping. */
-    uint64_t
-    firstBlock(const void* p) const
-    {
-        return pool_.offsetOf(p) / kBlock;
-    }
-
-    /** Inclusive block range covering [p, p+n). @pre n > 0. */
+    /** Inclusive 8-byte block range covering [p, p+n). @pre n > 0. */
     struct BlockRange {
         uint64_t first, last;
     };
@@ -412,19 +440,6 @@ class RuntimeBase : public txn::Runtime {
     {
         uint64_t off = pool_.offsetOf(p);
         return {off / kBlock, (off + n - 1) / kBlock};
-    }
-
-    template <typename Fn>
-    void
-    forEachBlock(const void* p, size_t n, Fn&& fn) const
-    {
-        if (n == 0)
-            return;  // an empty access touches no block
-        uint64_t off = pool_.offsetOf(p);
-        uint64_t first = off / kBlock;
-        uint64_t last = (off + n - 1) / kBlock;
-        for (uint64_t b = first; b <= last; b++)
-            fn(b);
     }
 
     nvm::Pool& pool_;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "alloc/pm_allocator.h"
-#include "common/error.h"
 #include "nvm/fault_model.h"
 #include "stats/counters.h"
 #include "txn/registry.h"
@@ -109,42 +108,6 @@ ClobberRuntime::store(unsigned tid, void* dst, const void* src, size_t n)
 }
 
 void
-ClobberRuntime::txCommit(unsigned tid)
-{
-    SlotState& s = slot(tid);
-    CNVM_CHECK(s.inTx, "commit outside transaction");
-    if (!s.begunPersist) {
-        // Read-only transaction: nothing durable happened.
-        s.inTx = false;
-        stats::bump(stats::Counter::txCommits);
-        return;
-    }
-    persistIntentsAndAllocs(tid);
-    flushDirty(tid);
-    pool_.fence();
-    persistIdle(tid);
-    finishIntentsAfterCommit(tid);
-    s.inTx = false;
-}
-
-salvage::ScanStats
-ClobberRuntime::restoreSlot(unsigned tid)
-{
-    salvage::ScanStats st;
-    const auto& entries = scanLog(tid, &st);
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (it->targetOff == kMarkerOff)
-            continue;  // bookkeeping record, not a memory image
-        pool_.writeAt(it->targetOff, it->data, it->len);
-        pool_.flush(pool_.at(it->targetOff), it->len);
-    }
-    pool_.fence();
-    recoverIntents(tid, /* committed */ false);
-    stats::bump(stats::Counter::recoveries);
-    return st;
-}
-
-void
 ClobberRuntime::reexecuteSlot(unsigned tid)
 {
     TxDescriptor& d = desc(tid);
@@ -191,33 +154,10 @@ ClobberRuntime::abortReexecution(unsigned tid, const char* why)
     // abandon the transaction. Blind writes of the aborted txfunc may
     // survive — inherent to the clobber protocol, which is why the
     // abort is declared in the report rather than papered over.
-    restoreSlot(tid);
-    salvageResetSlot(tid);
+    rollBackLog(tid, nullptr);
+    stats::bump(stats::Counter::recoveries);
+    declareSalvageAbort(tid, std::string("re-execution aborted: ") + why);
     slot(tid).reset();
-    txn::SlotRecovery sr;
-    sr.tid = tid;
-    sr.action = txn::SlotAction::salvageAborted;
-    sr.note = std::string("re-execution aborted: ") + why;
-    recordSlot(std::move(sr));
-}
-
-void
-ClobberRuntime::declareRestoreAbort(unsigned tid,
-                                    const salvage::ScanStats& st)
-{
-    // Damaged log: some clobbered inputs could not be restored.
-    // Re-executing would feed the txfunc those unrestored inputs and
-    // commit garbage on top; restore what validated and declare the
-    // abort instead.
-    salvageResetSlot(tid);
-    txn::SlotRecovery sr;
-    sr.tid = tid;
-    sr.action = txn::SlotAction::salvageAborted;
-    sr.entriesApplied = st.entries;
-    sr.entriesDropped = st.droppedEntries;
-    sr.note = st.sawPoison ? "clobber log poisoned"
-                           : "clobber log corrupted mid-log";
-    recordSlot(std::move(sr));
 }
 
 void
@@ -256,9 +196,17 @@ ClobberRuntime::reexecuteGuarded(unsigned tid)
 void
 ClobberRuntime::healOngoing(unsigned tid)
 {
-    salvage::ScanStats st = restoreSlot(tid);
+    salvage::ScanStats st;
+    rollBackLog(tid, &st);
+    stats::bump(stats::Counter::recoveries);
     if (st.damaged()) {
-        declareRestoreAbort(tid, st);
+        // Some clobbered inputs could not be restored. Re-executing
+        // would feed the txfunc those unrestored inputs and commit
+        // garbage on top; keep what validated and declare the abort.
+        declareSalvageAbort(tid,
+                            st.sawPoison ? "clobber log poisoned"
+                                         : "clobber log corrupted mid-log",
+                            st.entries, st.droppedEntries);
         return;
     }
     // Restore and re-execute back to back, one slot at a time: the

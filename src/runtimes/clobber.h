@@ -55,7 +55,6 @@ class ClobberRuntime : public RuntimeBase {
 
     void txBegin(unsigned tid, txn::FuncId fid,
                  std::span<const uint8_t> args) override;
-    void txCommit(unsigned tid) override;
     void store(unsigned tid, void* dst, const void* src,
                size_t n) override;
     void load(unsigned tid, void* dst, const void* src,
@@ -82,9 +81,9 @@ class ClobberRuntime : public RuntimeBase {
     void appendClobberEntry(unsigned tid, void* dst, size_t n);
 
     /**
-     * Interrupted transaction: restore its clobbered inputs, then —
-     * unless the log was damaged — re-execute the txfunc to
-     * completion on the calling thread.
+     * Interrupted transaction: restore its clobbered inputs (roll the
+     * clobber_log back), then — unless the log was damaged —
+     * re-execute the txfunc to completion on the calling thread.
      * Every restart heals slot by slot, so there is no heap rebuild
      * between restore and re-execution: the allocator's incremental
      * scan is already live.
@@ -104,17 +103,10 @@ class ClobberRuntime : public RuntimeBase {
     static thread_local bool recovering_;
 
  private:
-    /** Restore clobbered inputs, revert intents. @return what the
-     *  log scan observed. */
-    salvage::ScanStats restoreSlot(unsigned tid);
-    /** Re-execute the interrupted txfunc (after restoreSlot). */
+    /** Re-execute the interrupted txfunc (after its restore). */
     void reexecuteSlot(unsigned tid);
     /** Roll back a partially re-executed slot and abandon it. */
     void abortReexecution(unsigned tid, const char* why);
-    /** Record the restore-only salvage abort (damaged log: inputs
-     *  not provably restored, not re-executed). */
-    void declareRestoreAbort(unsigned tid,
-                             const salvage::ScanStats& st);
     /** reexecuteSlot inside the recovery catch set (media fault,
      *  overflow, corrupt block -> abort + declare). */
     void reexecuteGuarded(unsigned tid);

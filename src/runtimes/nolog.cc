@@ -1,7 +1,5 @@
 #include "runtimes/nolog.h"
 
-#include <cstring>
-
 #include "common/error.h"
 #include "stats/counters.h"
 
@@ -11,7 +9,7 @@ void
 NoLogRuntime::txBegin(unsigned tid, txn::FuncId fid,
                       std::span<const uint8_t> args)
 {
-    stageBegin(tid, fid, args, /* persistArgs */ false);
+    RuntimeBase::txBegin(tid, fid, args);
     // No-log never persists the begin record at all.
     slot(tid).begunPersist = true;
 }
@@ -47,12 +45,6 @@ void
 NoLogRuntime::store(unsigned tid, void* dst, const void* src, size_t n)
 {
     writeDirty(tid, dst, src, n);
-}
-
-void
-NoLogRuntime::load(unsigned, void* dst, const void* src, size_t n)
-{
-    std::memcpy(dst, src, n);
 }
 
 txn::RecoveryIndex

@@ -26,8 +26,6 @@ class NoLogRuntime : public RuntimeBase {
     void txCommit(unsigned tid) override;
     void store(unsigned tid, void* dst, const void* src,
                size_t n) override;
-    void load(unsigned tid, void* dst, const void* src,
-              size_t n) override;
     uint64_t alloc(unsigned tid, size_t n) override;
     void dealloc(unsigned tid, uint64_t payloadOff) override;
 

@@ -234,30 +234,31 @@ RedoRuntime::healCommitting(unsigned tid)
     // transaction.
     salvage::ScanStats st;
     const auto& entries = scanLog(tid, &st);
+    if (st.damaged() || st.tornTail) {
+        recoverIntents(tid, /* committed */ false);
+        declareSalvageAbort(
+            tid,
+            "committed transaction lost: redo log " +
+                std::string(st.sawPoison ? "poisoned" : "corrupted"),
+            0, st.droppedEntries);
+        return;
+    }
     txn::SlotRecovery sr;
     sr.tid = tid;
     sr.entriesDropped = st.droppedEntries;
-    if (st.damaged() || st.tornTail) {
-        recoverIntents(tid, /* committed */ false);
-        salvageResetSlot(tid);
-        sr.action = txn::SlotAction::salvageAborted;
-        sr.note = "committed transaction lost: redo log " +
-                  std::string(st.sawPoison ? "poisoned" : "corrupted");
-    } else {
-        for (const auto& e : entries) {
-            if (e.targetOff == kMarkerOff)
-                continue;
-            pool_.writeAt(e.targetOff, e.data, e.len);
-            pool_.flush(pool_.at(e.targetOff), e.len);
-            sr.entriesApplied++;
-        }
-        pool_.fence();
-        reapplyAllocIntents(tid);
-        recoverIntents(tid, /* committed */ true);
-        persistIdle(tid);
-        sr.action = txn::SlotAction::rolledForward;
-        stats::bump(stats::Counter::recoveries);
+    for (const auto& e : entries) {
+        if (e.targetOff == kMarkerOff)
+            continue;
+        pool_.writeAt(e.targetOff, e.data, e.len);
+        pool_.flush(pool_.at(e.targetOff), e.len);
+        sr.entriesApplied++;
     }
+    pool_.fence();
+    reapplyAllocIntents(tid);
+    recoverIntents(tid, /* committed */ true);
+    persistIdle(tid);
+    sr.action = txn::SlotAction::rolledForward;
+    stats::bump(stats::Counter::recoveries);
     recordSlot(std::move(sr));
 }
 

@@ -1,18 +1,8 @@
 #include "runtimes/undo.h"
 
-#include <cstring>
-
-#include "common/error.h"
 #include "stats/counters.h"
 
 namespace cnvm::rt {
-
-void
-UndoRuntime::txBegin(unsigned tid, txn::FuncId fid,
-                     std::span<const uint8_t> args)
-{
-    stageBegin(tid, fid, args, /* persistArgs */ false);
-}
 
 void
 UndoRuntime::maybeUndoLog(unsigned tid, void* dst, size_t n)
@@ -52,63 +42,28 @@ UndoRuntime::store(unsigned tid, void* dst, const void* src, size_t n)
 }
 
 void
-UndoRuntime::load(unsigned, void* dst, const void* src, size_t n)
-{
-    std::memcpy(dst, src, n);
-}
-
-void
-UndoRuntime::txCommit(unsigned tid)
-{
-    SlotState& s = slot(tid);
-    CNVM_CHECK(s.inTx, "commit outside transaction");
-    if (!s.begunPersist) {
-        // Read-only transaction: nothing durable happened.
-        s.inTx = false;
-        stats::bump(stats::Counter::txCommits);
-        return;
-    }
-    persistIntentsAndAllocs(tid);
-    flushDirty(tid);
-    pool_.fence();
-    persistIdle(tid);
-    finishIntentsAfterCommit(tid);
-    s.inTx = false;
-}
-
-void
-UndoRuntime::rollbackSlot(unsigned tid)
+UndoRuntime::healOngoing(unsigned tid)
 {
     salvage::ScanStats st;
-    const auto& entries = scanLog(tid, &st);
-    uint64_t applied = 0;
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (it->targetOff == kMarkerOff)
-            continue;  // bookkeeping record, not a memory image
-        pool_.writeAt(it->targetOff, it->data, it->len);
-        pool_.flush(pool_.at(it->targetOff), it->len);
-        applied++;
-    }
-    pool_.fence();
-    recoverIntents(tid, /* committed */ false);
-    txn::SlotRecovery sr;
-    sr.tid = tid;
-    sr.entriesApplied = applied;
-    sr.entriesDropped = st.droppedEntries;
+    uint64_t applied = rollBackLog(tid, &st);
     if (st.damaged()) {
         // The scan saw damage, so some pre-images may be lost: the
         // roll-back restored every value that still validated, but a
         // full revert cannot be promised. Abandon the transaction,
         // visibly.
-        salvageResetSlot(tid);
-        sr.action = txn::SlotAction::salvageAborted;
-        sr.note = st.sawPoison ? "undo log poisoned"
-                               : "undo log corrupted mid-log";
-    } else {
-        persistIdle(tid);
-        sr.action = txn::SlotAction::rolledBack;
-        stats::bump(stats::Counter::recoveries);
+        declareSalvageAbort(tid,
+                            st.sawPoison ? "undo log poisoned"
+                                         : "undo log corrupted mid-log",
+                            applied, st.droppedEntries);
+        return;
     }
+    persistIdle(tid);
+    stats::bump(stats::Counter::recoveries);
+    txn::SlotRecovery sr;
+    sr.tid = tid;
+    sr.action = txn::SlotAction::rolledBack;
+    sr.entriesApplied = applied;
+    sr.entriesDropped = st.droppedEntries;
     recordSlot(std::move(sr));
 }
 

@@ -6,7 +6,8 @@
  * address range undo-logs the old value — entry write, flush, fence —
  * before the in-place update (reads need no interposition); allocation
  * uses redo-style intents; recovery rolls uncommitted transactions
- * back by replaying the undo log in reverse.
+ * back by replaying the undo log in reverse. Begin, commit and load
+ * are RuntimeBase's.
  */
 #ifndef CNVM_RUNTIMES_UNDO_H
 #define CNVM_RUNTIMES_UNDO_H
@@ -25,23 +26,16 @@ class UndoRuntime : public RuntimeBase {
         return txn::RuntimeKind::undo;
     }
 
-    void txBegin(unsigned tid, txn::FuncId fid,
-                 std::span<const uint8_t> args) override;
-    void txCommit(unsigned tid) override;
     void store(unsigned tid, void* dst, const void* src,
                size_t n) override;
-    void load(unsigned tid, void* dst, const void* src,
-              size_t n) override;
 
  protected:
     /** Undo-log [dst, dst+n) if any of it is not yet logged. */
     void maybeUndoLog(unsigned tid, void* dst, size_t n);
 
-    /** Roll back one slot (Atlas inherits it). */
-    void rollbackSlot(unsigned tid);
-
-    /** Interrupted transaction: replay the undo log in reverse. */
-    void healOngoing(unsigned tid) override { rollbackSlot(tid); }
+    /** Interrupted transaction: roll its undo log back (Atlas
+     *  inherits it). */
+    void healOngoing(unsigned tid) override;
 };
 
 }  // namespace cnvm::rt

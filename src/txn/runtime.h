@@ -137,13 +137,6 @@ class Runtime {
     virtual void dealloc(unsigned tid, uint64_t payloadOff) = 0;
 
     /**
-     * Notification that the transaction acquired or released an inner
-     * lock. Only Atlas (which infers and orders FASEs from lock
-     * operations) persists anything here.
-     */
-    virtual void onLock(unsigned /* tid */) {}
-
-    /**
      * Repair the pool after a crash: roll back or re-execute every
      * interrupted transaction, then finish the allocator's scan.
      * This is lazy recovery run to completion on the calling thread —

@@ -92,9 +92,6 @@ class Tx {
         rt_.dealloc(tid_, p.raw());
     }
 
-    /** Inner-lock notification (Atlas logs these). */
-    void lockEvent() { rt_.onLock(tid_); }
-
     /** True during recovery re-execution: volatile out-pointer args
      *  are dangling and must not be written (see Runtime::recovering). */
     bool recovering() const { return rt_.recovering(); }

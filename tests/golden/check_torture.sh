@@ -1,5 +1,5 @@
 #!/bin/sh
-# Diff cnvm_torture's output for three fixed seeds against the copies
+# Diff cnvm_torture's output for four fixed runs against the copies
 # recorded in this directory. The output is counts only (attempts,
 # crashes, commits, aborts per protocol and structure), exact for a
 # seed, so any line that moves means crash behaviour changed.
@@ -40,4 +40,7 @@ check torture_seed3.txt --budget 600 --seed 3
 check torture_seed3_lazy.txt --budget 600 --seed 3 --recovery lazy
 check torture_media_list_seed15.txt --mode media --structure list \
     --budget 300 --seed 15
+check torture_media_list_seed7_lazy.txt --mode media --structure list \
+    --budget 600 --fault 1:1:1 --fault-recovery 1 --seed 7 \
+    --recovery lazy
 exit $status

@@ -35,44 +35,8 @@ const RuntimeKind kAllKinds[] = {RuntimeKind::undo, RuntimeKind::clobber,
                                  RuntimeKind::redo, RuntimeKind::atlas,
                                  RuntimeKind::ido};
 
+/** kRegionPrep zeroes at least these mirror words (64 bytes). */
 constexpr uint64_t kRegionWords = 8;
-constexpr uint64_t kChunkBytes = 1024;
-
-/** Allocate a region of `bytes` and publish its offset in root->sum
- *  (a committed setup transaction). Only the head of the region — the
- *  kLwMulti mirror words — is zeroed; interpose-zeroing a multi-100KB
- *  region would itself overflow the log this file tests. */
-const txn::FuncId kLwPrep = txn::registerTxFunc(
-    "lwtest_prep", [](txn::Tx& tx, txn::ArgReader& a) {
-        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
-        auto bytes = a.get<uint64_t>();
-        uint64_t off = tx.pmallocOff(bytes);
-        auto* base = static_cast<uint8_t*>(tx.pool().at(off));
-        const uint8_t zeros[64] = {};
-        uint64_t zeroed = bytes < sizeof(zeros) ? bytes : sizeof(zeros);
-        tx.stBytes(base, zeros, zeroed);
-        tx.st(root->sum, off);
-    });
-
-/** RMW every chunk of the region (full-chunk read *then* write, so
- *  every protocol — including clobber's anti-dependence rule — logs a
- *  chunk-sized pre-image) until the log area overflows. */
-const txn::FuncId kLwSpam = txn::registerTxFunc(
-    "lwtest_spam", [](txn::Tx& tx, txn::ArgReader& a) {
-        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
-        auto chunks = a.get<uint64_t>();
-        uint64_t off = tx.ld(root->sum);
-        uint64_t c = tx.ld(root->counter);
-        tx.st(root->counter, c + 1);
-        auto* base = static_cast<uint8_t*>(tx.pool().at(off));
-        uint8_t buf[kChunkBytes];
-        for (uint64_t i = 0; i < chunks; i++) {
-            tx.ldBytes(buf, base + i * kChunkBytes, kChunkBytes);
-            for (auto& b : buf)
-                b ^= 0x5a;
-            tx.stBytes(base + i * kChunkBytes, buf, kChunkBytes);
-        }
-    });
 
 /** counter++ mirrored into the first kRegionWords words of the region:
  *  after any committed prefix, word[i] == counter for all i. */
@@ -95,7 +59,7 @@ void
 prepRegion(Harness& h, uint64_t bytes)
 {
     auto eng = h.engine();
-    txn::run(eng, kLwPrep, h.rootPtr().raw(), bytes);
+    txn::run(eng, kRegionPrep, h.rootPtr().raw(), bytes);
 }
 
 /**
@@ -111,14 +75,14 @@ TEST(LogWriterTest, OverflowAbortsOnlyTheTransaction)
     for (auto kind : kAllKinds) {
         SCOPED_TRACE(std::to_string(static_cast<int>(kind)));
         Harness h(kind);
-        prepRegion(h, kChunks * kChunkBytes);
+        prepRegion(h, kChunks * kRegionChunkBytes);
         auto eng = h.engine();
         txn::run(eng, kLwMulti, h.rootPtr().raw());
         ASSERT_EQ(h.root().counter, 1u);
 
         bool threw = false;
         try {
-            txn::run(eng, kLwSpam, h.rootPtr().raw(), kChunks);
+            txn::run(eng, kRegionSpam, h.rootPtr().raw(), kChunks);
         } catch (const txn::LogOverflowError& e) {
             threw = true;
             EXPECT_GT(e.need(), e.capacity());

@@ -409,79 +409,161 @@ TEST(ScanSalvage, PoisonedPayloadDropsSingleEntry)
 // Protocol salvage paths.
 // ---------------------------------------------------------------
 
-TEST(UndoSalvage, MidLogFlipAbortsVisiblyAndHeals)
+/** The salvage record a recovery declared for `tid`, or null. */
+const txn::SlotRecovery*
+declaredFor(const txn::RecoveryReport& rep, unsigned tid)
 {
-    Harness h(RuntimeKind::undo);
+    for (const auto& s : rep.slots) {
+        if (s.tid == tid && s.action == txn::SlotAction::salvageAborted)
+            return &s;
+    }
+    return nullptr;
+}
+
+/** One way to damage a crashed slot's log, with the note, the
+ *  per-slot entry counts and the `recoveries` bumps recovery must
+ *  show for it. */
+struct LogDamage {
+    bool poison;  ///< poison the first log line; else flip a bit of
+                  ///< the first entry's payload
+    size_t minEntries;
+    const char* note;
+    uint64_t applied;
+    uint64_t dropped;
+    uint64_t recoveries;
+};
+
+/**
+ * Crash a push on slot 0 with at least c.minEntries entries in its
+ * log, damage the log as `c` says, and recover: the slot must be
+ * declared salvage-aborted (never re-executed) with c's note and
+ * counts, and then take the next transaction and recover clean.
+ */
+void
+expectDamagedLogDeclared(RuntimeKind kind, const LogDamage& c)
+{
+    SCOPED_TRACE(c.note);
+    Harness h(kind);
     CrashScheduler sched(*h.pool);
     auto eng = h.engine();
     for (uint64_t v = 1; v <= 4; v++)
         txn::run(eng, kPushNode, h.rootPtr().raw(), v);
 
     std::vector<rt::ScannedEntry> entries;
-    ASSERT_TRUE(crashWithOngoingLog(h, sched, eng, 2, entries));
+    ASSERT_TRUE(crashWithOngoingLog(h, sched, eng, c.minEntries, entries));
     attachFaults(h);
-    // Flip one bit in the FIRST entry's pre-image: mid-log damage
-    // with valid successors — the rollback cannot fully revert.
-    h.pool->faults()->flipBit(
-        *h.pool, h.pool->offsetOf(entries[0].data), 3);
+    if (c.poison)
+        h.pool->faults()->poisonAt(h.pool->offsetOf(logArea0(h)));
+    else
+        h.pool->faults()->flipBit(
+            *h.pool, h.pool->offsetOf(entries[0].data), 3);
 
+    auto pre = stats::aggregate();
     txn::RecoveryReport rep = h.runtime->recover();
+    auto delta = stats::aggregate() - pre;
+    EXPECT_EQ(delta[stats::Counter::reexecutions], 0u);
+    EXPECT_EQ(delta[stats::Counter::salvageAborts], 1u);
+    EXPECT_EQ(delta[stats::Counter::recoveries], c.recoveries);
     EXPECT_EQ(rep.salvageAborted, 1u);
-    EXPECT_GE(rep.logEntriesDropped, 1u);
+    EXPECT_EQ(rep.logEntriesDropped, c.dropped);
     EXPECT_FALSE(rep.clean());
-    ASSERT_FALSE(rep.slots.empty());
-    bool declared = false;
-    for (const auto& s : rep.slots) {
-        if (s.action == txn::SlotAction::salvageAborted) {
-            declared = true;
-            EXPECT_EQ(s.note, "undo log corrupted mid-log");
-        }
+    if (c.poison) {
+        EXPECT_GE(rep.poisonedReads, 1u);
     }
-    EXPECT_TRUE(declared);
+    const txn::SlotRecovery* s = declaredFor(rep, 0);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->note, c.note);
+    EXPECT_EQ(s->entriesApplied, c.applied);
+    EXPECT_EQ(s->entriesDropped, c.dropped);
 
-    // The slot was rebuilt (healed), so the engine keeps working and
-    // the next recovery pass has nothing left to salvage.
+    // The slot was rebuilt and log appends overwrite the damaged
+    // line, so the engine keeps working and the next recovery pass
+    // has nothing left to salvage.
     size_t len = h.listLen();
     txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
     EXPECT_EQ(h.listLen(), len + 1);
     EXPECT_TRUE(h.runtime->recover().clean());
 }
 
-TEST(ClobberSalvage, PoisonedLogRestoresWithoutReexecution)
+TEST(UndoSalvage, DamagedLogAbortsVisiblyAndHeals)
 {
+    // A flip in the FIRST entry's pre-image is mid-log damage with a
+    // valid successor; a poisoned first line holds both entries, so
+    // the scan finds none. Either way the roll-back cannot promise a
+    // full revert.
+    expectDamagedLogDeclared(RuntimeKind::undo,
+                             {false, 2, "undo log corrupted mid-log",
+                              1, 1, 0});
+    expectDamagedLogDeclared(RuntimeKind::undo,
+                             {true, 2, "undo log poisoned", 0, 0, 0});
+}
+
+TEST(ClobberSalvage, DamagedLogRestoresWithoutReexecution)
+{
+    // Some clobbered inputs are gone, so re-executing the txfunc
+    // would read garbage. Recovery must restore what validated and
+    // refuse to resume. The flip needs a valid successor entry to
+    // read as mid-log damage rather than a torn tail.
+    expectDamagedLogDeclared(RuntimeKind::clobber,
+                             {true, 1, "clobber log poisoned", 0, 0, 1});
+    expectDamagedLogDeclared(RuntimeKind::clobber,
+                             {false, 2, "clobber log corrupted mid-log",
+                              1, 1, 1});
+}
+
+TEST(ClobberSalvage, ReexecutionOverflowAbortsVisibly)
+{
+    // 256 chunk-sized clobber entries overflow the 128 KiB test slot.
+    // A crash before the overflow point leaves the transaction
+    // ongoing; its re-execution then overflows, and recovery must
+    // restore the re-execution's writes and declare the abort.
+    constexpr uint64_t kChunks = 256;
     Harness h(RuntimeKind::clobber);
-    CrashScheduler sched(*h.pool);
     auto eng = h.engine();
-    for (uint64_t v = 1; v <= 4; v++)
-        txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+    txn::run(eng, kRegionPrep, h.rootPtr().raw(),
+             kChunks * kRegionChunkBytes);
+    txn::run(eng, kIncrCounter, h.rootPtr().raw());
+    ASSERT_EQ(h.root().counter, 1u);
 
-    std::vector<rt::ScannedEntry> entries;
-    ASSERT_TRUE(crashWithOngoingLog(h, sched, eng, 1, entries));
-    attachFaults(h);
-    // Poison the first log line: some clobbered inputs are gone, so
-    // re-executing the txfunc would read garbage. Recovery must
-    // restore what validated and refuse to resume.
-    h.pool->faults()->poisonAt(h.pool->offsetOf(logArea0(h)));
-
-    auto pre = stats::aggregate();
-    txn::RecoveryReport rep = h.runtime->recover();
-    auto delta = stats::aggregate() - pre;
-    EXPECT_EQ(delta[stats::Counter::reexecutions], 0u);
-    EXPECT_GE(rep.salvageAborted, 1u);
-    EXPECT_GE(rep.poisonedReads, 1u);
-    bool declared = false;
-    for (const auto& s : rep.slots) {
-        if (s.action == txn::SlotAction::salvageAborted) {
-            declared = true;
-            EXPECT_EQ(s.note, "clobber log poisoned");
+    CrashScheduler sched(*h.pool);
+    bool exercised = false;
+    for (uint64_t k = 1; k < 200 && !exercised; k++) {
+        sched.arm(k);
+        bool crashed = false;
+        try {
+            txn::run(eng, kRegionSpam, h.rootPtr().raw(), kChunks);
+        } catch (const nvm::CrashInjected&) {
+            crashed = true;
         }
+        sched.disarm();
+        ASSERT_TRUE(crashed) << "no crash at event " << k;
+        h.pool->cache().crashAllLost();
+        if (!rt::salvage::beginLive(desc0(h))) {
+            h.runtime->recover();
+            continue;
+        }
+        auto pre = stats::aggregate();
+        txn::RecoveryReport rep = h.runtime->recover();
+        auto delta = stats::aggregate() - pre;
+        EXPECT_EQ(delta[stats::Counter::reexecutions], 0u);
+        EXPECT_EQ(delta[stats::Counter::salvageAborts], 1u);
+        // The restore before the re-execution and the one after it.
+        EXPECT_EQ(delta[stats::Counter::recoveries], 2u);
+        EXPECT_EQ(rep.salvageAborted, 1u);
+        const txn::SlotRecovery* s = declaredFor(rep, 0);
+        ASSERT_NE(s, nullptr);
+        EXPECT_EQ(s->note, "re-execution aborted: transaction log "
+                           "overflow: transaction too large for the "
+                           "per-thread log area");
+        EXPECT_EQ(s->entriesApplied, 0u);
+        EXPECT_EQ(s->entriesDropped, 0u);
+        // The re-execution's counter RMW was restored.
+        EXPECT_EQ(h.root().counter, 1u);
+        exercised = true;
     }
-    EXPECT_TRUE(declared);
-
-    // Log appends overwrite the poisoned line, healing it.
-    size_t len = h.listLen();
-    txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
-    EXPECT_EQ(h.listLen(), len + 1);
+    ASSERT_TRUE(exercised);
+    txn::run(eng, kIncrCounter, h.rootPtr().raw());
+    EXPECT_EQ(h.root().counter, 2u);
     EXPECT_TRUE(h.runtime->recover().clean());
 }
 
@@ -522,17 +604,17 @@ TEST(RedoSalvage, CommittingLogCorruptionLosesTransactionVisibly)
         h.pool->faults()->flipBit(
             *h.pool, h.pool->offsetOf(entries[0].data), 1);
 
+        auto pre = stats::aggregate();
         txn::RecoveryReport rep = h.runtime->recover();
-        EXPECT_GE(rep.salvageAborted, 1u);
-        bool declared = false;
-        for (const auto& s : rep.slots) {
-            if (s.action == txn::SlotAction::salvageAborted) {
-                declared = true;
-                EXPECT_NE(s.note.find("committed transaction lost"),
-                          std::string::npos);
-            }
-        }
-        EXPECT_TRUE(declared);
+        auto delta = stats::aggregate() - pre;
+        EXPECT_EQ(delta[stats::Counter::salvageAborts], 1u);
+        EXPECT_EQ(rep.salvageAborted, 1u);
+        const txn::SlotRecovery* s = declaredFor(rep, 0);
+        ASSERT_NE(s, nullptr);
+        EXPECT_EQ(s->note, "committed transaction lost: redo log "
+                           "corrupted");
+        EXPECT_EQ(s->entriesApplied, 0u);
+        EXPECT_EQ(s->entriesDropped, 1u);
         // The baseline survives and the engine stays usable.
         EXPECT_GE(h.listLen(), 2u);
         txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
@@ -542,43 +624,72 @@ TEST(RedoSalvage, CommittingLogCorruptionLosesTransactionVisibly)
     EXPECT_TRUE(exercised);
 }
 
-TEST(IntentSalvage, PoisonedIntentTableIsDeclaredLost)
+TEST(IntentSalvage, DamagedIdleDescriptorIsDeclaredAndReset)
 {
-    Harness h(RuntimeKind::undo);
-    auto eng = h.engine();
-    txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{1});
+    // An idle slot carries a live-looking intent table, damaged either
+    // in the table or in the begin record in front of it. The guarded
+    // intent path must declare a damaged table lost instead of
+    // replaying garbage into the allocator bitmap, and must not be
+    // shadowed by the begin-record vetting in slotRecoverable. A
+    // damaged begin record misroutes the whole slot, so that vetting
+    // declares the slot before its table is read.
+    const struct {
+        size_t at;    ///< descriptor byte to damage
+        bool poison;  ///< poison its line; else flip its low bit
+        const char* note;
+        uint64_t tablesLost;
+    } kCases[] = {
+        // A line wholly inside the table: the line holding intentSeq
+        // also carries the tail of the v_log args, so poisoning it
+        // trips the (stricter) begin-record guard instead.
+        {offsetof(rt::TxDescriptor, intents) + 16 * sizeof(rt::AllocIntent),
+         true, "alloc intent table unreadable or corrupt", 1},
+        {offsetof(rt::TxDescriptor, status), true, "descriptor poisoned",
+         0},
+        {offsetof(rt::TxDescriptor, fid), false,
+         "descriptor tainted (bit flip)", 0},
+    };
+    for (const auto& c : kCases) {
+        SCOPED_TRACE(c.note);
+        Harness h(RuntimeKind::undo);
+        auto eng = h.engine();
+        txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{1});
 
-    // Stage a live-looking intent table on the idle slot, then poison
-    // it: the guarded intent path must declare the table lost instead
-    // of replaying garbage into the allocator bitmap — and must not
-    // be shadowed by the begin-record vetting in slotRecoverable.
-    rt::TxDescriptor& d = desc0(h);
-    d.intentSeq = d.txSeq;
-    d.intentCount = 1;
-    d.intents[0].payloadOff = h.root().head.raw();
-    d.intents[0].payloadBytes = sizeof(TestNode);
-    d.intents[0].isFree = 0;
-    d.intentSum = rt::salvage::intentChecksum(d.intentSeq,
-                                              d.intentCount, d.intents);
-    attachFaults(h);
-    // Poison a line wholly inside the table: the line holding
-    // intentSeq itself also carries the tail of the v_log args, so
-    // poisoning it trips the (stricter) begin-record guard instead.
-    h.pool->faults()->poisonAt(h.pool->offsetOf(&d.intents[16]));
+        rt::TxDescriptor& d = desc0(h);
+        uint64_t seq = d.txSeq;
+        d.intentSeq = d.txSeq;
+        d.intentCount = 1;
+        d.intents[0].payloadOff = h.root().head.raw();
+        d.intents[0].payloadBytes = sizeof(TestNode);
+        d.intents[0].isFree = 0;
+        d.intentSum = rt::salvage::intentChecksum(
+            d.intentSeq, d.intentCount, d.intents);
+        attachFaults(h);
+        uint64_t at = h.pool->offsetOf(&d) + c.at;
+        if (c.poison)
+            h.pool->faults()->poisonAt(at);
+        else
+            h.pool->faults()->flipBit(*h.pool, at, 0);
 
-    txn::RecoveryReport rep = h.runtime->recover();
-    EXPECT_EQ(rep.intentTablesLost, 1u);
-    EXPECT_GE(rep.salvageAborted, 1u);
-    bool declared = false;
-    for (const auto& s : rep.slots) {
-        if (s.action == txn::SlotAction::salvageAborted) {
-            declared = true;
-            EXPECT_EQ(s.note, "alloc intent table unreadable or corrupt");
-        }
+        auto pre = stats::aggregate();
+        txn::RecoveryReport rep = h.runtime->recover();
+        auto delta = stats::aggregate() - pre;
+        EXPECT_EQ(delta[stats::Counter::salvageAborts], 1u);
+        EXPECT_EQ(rep.intentTablesLost, c.tablesLost);
+        EXPECT_EQ(rep.salvageAborted, 1u);
+        const txn::SlotRecovery* s = declaredFor(rep, 0);
+        ASSERT_NE(s, nullptr);
+        EXPECT_EQ(s->note, c.note);
+        EXPECT_EQ(s->entriesApplied, 0u);
+        EXPECT_EQ(s->entriesDropped, 0u);
+        // The reset rewrote the descriptor, clearing the damage, and
+        // bumped the sequence past the abandoned table's.
+        EXPECT_EQ(d.status, static_cast<uint64_t>(rt::TxStatus::idle));
+        EXPECT_EQ(d.txSeq, seq + 1);
+        EXPECT_TRUE(h.runtime->recover().clean());
+        txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{2});
+        EXPECT_EQ(h.listLen(), 2u);
     }
-    EXPECT_TRUE(declared);
-    // The reset rewrote the descriptor, clearing the poison.
-    EXPECT_TRUE(h.runtime->recover().clean());
 }
 
 // ---------------------------------------------------------------

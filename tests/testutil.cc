@@ -55,6 +55,37 @@ readOnlyFn(txn::Tx& tx, txn::ArgReader& a)
     (void)sink;
 }
 
+void
+regionPrepFn(txn::Tx& tx, txn::ArgReader& a)
+{
+    auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+    auto bytes = a.get<uint64_t>();
+    uint64_t off = tx.pmallocOff(bytes);
+    auto* base = static_cast<uint8_t*>(tx.pool().at(off));
+    const uint8_t zeros[64] = {};
+    uint64_t zeroed = bytes < sizeof(zeros) ? bytes : sizeof(zeros);
+    tx.stBytes(base, zeros, zeroed);
+    tx.st(root->sum, off);
+}
+
+void
+regionSpamFn(txn::Tx& tx, txn::ArgReader& a)
+{
+    auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+    auto chunks = a.get<uint64_t>();
+    uint64_t off = tx.ld(root->sum);
+    uint64_t c = tx.ld(root->counter);
+    tx.st(root->counter, c + 1);
+    auto* base = static_cast<uint8_t*>(tx.pool().at(off));
+    uint8_t buf[kRegionChunkBytes];
+    for (uint64_t i = 0; i < chunks; i++) {
+        tx.ldBytes(buf, base + i * sizeof(buf), sizeof(buf));
+        for (auto& b : buf)
+            b ^= 0x5a;
+        tx.stBytes(base + i * sizeof(buf), buf, sizeof(buf));
+    }
+}
+
 }  // namespace
 
 const txn::FuncId kIncrCounter =
@@ -67,6 +98,10 @@ const txn::FuncId kBlindWrite =
     txn::registerTxFunc("test_blind", blindWriteFn);
 const txn::FuncId kReadOnly =
     txn::registerTxFunc("test_readonly", readOnlyFn);
+const txn::FuncId kRegionPrep =
+    txn::registerTxFunc("test_region_prep", regionPrepFn);
+const txn::FuncId kRegionSpam =
+    txn::registerTxFunc("test_region_spam", regionSpamFn);
 
 void
 expectFreeMapMatchesBitmap(const nvm::Pool& pool,

@@ -35,6 +35,22 @@ extern const txn::FuncId kPopNode;       ///< remove head; sum -= value
 extern const txn::FuncId kBlindWrite;    ///< overwrite sum without reading
 extern const txn::FuncId kReadOnly;      ///< loads only
 
+/** Bytes per chunk that kRegionSpam reads and rewrites. */
+constexpr uint64_t kRegionChunkBytes = 1024;
+/**
+ * Allocate a region of `bytes` (root, bytes) and publish its offset in
+ * root->sum. Only its first 64 bytes are zeroed: interpose-zeroing a
+ * region of several hundred KB would itself overflow the log.
+ */
+extern const txn::FuncId kRegionPrep;
+/**
+ * counter++, then read *then* rewrite each of the region's first
+ * `chunks` chunks (root, chunks). Every protocol, clobber's
+ * anti-dependence rule included, logs a chunk-sized pre-image per
+ * chunk, so enough chunks overflow any slot's log area.
+ */
+extern const txn::FuncId kRegionSpam;
+
 /**
  * The heap's free map must equal a walk over its raw bitmap, one bit
  * at a time: the same free bytes in the same number of runs. Holds

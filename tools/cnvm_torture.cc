@@ -80,7 +80,8 @@ usage(const char* argv0)
         "          [--fault FLIPS:POISONS:TRANSIENTS] [--fault-seed N]\n"
         "          [--fault-regions LIST] [--fault-recovery ROUNDS]\n"
         "          [--index N] [--list-sites] [--report PATH]\n"
-        "          [--replay SEED:NOPS:CRASHAT]\n",
+        "          [--replay SEED:NOPS:CRASHAT]\n"
+        "LIST is a comma list of header, desc, log, alloc, heap, all\n",
         argv0);
     std::exit(2);
 }
@@ -116,7 +117,11 @@ parse(int argc, char** argv)
         } else if (a == "--fault-seed") {
             o.faultSeed = std::strtoull(value(i), nullptr, 0);
         } else if (a == "--fault-regions") {
+            // 0 means an unknown token, and an empty mask would arm
+            // the fault model with nowhere to inject.
             o.faults.regionMask = nvm::parseFaultRegions(value(i));
+            if (o.faults.regionMask == 0)
+                usage(argv[0]);
             o.faults.enabled = true;
         } else if (a == "--fault-recovery") {
             o.faults.duringRecoveryRounds =
