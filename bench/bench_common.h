@@ -168,15 +168,7 @@ figureSystems()
 inline const char*
 systemName(txn::RuntimeKind kind)
 {
-    switch (kind) {
-      case txn::RuntimeKind::noLog: return "nolog";
-      case txn::RuntimeKind::undo: return "pmdk";
-      case txn::RuntimeKind::redo: return "mnemosyne";
-      case txn::RuntimeKind::clobber: return "clobber";
-      case txn::RuntimeKind::atlas: return "atlas";
-      case txn::RuntimeKind::ido: return "ido";
-    }
-    return "?";
+    return rt::kindName(kind);
 }
 
 using Clock = std::chrono::steady_clock;

@@ -155,7 +155,6 @@ ClobberRuntime::abortReexecution(unsigned tid, const char* why)
     // survive — inherent to the clobber protocol, which is why the
     // abort is declared in the report rather than papered over.
     rollBackLog(tid, nullptr);
-    stats::bump(stats::Counter::recoveries);
     declareSalvageAbort(tid, std::string("re-execution aborted: ") + why);
     slot(tid).reset();
 }
@@ -165,6 +164,7 @@ ClobberRuntime::reexecuteGuarded(unsigned tid)
 {
     try {
         reexecuteSlot(tid);
+        stats::bump(stats::Counter::recoveries);
         txn::SlotRecovery sr;
         sr.tid = tid;
         sr.action = txn::SlotAction::reexecuted;
@@ -197,8 +197,7 @@ void
 ClobberRuntime::healOngoing(unsigned tid)
 {
     salvage::ScanStats st;
-    rollBackLog(tid, &st);
-    stats::bump(stats::Counter::recoveries);
+    uint64_t applied = rollBackLog(tid, &st);
     if (st.damaged()) {
         // Some clobbered inputs could not be restored. Re-executing
         // would feed the txfunc those unrestored inputs and commit
@@ -206,7 +205,7 @@ ClobberRuntime::healOngoing(unsigned tid)
         declareSalvageAbort(tid,
                             st.sawPoison ? "clobber log poisoned"
                                          : "clobber log corrupted mid-log",
-                            st.entries, st.droppedEntries);
+                            applied, st.droppedEntries);
         return;
     }
     // Restore and re-execute back to back, one slot at a time: the

@@ -48,4 +48,18 @@ kindFromName(const std::string& name)
     fatal("unknown runtime name: " + name);
 }
 
+const char*
+kindName(txn::RuntimeKind kind)
+{
+    switch (kind) {
+      case txn::RuntimeKind::noLog: return "nolog";
+      case txn::RuntimeKind::undo: return "pmdk";
+      case txn::RuntimeKind::redo: return "mnemosyne";
+      case txn::RuntimeKind::clobber: return "clobber";
+      case txn::RuntimeKind::atlas: return "atlas";
+      case txn::RuntimeKind::ido: return "ido";
+    }
+    return "?";
+}
+
 }  // namespace cnvm::rt

@@ -22,6 +22,10 @@ makeRuntime(txn::RuntimeKind kind, nvm::Pool& pool,
 /** Parse "clobber" / "pmdk" / "mnemosyne" / "atlas" / "nolog" / "ido". */
 txn::RuntimeKind kindFromName(const std::string& name);
 
+/** The name of `kind` that kindFromName() parses: "pmdk" for undo,
+ *  "mnemosyne" for redo, and so on. */
+const char* kindName(txn::RuntimeKind kind);
+
 }  // namespace cnvm::rt
 
 #endif  // CNVM_RUNTIMES_FACTORY_H

@@ -26,17 +26,9 @@ CrashScheduler::~CrashScheduler()
 }
 
 void
-CrashScheduler::resetCounts()
-{
-    total_ = 0;
-    perKind_.fill(0);
-}
-
-void
 CrashScheduler::onEvent(EventKind k, uint64_t line)
 {
     total_++;
-    perKind_[static_cast<size_t>(k)]++;
     if (traceEnabled_)
         trace_.push_back({k, line});
     if (countdown_ != 0 && --countdown_ == 0) {
@@ -45,8 +37,6 @@ CrashScheduler::onEvent(EventKind k, uint64_t line)
         // loss *instead of* the event. clwb/sfence observers run after
         // the state transition: the crash lands just after the event
         // takes effect, which is the other edge of the same window.
-        fired_ = true;
-        firedEvent_ = {k, line};
         throw nvm::CrashInjected{};
     }
 }

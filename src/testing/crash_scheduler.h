@@ -30,7 +30,6 @@
 #ifndef CNVM_TESTING_CRASH_SCHEDULER_H
 #define CNVM_TESTING_CRASH_SCHEDULER_H
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,8 +44,6 @@ enum class EventKind : uint8_t {
     clwb = 1,   ///< a dirty line was flushed
     sfence = 2, ///< a fence retired the pending lines
 };
-
-constexpr size_t kNumEventKinds = 3;
 
 const char* eventKindName(EventKind k);
 
@@ -69,33 +66,15 @@ class CrashScheduler : public nvm::LineObserver {
      * Crash at the `countdown`-th event from now (1 = the next one);
      * 0 disarms. The trap disarms itself when it fires.
      */
-    void
-    arm(uint64_t countdown)
-    {
-        countdown_ = countdown;
-        fired_ = false;
-    }
-
+    void arm(uint64_t countdown) { countdown_ = countdown; }
     void disarm() { countdown_ = 0; }
-    bool armed() const { return countdown_ != 0; }
-
-    /** Did the last armed trap fire? */
-    bool fired() const { return fired_; }
-
-    /** The event the last trap fired on. */
-    TraceEvent firedEvent() const { return firedEvent_; }
 
     /** Events observed since construction / resetCounts(). */
     uint64_t eventCount() const { return total_; }
-    uint64_t count(EventKind k) const
-    {
-        return perKind_[static_cast<size_t>(k)];
-    }
-    void resetCounts();
+    void resetCounts() { total_ = 0; }
 
-    /** Capture every event into trace() (for --list-sites). */
+    /** Capture every event for describeTrace() (--list-sites). */
     void setTraceEnabled(bool on) { traceEnabled_ = on; }
-    const std::vector<TraceEvent>& trace() const { return trace_; }
     void clearTrace() { trace_.clear(); }
 
     /** "k: store line 123" site listing of the captured trace. */
@@ -119,11 +98,8 @@ class CrashScheduler : public nvm::LineObserver {
 
     nvm::Pool& pool_;
     uint64_t countdown_ = 0;
-    bool fired_ = false;
     bool traceEnabled_ = false;
-    TraceEvent firedEvent_{EventKind::store, 0};
     uint64_t total_ = 0;
-    std::array<uint64_t, kNumEventKinds> perKind_{};
     std::vector<TraceEvent> trace_;
 };
 

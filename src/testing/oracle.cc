@@ -4,6 +4,24 @@
 
 namespace cnvm::torture {
 
+void
+Op::applyTo(ds::KvStructure& kv) const
+{
+    if (kind == insert)
+        kv.insert(key, val);
+    else if (kind == remove)
+        kv.remove(key);
+}
+
+void
+ShadowOracle::note(const Op& op)
+{
+    if (op.kind == Op::insert)
+        shadow_[op.key] = op.val;
+    else if (op.kind == Op::remove)
+        shadow_.erase(op.key);
+}
+
 std::string
 ShadowOracle::verify(ds::KvStructure& kv) const
 {

@@ -20,6 +20,7 @@
 #ifndef CNVM_TESTING_ORACLE_H
 #define CNVM_TESTING_ORACLE_H
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -27,15 +28,21 @@
 
 namespace cnvm::torture {
 
+/** One single-key operation of a torture history. */
+struct Op {
+    enum Kind : uint8_t { insert, remove, lookup };
+    Kind kind = insert;
+    std::string key;
+    std::string val;  ///< inserts only
+
+    /** Run an insert or remove on `kv`; a lookup changes nothing. */
+    void applyTo(ds::KvStructure& kv) const;
+};
+
 class ShadowOracle {
  public:
-    void
-    noteInsert(const std::string& key, const std::string& val)
-    {
-        shadow_[key] = val;
-    }
-
-    void noteRemove(const std::string& key) { shadow_.erase(key); }
+    /** Mirror a committed op (a lookup changes nothing). */
+    void note(const Op& op);
 
     bool
     contains(const std::string& key) const

@@ -51,12 +51,47 @@ paramsFor(uint64_t seed)
     return p;
 }
 
-/** An operation whose commit status the drivers have resolved. */
-struct CommittedOp {
-    bool isInsert;
-    std::string key;
-    std::string val;  ///< empty for removes
-};
+/** Crash-free armed runs in a row that end a sweep: event counts
+ *  drift as the structure grows, so one quiet run is not quiescence. */
+constexpr int kQuietRuns = 2;
+/** Safety caps on the swept event index. */
+constexpr uint64_t kSweepMaxIndex = 20000;
+constexpr uint64_t kMediaMaxIndex = 4000;
+/** Pool size of each media case's fresh rig. */
+constexpr size_t kMediaPoolBytes = 8ULL << 20;
+/** A fuzz case's ops per logical thread, and its Zipfian key universe. */
+constexpr uint32_t kOpsPerCase = 48;
+constexpr uint64_t kKeySpace = 48;
+
+/**
+ * The committed keys both sweeps start from. Every generated key is
+ * unique within its first 8 bytes: rbtree/skiplist key on keyToU64
+ * (the big-endian first 8 bytes), so longer shared prefixes would
+ * alias distinct shadow keys.
+ */
+std::vector<Op>
+baselineOps(uint64_t seed)
+{
+    std::vector<Op> ops;
+    for (int i = 0; i < 4; i++) {
+        std::string key = strprintf("b%07d", i);
+        ops.push_back({Op::insert, key, valueFor(key, seed, 20)});
+    }
+    return ops;
+}
+
+/** Apply `ops` to the rig's structure and shadow, stopping at the
+ *  first escape. */
+std::string
+replay(TortureRig& rig, const std::vector<Op>& ops)
+{
+    return escapeOf([&] {
+        for (const Op& op : ops) {
+            op.applyTo(rig.kv());
+            rig.shadow().note(op);
+        }
+    });
+}
 
 /**
  * Resolve an interrupted single-key operation after recovery: the
@@ -67,9 +102,9 @@ struct CommittedOp {
  */
 std::string
 resolveInterrupted(ds::KvStructure& kv, const ShadowOracle& shadow,
-                   bool isInsert, const std::string& key,
-                   const std::string& newVal, bool* committed)
+                   const Op& op, bool* committed)
 {
+    const std::string& key = op.key;
     ds::LookupResult r;
     bool found;
     try {
@@ -83,8 +118,8 @@ resolveInterrupted(ds::KvStructure& kv, const ShadowOracle& shadow,
     }
     bool hadOld = shadow.contains(key);
     std::string oldVal = shadow.valueOf(key);
-    if (isInsert) {
-        if (found && r.str() == newVal) {
+    if (op.kind == Op::insert) {
+        if (found && r.str() == op.val) {
             *committed = true;
             return {};
         }
@@ -104,7 +139,7 @@ resolveInterrupted(ds::KvStructure& kv, const ShadowOracle& shadow,
                               static_cast<size_t>(r.len))
                         .c_str()
                   : "key vanished",
-            oldVal.size(), newVal.size());
+            oldVal.size(), op.val.size());
     }
     // Interrupted remove.
     if (!found) {
@@ -130,7 +165,6 @@ tearName(Tear t)
 
 TortureRig::TortureRig(txn::RuntimeKind kind,
                        const std::string& structure, size_t poolBytes)
-    : kind_(kind), structName_(structure)
 {
     nvm::PoolConfig cfg;
     cfg.size = poolBytes;
@@ -145,7 +179,6 @@ TortureRig::TortureRig(txn::RuntimeKind kind,
     runtime_ = rt::makeRuntime(kind, *pool_, *heap_);
     engine_ = std::make_unique<txn::Engine>(*runtime_);
     kv_ = ds::makeKv(structure, *engine_, 0);
-    baselineFree_ = heap_->freeBytes();
     sched_ = std::make_unique<CrashScheduler>(*pool_);
 }
 
@@ -157,10 +190,10 @@ TortureRig::~TortureRig()
 }
 
 void
-TortureRig::enableFaults(const FaultSpec& spec)
+TortureRig::enableFaults(const FaultSpec& spec, uint64_t seed)
 {
     nvm::FaultConfig fc;
-    fc.seed = spec.seed;
+    fc.seed = seed;
     fc.bitFlips = spec.bitFlips;
     fc.poisons = spec.poisons;
     fc.transients = spec.transients;
@@ -168,6 +201,25 @@ TortureRig::enableFaults(const FaultSpec& spec)
     fc.injectOnCrash = true;
     pool_->setFaultModel(std::make_unique<nvm::FaultModel>(fc));
     rt::defineFaultRegions(*pool_, *heap_);
+}
+
+bool
+TortureRig::runArmed(uint64_t k, const std::function<void()>& fn,
+                     std::string* escaped)
+{
+    escaped->clear();
+    sched_->arm(k);
+    bool fired = false;
+    try {
+        *escaped = escapeOf(fn);
+    } catch (const nvm::CrashInjected&) {
+        fired = true;
+    } catch (...) {
+        sched_->disarm();
+        throw;
+    }
+    sched_->disarm();
+    return fired;
 }
 
 void
@@ -190,10 +242,9 @@ TortureRig::recoverOnce()
     lastReport_ = engine_->finishRecovery();
 }
 
-void
+std::string
 TortureRig::crashAndRecover(Tear tear, uint64_t seed,
-                            const nvm::CrashParams& params,
-                            int recoveryRetears)
+                            const nvm::CrashParams& params, int retears)
 {
     // simulateCrash*() runs the fault model's injection round (a
     // no-op when no model is attached).
@@ -201,22 +252,45 @@ TortureRig::crashAndRecover(Tear tear, uint64_t seed,
         pool_->simulateCrashAllLost();
     else
         pool_->simulateCrash(seed, params);
-    for (int r = 0; r < recoveryRetears; r++) {
+    for (int r = 0; r < retears; r++) {
         // Crash recovery itself partway through, re-tear (another
         // injection round), and try again: recovery must be
         // idempotent even while faults keep landing. The arm point
         // walks forward per round to sample different windows.
-        sched_->arm(7 + 13 * static_cast<uint64_t>(r));
-        try {
-            recoverOnce();
-            sched_->disarm();
-            return;  // recovery outran the trap
-        } catch (const nvm::CrashInjected&) {
-            sched_->disarm();
-            pool_->simulateCrashAllLost();
-        }
+        std::string escaped;
+        if (!runArmed(7 + 13 * static_cast<uint64_t>(r),
+                      [this] { recoverOnce(); }, &escaped))
+            return escaped;  // recovery outran the trap
+        pool_->simulateCrashAllLost();
     }
-    recoverOnce();
+    return escapeOf([this] { recoverOnce(); });
+}
+
+Settled
+TortureRig::settleCrash(Tear tear, uint64_t tearSeed,
+                        const nvm::CrashParams& params, int retears,
+                        const Op* inFlight)
+{
+    Settled s;
+    std::string escaped = crashAndRecover(tear, tearSeed, params, retears);
+    if (!escaped.empty()) {
+        s.failure = "recovery " + escaped;
+        return s;
+    }
+    s.declared = lastReport_.salvageAborted > 0;
+    // Declared or not, quarantined blocks must never resurface in the
+    // allocator's free map.
+    if (heap_->quarantineViolation()) {
+        s.failure = "quarantined block resurfaced in the free map";
+        return s;
+    }
+    s.recovered = true;
+    if (s.declared || inFlight == nullptr || inFlight->kind == Op::lookup)
+        return s;
+    s.failure = resolveInterrupted(*kv_, shadow_, *inFlight, &s.committed);
+    if (s.committed)
+        shadow_.note(*inFlight);
+    return s;
 }
 
 std::string
@@ -245,7 +319,7 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
     SweepResult res;
     auto rig = std::make_unique<TortureRig>(kind, structure);
     rig->setRecoveryMode(cfg.recovery);
-    std::vector<CommittedOp> history;
+    std::vector<Op> history;  // the committed ops, in order
     uint64_t usedOps = 0;
 
     auto fail = [&](const std::string& why) {
@@ -254,45 +328,21 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
             res.failure = why;
         }
     };
-    // After a *declared* salvage abort the image may hold arbitrarily
-    // torn state (a roll-back past damaged entries is best-effort) —
-    // even walking it can loop on a torn pointer. Discard it and
-    // rebuild an equivalent clean rig by replaying the committed
-    // history, so the sweep keeps auditing strictly from here on.
-    auto rebuildRig = [&] {
-        rig.reset();  // LIFO pool-slot nesting: destroy before create
-        rig = std::make_unique<TortureRig>(kind, structure);
-        rig->setRecoveryMode(cfg.recovery);
-        std::string escaped = escapeOf([&] {
-            for (const CommittedOp& op : history) {
-                if (op.isInsert) {
-                    rig->kv().insert(op.key, op.val);
-                    rig->shadow().noteInsert(op.key, op.val);
-                } else {
-                    rig->kv().remove(op.key);
-                    rig->shadow().noteRemove(op.key);
-                }
-            }
-        });
-        if (!escaped.empty())
-            fail("history replay after declared salvage " + escaped);
+    auto record = [&](const Op& op) {
+        history.push_back(op);
+        res.commits++;
     };
-    auto budgetLeft = [&] {
-        if (cfg.budget != 0 && usedOps >= cfg.budget) {
-            res.truncated = true;
+    /** Run a set-up op crash-free and commit it; false if it escaped. */
+    auto applyCommitted = [&](const Op& op, const char* what) {
+        std::string escaped = escapeOf([&] { op.applyTo(rig->kv()); });
+        if (!escaped.empty()) {
+            fail(std::string(what) + " " + escaped);
             return false;
         }
+        rig->shadow().note(op);
+        record(op);
+        usedOps++;
         return true;
-    };
-    auto commitInsert = [&](const std::string& k, const std::string& v) {
-        rig->shadow().noteInsert(k, v);
-        history.push_back({true, k, v});
-        res.commits++;
-    };
-    auto commitRemove = [&](const std::string& k) {
-        rig->shadow().noteRemove(k);
-        history.push_back({false, k, {}});
-        res.commits++;
     };
     auto verifyAll = [&](uint64_t k, const char* phase) {
         std::string err = rig->shadow().verify(rig->kv());
@@ -303,227 +353,144 @@ exhaustiveSweep(txn::RuntimeKind kind, const std::string& structure,
     };
 
     /**
-     * One armed operation at event index k. Returns false once the
-     * sweep phase should end (phase quiesced, budget out, or failed).
+     * One sweep phase: crash makeOp(k) at event index k = 1, 2, ...
+     * until it runs crash-free kQuietRuns times in a row, the budget
+     * runs out, or the sweep fails.
      */
-    auto attempt = [&](uint64_t k, const char* phase, bool isInsert,
-                       const std::string& key, const std::string& val,
-                       int* quiet) {
-        usedOps++;
-        res.attempts++;
-        rig->sched().arm(k);
-        bool crashed = false;
-        std::string escaped;
-        try {
-            escaped = escapeOf([&] {
-                if (isInsert)
-                    rig->kv().insert(key, val);
-                else
-                    rig->kv().remove(key);
-            });
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        rig->sched().disarm();
-        if (!escaped.empty()) {
-            fail(strprintf("%s sweep, event index %llu: op %s", phase,
-                           static_cast<unsigned long long>(k),
-                           escaped.c_str()));
-            return;
-        }
-        if (!crashed) {
-            (*quiet)++;
-            if (isInsert)
-                commitInsert(key, val);
-            else
-                commitRemove(key);
-            verifyAll(k, phase);
-            return;
-        }
-        *quiet = 0;
-        res.crashes++;
-        res.maxEventIndex = std::max(res.maxEventIndex, k);
-        escaped = escapeOf([&] {
-            rig->crashAndRecover(cfg.tear, cfg.seed * 1000003 + k,
-                                 paramsFor(cfg.seed ^ (k << 20)));
-        });
-        if (!escaped.empty()) {
-            fail(strprintf("%s sweep, event index %llu: recovery %s",
-                           phase, static_cast<unsigned long long>(k),
-                           escaped.c_str()));
-            return;
-        }
-        if (rig->lastReport().salvageAborted > 0) {
-            // Recovery abandoned the interrupted transaction and said
-            // so: a plain tear can leave a log scan reporting damage
-            // (Atlas's deferred acquire marker, DESIGN.md §12), and a
-            // roll-back past damage is best-effort. The declaration is
-            // the contract, exactly as in the media sweep: the
-            // abandoned op did not commit, per-image state may
-            // disagree with the shadow, and only quarantine
-            // integrity still binds. Rebuild a clean rig from the
-            // committed history so the *next* attempt is audited
-            // strictly again.
-            res.declaredAborts++;
-            if (rig->heap().quarantineViolation()) {
-                fail(strprintf("%s sweep, event index %llu: "
-                               "quarantined block resurfaced in the "
-                               "free map",
-                               phase,
-                               static_cast<unsigned long long>(k)));
-                return;
+    auto sweepPhase = [&](const char* phase,
+                          const std::function<Op(uint64_t)>& makeOp) {
+        int quiet = 0;
+        for (uint64_t k = 1; quiet < kQuietRuns && res.passed; k++) {
+            if (cfg.budget != 0 && usedOps >= cfg.budget) {
+                res.truncated = true;
+                break;
             }
-            rebuildRig();
-            return;
+            if (k > kSweepMaxIndex) {
+                fail(strprintf("%s sweep did not quiesce (maxIndex hit)",
+                               phase));
+                break;
+            }
+            Op op = makeOp(k);
+            if (!res.passed)
+                break;
+            usedOps++;
+            res.attempts++;
+            std::string escaped;
+            bool crashed = rig->runArmed(
+                k, [&] { op.applyTo(rig->kv()); }, &escaped);
+            if (!escaped.empty()) {
+                fail(strprintf("%s sweep, event index %llu: op %s", phase,
+                               static_cast<unsigned long long>(k),
+                               escaped.c_str()));
+                break;
+            }
+            if (!crashed) {
+                quiet++;
+                rig->shadow().note(op);
+                record(op);
+                verifyAll(k, phase);
+                continue;
+            }
+            quiet = 0;
+            res.crashes++;
+            res.maxEventIndex = std::max(res.maxEventIndex, k);
+            Settled s = rig->settleCrash(cfg.tear, cfg.seed * 1000003 + k,
+                                         paramsFor(cfg.seed ^ (k << 20)),
+                                         0, &op);
+            if (s.declared)
+                res.declaredAborts++;
+            if (!s.failure.empty()) {
+                fail(strprintf("%s sweep, event index %llu: %s", phase,
+                               static_cast<unsigned long long>(k),
+                               s.failure.c_str()));
+                break;
+            }
+            if (s.declared) {
+                // Recovery abandoned the interrupted transaction and
+                // said so: a plain tear can leave a log scan reporting
+                // damage (Atlas's deferred acquire marker, DESIGN.md
+                // §12), and a roll-back past damage is best-effort —
+                // the image may hold arbitrarily torn state, and even
+                // walking it can loop on a torn pointer. The
+                // declaration is the contract, exactly as in the media
+                // sweep: the abandoned op did not commit, and only
+                // quarantine integrity (audited above) still binds.
+                // Rebuild an equivalent clean rig from the committed
+                // history so the *next* attempt is audited strictly.
+                rig.reset();  // LIFO pool-slot nesting: destroy first
+                rig = std::make_unique<TortureRig>(kind, structure);
+                rig->setRecoveryMode(cfg.recovery);
+                std::string err = replay(*rig, history);
+                if (!err.empty())
+                    fail("history replay after declared salvage " + err);
+                continue;
+            }
+            if (s.committed)
+                record(op);
+            verifyAll(k, phase);
         }
-        bool committed = false;
-        std::string err = resolveInterrupted(rig->kv(), rig->shadow(),
-                                             isInsert, key, val,
-                                             &committed);
-        if (!err.empty()) {
-            fail(strprintf("%s sweep, event index %llu: %s", phase,
-                           static_cast<unsigned long long>(k),
-                           err.c_str()));
-            return;
-        }
-        if (committed) {
-            if (isInsert)
-                commitInsert(key, val);
-            else
-                commitRemove(key);
-        }
-        verifyAll(k, phase);
     };
 
-    // Committed baseline so sweeps mutate a non-trivial structure.
-    // All generated keys are unique within their first 8 bytes:
-    // rbtree/skiplist key on keyToU64 (the big-endian first 8 bytes),
-    // so longer shared prefixes would alias distinct shadow keys.
-    for (int i = 0; i < cfg.baselineKeys && res.passed; i++) {
-        std::string key = strprintf("b%07d", i);
-        std::string val = valueFor(key, cfg.seed, 20);
-        std::string escaped =
-            escapeOf([&] { rig->kv().insert(key, val); });
-        if (!escaped.empty()) {
-            fail("baseline insert " + escaped);
+    for (const Op& op : baselineOps(cfg.seed)) {
+        if (!applyCommitted(op, "baseline insert"))
             break;
-        }
-        commitInsert(key, val);
-        usedOps++;
     }
+    sweepPhase("insert", [&](uint64_t k) {
+        std::string key =
+            strprintf("i%07llu", static_cast<unsigned long long>(k));
+        return Op{Op::insert, key, valueFor(key, cfg.seed, 20)};
+    });
 
-    if (cfg.sweepInsert && res.passed) {
-        int quiet = 0;
-        for (uint64_t k = 1; quiet < cfg.quietRuns && res.passed; k++) {
-            if (!budgetLeft())
-                break;
-            if (k > cfg.maxIndex) {
-                fail("insert sweep did not quiesce (maxIndex hit)");
-                break;
-            }
-            std::string key = strprintf(
-                "i%07llu", static_cast<unsigned long long>(k));
-            attempt(k, "insert", true, key,
-                    valueFor(key, cfg.seed, 20), &quiet);
-        }
+    const std::string target = "u-target";
+    if (res.passed) {
+        applyCommitted({Op::insert, target, valueFor(target, cfg.seed, 20)},
+                       "update-target insert");
     }
+    // Alternate value sizes: same-size updates stay in place,
+    // different-size updates exercise the realloc/reinsert paths of
+    // the structures.
+    sweepPhase("update", [&](uint64_t k) {
+        return Op{Op::insert, target,
+                  valueFor(target, cfg.seed + k, k % 2 == 0 ? 20 : 28)};
+    });
 
-    if (cfg.sweepUpdate && res.passed) {
-        std::string key = "u-target";
-        std::string val = valueFor(key, cfg.seed, 20);
-        std::string escaped =
-            escapeOf([&] { rig->kv().insert(key, val); });
-        if (escaped.empty()) {
-            commitInsert(key, val);
-            usedOps++;
-        } else {
-            fail("update-target insert " + escaped);
-        }
-        int quiet = 0;
-        for (uint64_t k = 1; quiet < cfg.quietRuns && res.passed; k++) {
-            if (!budgetLeft())
-                break;
-            if (k > cfg.maxIndex) {
-                fail("update sweep did not quiesce (maxIndex hit)");
-                break;
-            }
-            // Alternate value sizes: same-size updates stay in place,
-            // different-size updates exercise the realloc/reinsert
-            // paths of the structures.
-            size_t len = (k % 2 == 0) ? 20 : 28;
-            attempt(k, "update", true, key,
-                    valueFor(key, cfg.seed + k, len), &quiet);
-        }
-    }
-
-    if (cfg.sweepRemove && res.passed) {
-        int quiet = 0;
-        for (uint64_t k = 1; quiet < cfg.quietRuns && res.passed; k++) {
-            if (!budgetLeft())
-                break;
-            if (k > cfg.maxIndex) {
-                fail("remove sweep did not quiesce (maxIndex hit)");
-                break;
-            }
-            // A fresh committed victim per attempt keeps the swept
-            // operation's shape stable while the sweep advances.
-            std::string key = strprintf(
-                "r%07llu", static_cast<unsigned long long>(k));
-            std::string val = valueFor(key, cfg.seed, 20);
-            std::string escaped =
-                escapeOf([&] { rig->kv().insert(key, val); });
-            if (!escaped.empty()) {
-                fail("victim insert " + escaped);
-                break;
-            }
-            commitInsert(key, val);
-            usedOps++;
-            attempt(k, "remove", false, key, val, &quiet);
-        }
-    }
+    // A fresh committed victim per attempt keeps the swept operation's
+    // shape stable while the sweep advances.
+    sweepPhase("remove", [&](uint64_t k) {
+        std::string key =
+            strprintf("r%07llu", static_cast<unsigned long long>(k));
+        applyCommitted({Op::insert, key, valueFor(key, cfg.seed, 20)},
+                       "victim insert");
+        return Op{Op::remove, key, {}};
+    });
 
     // Allocator leak audit: empty the structure, then replay only the
     // committed operations on a fresh rig. Rolled-back operations must
     // have left no persistent allocation behind, so the two allocators
     // must agree byte-for-byte on total free space.
-    if (cfg.leakAudit && res.passed) {
-        std::vector<std::string> keys;
-        for (const auto& [k, v] : rig->shadow().entries())
-            keys.push_back(k);
-        for (const std::string& k : keys) {
-            std::string escaped = escapeOf([&] { rig->kv().remove(k); });
-            if (!escaped.empty()) {
-                fail("cleanup remove " + escaped);
-                break;
-            }
-            commitRemove(k);
-            usedOps++;
-        }
-        if (res.passed) {
-            verifyAll(0, "cleanup");
-            TortureRig ref(kind, structure);
-            std::string escaped = escapeOf([&] {
-                for (const CommittedOp& op : history) {
-                    if (op.isInsert)
-                        ref.kv().insert(op.key, op.val);
-                    else
-                        ref.kv().remove(op.key);
-                }
-            });
-            if (!escaped.empty())
-                fail("leak-audit replay " + escaped);
-            if (res.passed &&
-                ref.heap().freeBytes() != rig->heap().freeBytes()) {
-                fail(strprintf(
-                    "allocator leak: %zu free bytes after crashes vs "
-                    "%zu after crash-free replay of the %zu committed "
-                    "ops",
-                    rig->heap().freeBytes(), ref.heap().freeBytes(),
-                    history.size()));
-            }
-        }
+    if (!res.passed)
+        return res;
+    std::vector<std::string> keys;
+    for (const auto& [k, v] : rig->shadow().entries())
+        keys.push_back(k);
+    for (const std::string& k : keys) {
+        if (!applyCommitted({Op::remove, k, {}}, "cleanup remove"))
+            return res;
     }
-
+    verifyAll(0, "cleanup");
+    if (!res.passed)
+        return res;
+    TortureRig ref(kind, structure);
+    std::string escaped = replay(ref, history);
+    if (!escaped.empty()) {
+        fail("leak-audit replay " + escaped);
+    } else if (ref.heap().freeBytes() != rig->heap().freeBytes()) {
+        fail(strprintf("allocator leak: %zu free bytes after crashes vs "
+                       "%zu after crash-free replay of the %zu committed "
+                       "ops",
+                       rig->heap().freeBytes(), ref.heap().freeBytes(),
+                       history.size()));
+    }
     return res;
 }
 
@@ -575,88 +542,59 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
             static_cast<unsigned long long>(k));
     };
 
-    for (uint64_t k = cfg.startIndex; quiet < cfg.quietRuns && res.passed;
+    const std::vector<Op> baseline = baselineOps(cfg.seed);
+    for (uint64_t k = cfg.startIndex; quiet < kQuietRuns && res.passed;
          k++) {
         if (cfg.budget != 0 && res.cases >= cfg.budget) {
             res.truncated = true;
             break;
         }
-        if (k > cfg.maxIndex) {
+        if (k > kMediaMaxIndex) {
             fail(k, "media sweep did not quiesce (maxIndex hit)");
             break;
         }
         // Every case is a fresh rig: faults from one case must never
         // bleed into the next, and a failing index replays exactly.
-        TortureRig rig(kind, structure, cfg.poolBytes);
+        TortureRig rig(kind, structure, kMediaPoolBytes);
         rig.setRecoveryMode(cfg.recovery);
-        FaultSpec fs = cfg.faults;
-        fs.enabled = true;
-        fs.seed = cfg.seed * 0x9e3779b97f4a7c15ULL + k;
-        rig.enableFaults(fs);
+        rig.enableFaults(cfg.faults, cfg.seed * 0x9e3779b97f4a7c15ULL + k);
 
         // Committed baseline. Injection only fires on tears, so these
         // crash-free inserts populate deterministically.
-        bool ok = true;
-        for (int i = 0; ok && i < cfg.baselineKeys; i++) {
-            std::string key = strprintf("b%07d", i);
-            std::string val = valueFor(key, cfg.seed, 20);
-            std::string escaped =
-                escapeOf([&] { rig.kv().insert(key, val); });
-            if (!escaped.empty()) {
-                fail(k, "baseline insert " + escaped);
-                ok = false;
-                break;
-            }
-            rig.shadow().noteInsert(key, val);
-        }
-        if (!ok)
+        std::string escaped = replay(rig, baseline);
+        if (!escaped.empty()) {
+            fail(k, "baseline insert " + escaped);
             break;
+        }
 
         // One armed mutating op, shape cycling with the index so the
         // sweep crosses insert, in-place/resize update and remove.
-        unsigned shape = cfg.baselineKeys >= 2 ? k % 3 : 1;
-        bool isInsert = true;
-        std::string key, val;
-        switch (shape) {
+        Op op;
+        switch (k % 3) {
           case 0:  // update an existing key (size change)
-            key = "b0000000";
-            val = valueFor(key, cfg.seed + k, 28);
+            op = {Op::insert, "b0000000",
+                  valueFor("b0000000", cfg.seed + k, 28)};
             break;
-          case 1:  // fresh insert
-            key = strprintf("m%07llu",
-                            static_cast<unsigned long long>(k));
-            val = valueFor(key, cfg.seed, 20);
+          case 1: {  // fresh insert
+            std::string key =
+                strprintf("m%07llu", static_cast<unsigned long long>(k));
+            op = {Op::insert, key, valueFor(key, cfg.seed, 20)};
             break;
+          }
           default:  // remove a committed victim
-            isInsert = false;
-            key = "b0000001";
+            op = {Op::remove, "b0000001", {}};
             break;
         }
         res.cases++;
-        rig.sched().arm(k);
-        bool crashed = false;
-        std::string escaped;
-        try {
-            escaped = escapeOf([&] {
-                if (isInsert)
-                    rig.kv().insert(key, val);
-                else
-                    rig.kv().remove(key);
-            });
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        rig.sched().disarm();
+        bool crashed =
+            rig.runArmed(k, [&] { op.applyTo(rig.kv()); }, &escaped);
         if (!escaped.empty()) {
             fail(k, "armed op " + escaped);
             break;
         }
         if (!crashed) {
             quiet++;
-            if (isInsert)
-                rig.shadow().noteInsert(key, val);
-            else
-                rig.shadow().noteRemove(key);
+            rig.shadow().note(op);
             std::string err = rig.shadow().verify(rig.kv());
             if (!err.empty())
                 fail(k, strprintf("crash-free case: %s", err.c_str()));
@@ -664,79 +602,59 @@ mediaFaultSweep(txn::RuntimeKind kind, const std::string& structure,
         }
         quiet = 0;
         res.crashes++;
-        escaped = escapeOf([&] {
-            rig.crashAndRecover(cfg.tear, cfg.seed * 1000003 + k,
-                                paramsFor(cfg.seed ^ (k << 20)),
-                                cfg.faults.duringRecoveryRounds);
-        });
-        if (!escaped.empty()) {
-            fail(k, "recovery " + escaped);
+        Settled s = rig.settleCrash(cfg.tear, cfg.seed * 1000003 + k,
+                                    paramsFor(cfg.seed ^ (k << 20)),
+                                    cfg.faults.duringRecoveryRounds, &op);
+        if (!s.recovered) {
+            fail(k, s.failure);
             break;
         }
-        // Declared or not, quarantined blocks must never resurface in
-        // the allocator's free map.
-        if (rig.heap().quarantineViolation()) {
-            fail(k, "quarantined block resurfaced in the free map");
-            break;
-        }
-        const txn::RecoveryReport& rep = rig.lastReport();
-        if (rep.salvageAborted == 0) {
+        if (!s.declared) {
             // Recovery claims full repair — the full oracle binds,
             // exactly as in the plain crash sweeps. A protocol that
             // cannot detect media damage (nolog) always lands here,
             // and honestly fails.
             res.strictAudits++;
-            bool committed = false;
-            std::string err = resolveInterrupted(
-                rig.kv(), rig.shadow(), isInsert, key, val, &committed);
-            if (err.empty()) {
-                if (committed) {
-                    if (isInsert)
-                        rig.shadow().noteInsert(key, val);
-                    else
-                        rig.shadow().noteRemove(key);
-                }
-                err = rig.shadow().verify(rig.kv());
-            }
+            std::string err = s.failure.empty()
+                                  ? rig.shadow().verify(rig.kv())
+                                  : s.failure;
             if (!err.empty()) {
-                fail(k, strprintf("strict audit (no salvage "
-                                  "declared): %s",
-                                  err.c_str()));
+                fail(k, "strict audit (no salvage declared): " + err);
                 break;
             }
-        } else {
-            // Damage was detected and declared: the abandoned
-            // transaction's effects are undefined (clobber cannot
-            // un-write blind stores it could not restore), so per-key
-            // state may legitimately disagree with the shadow. What
-            // must still hold was checked above (quarantine
-            // integrity) and below: probing must never crash the
-            // recovered process. Everything else is counted as
-            // declared collateral, not failure.
-            res.relaxedAudits++;
-            res.salvageAborts += rep.salvageAborted;
-            // A probe that throws leaves its key counted.
-            for (const auto& [sk, sv] : rig.shadow().entries()) {
-                bool intact = false;
-                (void)escapeOf([&] {
-                    ds::LookupResult r;
-                    intact = rig.kv().lookup(sk, &r) && r.str() == sv;
-                });
-                if (!intact)
-                    res.collateralKeys++;
-            }
-            std::string sk = strprintf(
-                "s%07llu", static_cast<unsigned long long>(k));
-            std::string sv = valueFor(sk, cfg.seed, 20);
+            continue;
+        }
+        // Damage was detected and declared: the abandoned
+        // transaction's effects are undefined (clobber cannot
+        // un-write blind stores it could not restore), so per-key
+        // state may legitimately disagree with the shadow. What
+        // must still hold was checked by settleCrash (quarantine
+        // integrity) and below: probing must never crash the
+        // recovered process. Everything else is counted as
+        // declared collateral, not failure.
+        res.relaxedAudits++;
+        res.salvageAborts += rig.lastReport().salvageAborted;
+        // A probe that throws leaves its key counted.
+        for (const auto& [sk, sv] : rig.shadow().entries()) {
             bool intact = false;
             (void)escapeOf([&] {
-                rig.kv().insert(sk, sv);
                 ds::LookupResult r;
                 intact = rig.kv().lookup(sk, &r) && r.str() == sv;
             });
             if (!intact)
                 res.collateralKeys++;
         }
+        std::string sk =
+            strprintf("s%07llu", static_cast<unsigned long long>(k));
+        std::string sv = valueFor(sk, cfg.seed, 20);
+        bool intact = false;
+        (void)escapeOf([&] {
+            rig.kv().insert(sk, sv);
+            ds::LookupResult r;
+            intact = rig.kv().lookup(sk, &r) && r.str() == sv;
+        });
+        if (!intact)
+            res.collateralKeys++;
     }
     return res;
 }
@@ -748,40 +666,28 @@ struct OracleMismatch {
     std::string msg;
 };
 
-/** One scheduled fuzz operation. */
-struct FuzzOp {
-    enum Type : uint8_t { insert, remove, lookup };
-    Type type;
-    std::string key;
-    std::string val;
-};
-
-std::vector<std::vector<FuzzOp>>
-buildSchedule(const FuzzCase& c, const FuzzConfig& cfg,
-              unsigned threads)
+std::vector<std::vector<Op>>
+buildSchedule(const FuzzCase& c, unsigned threads)
 {
-    std::vector<std::vector<FuzzOp>> sched(threads);
+    std::vector<std::vector<Op>> sched(threads);
     Xorshift rng(c.seed);
     for (unsigned t = 0; t < threads; t++) {
-        Zipfian zipf(std::max<uint64_t>(cfg.keySpace, 1), 0.99,
-                     c.seed * 131 + t);
+        Zipfian zipf(kKeySpace, 0.99, c.seed * 131 + t);
         sched[t].reserve(c.nOps);
         for (uint32_t i = 0; i < c.nOps; i++) {
-            FuzzOp op;
-            std::string key = strprintf(
-                "k%05llu",
-                static_cast<unsigned long long>(zipf.next()));
+            Op op;
+            op.key = strprintf(
+                "k%05llu", static_cast<unsigned long long>(zipf.next()));
             uint64_t dice = rng.nextUint(100);
             if (dice < 55) {
-                op.type = FuzzOp::insert;
-                op.val = valueFor(key, rng.next(),
+                op.kind = Op::insert;
+                op.val = valueFor(op.key, rng.next(),
                                   8 + rng.nextUint(33));
             } else if (dice < 80) {
-                op.type = FuzzOp::remove;
+                op.kind = Op::remove;
             } else {
-                op.type = FuzzOp::lookup;
+                op.kind = Op::lookup;
             }
-            op.key = std::move(key);
             sched[t].push_back(std::move(op));
         }
     }
@@ -798,32 +704,21 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
     TortureRig rig(kind, structure);
     rig.setRecoveryMode(cfg.recovery);
     if (cfg.faults.enabled) {
-        FaultSpec fs = cfg.faults;
-        fs.seed = cfg.faults.seed * 0x9e3779b97f4a7c15ULL +
-                  c.seed * 131 + c.crashAt;
-        rig.enableFaults(fs);
+        rig.enableFaults(cfg.faults, 0x9e3779b97f4a7c15ULL +
+                                         c.seed * 131 + c.crashAt);
     }
     unsigned threads = std::min(std::max(cfg.threads, 1u),
                                 rig.pool().maxThreads());
-    auto sched = buildSchedule(c, cfg, threads);
+    auto sched = buildSchedule(c, threads);
 
     // Execution bookkeeping so an interrupted history can continue
     // after recovery: ops completed per thread, plus the in-flight op.
     std::vector<uint32_t> done(threads, 0);
-    const FuzzOp* inFlight = nullptr;
+    const Op* inFlight = nullptr;
 
-    auto applyOne = [&](unsigned tid, const FuzzOp& op) {
+    auto applyOne = [&](unsigned tid, const Op& op) {
         inFlight = &op;
-        switch (op.type) {
-          case FuzzOp::insert:
-            rig.kv().insert(op.key, op.val);
-            rig.shadow().noteInsert(op.key, op.val);
-            break;
-          case FuzzOp::remove:
-            rig.kv().remove(op.key);
-            rig.shadow().noteRemove(op.key);
-            break;
-          case FuzzOp::lookup: {
+        if (op.kind == Op::lookup) {
             // The executor multiplexes logical threads on one OS
             // thread, so the shadow is exact at every op boundary.
             ds::LookupResult r;
@@ -837,82 +732,52 @@ runFuzzCase(txn::RuntimeKind kind, const std::string& structure,
                     op.key.c_str(), tid, found ? 1 : 0,
                     expect ? 1 : 0)};
             }
-            break;
-          }
+        } else {
+            op.applyTo(rig.kv());
+            rig.shadow().note(op);
         }
         inFlight = nullptr;
         res.opsExecuted++;
     };
 
-    if (c.crashAt != 0)
-        rig.sched().arm(c.crashAt);
-    bool crashed = false;
+    std::string escaped;
     try {
-        std::string escaped = escapeOf([&] {
-            sim::Executor ex(threads);
-            ex.run(c.nOps, [&](sim::ThreadCtx& ctx, size_t i) {
-                applyOne(ctx.tid(), sched[ctx.tid()][i]);
-                done[ctx.tid()] = static_cast<uint32_t>(i) + 1;
-            });
-        });
+        res.crashed = rig.runArmed(
+            c.crashAt,
+            [&] {
+                sim::Executor ex(threads);
+                ex.run(c.nOps, [&](sim::ThreadCtx& ctx, size_t i) {
+                    applyOne(ctx.tid(), sched[ctx.tid()][i]);
+                    done[ctx.tid()] = static_cast<uint32_t>(i) + 1;
+                });
+            },
+            &escaped);
         if (!escaped.empty())
             res.failure = "history " + escaped;
-    } catch (const nvm::CrashInjected&) {
-        crashed = true;
     } catch (const OracleMismatch& m) {
         res.failure = m.msg;
     }
-    rig.sched().disarm();
     res.events = rig.sched().eventCount();
-    res.crashed = crashed;
     if (!res.failure.empty())
         return res;
 
-    if (crashed) {
-        const FuzzOp* op = inFlight;
-        std::string escaped = escapeOf([&] {
-            rig.crashAndRecover(cfg.tear,
-                                c.seed ^ (c.crashAt * 2654435761ULL),
-                                paramsFor(c.seed + c.crashAt),
-                                cfg.faults.enabled
-                                    ? cfg.faults.duringRecoveryRounds
-                                    : 0);
-        });
-        if (!escaped.empty()) {
-            res.failure = "recovery " + escaped;
+    if (res.crashed) {
+        const Op* op = inFlight;
+        Settled s = rig.settleCrash(
+            cfg.tear, c.seed ^ (c.crashAt * 2654435761ULL),
+            paramsFor(c.seed + c.crashAt),
+            cfg.faults.enabled ? cfg.faults.duringRecoveryRounds : 0, op);
+        // A declared abort ends the case: the shadow oracle no longer
+        // binds for this history, and the declaration is the
+        // contract. (No structural probe: after a roll-back past
+        // damaged entries the abandoned image may hold arbitrarily
+        // torn pointers, and even a read-only walk can loop. A real
+        // deployment re-creates the structure from its committed
+        // state, which is exactly what the next case's fresh rig
+        // does.)
+        res.failure = s.failure;
+        if (!res.failure.empty() || s.declared)
             return res;
-        }
-        if (rig.lastReport().salvageAborted > 0) {
-            // Damage was detected and declared: the shadow oracle no
-            // longer binds for this history. Audit what must still
-            // hold — quarantine integrity — and end the case here;
-            // the declaration is the contract. (No structural probe:
-            // after a roll-back past damaged entries the abandoned
-            // image may hold arbitrarily torn pointers, and even a
-            // read-only walk can loop. A real deployment re-creates the
-            // structure from its committed state, which is exactly
-            // what the next case's fresh rig does.)
-            if (rig.heap().quarantineViolation()) {
-                res.failure =
-                    "quarantined block resurfaced in the free map";
-                return res;
-            }
-            return res;
-        }
-        if (op != nullptr && op->type != FuzzOp::lookup) {
-            bool committed = false;
-            res.failure = resolveInterrupted(
-                rig.kv(), rig.shadow(), op->type == FuzzOp::insert,
-                op->key, op->val, &committed);
-            if (!res.failure.empty())
-                return res;
-            if (committed) {
-                if (op->type == FuzzOp::insert)
-                    rig.shadow().noteInsert(op->key, op->val);
-                else
-                    rig.shadow().noteRemove(op->key);
-            }
-        }
         res.failure = rig.shadow().verify(rig.kv());
         if (!res.failure.empty()) {
             res.failure = "post-recovery audit: " + res.failure;
@@ -1049,7 +914,7 @@ fuzz(txn::RuntimeKind kind, const std::string& structure,
     while (out.passed && out.opsRun < cfg.budget) {
         // Dry run: count the case's events (and catch crash-free
         // bugs); then re-run armed at a random index within range.
-        FuzzCase dryCase{cfg.baseSeed + caseIdx, cfg.opsPerCase, 0};
+        FuzzCase dryCase{cfg.baseSeed + caseIdx, kOpsPerCase, 0};
         CaseResult dry = runFuzzCase(kind, structure, dryCase, cfg);
         out.casesRun++;
         out.opsRun += std::max<uint64_t>(dry.opsExecuted, 1);

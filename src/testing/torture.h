@@ -2,31 +2,43 @@
  * @file
  * Crash-point torture drivers.
  *
- * Two tiers over the same rig (pool + heap + runtime + structure +
- * CrashScheduler + ShadowOracle):
+ * Three drivers over the same rig (pool + heap + runtime + structure +
+ * CrashScheduler + ShadowOracle). Each runs ops through
+ * TortureRig::runArmed() and, when the trap fires, settles the crash
+ * with TortureRig::settleCrash(): tear, recover, audit quarantine
+ * integrity, and resolve the interrupted op (all-or-nothing, by
+ * probing). The drivers differ in the ops they arm and in their
+ * answer to a recovery that declares salvage aborts:
  *
  *  - exhaustiveSweep(): for one (protocol, structure) pair, crash an
  *    insert / update / remove at event index 1, 2, 3, ... until the
- *    operation commits without reaching the trap (`quietRuns` times in
- *    a row — event counts drift as the structure grows, so a single
- *    quiet attempt is not proof of quiescence). After every crash:
- *    tear the image, run recovery, resolve the interrupted operation
- *    (all-or-nothing by probing), audit the full shadow, and finally
- *    audit the allocator by replaying the committed-operation history
- *    on a fresh rig — equal freeBytes() means crashes leaked nothing.
+ *    operation commits without reaching the trap twice in a row
+ *    (event counts drift as the structure grows, so a single quiet
+ *    attempt is not proof of quiescence). After every crash it audits
+ *    the full shadow, and at the end it audits the allocator by
+ *    replaying the committed-operation history on a fresh rig: equal
+ *    freeBytes() means crashes leaked nothing. A declared abort
+ *    rebuilds the rig from that history.
+ *
+ *  - mediaFaultSweep(): the same crash sweep with a seeded media-fault
+ *    round landed by every tear, one fresh rig per event index. A
+ *    declared abort relaxes the audit to usability and counts the
+ *    keys it cost.
  *
  *  - fuzz(): randomized YCSB-like histories on N logical threads
  *    (sim::Executor round-robin, so each case is a deterministic
  *    function of its seed). Each case first runs crash-free to count
  *    its events, then re-runs armed at a random index with randomized
- *    torn-write CrashParams. A failing case is shrunk greedily to the
- *    smallest (seed, nOps, event-index) triple that still fails, and
- *    the report carries the exact cnvm_torture --replay invocation.
+ *    torn-write CrashParams. A declared abort ends the case. A failing
+ *    case is shrunk greedily to the smallest (seed, nOps, event-index)
+ *    triple that still fails, and the report carries the exact
+ *    cnvm_torture --replay invocation.
  */
 #ifndef CNVM_TESTING_TORTURE_H
 #define CNVM_TESTING_TORTURE_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,10 +93,10 @@ escapeOf(Fn&& op)
  * Media-fault campaign axis layered on the crash sweeps: every tear
  * additionally lands `bitFlips` flipped bits, `poisons` poisoned
  * lines and `transients` transiently-failing lines in the selected
- * regions (deterministic from `seed`). With `duringRecoveryRounds`
- * > 0, recovery itself is crash-armed and re-torn that many times —
- * each re-tear injecting another fault round — before the final
- * uninterrupted recovery.
+ * regions (deterministic from the seed enableFaults() takes). With
+ * `duringRecoveryRounds` > 0, recovery itself is crash-armed and
+ * re-torn that many times — each re-tear injecting another fault
+ * round — before the final uninterrupted recovery.
  */
 struct FaultSpec {
     bool enabled = false;
@@ -94,7 +106,21 @@ struct FaultSpec {
     uint32_t regionMask =
         nvm::kFaultDesc | nvm::kFaultLog | nvm::kFaultAllocMeta;
     int duringRecoveryRounds = 0;
-    uint64_t seed = 1;
+};
+
+/** What TortureRig::settleCrash() found. */
+struct Settled {
+    /** Recovery returned and quarantine integrity held; otherwise
+     *  `failure` says which did not. */
+    bool recovered = false;
+    /** Recovery declared salvage aborts: the shadow no longer binds
+     *  and the interrupted op was left unresolved. */
+    bool declared = false;
+    /** The interrupted op took effect; the shadow now holds it. */
+    bool committed = false;
+    /** Empty when the crash settled; else "recovery <escape>", a
+     *  quarantine violation, or (recovered) the interrupted op torn. */
+    std::string failure;
 };
 
 /**
@@ -108,53 +134,47 @@ class TortureRig {
                size_t poolBytes = 32ULL << 20);
     ~TortureRig();
 
-    txn::RuntimeKind kind() const { return kind_; }
-    const std::string& structureName() const { return structName_; }
-
     /**
-     * Attach a seeded fault model to the pool and refine its region
-     * map with the runtime/allocator layouts. Injection rounds then
-     * fire inside every simulated tear.
+     * Attach a fault model seeded with `seed` to the pool and refine
+     * its region map with the runtime/allocator layouts. Injection
+     * rounds then fire inside every simulated tear.
      */
-    void enableFaults(const FaultSpec& spec);
+    void enableFaults(const FaultSpec& spec, uint64_t seed);
 
-    /**
-     * Tear the image (injecting a fault round when faults are
-     * enabled) and run recovery, capturing lastReport(). With
-     * recoveryRetears > 0, recovery is crash-armed and re-torn up to
-     * that many times first (each re-tear another injection round).
-     *
-     * Under RecoveryMode::lazy the crash recovers through the engine:
-     * triage, then first-touch admission of every slot, then
-     * finishRecovery() — so the sweeps audit the exact same images
-     * through the instant-restart path, re-tears landing inside
-     * triage and the heal drain alike.
-     */
-    void crashAndRecover(Tear tear, uint64_t seed,
-                         const nvm::CrashParams& params,
-                         int recoveryRetears = 0);
-
-    /** Recovery mode used by crashAndRecover (default: full). */
+    /** Recovery path every settled crash takes (default: full). */
     void setRecoveryMode(txn::RecoveryMode m) { recMode_ = m; }
-    txn::RecoveryMode recoveryMode() const { return recMode_; }
 
-    /** The report of the most recent crashAndRecover(). */
+    /**
+     * Arm the scheduler at event `k` (0: unarmed), run `fn` through
+     * escapeOf() into `*escaped`, and disarm.
+     * @return whether the trap fired inside `fn`.
+     */
+    bool runArmed(uint64_t k, const std::function<void()>& fn,
+                  std::string* escaped);
+
+    /**
+     * Settle a crash that runArmed() reported: tear the image
+     * (`tearSeed` and `params` seed a random tear), recover with
+     * `retears` re-tears of recovery itself, and audit quarantine
+     * integrity. Unless recovery declared salvage aborts, resolve
+     * `inFlight` (null or a lookup: nothing to resolve) against the
+     * shadow: the structure must hold its old or its new state.
+     */
+    Settled settleCrash(Tear tear, uint64_t tearSeed,
+                        const nvm::CrashParams& params, int retears,
+                        const Op* inFlight);
+
+    /** The report of the most recent settleCrash()'s recovery. */
     const txn::RecoveryReport& lastReport() const { return lastReport_; }
 
     nvm::Pool& pool() { return *pool_; }
     alloc::PmAllocator& heap() { return *heap_; }
     txn::Runtime& runtime() { return *runtime_; }
-    txn::Engine& engine() { return *engine_; }
     ds::KvStructure& kv() { return *kv_; }
     CrashScheduler& sched() { return *sched_; }
     ShadowOracle& shadow() { return shadow_; }
 
-    /** freeBytes() right after structure creation (leak baseline). */
-    size_t baselineFreeBytes() const { return baselineFree_; }
-
  private:
-    txn::RuntimeKind kind_;
-    std::string structName_;
     std::unique_ptr<nvm::Pool> pool_;
     std::unique_ptr<alloc::PmAllocator> heap_;
     std::unique_ptr<txn::Runtime> runtime_;
@@ -162,27 +182,32 @@ class TortureRig {
     std::unique_ptr<ds::KvStructure> kv_;
     std::unique_ptr<CrashScheduler> sched_;
     ShadowOracle shadow_;
-    size_t baselineFree_ = 0;
     txn::RecoveryMode recMode_ = txn::RecoveryMode::full;
     txn::RecoveryReport lastReport_;
 
+    /**
+     * Tear the image (injecting a fault round when faults are
+     * enabled) and run recovery, capturing lastReport(). With
+     * `retears` > 0, recovery is crash-armed and re-torn up to that
+     * many times first (each re-tear another injection round).
+     *
+     * Under RecoveryMode::lazy the crash recovers through the engine:
+     * triage, then first-touch admission of every slot, then
+     * finishRecovery() — so the sweeps audit the exact same images
+     * through the instant-restart path, re-tears landing inside
+     * triage and the heal drain alike.
+     *
+     * @return what recovery let escape (see escapeOf), "" if nothing.
+     */
+    std::string crashAndRecover(Tear tear, uint64_t seed,
+                                const nvm::CrashParams& params,
+                                int retears);
     void recoverOnce();
 };
 
 struct SweepConfig {
     Tear tear = Tear::allLost;
     uint64_t seed = 1;
-    /** Crash-free attempts in a row that end a sweep. */
-    int quietRuns = 2;
-    /** Safety cap on the swept event index. */
-    uint64_t maxIndex = 20000;
-    /** Committed keys present before the sweeps start. */
-    int baselineKeys = 4;
-    bool sweepInsert = true;
-    bool sweepUpdate = true;
-    bool sweepRemove = true;
-    /** Replay committed history on a fresh rig, compare freeBytes. */
-    bool leakAudit = true;
     /** Optional op budget; 0 = unlimited. The sweep stops early
      *  (result.truncated) when the budget runs out. */
     uint64_t budget = 0;
@@ -199,9 +224,9 @@ struct SweepResult {
     uint64_t commits = 0;    ///< operations that ended committed
     /** Crashes whose recovery *declared* salvage aborts. The shadow
      *  oracle stops binding for that image (same contract the media
-     *  sweep honors); the sweep audits quarantine integrity, then
-     *  rebuilds the rig from the committed history so later attempts
-     *  are audited strictly again. Besides media damage, a plain
+     *  sweep honors), so the sweep rebuilds the rig from the
+     *  committed history and later attempts are audited strictly
+     *  again. Besides media damage, a plain
      *  tear can declare: Atlas's deferred acquire marker can tear
      *  under a valid undo entry that shares its cache line, and the
      *  scan then reports the log corrupted (DESIGN.md §12). */
@@ -222,20 +247,12 @@ struct MediaSweepConfig {
     uint64_t seed = 1;
     /** Fault round landed by every tear (enabled forced on). */
     FaultSpec faults{};
-    /** Crash-free armed cases in a row that end the sweep. */
-    int quietRuns = 2;
     /** First swept event index (cases are independent — a fresh rig
      *  per index — so a single failing case replays exactly with
      *  startIndex = failingIndex, budget = 1). */
     uint64_t startIndex = 1;
-    /** Safety cap on the swept event index. */
-    uint64_t maxIndex = 4000;
-    /** Committed keys present before the armed op. */
-    int baselineKeys = 4;
     /** Armed-case cap; 0 = unlimited (run to quiescence). */
     uint64_t budget = 0;
-    /** Pool size per case (each case is a fresh rig). */
-    size_t poolBytes = 8ULL << 20;
     /** Recovery path every crash goes through. */
     txn::RecoveryMode recovery = txn::RecoveryMode::full;
 };
@@ -271,7 +288,7 @@ MediaSweepResult mediaFaultSweep(txn::RuntimeKind kind,
                                      MediaSweepConfig{});
 
 /** A replayable fuzz case: fully determined by these three numbers
- *  (plus the FuzzConfig shape parameters). crashAt = 0: no crash. */
+ *  (plus the FuzzConfig it runs under). crashAt = 0: no crash. */
 struct FuzzCase {
     uint64_t seed = 1;
     uint32_t nOps = 64;      ///< operations per logical thread
@@ -280,14 +297,12 @@ struct FuzzCase {
 
 struct FuzzConfig {
     unsigned threads = 2;    ///< logical threads (sim::Executor)
-    uint32_t opsPerCase = 48;
-    uint64_t keySpace = 48;  ///< Zipfian key universe
     Tear tear = Tear::randomTear;
     uint64_t budget = 4000;  ///< total ops across all cases
     uint64_t baseSeed = 1;
     bool shrink = true;
     /** Optional media-fault round per tear. A case whose recovery
-     *  declares salvage aborts ends early (usability-probed, not
+     *  declares salvage aborts ends early (quarantine-audited, not
      *  oracle-verified) — the declaration is the contract. */
     FaultSpec faults{};
     /** Recovery path every crash goes through. */

@@ -117,11 +117,4 @@ Engine::recoveryHealerDied() const
     return lz != nullptr && lz->healerDied();
 }
 
-RecoveryReport
-Engine::recoveryReport() const
-{
-    auto lz = lazy_;
-    return lz ? lz->report() : lastRecovery;
-}
-
 }  // namespace cnvm::txn

@@ -144,10 +144,6 @@ struct Engine {
     /** Did the active session's background healer die? */
     bool recoveryHealerDied() const;
 
-    /** Cumulative report so far: the active session's report, else
-     *  lastRecovery. */
-    RecoveryReport recoveryReport() const;
-
     unsigned tid() const { return currentTid(); }
 
     /**

@@ -97,8 +97,6 @@ class LazyRecovery {
      *  slotsScanned is the pool's maxThreads from construction on. */
     RecoveryReport report() const;
 
-    const RecoveryIndex& index() const { return idx_; }
-
  private:
     enum State : uint8_t { kPending = 0, kHealing = 1, kHealed = 2 };
 

@@ -206,13 +206,7 @@ INSTANTIATE_TEST_SUITE_P(
     Runtimes, KvServerTest,
     ::testing::Values(RuntimeKind::clobber, RuntimeKind::undo,
                       RuntimeKind::redo),
-    [](const auto& info) {
-        switch (info.param) {
-          case RuntimeKind::undo: return "pmdk";
-          case RuntimeKind::redo: return "mnemosyne";
-          default: return "clobber";
-        }
-    });
+    [](const auto& info) { return rt::kindName(info.param); });
 
 TEST(KvServerCrash, InterruptedSetsRecover)
 {

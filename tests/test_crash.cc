@@ -223,17 +223,9 @@ INSTANTIATE_TEST_SUITE_P(
         CrashCase{RuntimeKind::atlas, CrashMode::allLost},
         CrashCase{RuntimeKind::atlas, CrashMode::randomTear}),
     [](const auto& info) {
-        std::string name;
-        switch (info.param.kind) {
-          case RuntimeKind::undo: name = "pmdk"; break;
-          case RuntimeKind::redo: name = "mnemosyne"; break;
-          case RuntimeKind::clobber: name = "clobber"; break;
-          case RuntimeKind::atlas: name = "atlas"; break;
-          default: name = "other"; break;
-        }
-        name += info.param.mode == CrashMode::allLost ? "_alllost"
-                                                      : "_tear";
-        return name;
+        return std::string(rt::kindName(info.param.kind)) +
+               (info.param.mode == CrashMode::allLost ? "_alllost"
+                                                       : "_tear");
     });
 
 // ---------------------------------------------------------------
@@ -405,16 +397,8 @@ INSTANTIATE_TEST_SUITE_P(
         return cases;
     }()),
     [](const auto& info) {
-        std::string name;
-        switch (info.param.kind) {
-          case RuntimeKind::undo: name = "pmdk"; break;
-          case RuntimeKind::redo: name = "mnemosyne"; break;
-          case RuntimeKind::clobber: name = "clobber"; break;
-          case RuntimeKind::atlas: name = "atlas"; break;
-          case RuntimeKind::ido: name = "ido"; break;
-          default: name = "other"; break;
-        }
-        return name + "_" + txn::recoveryModeName(info.param.mode);
+        return std::string(rt::kindName(info.param.kind)) + "_" +
+               txn::recoveryModeName(info.param.mode);
     });
 
 // ---------------------------------------------------------------
@@ -585,16 +569,8 @@ restartCases()
 std::string
 restartCaseName(const ::testing::TestParamInfo<RestartCase>& info)
 {
-    std::string name;
-    switch (info.param.kind) {
-      case RuntimeKind::undo: name = "pmdk"; break;
-      case RuntimeKind::redo: name = "mnemosyne"; break;
-      case RuntimeKind::clobber: name = "clobber"; break;
-      case RuntimeKind::atlas: name = "atlas"; break;
-      case RuntimeKind::ido: name = "ido"; break;
-      default: name = "other"; break;
-    }
-    return name + "_" + txn::recoveryModeName(info.param.mode);
+    return std::string(rt::kindName(info.param.kind)) + "_" +
+           txn::recoveryModeName(info.param.mode);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, RestartSweep,

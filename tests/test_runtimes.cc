@@ -170,17 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RuntimeKind::noLog, RuntimeKind::undo,
                       RuntimeKind::redo, RuntimeKind::clobber,
                       RuntimeKind::atlas, RuntimeKind::ido),
-    [](const auto& info) {
-        switch (info.param) {
-          case RuntimeKind::noLog: return "nolog";
-          case RuntimeKind::undo: return "pmdk";
-          case RuntimeKind::redo: return "mnemosyne";
-          case RuntimeKind::clobber: return "clobber";
-          case RuntimeKind::atlas: return "atlas";
-          case RuntimeKind::ido: return "ido";
-        }
-        return "?";
-    });
+    [](const auto& info) { return rt::kindName(info.param); });
 
 TEST(ClobberLogging, BlindWritesAreNotLogged)
 {

@@ -425,12 +425,17 @@ declaredFor(const txn::RecoveryReport& rep, unsigned tid)
  *  show for it. */
 struct LogDamage {
     bool poison;  ///< poison the first log line; else flip a bit of
-                  ///< the first entry's payload
+                  ///< entry `flip`'s payload
+    size_t flip;
     size_t minEntries;
     const char* note;
     uint64_t applied;
     uint64_t dropped;
     uint64_t recoveries;
+    /** False when the lost image leaves the durable list head naming
+     *  the abandoned (freed) node, which the next push would reuse
+     *  and link to itself. */
+    bool listSurvives = true;
 };
 
 /**
@@ -456,7 +461,7 @@ expectDamagedLogDeclared(RuntimeKind kind, const LogDamage& c)
         h.pool->faults()->poisonAt(h.pool->offsetOf(logArea0(h)));
     else
         h.pool->faults()->flipBit(
-            *h.pool, h.pool->offsetOf(entries[0].data), 3);
+            *h.pool, h.pool->offsetOf(entries[c.flip].data), 3);
 
     auto pre = stats::aggregate();
     txn::RecoveryReport rep = h.runtime->recover();
@@ -479,9 +484,15 @@ expectDamagedLogDeclared(RuntimeKind kind, const LogDamage& c)
     // The slot was rebuilt and log appends overwrite the damaged
     // line, so the engine keeps working and the next recovery pass
     // has nothing left to salvage.
-    size_t len = h.listLen();
-    txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
-    EXPECT_EQ(h.listLen(), len + 1);
+    if (c.listSurvives) {
+        size_t len = h.listLen();
+        txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
+        EXPECT_EQ(h.listLen(), len + 1);
+    } else {
+        uint64_t counter = h.root().counter;
+        txn::run(eng, kIncrCounter, h.rootPtr().raw());
+        EXPECT_EQ(h.root().counter, counter + 1);
+    }
     EXPECT_TRUE(h.runtime->recover().clean());
 }
 
@@ -492,23 +503,31 @@ TEST(UndoSalvage, DamagedLogAbortsVisiblyAndHeals)
     // the scan finds none. Either way the roll-back cannot promise a
     // full revert.
     expectDamagedLogDeclared(RuntimeKind::undo,
-                             {false, 2, "undo log corrupted mid-log",
+                             {false, 0, 2, "undo log corrupted mid-log",
                               1, 1, 0});
     expectDamagedLogDeclared(RuntimeKind::undo,
-                             {true, 2, "undo log poisoned", 0, 0, 0});
+                             {true, 0, 2, "undo log poisoned", 0, 0, 0});
 }
 
 TEST(ClobberSalvage, DamagedLogRestoresWithoutReexecution)
 {
     // Some clobbered inputs are gone, so re-executing the txfunc
     // would read garbage. Recovery must restore what validated and
-    // refuse to resume. The flip needs a valid successor entry to
-    // read as mid-log damage rather than a torn tail.
+    // refuse to resume, and the abandoned transaction does not count
+    // as repaired. The flip needs a valid successor entry to read as
+    // mid-log damage rather than a torn tail.
     expectDamagedLogDeclared(RuntimeKind::clobber,
-                             {true, 1, "clobber log poisoned", 0, 0, 1});
+                             {true, 0, 1, "clobber log poisoned", 0, 0, 0});
     expectDamagedLogDeclared(RuntimeKind::clobber,
-                             {false, 2, "clobber log corrupted mid-log",
-                              1, 1, 1});
+                             {false, 0, 2, "clobber log corrupted mid-log",
+                              1, 1, 0});
+    // iDO's log is region marker, head image, marker: with the image
+    // flipped, the markers that still validate are not applied
+    // images. The second marker made the head store durable, so the
+    // head keeps naming the abandoned node.
+    expectDamagedLogDeclared(RuntimeKind::ido,
+                             {false, 1, 3, "clobber log corrupted mid-log",
+                              0, 1, 0, false});
 }
 
 TEST(ClobberSalvage, ReexecutionOverflowAbortsVisibly)
@@ -547,8 +566,8 @@ TEST(ClobberSalvage, ReexecutionOverflowAbortsVisibly)
         auto delta = stats::aggregate() - pre;
         EXPECT_EQ(delta[stats::Counter::reexecutions], 0u);
         EXPECT_EQ(delta[stats::Counter::salvageAborts], 1u);
-        // The restore before the re-execution and the one after it.
-        EXPECT_EQ(delta[stats::Counter::recoveries], 2u);
+        // The abandoned transaction was not repaired.
+        EXPECT_EQ(delta[stats::Counter::recoveries], 0u);
         EXPECT_EQ(rep.salvageAborted, 1u);
         const txn::SlotRecovery* s = declaredFor(rep, 0);
         ASSERT_NE(s, nullptr);

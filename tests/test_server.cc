@@ -231,13 +231,7 @@ INSTANTIATE_TEST_SUITE_P(
     Runtimes, KvMutationTest,
     ::testing::Values(RuntimeKind::clobber, RuntimeKind::undo,
                       RuntimeKind::redo),
-    [](const auto& info) {
-        switch (info.param) {
-          case RuntimeKind::undo: return "pmdk";
-          case RuntimeKind::redo: return "mnemosyne";
-          default: return "clobber";
-        }
-    });
+    [](const auto& info) { return rt::kindName(info.param); });
 
 // ---------------------------------------------------------------
 // Service layer

@@ -288,16 +288,7 @@ TEST_P(KvStructures, UpdateCrashSweepIsAtomicPerKey)
 std::string
 caseName(const ::testing::TestParamInfo<KvCase>& info)
 {
-    std::string rt;
-    switch (info.param.kind) {
-      case RuntimeKind::noLog: rt = "nolog"; break;
-      case RuntimeKind::undo: rt = "pmdk"; break;
-      case RuntimeKind::redo: rt = "mnemosyne"; break;
-      case RuntimeKind::clobber: rt = "clobber"; break;
-      case RuntimeKind::atlas: rt = "atlas"; break;
-      case RuntimeKind::ido: rt = "ido"; break;
-    }
-    return info.param.structure + "_" + rt;
+    return info.param.structure + "_" + rt::kindName(info.param.kind);
 }
 
 std::vector<KvCase>

@@ -85,16 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{RuntimeKind::atlas, "list"},
         MatrixCase{RuntimeKind::ido, "rbtree"}),
     [](const auto& info) {
-        std::string name;
-        switch (info.param.kind) {
-          case RuntimeKind::clobber: name = "clobber"; break;
-          case RuntimeKind::undo: name = "pmdk"; break;
-          case RuntimeKind::redo: name = "mnemosyne"; break;
-          case RuntimeKind::atlas: name = "atlas"; break;
-          case RuntimeKind::ido: name = "ido"; break;
-          default: name = "other"; break;
-        }
-        return name + "_" + info.param.structure;
+        return std::string(rt::kindName(info.param.kind)) + "_" +
+               info.param.structure;
     });
 
 /** nolog has no recovery story: the sweep must catch it failing. */
@@ -186,18 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, MediaSweep,
                                            RuntimeKind::atlas,
                                            RuntimeKind::ido),
                          [](const auto& info) {
-                             switch (info.param) {
-                               case RuntimeKind::clobber:
-                                 return "clobber";
-                               case RuntimeKind::undo:
-                                 return "pmdk";
-                               case RuntimeKind::redo:
-                                 return "mnemosyne";
-                               case RuntimeKind::atlas:
-                                 return "atlas";
-                               default:
-                                 return "ido";
-                             }
+                             return rt::kindName(info.param);
                          });
 
 /**
@@ -318,14 +299,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RecoveryIdempotence,
                                            RuntimeKind::undo,
                                            RuntimeKind::redo),
                          [](const auto& info) {
-                             switch (info.param) {
-                               case RuntimeKind::clobber:
-                                 return "clobber";
-                               case RuntimeKind::undo:
-                                 return "pmdk";
-                               default:
-                                 return "mnemosyne";
-                             }
+                             return rt::kindName(info.param);
                          });
 
 // ---------------------------------------------------------------

@@ -416,16 +416,11 @@ bool
 runDynamic()
 {
     bool ok = runDynamicSelfCheck();
-    static const std::pair<txn::RuntimeKind, const char*> kKinds[] = {
-        {txn::RuntimeKind::noLog, "nolog"},
-        {txn::RuntimeKind::undo, "pmdk"},
-        {txn::RuntimeKind::redo, "mnemosyne"},
-        {txn::RuntimeKind::clobber, "clobber"},
-        {txn::RuntimeKind::atlas, "atlas"},
-        {txn::RuntimeKind::ido, "ido"},
-    };
-    for (const auto& [kind, name] : kKinds)
-        ok = runDynamicValidation(kind, name) && ok;
+    for (txn::RuntimeKind kind :
+         {txn::RuntimeKind::noLog, txn::RuntimeKind::undo,
+          txn::RuntimeKind::redo, txn::RuntimeKind::clobber,
+          txn::RuntimeKind::atlas, txn::RuntimeKind::ido})
+        ok = runDynamicValidation(kind, rt::kindName(kind)) && ok;
     return ok;
 }
 

@@ -2,7 +2,8 @@
  * @file
  * cnvm_torture: crash-point torture harness CLI.
  *
- * Drives the two src/testing tiers over a protocol × structure matrix:
+ * Drives the three src/testing drivers over a protocol × structure
+ * matrix:
  *
  *   exhaustive   crash insert/update/remove at every persistency-event
  *                index (store/clwb/sfence) until each sweep quiesces;
