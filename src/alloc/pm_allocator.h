@@ -272,7 +272,6 @@ class PmAllocator {
     uint64_t bitmapBytes() const { return hdr().bitmapBytes; }
     uint64_t dataOff() const { return hdr().dataOff; }
     uint64_t dataBytes() const { return hdr().dataBytes; }
-    uint64_t quarTableOff() const { return hdr().quarOff; }
     /// @}
 
     nvm::Pool& pool() { return pool_; }

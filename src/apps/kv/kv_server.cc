@@ -2,36 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
-#include "common/error.h"
-#include "common/rand.h"
 #include "runtimes/descriptor.h"
+#include "structures/chain.h"
 #include "txn/txrun.h"
 
 namespace cnvm::apps {
 
 namespace {
-
-uint64_t
-bucketIndex(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key)
-{
-    uint64_t shards = tx.ld(root->nShards);
-    uint64_t perShard = tx.ld(root->bucketsPerShard);
-    uint64_t h = fnv1a(key.data(), key.size());
-    return (h % shards) * perShard + (h / shards) % perShard;
-}
-
-bool
-keyEquals(txn::Tx& tx, nvm::PPtr<KvItem> it, std::string_view key)
-{
-    uint32_t klen = tx.ld(it->keyLen);
-    if (klen != key.size())
-        return false;
-    char buf[ds::kMaxKeyLen];
-    CNVM_CHECK(klen <= ds::kMaxKeyLen, "key too long");
-    tx.ldBytes(buf, it->keyBytes(), klen);
-    return std::memcmp(buf, key.data(), klen) == 0;
-}
 
 nvm::PPtr<KvItem>
 makeItem(txn::Tx& tx, std::string_view key, std::string_view val,
@@ -50,101 +29,51 @@ makeItem(txn::Tx& tx, std::string_view key, std::string_view val,
 }
 
 /**
- * Replace (or insert) the item under `key`. Shared by the set txfunc,
- * the cas txfunc (which passes the expected version through) and the
- * batch txfunc, so single-op and group-commit paths execute identical
- * structure code.
+ * Store `val` under `key`: set when `expected` is empty, else cas,
+ * which replaces only an item whose version equals `*expected`. Shared
+ * by the set, cas and batch txfuncs, so single-op and group-commit
+ * paths execute identical structure code. The version check happens
+ * inside the transaction, so the paper's CAS semantics hold under
+ * both normal execution and recovery re-execution (the re-run sees the
+ * same pre-transaction version the original run saw, because the
+ * original run's effects were rolled back / never made durable).
  */
-void
-doSet(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key,
-      std::string_view val, uint32_t flags)
+MutResult
+doStore(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key,
+        std::string_view val, uint32_t flags,
+        std::optional<uint32_t> expected)
 {
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        uint32_t version = tx.ld(it->version) + 1;
-        if (tx.ld(it->valLen) == val.size()) {
-            // In-place update: value bytes + metadata.
-            tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
-                       val.data(), val.size());
-            tx.st(it->flags, flags);
-            tx.st(it->version, version);
-        } else {
-            auto fresh = makeItem(tx, key, val, flags, version,
-                                  tx.ld(it->next));
-            if (prev.isNull())
-                tx.st(head, fresh);
-            else
-                tx.st(prev->next, fresh);
-            tx.pfree(it);
-        }
-        return;
+    auto& head = ds::bucketHead(tx, root, key);
+    auto hit = ds::chainFind(tx, head, key);
+    if (hit.node.isNull()) {
+        if (expected)
+            return MutResult::notFound;
+        tx.st(head, makeItem(tx, key, val, flags, 1, tx.ld(head)));
+        return MutResult::stored;
     }
-    auto fresh = makeItem(tx, key, val, flags, 1, tx.ld(head));
-    tx.st(head, fresh);
+    auto it = hit.node;
+    uint32_t version = tx.ld(it->version);
+    if (expected && version != *expected)
+        return MutResult::exists;
+    if (tx.ld(it->valLen) == val.size()) {
+        // In-place update: value bytes + metadata.
+        tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
+                   val.data(), val.size());
+        tx.st(it->flags, flags);
+        tx.st(it->version, version + 1);
+    } else {
+        ds::chainSwap(tx, hit, makeItem(tx, key, val, flags, version + 1,
+                                        tx.ld(it->next)));
+    }
+    return MutResult::stored;
 }
 
 MutResult
 doDel(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key)
 {
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        auto next = tx.ld(it->next);
-        if (prev.isNull())
-            tx.st(head, next);
-        else
-            tx.st(prev->next, next);
-        tx.pfree(it);
-        return MutResult::deleted;
-    }
-    return MutResult::notFound;
-}
-
-/**
- * Compare-and-store: the version check happens inside the
- * transaction, so the paper's CAS semantics hold under both normal
- * execution and recovery re-execution (the re-run sees the same
- * pre-transaction version the original run saw, because the original
- * run's effects were rolled back / never made durable).
- */
-MutResult
-doCas(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key,
-      std::string_view val, uint32_t flags, uint32_t expectedVersion)
-{
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        uint32_t version = tx.ld(it->version);
-        if (version != expectedVersion)
-            return MutResult::exists;
-        uint32_t fresh = version + 1;
-        if (tx.ld(it->valLen) == val.size()) {
-            tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
-                       val.data(), val.size());
-            tx.st(it->flags, flags);
-            tx.st(it->version, fresh);
-        } else {
-            auto repl = makeItem(tx, key, val, flags, fresh,
-                                 tx.ld(it->next));
-            if (prev.isNull())
-                tx.st(head, repl);
-            else
-                tx.st(prev->next, repl);
-            tx.pfree(it);
-        }
-        return MutResult::stored;
-    }
-    return MutResult::notFound;
+    return ds::chainUnlink(tx, ds::bucketHead(tx, root, key), key)
+               ? MutResult::deleted
+               : MutResult::notFound;
 }
 
 void
@@ -154,7 +83,7 @@ kvSetFn(txn::Tx& tx, txn::ArgReader& a)
     auto key = a.getString();
     auto val = a.getString();
     auto flags = a.get<uint32_t>();
-    doSet(tx, root, key, val, flags);
+    doStore(tx, root, key, val, flags, std::nullopt);
 }
 
 void
@@ -168,21 +97,16 @@ kvGetFn(txn::Tx& tx, txn::ArgReader& a)
     // anyway: it documents the volatile-out-pointer contract.
     if (tx.recovering())
         return;
-    out->found = false;
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    for (auto it = tx.ld(head); !it.isNull(); it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        out->found = true;
-        out->len = tx.ld(it->valLen);
-        out->flags = tx.ld(it->flags);
-        out->version = tx.ld(it->version);
-        CNVM_CHECK(out->len <= ds::kMaxValLen, "value too long");
-        tx.ldBytes(out->value,
-                   it->valBytes(static_cast<uint32_t>(key.size())),
-                   out->len);
+    auto it = ds::chainFind(tx, ds::bucketHead(tx, root, key), key).node;
+    out->found = !it.isNull();
+    if (!out->found)
         return;
-    }
+    out->len = tx.ld(it->valLen);
+    out->flags = tx.ld(it->flags);
+    out->version = tx.ld(it->version);
+    CNVM_CHECK(out->len <= ds::kMaxValLen, "value too long");
+    tx.ldBytes(out->value, it->valBytes(static_cast<uint32_t>(key.size())),
+               out->len);
 }
 
 void
@@ -207,7 +131,7 @@ kvCasFn(txn::Tx& tx, txn::ArgReader& a)
     auto flags = a.get<uint32_t>();
     auto expected = a.get<uint32_t>();
     auto* out = reinterpret_cast<MutResult*>(a.get<uint64_t>());
-    MutResult r = doCas(tx, root, key, val, flags, expected);
+    MutResult r = doStore(tx, root, key, val, flags, expected);
     if (out != nullptr && !tx.recovering())
         *out = r;
 }
@@ -235,14 +159,13 @@ kvBatchFn(txn::Tx& tx, txn::ArgReader& a)
         MutResult r = MutResult::error;
         switch (kind) {
           case MutKind::set:
-            doSet(tx, root, key, val, flags);
-            r = MutResult::stored;
+            r = doStore(tx, root, key, val, flags, std::nullopt);
             break;
           case MutKind::del:
             r = doDel(tx, root, key);
             break;
           case MutKind::cas:
-            r = doCas(tx, root, key, val, flags, casVersion);
+            r = doStore(tx, root, key, val, flags, casVersion);
             break;
         }
         if (live && results != nullptr)
@@ -260,30 +183,18 @@ const txn::FuncId kKvBatch = txn::registerTxFunc("kv_batch", kvBatchFn);
 
 KvServer::KvServer(txn::Engine& eng, uint64_t rootOff,
                    const Config& cfg)
-    : eng_(eng), lockMode_(cfg.lockMode)
+    : eng_(eng),
+      root_(ds::openBuckets<PKvStore>(eng, rootOff, cfg.shards,
+                                      cfg.bucketsPerShard)),
+      lockMode_(cfg.lockMode),
+      shards_(root_->nShards)
 {
-    if (rootOff == 0) {
-        size_t nBuckets = cfg.shards * cfg.bucketsPerShard;
-        rootOff = ds::rawCreate(
-            eng_, sizeof(PKvStore) +
-                      nBuckets * sizeof(nvm::PPtr<KvItem>));
-        root_ = nvm::PPtr<PKvStore>(rootOff);
-        auto& pool = eng_.rt.pool();
-        PKvStore init{};
-        init.nShards = cfg.shards;
-        init.bucketsPerShard = cfg.bucketsPerShard;
-        pool.write(root_.get(), &init, sizeof(init));
-        pool.persist(root_.get(), sizeof(init));
-    } else {
-        root_ = nvm::PPtr<PKvStore>(rootOff);
-    }
-    shards_ = std::vector<ShardState>(root_->nShards);
 }
 
 size_t
 KvServer::shardOf(std::string_view key) const
 {
-    return fnv1a(key.data(), key.size()) % root_->nShards;
+    return ds::bucketShard(key, root_->nShards);
 }
 
 void
@@ -496,15 +407,7 @@ KvServer::applyBatch(std::span<const MutOp> ops, MutResult* results)
 uint64_t
 KvServer::itemCount() const
 {
-    uint64_t n = 0;
-    uint64_t buckets = root_->nShards * root_->bucketsPerShard;
-    for (uint64_t b = 0; b < buckets; b++) {
-        for (auto it = root_->buckets()[b]; !it.isNull();
-             it = it->next) {
-            n++;
-        }
-    }
-    return n;
+    return ds::bucketNodeCount(root_);
 }
 
 KvServer::StatsTotals

@@ -36,7 +36,8 @@
 
 namespace cnvm::apps {
 
-/** Persistent item: header + inline key and value bytes. */
+/** Persistent item: header + inline key and value bytes. It starts
+ *  like ds::ChainNode, so structures/chain.h walks its buckets. */
 struct KvItem {
     nvm::PPtr<KvItem> next;
     uint32_t keyLen;

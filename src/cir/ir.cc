@@ -2,20 +2,6 @@
 
 namespace cnvm::cir {
 
-const char*
-effectName(Effect e)
-{
-    switch (e) {
-      case Effect::pure: return "pure";
-      case Effect::readsNVM: return "reads-nvm";
-      case Effect::writesNVM: return "writes-nvm";
-      case Effect::volatileWrite: return "volatile-write";
-      case Effect::nondet: return "nondeterministic";
-      case Effect::io: return "io";
-    }
-    return "?";
-}
-
 ValueId
 emitArg(Function& f, int block, const std::string& name)
 {

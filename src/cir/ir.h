@@ -44,8 +44,6 @@ enum class Effect {
     io,             ///< externally observable side effect (I/O)
 };
 
-const char* effectName(Effect e);
-
 enum class Op {
     arg,       ///< function argument (pointer or scalar)
     alloca_,   ///< stack allocation (fresh storage)

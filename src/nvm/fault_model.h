@@ -153,8 +153,6 @@ class FaultModel {
     /** @name Cumulative counters since construction */
     /// @{
     uint64_t flipsInjected() const { return flips_; }
-    uint64_t poisonsInjected() const { return poisons_; }
-    uint64_t transientsInjected() const { return transients_; }
     uint64_t poisonReads() const { return poisonReads_; }
     uint64_t retries() const { return retries_; }
     /** Faults of every kind placed so far. */

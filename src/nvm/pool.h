@@ -85,7 +85,7 @@ struct PoolHeader {
     uint64_t heapOff;
     uint64_t heapSize;
     uint32_t maxThreads;
-    uint32_t runtimeId;     ///< which runtime formatted the slots
+    uint32_t runtimeId;     ///< Pool::create writes 0; nothing reads it
 };
 
 class Pool {
@@ -162,9 +162,6 @@ class Pool {
     /** Runtime-private global area (persisted immediately). */
     uint64_t aux() const { return header().auxOff; }
     void setAux(uint64_t off);
-
-    /** Runtime id recorded in the header. */
-    uint32_t runtimeId() const { return header().runtimeId; }
 
     /** Per-thread runtime slot `tid` (tid < maxThreads). */
     void* slot(unsigned tid) const;

@@ -106,34 +106,37 @@ scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
     if (pool != nullptr && pool->faults() == nullptr)
         pool = nullptr;  // no model: skip the guarded-read machinery
     size_t pos = 0;
-    auto skipTo = [&](size_t from, bool poison) {
-        if (poison)
-            st.sawPoison = true;
+    // Skip the bad stretch at `from` to the next valid entry of this
+    // transaction. A successor proves the stretch mid-log damage.
+    // With none, a checksum failure on a clean line is the familiar
+    // torn tail; poison, taint and an impossible length are damage
+    // that runs to the end of the log. Each damaged stretch counts
+    // once in droppedEntries, however many entries it held.
+    enum class Bad { poison, corrupt, checksum };
+    auto skipTo = [&](size_t from, Bad bad) {
         size_t nxt = resync(pool, area, cap, seqLo, from);
-        if (nxt == kNoPos) {
-            // No valid successor. Poison and taint are media damage
-            // regardless; an ordinary checksum failure with a clean
-            // line is the familiar torn tail.
-            if (!poison) {
-                if (pool != nullptr &&
-                    pool->isTainted(area + from,
-                                    sizeof(LogEntryHeader))) {
-                    st.sawCorruption = true;
-                } else {
-                    st.tornTail = true;
-                }
+        if (nxt == kNoPos && bad == Bad::checksum) {
+            if (pool == nullptr ||
+                !pool->isTainted(area + from, sizeof(LogEntryHeader))) {
+                st.tornTail = true;
+                return false;
             }
-            return false;
+            bad = Bad::corrupt;
         }
-        st.sawCorruption = true;
+        if (bad == Bad::poison)
+            st.sawPoison = true;
+        if (bad == Bad::corrupt || nxt != kNoPos)
+            st.sawCorruption = true;
         st.droppedEntries++;
+        if (nxt == kNoPos)
+            return false;
         st.droppedBytes += nxt - from;
         pos = nxt;
         return true;
     };
     while (pos + sizeof(LogEntryHeader) <= cap) {
         if (!readable(pool, area + pos, sizeof(LogEntryHeader))) {
-            if (!skipTo(pos, /* poison */ true))
+            if (!skipTo(pos, Bad::poison))
                 break;
             continue;
         }
@@ -144,19 +147,16 @@ scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
             // that zeroed the length or mangled the sequence — treat
             // as damage and try to carry on past it.
             if (pool != nullptr &&
-                pool->isTainted(area + pos, sizeof(LogEntryHeader))) {
-                st.sawCorruption = true;
-                if (skipTo(pos, false))
-                    continue;
-            }
+                pool->isTainted(area + pos, sizeof(LogEntryHeader)) &&
+                skipTo(pos, Bad::corrupt))
+                continue;
             break;
         }
         size_t need = sizeof(LogEntryHeader) + alignUp8(h.len);
         if (pos + need > cap) {
             // Insane length: cannot be a real append (appendLogEntry
             // bounds-checks), so this is damage, not a tail.
-            st.sawCorruption = true;
-            if (!skipTo(pos, false))
+            if (!skipTo(pos, Bad::corrupt))
                 break;
             continue;
         }
@@ -170,7 +170,7 @@ scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
             continue;
         }
         if (entryChecksum(h, data) != h.checksum) {
-            if (!skipTo(pos, false))
+            if (!skipTo(pos, Bad::checksum))
                 break;
             continue;
         }

@@ -76,7 +76,9 @@ alignUp8(size_t n)
 struct ScanStats {
     uint64_t entries = 0;        ///< valid entries returned
     uint64_t payloadBytes = 0;
-    uint64_t droppedEntries = 0; ///< corrupt stretches skipped
+    /** Damaged stretches skipped: a lower bound on the entries lost,
+     *  since one stretch may hold several. Nonzero when damaged(). */
+    uint64_t droppedEntries = 0;
     uint64_t droppedBytes = 0;
     bool sawPoison = false;      ///< a guarded read raised a fault
     bool sawCorruption = false;  ///< proven mid-log damage

@@ -1,55 +1,13 @@
 #include "structures/hashmap.h"
 
-#include <cstring>
 #include <mutex>
 #include <shared_mutex>
 
-#include "common/error.h"
-#include "common/rand.h"
 #include "txn/txrun.h"
 
 namespace cnvm::ds {
 
 namespace {
-
-/** Deterministic bucket index from the key bytes (fits re-execution). */
-uint64_t
-bucketIndex(nvm::PPtr<PHashMap> root, std::string_view key,
-            txn::Tx& tx)
-{
-    uint64_t shards = tx.ld(root->nShards);
-    uint64_t perShard = tx.ld(root->bucketsPerShard);
-    uint64_t h = fnv1a(key.data(), key.size());
-    uint64_t shard = h % shards;
-    uint64_t bucket = (h / shards) % perShard;
-    return shard * perShard + bucket;
-}
-
-bool
-keyEquals(txn::Tx& tx, nvm::PPtr<HmNode> n, std::string_view key)
-{
-    uint32_t klen = tx.ld(n->keyLen);
-    if (klen != key.size())
-        return false;
-    char buf[kMaxKeyLen];
-    CNVM_CHECK(klen <= kMaxKeyLen, "key too long");
-    tx.ldBytes(buf, n->keyBytes(), klen);
-    return std::memcmp(buf, key.data(), klen) == 0;
-}
-
-nvm::PPtr<HmNode>
-makeNode(txn::Tx& tx, std::string_view key, std::string_view val,
-         nvm::PPtr<HmNode> next)
-{
-    auto n = tx.pnew<HmNode>(key.size() + val.size());
-    tx.st(n->next, next);
-    tx.st(n->keyLen, static_cast<uint32_t>(key.size()));
-    tx.st(n->valLen, static_cast<uint32_t>(val.size()));
-    tx.stBytes(n->keyBytes(), key.data(), key.size());
-    tx.stBytes(n->valBytes(static_cast<uint32_t>(key.size())),
-               val.data(), val.size());
-    return n;
-}
 
 void
 hmPutFn(txn::Tx& tx, txn::ArgReader& a)
@@ -57,32 +15,7 @@ hmPutFn(txn::Tx& tx, txn::ArgReader& a)
     auto root = nvm::PPtr<PHashMap>(a.get<uint64_t>());
     auto key = a.getString();
     auto val = a.getString();
-
-    auto& headSlot = root->buckets()[bucketIndex(root, key, tx)];
-    auto prev = nvm::PPtr<HmNode>();
-    for (auto n = tx.ld(headSlot); !n.isNull();
-         prev = n, n = tx.ld(n->next)) {
-        if (!keyEquals(tx, n, key))
-            continue;
-        if (tx.ld(n->valLen) == val.size()) {
-            tx.stBytes(n->valBytes(static_cast<uint32_t>(key.size())),
-               val.data(), val.size());
-        } else {
-            auto fresh = makeNode(tx, key, val, tx.ld(n->next));
-            if (prev.isNull())
-                tx.st(headSlot, fresh);
-            else
-                tx.st(prev->next, fresh);
-            tx.pfree(n);
-        }
-        return;
-    }
-    // New key: prepend. The bucket head pointer is the single
-    // clobbered input — the paper measures exactly one 8-byte
-    // clobber_log entry per hashmap insert (Section 5.3).
-    auto head = tx.ld(headSlot);
-    auto n = makeNode(tx, key, val, head);
-    tx.st(headSlot, n);
+    chainPut(tx, bucketHead(tx, root, key), key, val);
 }
 
 void
@@ -91,26 +24,9 @@ hmDelFn(txn::Tx& tx, txn::ArgReader& a)
     auto root = nvm::PPtr<PHashMap>(a.get<uint64_t>());
     auto key = a.getString();
     auto* out = reinterpret_cast<bool*>(a.get<uint64_t>());
-    if (tx.recovering())
-        out = nullptr;  // dangling: the crashed caller's stack is gone
-    auto& headSlot = root->buckets()[bucketIndex(root, key, tx)];
-    auto prev = nvm::PPtr<HmNode>();
-    for (auto n = tx.ld(headSlot); !n.isNull();
-         prev = n, n = tx.ld(n->next)) {
-        if (!keyEquals(tx, n, key))
-            continue;
-        auto next = tx.ld(n->next);
-        if (prev.isNull())
-            tx.st(headSlot, next);
-        else
-            tx.st(prev->next, next);
-        tx.pfree(n);
-        if (out != nullptr)
-            *out = true;
-        return;
-    }
-    if (out != nullptr)
-        *out = false;
+    bool removed = chainUnlink(tx, bucketHead(tx, root, key), key);
+    if (!tx.recovering())  // else out dangles: the crashed stack is gone
+        *out = removed;
 }
 
 void
@@ -121,19 +37,7 @@ hmGetFn(txn::Tx& tx, txn::ArgReader& a)
     auto* out = reinterpret_cast<LookupResult*>(a.get<uint64_t>());
     if (tx.recovering())
         return;  // out points into the crashed process's stack
-    out->found = false;
-    auto& headSlot = root->buckets()[bucketIndex(root, key, tx)];
-    for (auto n = tx.ld(headSlot); !n.isNull(); n = tx.ld(n->next)) {
-        if (!keyEquals(tx, n, key))
-            continue;
-        out->found = true;
-        out->len = tx.ld(n->valLen);
-        CNVM_CHECK(out->len <= kMaxValLen, "value too long");
-        tx.ldBytes(out->value,
-                   n->valBytes(static_cast<uint32_t>(key.size())),
-                   out->len);
-        return;
-    }
+    chainGet(tx, bucketHead(tx, root, key), key, out);
 }
 
 const txn::FuncId kHmPut = txn::registerTxFunc("hm_put", hmPutFn);
@@ -144,57 +48,24 @@ const txn::FuncId kHmGet = txn::registerTxFunc("hm_get", hmGetFn);
 
 HashMap::HashMap(txn::Engine& eng, uint64_t rootOff,
                  const KvConfig& cfg)
-    : eng_(eng)
+    : eng_(eng),
+      root_(openBuckets<PHashMap>(eng, rootOff, cfg.hashShards,
+                                  cfg.hashBucketsPerShard)),
+      shardLocks_(root_->nShards)
 {
-    if (rootOff == 0) {
-        size_t nBuckets = cfg.hashShards * cfg.hashBucketsPerShard;
-        rootOff = rawCreate(eng_, sizeof(PHashMap) +
-                                      nBuckets *
-                                          sizeof(nvm::PPtr<HmNode>));
-        root_ = nvm::PPtr<PHashMap>(rootOff);
-        auto& pool = eng_.rt.pool();
-        PHashMap init{};
-        init.nShards = cfg.hashShards;
-        init.bucketsPerShard = cfg.hashBucketsPerShard;
-        pool.write(root_.get(), &init, sizeof(init));
-        pool.persist(root_.get(), sizeof(init));
-    } else {
-        root_ = nvm::PPtr<PHashMap>(rootOff);
-    }
-    shardLocks_ = std::vector<sim::SimSharedMutex>(root_->nShards);
-}
-
-uint64_t
-HashMap::size() const
-{
-    uint64_t n = 0;
-    uint64_t buckets = root_->nShards * root_->bucketsPerShard;
-    for (uint64_t b = 0; b < buckets; b++) {
-        for (auto node = root_->buckets()[b]; !node.isNull();
-             node = node->next) {
-            n++;
-        }
-    }
-    return n;
-}
-
-size_t
-HashMap::shardOf(std::string_view key) const
-{
-    return fnv1a(key.data(), key.size()) % root_->nShards;
 }
 
 void
 HashMap::insert(std::string_view key, std::string_view val)
 {
-    std::lock_guard<sim::SimSharedMutex> g(shardLocks_[shardOf(key)]);
+    std::lock_guard<sim::SimSharedMutex> g(lockOf(key));
     txn::run(eng_, kHmPut, root_.raw(), key, val);
 }
 
 bool
 HashMap::lookup(std::string_view key, LookupResult* out)
 {
-    std::shared_lock<sim::SimSharedMutex> g(shardLocks_[shardOf(key)]);
+    std::shared_lock<sim::SimSharedMutex> g(lockOf(key));
     txn::run(eng_, kHmGet, root_.raw(), key,
              reinterpret_cast<uint64_t>(out));
     return out->found;
@@ -203,7 +74,7 @@ HashMap::lookup(std::string_view key, LookupResult* out)
 bool
 HashMap::remove(std::string_view key)
 {
-    std::lock_guard<sim::SimSharedMutex> g(shardLocks_[shardOf(key)]);
+    std::lock_guard<sim::SimSharedMutex> g(lockOf(key));
     bool removed = false;
     txn::run(eng_, kHmDel, root_.raw(), key,
              reinterpret_cast<uint64_t>(&removed));

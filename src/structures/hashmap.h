@@ -13,46 +13,22 @@
 
 #include <vector>
 
-#include "nvm/pptr.h"
 #include "sim/lock.h"
-#include "structures/kv.h"
+#include "structures/chain.h"
 
 namespace cnvm::ds {
-
-struct HmNode {
-    nvm::PPtr<HmNode> next;
-    uint32_t keyLen;
-    uint32_t valLen;
-    // key bytes then value bytes inline
-
-    char*
-    keyBytes()
-    {
-        return reinterpret_cast<char*>(this + 1);
-    }
-    /**
-     * @param klen the key length *as loaded through the transaction*
-     * — reading this->keyLen directly would bypass the runtime's read
-     * interposition (and see stale home memory under redo logging).
-     */
-    char*
-    valBytes(uint32_t klen)
-    {
-        return keyBytes() + klen;
-    }
-};
 
 /** Persistent root: shard/bucket geometry + flat bucket-head array. */
 struct PHashMap {
     uint64_t nShards;
     uint64_t bucketsPerShard;
     uint64_t count;
-    // nvm::PPtr<HmNode> buckets[nShards * bucketsPerShard] follows
+    // nvm::PPtr<ChainNode> buckets[nShards * bucketsPerShard] follows
 
-    nvm::PPtr<HmNode>*
+    nvm::PPtr<ChainNode>*
     buckets()
     {
-        return reinterpret_cast<nvm::PPtr<HmNode>*>(this + 1);
+        return reinterpret_cast<nvm::PPtr<ChainNode>*>(this + 1);
     }
 };
 
@@ -70,10 +46,14 @@ class HashMap : public KvStructure {
 
     /** Entry count by direct traversal (no persistent counter on the
      *  insert path — it would add a clobber entry per insert). */
-    uint64_t size() const;
+    uint64_t size() const { return bucketNodeCount(root_); }
 
  private:
-    size_t shardOf(std::string_view key) const;
+    sim::SimSharedMutex&
+    lockOf(std::string_view key)
+    {
+        return shardLocks_[bucketShard(key, root_->nShards)];
+    }
 
     txn::Engine& eng_;
     nvm::PPtr<PHashMap> root_;

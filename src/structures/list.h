@@ -8,39 +8,13 @@
 #ifndef CNVM_STRUCTURES_LIST_H
 #define CNVM_STRUCTURES_LIST_H
 
-#include "nvm/pptr.h"
 #include "sim/lock.h"
-#include "structures/kv.h"
-#include "txn/txrun.h"
+#include "structures/chain.h"
 
 namespace cnvm::ds {
 
-/** Persistent node: header followed by inline key and value bytes. */
-struct ListNode {
-    nvm::PPtr<ListNode> next;
-    uint32_t keyLen;
-    uint32_t valLen;
-    // key bytes, then value bytes, follow inline
-
-    char*
-    keyBytes()
-    {
-        return reinterpret_cast<char*>(this + 1);
-    }
-    /**
-     * @param klen the key length *as loaded through the transaction*
-     * — reading this->keyLen directly would bypass the runtime's read
-     * interposition (and see stale home memory under redo logging).
-     */
-    char*
-    valBytes(uint32_t klen)
-    {
-        return keyBytes() + klen;
-    }
-};
-
 struct PList {
-    nvm::PPtr<ListNode> head;
+    nvm::PPtr<ChainNode> head;
     uint64_t count;
 };
 

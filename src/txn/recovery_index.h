@@ -51,8 +51,6 @@ enum class SlotClass : uint8_t {
     damaged,      ///< descriptor unreadable/tainted: salvage owed
 };
 
-const char* slotClassName(SlotClass c);
-
 /** One dirty slot awaiting a heal pass. */
 struct IndexEntry {
     unsigned tid = 0;

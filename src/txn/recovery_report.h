@@ -39,7 +39,9 @@ struct SlotRecovery {
     SlotAction action = SlotAction::none;
     /** Log entries (or redo writes) actually applied. */
     uint64_t entriesApplied = 0;
-    /** Log entries dropped as corrupt (checksum/poison/resync). */
+    /** Damaged log stretches dropped (checksum/poison/resync): a
+     *  lower bound on the entries lost, since one stretch may hold
+     *  several. */
     uint64_t entriesDropped = 0;
     /** Free-form diagnosis ("mid-log checksum failure", ...). */
     std::string note;
@@ -51,7 +53,8 @@ struct RecoveryReport {
     uint64_t slotsScanned = 0;
     /** Valid log entries replayed across all slots. */
     uint64_t logEntriesApplied = 0;
-    /** Corrupt log entries skipped across all slots. */
+    /** Damaged log stretches skipped across all slots: a lower bound
+     *  on the entries lost. */
     uint64_t logEntriesDropped = 0;
     /** Guarded reads that hit a poisoned line during this pass. */
     uint64_t poisonedReads = 0;

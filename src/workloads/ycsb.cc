@@ -4,20 +4,6 @@
 
 namespace cnvm::wl {
 
-YcsbKind
-ycsbKindFromName(const std::string& name)
-{
-    if (name == "load")
-        return YcsbKind::load;
-    if (name == "a")
-        return YcsbKind::a;
-    if (name == "b")
-        return YcsbKind::b;
-    if (name == "c")
-        return YcsbKind::c;
-    fatal("unknown YCSB workload: " + name);
-}
-
 const char*
 ycsbKindName(YcsbKind kind)
 {

@@ -33,7 +33,6 @@ enum class YcsbKind {
     c,     ///< 100% read, zipfian
 };
 
-YcsbKind ycsbKindFromName(const std::string& name);
 const char* ycsbKindName(YcsbKind kind);
 
 class Ycsb {

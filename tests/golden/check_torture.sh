@@ -1,5 +1,5 @@
 #!/bin/sh
-# Diff cnvm_torture's output for five fixed runs against the copies
+# Diff cnvm_torture's output for six fixed runs against the copies
 # recorded in this directory. The output is counts only (attempts,
 # crashes, commits, aborts or ops per protocol and structure), exact
 # for a seed, so any line that moves means crash behaviour changed.
@@ -47,4 +47,9 @@ check torture_media_list_seed7_lazy.txt --mode media --structure list \
 # salvage ends early, so its line reads fewer ops.
 check torture_random_seed5_fault.txt --mode random --budget 10000 \
     --fault 1:1:1 --fault-recovery 1 --seed 5
+# The whole crash sweep with no budget: the two seed-3 runs above stop
+# inside the insert phase, so only this one reaches the update sweep
+# (which alternates value sizes and so swaps in resized nodes) and the
+# remove sweep on every protocol and structure.
+check torture_exhaustive_seed3.txt --mode exhaustive --budget 0 --seed 3
 exit $status

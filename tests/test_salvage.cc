@@ -500,13 +500,13 @@ TEST(UndoSalvage, DamagedLogAbortsVisiblyAndHeals)
 {
     // A flip in the FIRST entry's pre-image is mid-log damage with a
     // valid successor; a poisoned first line holds both entries, so
-    // the scan finds none. Either way the roll-back cannot promise a
-    // full revert.
+    // the scan finds none and counts one dropped stretch. Either way
+    // the roll-back cannot promise a full revert.
     expectDamagedLogDeclared(RuntimeKind::undo,
                              {false, 0, 2, "undo log corrupted mid-log",
                               1, 1, 0});
     expectDamagedLogDeclared(RuntimeKind::undo,
-                             {true, 0, 2, "undo log poisoned", 0, 0, 0});
+                             {true, 0, 2, "undo log poisoned", 0, 1, 0});
 }
 
 TEST(ClobberSalvage, DamagedLogRestoresWithoutReexecution)
@@ -517,7 +517,7 @@ TEST(ClobberSalvage, DamagedLogRestoresWithoutReexecution)
     // as repaired. The flip needs a valid successor entry to read as
     // mid-log damage rather than a torn tail.
     expectDamagedLogDeclared(RuntimeKind::clobber,
-                             {true, 0, 1, "clobber log poisoned", 0, 0, 0});
+                             {true, 0, 1, "clobber log poisoned", 0, 1, 0});
     expectDamagedLogDeclared(RuntimeKind::clobber,
                              {false, 0, 2, "clobber log corrupted mid-log",
                               1, 1, 0});

@@ -9,8 +9,10 @@
 #include <map>
 #include <thread>
 
+#include "apps/kv/kv_server.h"
 #include "structures/avltree.h"
 #include "structures/bptree.h"
+#include "structures/hashmap.h"
 #include "structures/kv.h"
 #include "structures/list.h"
 #include "structures/rbtree.h"
@@ -406,17 +408,51 @@ TEST(ListWalks, CycleFailsInsteadOfSpinning)
 {
     // A link cycle, which only a broken persistence order leaves
     // behind, must fail the walk through CNVM_CHECK (so the torture
-    // oracle reports the case) instead of spinning forever.
-    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
-    auto eng = h.engine();
-    ds::List list(eng);
-    list.insert("a", "1");
-    list.insert("b", "2");  // prepended: head -> b -> a
-    auto* root = static_cast<ds::PList*>(h.pool->at(list.rootOff()));
-    ds::ListNode* a = root->head->next.get();
-    h.pool->write(&a->next, &root->head, sizeof(root->head));  // a -> b
+    // oracle reports the case) instead of spinning forever. The list,
+    // a one-bucket hash map and a one-bucket KV store each hold two
+    // keys, head -> b -> a, and then a -> b. Each gets its own pool:
+    // the panic leaves its transaction open.
+    auto closeCycle = [](Harness& h, auto& head) {
+        auto* tail = head->next.get();
+        h.pool->write(&tail->next, &head, sizeof(head));
+    };
     ds::LookupResult r;
-    EXPECT_THROW(list.lookup("zz", &r), PanicError);
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::List list(eng);
+        list.insert("a", "1");
+        list.insert("b", "2");
+        auto* root = static_cast<ds::PList*>(h.pool->at(list.rootOff()));
+        closeCycle(h, root->head);
+        EXPECT_THROW(list.lookup("zz", &r), PanicError);
+    }
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::KvConfig oneBucket;
+        oneBucket.hashShards = 1;
+        oneBucket.hashBucketsPerShard = 1;
+        ds::HashMap map(eng, 0, oneBucket);
+        map.insert("a", "1");
+        map.insert("b", "2");
+        auto* root = static_cast<ds::PHashMap*>(h.pool->at(map.rootOff()));
+        closeCycle(h, root->buckets()[0]);
+        EXPECT_THROW(map.lookup("zz", &r), PanicError);
+    }
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        apps::KvServer kv(eng, 0, apps::KvServer::Config{1, 1});
+        kv.set("a", "1");
+        kv.set("b", "2");
+        auto* root = static_cast<apps::PKvStore*>(h.pool->at(kv.rootOff()));
+        closeCycle(h, root->buckets()[0]);
+        EXPECT_THROW(kv.get("zz", &r), PanicError);
+    }
 }
 
 TEST(RealThreads, HashMapParallelInserts)
