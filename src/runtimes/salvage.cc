@@ -179,7 +179,6 @@ scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
         st.payloadBytes += h.len;
         pos += need;
     }
-    st.endPos = pos;
     if (stats != nullptr)
         *stats = st;
 }

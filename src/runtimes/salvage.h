@@ -83,7 +83,6 @@ struct ScanStats {
     bool sawPoison = false;      ///< a guarded read raised a fault
     bool sawCorruption = false;  ///< proven mid-log damage
     bool tornTail = false;       ///< invalid tail, no valid successor
-    size_t endPos = 0;           ///< scan position at termination
 
     /** The log cannot be trusted as a complete record. */
     bool

@@ -22,6 +22,9 @@ namespace cnvm::server {
 
 namespace {
 
+constexpr double kDeleteFrac = 0.05;  ///< of writes, how many delete
+constexpr double kGetsFrac = 0.1;     ///< of reads, how many use `gets`
+
 int
 connectTo(uint16_t port)
 {
@@ -123,6 +126,44 @@ struct LineReader {
     }
 };
 
+/** One get reply, read up to its END. */
+struct GetReply {
+    enum End { end, errorLine, closed } how = end;
+    bool found = false;  ///< a VALUE block arrived whole
+    std::string value;   ///< the last such block's data
+};
+
+GetReply
+readGetReply(LineReader& rd)
+{
+    GetReply r;
+    std::string line;
+    for (;;) {
+        if (!rd.readLine(&line)) {
+            r.how = GetReply::closed;
+            return r;
+        }
+        if (line == "END")
+            return r;
+        if (line.rfind("VALUE ", 0) != 0) {
+            r.how = GetReply::errorLine;  // ERROR-ish line ends it
+            return r;
+        }
+        // header: VALUE <key> <flags> <bytes> [cas]
+        std::istringstream hs(line);
+        std::string tag, k;
+        uint32_t flags = 0;
+        size_t bytes = 0;
+        hs >> tag >> k >> flags >> bytes;
+        if (!rd.readBytes(bytes + 2, &r.value)) {
+            r.how = GetReply::closed;
+            return r;
+        }
+        r.value.resize(bytes);
+        r.found = true;
+    }
+}
+
 uint64_t
 xorshift(uint64_t& s)
 {
@@ -223,7 +264,7 @@ loadWorker(const LoadConfig& cfg, unsigned conn, uint64_t opsTarget,
             if (r < cfg.writeRatio) {
                 double r2 =
                     double(xorshift(rng) >> 11) / double(1ull << 53);
-                if (r2 < cfg.deleteFrac) {
+                if (r2 < kDeleteFrac) {
                     op.kind = OpKind::del;
                 } else {
                     op.kind = OpKind::set;
@@ -233,7 +274,7 @@ loadWorker(const LoadConfig& cfg, unsigned conn, uint64_t opsTarget,
                 double r2 =
                     double(xorshift(rng) >> 11) / double(1ull << 53);
                 op.kind =
-                    r2 < cfg.getsFrac ? OpKind::gets : OpKind::get;
+                    r2 < kGetsFrac ? OpKind::gets : OpKind::get;
             }
             switch (op.kind) {
             case OpKind::get:
@@ -266,31 +307,11 @@ loadWorker(const LoadConfig& cfg, unsigned conn, uint64_t opsTarget,
         }
         for (const WinOp& op : ops) {
             if (op.kind == OpKind::get || op.kind == OpKind::gets) {
-                // VALUE lines until END.
-                for (;;) {
-                    if (!rd.readLine(&line)) {
-                        out->died = true;
-                        break;
-                    }
-                    if (line == "END")
-                        break;
-                    if (line.rfind("VALUE ", 0) == 0) {
-                        // header: VALUE <key> <flags> <bytes> [cas]
-                        std::istringstream hs(line);
-                        std::string tag, k;
-                        uint32_t flags = 0;
-                        size_t bytes = 0;
-                        hs >> tag >> k >> flags >> bytes;
-                        std::string data;
-                        if (!rd.readBytes(bytes + 2, &data)) {
-                            out->died = true;
-                            break;
-                        }
-                    } else {
-                        out->errors++;
-                        break;  // ERROR-ish line terminates response
-                    }
-                }
+                GetReply reply = readGetReply(rd);
+                if (reply.how == GetReply::closed)
+                    out->died = true;
+                else if (reply.how == GetReply::errorLine)
+                    out->errors++;
             } else {
                 if (!rd.readLine(&line)) {
                     out->died = true;
@@ -433,7 +454,7 @@ verifyShadow(const std::string& shadowPath, unsigned connections,
         return res;
     }
     LineReader rd(fd);
-    std::string wire, line;
+    std::string wire;
 
     for (const auto& [key, a] : keys) {
         if (!a.baseKnown)
@@ -442,28 +463,10 @@ verifyShadow(const std::string& shadowPath, unsigned connections,
         proto::formatGet(wire, key, false);
         if (!sendAll(fd, wire))
             break;
-        bool found = false;
-        std::string got;
-        for (;;) {
-            if (!rd.readLine(&line))
-                break;
-            if (line == "END")
-                break;
-            if (line.rfind("VALUE ", 0) == 0) {
-                std::istringstream hs(line);
-                std::string tag, k;
-                uint32_t flags = 0;
-                size_t bytes = 0;
-                hs >> tag >> k >> flags >> bytes;
-                std::string data;
-                if (!rd.readBytes(bytes + 2, &data))
-                    break;
-                found = true;
-                got = data.substr(0, bytes);
-            } else {
-                break;
-            }
-        }
+        // A closed connection or an error line reads as what arrived.
+        GetReply reply = readGetReply(rd);
+        bool found = reply.found;
+        const std::string& got = reply.value;
         res.keysChecked++;
         bool ok;
         if (found) {

@@ -39,8 +39,6 @@ struct LoadConfig {
     uint64_t keySpace = 10000;    ///< partitioned over connections
     size_t valueLen = 64;         ///< paper's memslap config
     double writeRatio = 0.5;      ///< set+delete fraction
-    double deleteFrac = 0.05;     ///< of writes, how many delete
-    double getsFrac = 0.1;        ///< of reads, how many use `gets`
     uint64_t seed = 1;
     std::string shadowPath;       ///< "" → no shadow journal
     /** Wall-clock cap; 0 → none. Load stops early once exceeded. */

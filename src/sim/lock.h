@@ -61,8 +61,6 @@ class SimMutex {
             real_.unlock();
     }
 
-    void resetSim() { freeAt_ = 0; }
-
  private:
     bool spin_;
     uint64_t freeAt_ = 0;
@@ -114,13 +112,6 @@ class SimSharedMutex {
         }
     }
 
-    void
-    resetSim()
-    {
-        writerFreeAt_ = 0;
-        readersFreeAt_ = 0;
-    }
-
  private:
     uint64_t writerFreeAt_ = 0;
     uint64_t readersFreeAt_ = 0;
@@ -143,13 +134,6 @@ class LockShard {
         // mixing so neighbors do not collide systematically.
         uint64_t h = (off >> 4) * 0x9e3779b97f4a7c15ULL;
         return locks_[(h >> 32) % locks_.size()];
-    }
-
-    void
-    resetSim()
-    {
-        for (auto& l : locks_)
-            l.resetSim();
     }
 
  private:

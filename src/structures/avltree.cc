@@ -175,17 +175,12 @@ AvlMap::put(txn::Tx& tx, uint64_t key, uint64_t value)
 bool
 AvlMap::get(txn::Tx& tx, uint64_t key, uint64_t* value) const
 {
-    NP cur = tx.ld(root_->root);
-    while (!cur.isNull()) {
-        uint64_t k = tx.ld(cur->key);
-        if (key == k) {
-            if (value != nullptr)
-                *value = tx.ld(cur->value);
-            return true;
-        }
-        cur = key < k ? tx.ld(cur->left) : tx.ld(cur->right);
-    }
-    return false;
+    NP n = treeFind(tx, tx.ld(root_->root), key);
+    if (n.isNull())
+        return false;
+    if (value != nullptr)
+        *value = tx.ld(n->value);
+    return true;
 }
 
 bool
@@ -203,30 +198,8 @@ bool
 AvlMap::floor(txn::Tx& tx, uint64_t key, uint64_t* foundKey,
               uint64_t* value) const
 {
-    NP cur = tx.ld(root_->root);
-    bool found = false;
-    while (!cur.isNull()) {
-        uint64_t k = tx.ld(cur->key);
-        if (k == key) {
-            found = true;
-            if (foundKey != nullptr)
-                *foundKey = k;
-            if (value != nullptr)
-                *value = tx.ld(cur->value);
-            return true;
-        }
-        if (k < key) {
-            found = true;
-            if (foundKey != nullptr)
-                *foundKey = k;
-            if (value != nullptr)
-                *value = tx.ld(cur->value);
-            cur = tx.ld(cur->right);
-        } else {
-            cur = tx.ld(cur->left);
-        }
-    }
-    return found;
+    return treeFloor(tx, tx.ld(root_->root), key, foundKey, value,
+                     [&](NP n) { return tx.ld(n->value); });
 }
 
 uint64_t

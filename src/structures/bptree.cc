@@ -42,23 +42,67 @@ cmpKeys(const KeyImage& a, const KeyImage& b)
     return std::memcmp(a.b, b.b, kBpKeyLen);
 }
 
-/** First slot whose key is >= `key` (== nKeys if none). */
+/**
+ * First slot whose key is >= `key` (== nKeys if none). A torn node's
+ * key count past kBpMaxKeys fails here, before any slot is read.
+ */
 unsigned
 lowerBound(txn::Tx& tx, NP n, const KeyImage& key)
 {
     unsigned nk = tx.ld(n->nKeys);
+    CNVM_CHECK(nk <= kBpMaxKeys, "B+Tree node holds more keys than fit");
     unsigned i = 0;
     while (i < nk && cmpKeys(loadKey(tx, n, i), key) < 0)
         i++;
     return i;
 }
 
-nvm::PPtr<uint8_t>
-makeValue(txn::Tx& tx, std::string_view val)
+/** Where `key` falls in `node`. */
+struct Slot {
+    NP node;
+    unsigned i = 0;  ///< lowerBound(key)
+    unsigned nKeys = 0;
+    bool hit = false;  ///< slot i holds `key` itself
+
+    /** The child to follow: equal keys route right, since a leaf
+     *  split promotes the right leaf's first key. */
+    unsigned child() const { return hit ? i + 1 : i; }
+};
+
+Slot
+findSlot(txn::Tx& tx, NP n, const KeyImage& key)
 {
-    auto buf = nvm::PPtr<uint8_t>(tx.pmallocOff(val.size()));
-    tx.stBytes(buf.get(), val.data(), val.size());
-    return buf;
+    unsigned i = lowerBound(tx, n, key);
+    unsigned nk = tx.ld(n->nKeys);
+    return {n, i, nk, i < nk && cmpKeys(loadKey(tx, n, i), key) == 0};
+}
+
+/** Load internal node `n`'s child `i`; a torn null child fails here. */
+NP
+childAt(txn::Tx& tx, NP n, unsigned i)
+{
+    NP c = tx.ld(n->kids[i]);
+    CNVM_CHECK(!c.isNull(), "B+Tree internal node has a null child");
+    return c;
+}
+
+/**
+ * The descent of lookups and removes, bounded by WalkBound: `key`'s
+ * slot in the leaf that would hold it (a null node if the tree is
+ * empty).
+ */
+Slot
+findInLeaf(txn::Tx& tx, nvm::PPtr<PBpTree> t, const KeyImage& key)
+{
+    WalkBound walk(tx, sizeof(BpNode));
+    NP cur = tx.ld(t->root);
+    if (cur.isNull())
+        return {};
+    while (tx.ld(cur->isLeaf) == 0) {
+        walk.step();
+        cur = childAt(tx, cur, findSlot(tx, cur, key).child());
+    }
+    return findSlot(tx, cur, key);
 }
 
 /** Move key/val/kid slots within or between nodes (interposed). */
@@ -156,16 +200,12 @@ bpPutFn(txn::Tx& tx, txn::ArgReader& a)
     }
 
     // Descend, splitting full children proactively.
+    WalkBound walk(tx, sizeof(BpNode));
     NP cur = root;
     while (tx.ld(cur->isLeaf) == 0) {
-        unsigned i = lowerBound(tx, cur, key);
-        // Route equal keys to the right subtree (leaf sep = first
-        // right key).
-        if (i < tx.ld(cur->nKeys) &&
-            cmpKeys(loadKey(tx, cur, i), key) == 0) {
-            i++;
-        }
-        NP child = tx.ld(cur->kids[i]);
+        walk.step();
+        unsigned i = findSlot(tx, cur, key).child();
+        NP child = childAt(tx, cur, i);
         if (tx.ld(child->nKeys) == kBpMaxKeys) {
             splitChild(tx, cur, i);
             if (cmpKeys(loadKey(tx, cur, i), key) <= 0)
@@ -175,24 +215,23 @@ bpPutFn(txn::Tx& tx, txn::ArgReader& a)
         cur = child;
     }
 
-    unsigned i = lowerBound(tx, cur, key);
-    unsigned nk = tx.ld(cur->nKeys);
-    if (i < nk && cmpKeys(loadKey(tx, cur, i), key) == 0) {
+    Slot s = findSlot(tx, cur, key);
+    if (s.hit) {
         // Replace.
-        auto old = tx.ld(cur->vals[i]);
-        tx.st(cur->vals[i], makeValue(tx, val));
-        tx.st(cur->valLens[i], static_cast<uint32_t>(val.size()));
+        auto old = tx.ld(cur->vals[s.i]);
+        tx.st(cur->vals[s.i], makeValue(tx, val));
+        tx.st(cur->valLens[s.i], static_cast<uint32_t>(val.size()));
         if (!old.isNull())
             tx.pfree(old.raw());
         return;
     }
     // Shift and insert.
-    if (i < nk)
-        copySlots(tx, cur, i + 1, cur, i, nk - i, true);
-    tx.stBytes(cur->keys[i], key.b, kBpKeyLen);
-    tx.st(cur->vals[i], makeValue(tx, val));
-    tx.st(cur->valLens[i], static_cast<uint32_t>(val.size()));
-    tx.st(cur->nKeys, nk + 1);
+    if (s.i < s.nKeys)
+        copySlots(tx, cur, s.i + 1, cur, s.i, s.nKeys - s.i, true);
+    tx.stBytes(cur->keys[s.i], key.b, kBpKeyLen);
+    tx.st(cur->vals[s.i], makeValue(tx, val));
+    tx.st(cur->valLens[s.i], static_cast<uint32_t>(val.size()));
+    tx.st(cur->nKeys, s.nKeys + 1);
     tx.st(t->count, tx.ld(t->count) + 1);
 }
 
@@ -205,27 +244,13 @@ bpGetFn(txn::Tx& tx, txn::ArgReader& a)
     if (tx.recovering())
         return;  // out points into the crashed process's stack
     out->found = false;
-
-    NP cur = tx.ld(t->root);
-    if (cur.isNull())
+    Slot s = findInLeaf(tx, t, key);
+    if (!s.hit)
         return;
-    while (tx.ld(cur->isLeaf) == 0) {
-        unsigned i = lowerBound(tx, cur, key);
-        if (i < tx.ld(cur->nKeys) &&
-            cmpKeys(loadKey(tx, cur, i), key) == 0) {
-            i++;
-        }
-        cur = tx.ld(cur->kids[i]);
-    }
-    unsigned i = lowerBound(tx, cur, key);
-    if (i >= tx.ld(cur->nKeys) ||
-        cmpKeys(loadKey(tx, cur, i), key) != 0) {
-        return;
-    }
     out->found = true;
-    out->len = tx.ld(cur->valLens[i]);
+    out->len = tx.ld(s.node->valLens[s.i]);
     CNVM_CHECK(out->len <= kMaxValLen, "value too long");
-    tx.ldBytes(out->value, tx.ld(cur->vals[i]).get(), out->len);
+    tx.ldBytes(out->value, tx.ld(s.node->vals[s.i]).get(), out->len);
 }
 
 /**
@@ -242,36 +267,20 @@ bpDelFn(txn::Tx& tx, txn::ArgReader& a)
     if (tx.recovering())
         out = nullptr;  // dangling: the crashed caller's stack is gone
 
-    NP cur = tx.ld(t->root);
-    if (cur.isNull()) {
-        if (out != nullptr)
-            *out = false;
-        return;
+    Slot s = findInLeaf(tx, t, key);
+    if (s.hit) {
+        NP leaf = s.node;
+        auto old = tx.ld(leaf->vals[s.i]);
+        if (s.i + 1 < s.nKeys)
+            copySlots(tx, leaf, s.i, leaf, s.i + 1, s.nKeys - s.i - 1,
+                      true);
+        tx.st(leaf->nKeys, s.nKeys - 1);
+        if (!old.isNull())
+            tx.pfree(old.raw());
+        tx.st(t->count, tx.ld(t->count) - 1);
     }
-    while (tx.ld(cur->isLeaf) == 0) {
-        unsigned i = lowerBound(tx, cur, key);
-        if (i < tx.ld(cur->nKeys) &&
-            cmpKeys(loadKey(tx, cur, i), key) == 0) {
-            i++;
-        }
-        cur = tx.ld(cur->kids[i]);
-    }
-    unsigned i = lowerBound(tx, cur, key);
-    unsigned nk = tx.ld(cur->nKeys);
-    if (i >= nk || cmpKeys(loadKey(tx, cur, i), key) != 0) {
-        if (out != nullptr)
-            *out = false;
-        return;
-    }
-    auto old = tx.ld(cur->vals[i]);
-    if (i + 1 < nk)
-        copySlots(tx, cur, i, cur, i + 1, nk - i - 1, true);
-    tx.st(cur->nKeys, nk - 1);
-    if (!old.isNull())
-        tx.pfree(old.raw());
-    tx.st(t->count, tx.ld(t->count) - 1);
     if (out != nullptr)
-        *out = true;
+        *out = s.hit;
 }
 
 const txn::FuncId kBpPut = txn::registerTxFunc("bp_put", bpPutFn);
@@ -321,6 +330,28 @@ validateRec(const BpNode* n, const uint8_t* lo, const uint8_t* hi,
     return count;
 }
 
+/** The key-sharded lock that covers `key`. */
+sim::SimSharedMutex&
+keyLock(sim::LockShard& locks, std::string_view key)
+{
+    return locks.forOffset(fnv1a(key.data(), key.size()) << 4);
+}
+
+/**
+ * The tree-wide lock in `Lock`'s mode, held only under OS threads: the
+ * logical executor runs one operation at a time, and there the key
+ * locks alone model contention.
+ */
+template <typename Lock>
+Lock
+treeLock(std::shared_mutex& m)
+{
+    Lock l(m, std::defer_lock);
+    if (sim::cur() == nullptr)
+        l.lock();
+    return l;
+}
+
 }  // namespace
 
 BpTree::BpTree(txn::Engine& eng, uint64_t rootOff, const KvConfig& cfg)
@@ -334,46 +365,29 @@ BpTree::BpTree(txn::Engine& eng, uint64_t rootOff, const KvConfig& cfg)
 void
 BpTree::insert(std::string_view key, std::string_view val)
 {
-    auto& kl = keyLocks_.forOffset(fnv1a(key.data(), key.size()) << 4);
-    std::lock_guard<sim::SimSharedMutex> g(kl);
-    if (sim::cur() == nullptr) {
-        std::lock_guard<std::shared_mutex> rg(realLock_);
-        txn::run(eng_, kBpPut, root_.raw(), key, val);
-    } else {
-        txn::run(eng_, kBpPut, root_.raw(), key, val);
-    }
+    std::lock_guard<sim::SimSharedMutex> g(keyLock(keyLocks_, key));
+    auto tl = treeLock<std::unique_lock<std::shared_mutex>>(realLock_);
+    txn::run(eng_, kBpPut, root_.raw(), key, val);
 }
 
 bool
 BpTree::lookup(std::string_view key, LookupResult* out)
 {
-    auto& kl = keyLocks_.forOffset(fnv1a(key.data(), key.size()) << 4);
-    std::shared_lock<sim::SimSharedMutex> g(kl);
-    if (sim::cur() == nullptr) {
-        std::shared_lock<std::shared_mutex> rg(realLock_);
-        txn::run(eng_, kBpGet, root_.raw(), key,
-                 reinterpret_cast<uint64_t>(out));
-    } else {
-        txn::run(eng_, kBpGet, root_.raw(), key,
-                 reinterpret_cast<uint64_t>(out));
-    }
+    std::shared_lock<sim::SimSharedMutex> g(keyLock(keyLocks_, key));
+    auto tl = treeLock<std::shared_lock<std::shared_mutex>>(realLock_);
+    txn::run(eng_, kBpGet, root_.raw(), key,
+             reinterpret_cast<uint64_t>(out));
     return out->found;
 }
 
 bool
 BpTree::remove(std::string_view key)
 {
-    auto& kl = keyLocks_.forOffset(fnv1a(key.data(), key.size()) << 4);
-    std::lock_guard<sim::SimSharedMutex> g(kl);
+    std::lock_guard<sim::SimSharedMutex> g(keyLock(keyLocks_, key));
+    auto tl = treeLock<std::unique_lock<std::shared_mutex>>(realLock_);
     bool removed = false;
-    if (sim::cur() == nullptr) {
-        std::lock_guard<std::shared_mutex> rg(realLock_);
-        txn::run(eng_, kBpDel, root_.raw(), key,
-                 reinterpret_cast<uint64_t>(&removed));
-    } else {
-        txn::run(eng_, kBpDel, root_.raw(), key,
-                 reinterpret_cast<uint64_t>(&removed));
-    }
+    txn::run(eng_, kBpDel, root_.raw(), key,
+             reinterpret_cast<uint64_t>(&removed));
     return removed;
 }
 

@@ -42,6 +42,14 @@ rawCreate(txn::Engine& eng, size_t bytes)
     return off;
 }
 
+nvm::PPtr<uint8_t>
+makeValue(txn::Tx& tx, std::string_view val)
+{
+    auto buf = nvm::PPtr<uint8_t>(tx.pmallocOff(val.size()));
+    tx.stBytes(buf.get(), val.data(), val.size());
+    return buf;
+}
+
 const std::vector<std::string>&
 benchmarkStructures()
 {

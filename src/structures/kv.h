@@ -56,6 +56,64 @@ class WalkBound {
     uint64_t left_;
 };
 
+/**
+ * @name Tree search
+ * The binary-search-tree walks of ds::RbTree, ds::RbMap and ds::AvlMap,
+ * over any Node with a uint64_t `key` and `left` and `right` links.
+ * Every load goes through `tx`, and WalkBound stops a cyclic walk.
+ */
+/// @{
+
+/** The node holding `key` in the tree at `root`, or null. */
+template <typename Node>
+nvm::PPtr<Node>
+treeFind(txn::Tx& tx, nvm::PPtr<Node> root, uint64_t key)
+{
+    WalkBound walk(tx, sizeof(Node));
+    for (auto cur = root; !cur.isNull();) {
+        walk.step();
+        uint64_t k = tx.ld(cur->key);
+        if (key == k)
+            return cur;
+        cur = key < k ? tx.ld(cur->left) : tx.ld(cur->right);
+    }
+    return {};
+}
+
+/**
+ * The greatest key <= `key` in the tree at `root`. Every candidate the
+ * walk passes sets *foundKey and loads *value through `loadValue(node)`
+ * (a load marks its block read), not only the answer.
+ * @return whether some key <= `key` exists.
+ */
+template <typename Node, typename LoadValue>
+bool
+treeFloor(txn::Tx& tx, nvm::PPtr<Node> root, uint64_t key,
+          uint64_t* foundKey, uint64_t* value, LoadValue loadValue)
+{
+    WalkBound walk(tx, sizeof(Node));
+    bool found = false;
+    for (auto cur = root; !cur.isNull();) {
+        walk.step();
+        uint64_t k = tx.ld(cur->key);
+        if (k > key) {
+            cur = tx.ld(cur->left);
+            continue;
+        }
+        found = true;
+        if (foundKey != nullptr)
+            *foundKey = k;
+        if (value != nullptr)
+            *value = loadValue(cur);
+        if (k == key)
+            break;
+        cur = tx.ld(cur->right);
+    }
+    return found;
+}
+
+/// @}
+
 /** Volatile out-parameter for lookups (read-only transactions are
  *  never re-executed, so passing its address is safe). */
 struct LookupResult {
@@ -119,6 +177,10 @@ uint64_t keyToU64(std::string_view key);
 
 /** Allocate + zero + commit `bytes` outside any transaction (setup). */
 uint64_t rawCreate(txn::Engine& eng, size_t bytes);
+
+/** A fresh heap buffer holding `val`, allocated and written in `tx`:
+ *  the value buffer of an RbTree node or a B+Tree leaf slot. */
+nvm::PPtr<uint8_t> makeValue(txn::Tx& tx, std::string_view val);
 
 }  // namespace cnvm::ds
 

@@ -1,6 +1,5 @@
 #include "structures/rbtree.h"
 
-#include <cstring>
 #include <mutex>
 #include <shared_mutex>
 
@@ -78,7 +77,9 @@ rotateRight(txn::Tx& tx, nvm::PPtr<PRbTree> t, NP x)
 void
 insertFixup(txn::Tx& tx, nvm::PPtr<PRbTree> t, NP z)
 {
+    WalkBound walk(tx, sizeof(RbNode));
     while (colorOf(tx, parentOf(tx, z)) == kRed) {
+        walk.step();
         NP zp = parentOf(tx, z);
         NP zpp = parentOf(tx, zp);
         if (zp == tx.ld(zpp->left)) {
@@ -144,7 +145,9 @@ transplant(txn::Tx& tx, nvm::PPtr<PRbTree> t, NP u, NP v)
 void
 deleteFixup(txn::Tx& tx, nvm::PPtr<PRbTree> t, NP x, NP xParent)
 {
+    WalkBound walk(tx, sizeof(RbNode));
     while (x != tx.ld(t->root) && colorOf(tx, x) == kBlack) {
+        walk.step();
         if (x == tx.ld(xParent->left)) {
             NP w = tx.ld(xParent->right);
             if (colorOf(tx, w) == kRed) {
@@ -204,48 +207,25 @@ deleteFixup(txn::Tx& tx, nvm::PPtr<PRbTree> t, NP x, NP xParent)
     setColor(tx, x, kBlack);
 }
 
-NP
-findNode(txn::Tx& tx, nvm::PPtr<PRbTree> t, uint64_t key)
+/**
+ * Insert `key`, or find the node that holds it: the one descent and
+ * attach of RbTree and RbMap. `setValue(node, fresh)` stores the value,
+ * on a fresh node after its key and color and before its parent link.
+ * @return true if the key was new.
+ */
+template <typename SetValue>
+bool
+rbInsert(txn::Tx& tx, nvm::PPtr<PRbTree> t, uint64_t key,
+         SetValue setValue)
 {
-    NP cur = tx.ld(t->root);
-    while (!cur.isNull()) {
-        uint64_t k = tx.ld(cur->key);
-        if (key == k)
-            return cur;
-        cur = key < k ? tx.ld(cur->left) : tx.ld(cur->right);
-    }
-    return NP();
-}
-
-nvm::PPtr<uint8_t>
-makeValue(txn::Tx& tx, std::string_view val)
-{
-    uint64_t off = tx.pmallocOff(val.size());
-    auto buf = nvm::PPtr<uint8_t>(off);
-    tx.stBytes(buf.get(), val.data(), val.size());
-    return buf;
-}
-
-void
-rbPutFn(txn::Tx& tx, txn::ArgReader& a)
-{
-    auto t = nvm::PPtr<PRbTree>(a.get<uint64_t>());
-    auto key = a.get<uint64_t>();
-    auto val = a.getString();
-
-    // Standard BST descent to find the attach point.
+    WalkBound walk(tx, sizeof(RbNode));
     NP parent;
-    NP cur = tx.ld(t->root);
-    while (!cur.isNull()) {
+    for (NP cur = tx.ld(t->root); !cur.isNull();) {
+        walk.step();
         uint64_t k = tx.ld(cur->key);
         if (key == k) {
-            // Replace the value buffer.
-            auto old = tx.ld(cur->val);
-            tx.st(cur->val, makeValue(tx, val));
-            tx.st(cur->valLen, static_cast<uint32_t>(val.size()));
-            if (!old.isNull())
-                tx.pfree(old.raw());
-            return;
+            setValue(cur, false);
+            return false;
         }
         parent = cur;
         cur = key < k ? tx.ld(cur->left) : tx.ld(cur->right);
@@ -254,8 +234,7 @@ rbPutFn(txn::Tx& tx, txn::ArgReader& a)
     auto z = tx.pnew<RbNode>();
     tx.st(z->key, key);
     tx.st(z->color, kRed);
-    tx.st(z->valLen, static_cast<uint32_t>(val.size()));
-    tx.st(z->val, makeValue(tx, val));
+    setValue(z, true);
     tx.st(z->parent, parent);
     if (parent.isNull())
         tx.st(t->root, z);
@@ -265,23 +244,21 @@ rbPutFn(txn::Tx& tx, txn::ArgReader& a)
         tx.st(parent->right, z);
     insertFixup(tx, t, z);
     tx.st(t->count, tx.ld(t->count) + 1);
+    return true;
 }
 
-void
-rbDelFn(txn::Tx& tx, txn::ArgReader& a)
+/**
+ * CLRS unlink of `key`'s node, the one delete of RbTree and RbMap:
+ * transplant, successor splice and deleteFixup. The caller frees the
+ * node and decrements the count.
+ * @return the unlinked node, or null if the key is absent.
+ */
+NP
+rbUnlink(txn::Tx& tx, nvm::PPtr<PRbTree> t, uint64_t key)
 {
-    auto t = nvm::PPtr<PRbTree>(a.get<uint64_t>());
-    auto key = a.get<uint64_t>();
-    auto* out = reinterpret_cast<bool*>(a.get<uint64_t>());
-    if (tx.recovering())
-        out = nullptr;  // dangling: the crashed caller's stack is gone
-
-    NP z = findNode(tx, t, key);
-    if (z.isNull()) {
-        if (out != nullptr)
-            *out = false;
-        return;
-    }
+    NP z = treeFind(tx, tx.ld(t->root), key);
+    if (z.isNull())
+        return z;
 
     NP y = z;
     uint32_t yOrigColor = tx.ld(y->color);
@@ -297,9 +274,12 @@ rbDelFn(txn::Tx& tx, txn::ArgReader& a)
         transplant(tx, t, z, x);
     } else {
         // y := minimum of z's right subtree.
+        WalkBound walk(tx, sizeof(RbNode));
         y = tx.ld(z->right);
-        for (NP l = tx.ld(y->left); !l.isNull(); l = tx.ld(y->left))
+        for (NP l = tx.ld(y->left); !l.isNull(); l = tx.ld(y->left)) {
+            walk.step();
             y = l;
+        }
         yOrigColor = tx.ld(y->color);
         x = tx.ld(y->right);
         if (tx.ld(y->parent) == z) {
@@ -319,14 +299,49 @@ rbDelFn(txn::Tx& tx, txn::ArgReader& a)
     }
     if (yOrigColor == kBlack)
         deleteFixup(tx, t, x, xParent);
+    return z;
+}
 
-    auto buf = tx.ld(z->val);
-    if (!buf.isNull())
-        tx.pfree(buf.raw());
-    tx.pfree(z);
-    tx.st(t->count, tx.ld(t->count) - 1);
+void
+rbPutFn(txn::Tx& tx, txn::ArgReader& a)
+{
+    auto t = nvm::PPtr<PRbTree>(a.get<uint64_t>());
+    auto key = a.get<uint64_t>();
+    auto val = a.getString();
+    auto len = static_cast<uint32_t>(val.size());
+    rbInsert(tx, t, key, [&](NP n, bool fresh) {
+        if (fresh) {
+            tx.st(n->valLen, len);
+            tx.st(n->val, makeValue(tx, val));
+            return;
+        }
+        // Replace the value buffer.
+        auto old = tx.ld(n->val);
+        tx.st(n->val, makeValue(tx, val));
+        tx.st(n->valLen, len);
+        if (!old.isNull())
+            tx.pfree(old.raw());
+    });
+}
+
+void
+rbDelFn(txn::Tx& tx, txn::ArgReader& a)
+{
+    auto t = nvm::PPtr<PRbTree>(a.get<uint64_t>());
+    auto key = a.get<uint64_t>();
+    auto* out = reinterpret_cast<bool*>(a.get<uint64_t>());
+    if (tx.recovering())
+        out = nullptr;  // dangling: the crashed caller's stack is gone
+    NP z = rbUnlink(tx, t, key);
+    if (!z.isNull()) {
+        auto buf = tx.ld(z->val);
+        if (!buf.isNull())
+            tx.pfree(buf.raw());
+        tx.pfree(z);
+        tx.st(t->count, tx.ld(t->count) - 1);
+    }
     if (out != nullptr)
-        *out = true;
+        *out = !z.isNull();
 }
 
 void
@@ -338,7 +353,7 @@ rbGetFn(txn::Tx& tx, txn::ArgReader& a)
     if (tx.recovering())
         return;  // out points into the crashed process's stack
     out->found = false;
-    NP n = findNode(tx, t, key);
+    NP n = treeFind(tx, tx.ld(t->root), key);
     if (n.isNull())
         return;
     out->found = true;
@@ -374,6 +389,18 @@ validateRec(const RbNode* n, uint64_t lo, uint64_t hi, bool* ok)
     if (lh != rh)
         *ok = false;
     return lh + (n->color == kBlack ? 1 : 0);
+}
+
+/** The one validate body of RbTree and RbMap. */
+int
+validateTree(nvm::PPtr<PRbTree> t)
+{
+    const RbNode* r = t->root.get();
+    if (r != nullptr && r->color != kBlack)
+        return -1;
+    bool ok = true;
+    int h = validateRec(r, 0, ~0ULL, &ok);
+    return ok ? h : -1;
 }
 
 }  // namespace
@@ -420,38 +447,16 @@ RbMap::create(txn::Tx& tx)
 bool
 RbMap::put(txn::Tx& tx, uint64_t key, uint64_t value)
 {
-    NP parent;
-    NP cur = tx.ld(root_->root);
-    while (!cur.isNull()) {
-        uint64_t k = tx.ld(cur->key);
-        if (key == k) {
-            // Value stored inline in the val slot's raw bits.
-            tx.st(cur->val, nvm::PPtr<uint8_t>(value));
-            return false;
-        }
-        parent = cur;
-        cur = key < k ? tx.ld(cur->left) : tx.ld(cur->right);
-    }
-    auto z = tx.pnew<RbNode>();
-    tx.st(z->key, key);
-    tx.st(z->color, kRed);
-    tx.st(z->val, nvm::PPtr<uint8_t>(value));
-    tx.st(z->parent, parent);
-    if (parent.isNull())
-        tx.st(root_->root, z);
-    else if (key < tx.ld(parent->key))
-        tx.st(parent->left, z);
-    else
-        tx.st(parent->right, z);
-    insertFixup(tx, root_, z);
-    tx.st(root_->count, tx.ld(root_->count) + 1);
-    return true;
+    // The value lives inline in the val slot's raw bits.
+    return rbInsert(tx, root_, key, [&](NP n, bool) {
+        tx.st(n->val, nvm::PPtr<uint8_t>(value));
+    });
 }
 
 bool
 RbMap::get(txn::Tx& tx, uint64_t key, uint64_t* value) const
 {
-    NP n = findNode(tx, root_, key);
+    NP n = treeFind(tx, tx.ld(root_->root), key);
     if (n.isNull())
         return false;
     if (value != nullptr)
@@ -462,45 +467,9 @@ RbMap::get(txn::Tx& tx, uint64_t key, uint64_t* value) const
 bool
 RbMap::erase(txn::Tx& tx, uint64_t key)
 {
-    NP z = findNode(tx, root_, key);
+    NP z = rbUnlink(tx, root_, key);
     if (z.isNull())
         return false;
-
-    NP y = z;
-    uint32_t yOrigColor = tx.ld(y->color);
-    NP x;
-    NP xParent;
-    if (tx.ld(z->left).isNull()) {
-        x = tx.ld(z->right);
-        xParent = tx.ld(z->parent);
-        transplant(tx, root_, z, x);
-    } else if (tx.ld(z->right).isNull()) {
-        x = tx.ld(z->left);
-        xParent = tx.ld(z->parent);
-        transplant(tx, root_, z, x);
-    } else {
-        y = tx.ld(z->right);
-        for (NP l = tx.ld(y->left); !l.isNull(); l = tx.ld(y->left))
-            y = l;
-        yOrigColor = tx.ld(y->color);
-        x = tx.ld(y->right);
-        if (tx.ld(y->parent) == z) {
-            xParent = y;
-        } else {
-            xParent = tx.ld(y->parent);
-            transplant(tx, root_, y, x);
-            NP zr = tx.ld(z->right);
-            tx.st(y->right, zr);
-            tx.st(zr->parent, y);
-        }
-        transplant(tx, root_, z, y);
-        NP zl = tx.ld(z->left);
-        tx.st(y->left, zl);
-        tx.st(zl->parent, y);
-        tx.st(y->color, tx.ld(z->color));
-    }
-    if (yOrigColor == kBlack)
-        deleteFixup(tx, root_, x, xParent);
     tx.pfree(z);
     tx.st(root_->count, tx.ld(root_->count) - 1);
     return true;
@@ -510,29 +479,8 @@ bool
 RbMap::floor(txn::Tx& tx, uint64_t key, uint64_t* foundKey,
              uint64_t* value) const
 {
-    NP cur = tx.ld(root_->root);
-    bool found = false;
-    while (!cur.isNull()) {
-        uint64_t k = tx.ld(cur->key);
-        if (k == key) {
-            if (foundKey != nullptr)
-                *foundKey = k;
-            if (value != nullptr)
-                *value = tx.ld(cur->val).raw();
-            return true;
-        }
-        if (k < key) {
-            found = true;
-            if (foundKey != nullptr)
-                *foundKey = k;
-            if (value != nullptr)
-                *value = tx.ld(cur->val).raw();
-            cur = tx.ld(cur->right);
-        } else {
-            cur = tx.ld(cur->left);
-        }
-    }
-    return found;
+    return treeFloor(tx, tx.ld(root_->root), key, foundKey, value,
+                     [&](NP n) { return tx.ld(n->val).raw(); });
 }
 
 uint64_t
@@ -544,23 +492,13 @@ RbMap::size(txn::Tx& tx) const
 int
 RbMap::validate() const
 {
-    const RbNode* r = root_->root.get();
-    if (r != nullptr && r->color != kBlack)
-        return -1;
-    bool ok = true;
-    int h = validateRec(r, 0, ~0ULL, &ok);
-    return ok ? h : -1;
+    return validateTree(root_);
 }
 
 int
 RbTree::validate() const
 {
-    const RbNode* r = root_->root.get();
-    if (r != nullptr && r->color != kBlack)
-        return -1;
-    bool ok = true;
-    int h = validateRec(r, 0, ~0ULL, &ok);
-    return ok ? h : -1;
+    return validateTree(root_);
 }
 
 }  // namespace cnvm::ds

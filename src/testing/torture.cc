@@ -157,12 +157,6 @@ resolveInterrupted(ds::KvStructure& kv, const ShadowOracle& shadow,
 
 }  // namespace
 
-const char*
-tearName(Tear t)
-{
-    return t == Tear::allLost ? "alllost" : "random";
-}
-
 TortureRig::TortureRig(txn::RuntimeKind kind,
                        const std::string& structure, size_t poolBytes)
 {

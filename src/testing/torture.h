@@ -61,8 +61,6 @@ enum class Tear {
     randomTear,  ///< per-word survival, seeded (torn-write variation)
 };
 
-const char* tearName(Tear t);
-
 /**
  * Run `op` and say what it let escape: "" when it returned,
  * "panicked: <what>" for a PanicError, and "failed: <what>" for a

@@ -348,27 +348,80 @@ TEST(BpTreeInvariants, HoldAcrossSplits)
     EXPECT_EQ(tree.size(), 800u);
 }
 
+TEST(BpTreeInvariants, TornNodeFailsInsteadOfCrashing)
+{
+    // A torn node, which only a broken persistence order leaves
+    // behind, must fail the descent through CNVM_CHECK instead of
+    // following a null child or reading past keys[]. Each op runs on
+    // its own pool, since the panic leaves its transaction open, and
+    // the message shows which check fired.
+    auto panicAfter = [](int keys, auto tear, auto op) -> std::string {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::BpTree tree(eng, 0, smallCfg());
+        for (int i = 0; i < keys; i++)
+            tree.insert("k" + std::to_string(100 + i), "v");
+        auto* root = static_cast<ds::PBpTree*>(h.pool->at(tree.rootOff()));
+        tear(h, root->root.get());
+        try {
+            op(tree);
+        } catch (const PanicError& e) {
+            return e.what();
+        }
+        return "";
+    };
+    auto nullKid = [](Harness& h, ds::BpNode* root) {
+        ASSERT_EQ(root->isLeaf, 0u);
+        nvm::PPtr<ds::BpNode> null;
+        h.pool->write(&root->kids[0], &null, sizeof(null));
+    };
+    auto overfull = [](Harness& h, ds::BpNode* root) {
+        uint32_t n = ds::kBpMaxKeys + 1;
+        h.pool->write(&root->nKeys, &n, sizeof(n));
+    };
+    ds::LookupResult r;
+    auto lookup = [&r](ds::BpTree& t) { t.lookup("a", &r); };
+    auto insert = [](ds::BpTree& t) { t.insert("a", "1"); };
+
+    std::string why = panicAfter(20, nullKid, lookup);
+    EXPECT_NE(why.find("null child"), std::string::npos) << why;
+    why = panicAfter(2, overfull, lookup);
+    EXPECT_NE(why.find("more keys than fit"), std::string::npos) << why;
+    why = panicAfter(2, overfull, insert);
+    EXPECT_NE(why.find("more keys than fit"), std::string::npos) << why;
+}
+
+const txn::FuncId kAvlChurn = txn::registerTxFunc(
+    "test_avl_churn", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<ds::PAvlTree>(a.get<uint64_t>());
+        auto op = a.get<uint64_t>();
+        auto key = a.get<uint64_t>();
+        ds::AvlMap map(root);
+        if (op == 0)
+            map.put(tx, key, key * 3);
+        else
+            map.erase(tx, key);
+    });
+const txn::FuncId kAvlMake = txn::registerTxFunc(
+    "test_avl_make", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto* out = reinterpret_cast<uint64_t*>(a.get<uint64_t>());
+        *out = ds::AvlMap::create(tx).raw();
+    });
+const txn::FuncId kAvlCheck = txn::registerTxFunc(
+    "test_avl_check", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<ds::PAvlTree>(a.get<uint64_t>());
+        auto key = a.get<uint64_t>();
+        auto* out = reinterpret_cast<uint64_t*>(a.get<uint64_t>());
+        ds::AvlMap map(root);
+        uint64_t v = 0;
+        *out = map.get(tx, key, &v) ? v : ~0ULL;
+    });
+
 TEST(AvlInvariants, BalancedUnderChurn)
 {
     Harness h(RuntimeKind::clobber);
     auto eng = h.engine();
-    static const txn::FuncId kAvlChurn = txn::registerTxFunc(
-        "test_avl_churn", [](txn::Tx& tx, txn::ArgReader& a) {
-            auto root = nvm::PPtr<ds::PAvlTree>(a.get<uint64_t>());
-            auto op = a.get<uint64_t>();
-            auto key = a.get<uint64_t>();
-            ds::AvlMap map(root);
-            if (op == 0)
-                map.put(tx, key, key * 3);
-            else
-                map.erase(tx, key);
-        });
-    static const txn::FuncId kAvlMake = txn::registerTxFunc(
-        "test_avl_make", [](txn::Tx& tx, txn::ArgReader& a) {
-            auto* out = reinterpret_cast<uint64_t*>(a.get<uint64_t>());
-            *out = ds::AvlMap::create(tx).raw();
-        });
-
     uint64_t rootOff = 0;
     txn::run(eng, kAvlMake, reinterpret_cast<uint64_t>(&rootOff));
     ds::AvlMap map{nvm::PPtr<ds::PAvlTree>(rootOff)};
@@ -387,15 +440,6 @@ TEST(AvlInvariants, BalancedUnderChurn)
         ASSERT_GE(map.validate(), 0) << "after op " << i;
     }
     // Verify contents.
-    static const txn::FuncId kAvlCheck = txn::registerTxFunc(
-        "test_avl_check", [](txn::Tx& tx, txn::ArgReader& a) {
-            auto root = nvm::PPtr<ds::PAvlTree>(a.get<uint64_t>());
-            auto key = a.get<uint64_t>();
-            auto* out = reinterpret_cast<uint64_t*>(a.get<uint64_t>());
-            ds::AvlMap map(root);
-            uint64_t v = 0;
-            *out = map.get(tx, key, &v) ? v : ~0ULL;
-        });
     for (const auto& [k, v] : model) {
         uint64_t got = 0;
         txn::run(eng, kAvlCheck, rootOff, k,
@@ -410,8 +454,9 @@ TEST(ListWalks, CycleFailsInsteadOfSpinning)
     // behind, must fail the walk through CNVM_CHECK (so the torture
     // oracle reports the case) instead of spinning forever. The list,
     // a one-bucket hash map and a one-bucket KV store each hold two
-    // keys, head -> b -> a, and then a -> b. Each gets its own pool:
-    // the panic leaves its transaction open.
+    // keys, head -> b -> a, and then a -> b; each tree gets a child
+    // link back to its root. Each gets its own pool: the panic leaves
+    // its transaction open.
     auto closeCycle = [](Harness& h, auto& head) {
         auto* tail = head->next.get();
         h.pool->write(&tail->next, &head, sizeof(head));
@@ -452,6 +497,49 @@ TEST(ListWalks, CycleFailsInsteadOfSpinning)
         auto* root = static_cast<apps::PKvStore*>(h.pool->at(kv.rootOff()));
         closeCycle(h, root->buckets()[0]);
         EXPECT_THROW(kv.get("zz", &r), PanicError);
+    }
+    {
+        // Root b, its left child a, and a's left back to b.
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::RbTree tree(eng);
+        tree.insert("b", "2");
+        tree.insert("a", "1");
+        auto& root = static_cast<ds::PRbTree*>(h.pool->at(tree.rootOff()))
+                         ->root;
+        h.pool->write(&root->left->left, &root, sizeof(root));
+        EXPECT_THROW(tree.lookup("0", &r), PanicError);
+    }
+    {
+        // An internal root whose first child is the root itself.
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::BpTree tree(eng, 0, smallCfg());
+        for (int i = 0; i < 20; i++)
+            tree.insert("k" + std::to_string(100 + i), "v");
+        auto& root = static_cast<ds::PBpTree*>(h.pool->at(tree.rootOff()))
+                         ->root;
+        ASSERT_EQ(root->isLeaf, 0u);
+        h.pool->write(&root->kids[0], &root, sizeof(root));
+        EXPECT_THROW(tree.lookup("a", &r), PanicError);
+    }
+    {
+        // Root 5, its left child 3, and 3's left back to 5.
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        uint64_t rootOff = 0;
+        txn::run(eng, kAvlMake, reinterpret_cast<uint64_t>(&rootOff));
+        txn::run(eng, kAvlChurn, rootOff, uint64_t(0), uint64_t(5));
+        txn::run(eng, kAvlChurn, rootOff, uint64_t(0), uint64_t(3));
+        auto& root = static_cast<ds::PAvlTree*>(h.pool->at(rootOff))->root;
+        h.pool->write(&root->left->left, &root, sizeof(root));
+        uint64_t got = 0;
+        EXPECT_THROW(txn::run(eng, kAvlCheck, rootOff, uint64_t(1),
+                              reinterpret_cast<uint64_t>(&got)),
+                     PanicError);
     }
 }
 
