@@ -150,24 +150,14 @@ printStaticCounts()
     std::printf("\n=== Compiler-pass refinement per module "
                 "(static view) ===\n");
     for (const auto& mod : cir::benchmarkModules()) {
-        size_t cons = 0;
-        size_t refined = 0;
-        int unexposed = 0;
-        int shadowed = 0;
-        // One instance of each distinct function suffices.
-        size_t uniqueFns =
-            mod.functions.size() > 0 ? 1 : 0;
-        (void)uniqueFns;
-        const auto& fn = mod.functions.front();
-        auto res = cir::analyzeClobbers(fn);
-        cons += res.conservativeSites.size();
-        refined += res.refinedSites.size();
-        unexposed += res.removedUnexposed;
-        shadowed += res.removedShadowed;
+        // The module's first function is its workload's own; the rest
+        // are copies and shared helpers.
+        auto res = cir::analyzeClobbers(mod.functions.front());
         std::printf("  %-10s %zu conservative sites -> %zu refined "
                     "(%d unexposed, %d shadowed pairs removed)\n",
-                    mod.name.c_str(), cons, refined, unexposed,
-                    shadowed);
+                    mod.name.c_str(), res.conservativeSites.size(),
+                    res.refinedSites.size(), res.removedUnexposed,
+                    res.removedShadowed);
     }
 }
 

@@ -37,13 +37,12 @@ quarantineChecksum(uint32_t count, const QuarantineEntry* entries)
 }
 
 AllocHeader
-PmAllocator::expectedHeader() const
+PmAllocator::expectedHeader(const nvm::Pool& pool)
 {
-    // The layout is a pure function of the pool geometry — which is
-    // what makes the header *healable*: a flipped or poisoned header
-    // can be recomputed from scratch (see rebuild()).
-    uint64_t heapOff = pool_.heapOff();
-    uint64_t heapBytes = pool_.heapSize();
+    // A flipped or poisoned header is recomputed from scratch (see
+    // rebuild()).
+    uint64_t heapOff = pool.heapOff();
+    uint64_t heapBytes = pool.heapSize();
     uint64_t headerEnd = alignUp(heapOff + sizeof(AllocHeader), 64);
     uint64_t quarOff = headerEnd;
     uint64_t bitmapOff = alignUp(quarOff + sizeof(QuarantineTable), 64);
@@ -76,7 +75,7 @@ PmAllocator::PmAllocator(nvm::Pool& pool, bool deferRebuild)
     // place like every other header field: reformatting would free
     // every live block.
     if (h->magic == 0) {
-        AllocHeader newHdr = expectedHeader();
+        AllocHeader newHdr = expectedHeader(pool_);
         // Zero the bitmap (a re-created pool file is already zero, but
         // a recycled region may not be). With no line volatile, memory
         // is the durable image, so a byte that reads zero is durably
@@ -524,7 +523,7 @@ PmAllocator::healMetaLocked(RebuildStats* st)
     // simply wrong header is rewritten in place (the rewrite also
     // clears the line's poison/taint).
     {
-        AllocHeader want = expectedHeader();
+        AllocHeader want = expectedHeader(pool_);
         auto* cur =
             static_cast<AllocHeader*>(pool_.at(pool_.heapOff()));
         bool bad = pool_.isTainted(cur, sizeof(*cur));

@@ -266,6 +266,13 @@ class PmAllocator {
     /** Number of free extents (fragmentation diagnostics). */
     size_t freeExtents() const;
 
+    /**
+     * The header the pool's geometry fixes: the layout is a pure
+     * function of the heap region's offset and size, which is what
+     * makes a damaged header healable (and checkable offline).
+     */
+    static AllocHeader expectedHeader(const nvm::Pool& pool);
+
     /** @name Layout accessors (fault-region map, offline verify) */
     /// @{
     uint64_t bitmapOff() const { return hdr().bitmapOff; }
@@ -278,7 +285,6 @@ class PmAllocator {
 
  private:
     const AllocHeader& hdr() const;
-    AllocHeader expectedHeader() const;
     QuarantineTable* quarTable() const;
     void quarantineLocked(uint64_t off, uint64_t bytes,
                           QuarantineReason reason);

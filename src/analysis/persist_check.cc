@@ -42,6 +42,22 @@ checkKindName(CheckKind k)
     return "?";
 }
 
+Violation
+violation(CheckKind kind, Severity severity, InstrRef at,
+          std::string callee, std::string detail, std::string hint)
+{
+    return {kind, severity, at, std::move(detail), std::move(hint),
+            std::move(callee)};
+}
+
+std::string
+Violation::calleeIn(const Function& f) const
+{
+    if (!callee.empty() || f.at(at).op != Op::call)
+        return callee;
+    return f.at(at).callee;
+}
+
 bool
 PersistReport::clean() const
 {
@@ -97,19 +113,15 @@ PersistReport::toString(const Function& f) const
            << checkKindName(v.kind);
         // Call-derived findings name the callee: a bare instruction
         // index is unreadable once findings cross functions.
-        const Instr& in = f.at(v.at);
-        std::string callee =
-            !v.callee.empty()
-                ? v.callee
-                : (in.op == Op::call ? in.callee : std::string());
+        std::string callee = v.calleeIn(f);
         if (!callee.empty()) {
             os << " at call '" << callee << "' (b" << v.at.block
                << ":i" << v.at.index << ")";
         } else {
             os << " at b" << v.at.block << ":i" << v.at.index;
+            if (!f.at(v.at).name.empty())
+                os << " '" << f.at(v.at).name << "'";
         }
-        if (!in.name.empty() && callee.empty())
-            os << " '" << in.name << "'";
         if (!v.detail.empty())
             os << " — " << v.detail;
         if (!v.hint.empty())
@@ -132,20 +144,6 @@ struct AuditPoint {
     bool coveredByCallee = false;
     std::string callee;
 };
-
-Violation
-makeViolation(CheckKind kind, Severity sev, const AuditPoint& p,
-              std::string detail, std::string hint = "")
-{
-    Violation v;
-    v.kind = kind;
-    v.severity = sev;
-    v.at = p.at;
-    v.detail = std::move(detail);
-    v.hint = std::move(hint);
-    v.callee = p.callee;
-    return v;
-}
 
 }  // namespace
 
@@ -183,22 +181,17 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
                     break;
                 cir::FunctionSummary cs = sums->callSummary(in);
                 out.callsChecked++;
-                for (size_t j = 0; j < in.args.size(); j++) {
-                    cir::ValueId a = in.args[j];
-                    if (a == cir::kNoValue || j >= cs.params.size())
-                        continue;
-                    const cir::ArgEffect& eff = cs.params[j];
+                cir::forEachArgEffect(in, cs, [&](cir::ValueId a,
+                                                  const cir::ArgEffect& eff) {
                     if (eff.written)
                         stores.push_back(
                             {at, a, true, eff.flushed, in.callee});
                     if (eff.flushed)
-                        flushes.push_back({at, a, true,
-                                           cs.fencesOnExit,
-                                           in.callee});
+                        flushes.push_back(
+                            {at, a, true, cs.fencesOnExit, in.callee});
                     if (eff.logged)
-                        clogs.push_back(
-                            {at, a, true, false, in.callee});
-                }
+                        clogs.push_back({at, a, true, false, in.callee});
+                });
                 if (cs.fencesOnExit)
                     fences.push_back(
                         {at, cir::kNoValue, true, false, in.callee});
@@ -236,8 +229,9 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
                   "flush the argument after the call"
                 : "";
         if (!onAllPaths && !onSomePath) {
-            out.violations.push_back(makeViolation(
-                CheckKind::missingFlush, Severity::error, s,
+            out.violations.push_back(violation(
+                CheckKind::missingFlush, Severity::error, s.at,
+                s.callee,
                 s.fromCall
                     ? "callee writes through this argument and no "
                       "flush of it reaches transaction end"
@@ -245,9 +239,9 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
                       "transaction end",
                 hint));
         } else if (!onAllPaths) {
-            out.violations.push_back(makeViolation(
-                CheckKind::missingFlush, Severity::warning, s,
-                "flushed on some paths only", hint));
+            out.violations.push_back(violation(
+                CheckKind::missingFlush, Severity::warning, s.at,
+                s.callee, "flushed on some paths only", hint));
         }
     }
 
@@ -270,15 +264,16 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
                 onSomePath = true;
         }
         if (!onAllPaths && !onSomePath) {
-            out.violations.push_back(makeViolation(
-                CheckKind::missingFence, Severity::error, fl,
+            out.violations.push_back(violation(
+                CheckKind::missingFence, Severity::error, fl.at,
+                fl.callee,
                 fl.fromCall ? "callee flushes this argument but "
                               "nothing fences the flush"
                             : "no fence follows this flush"));
         } else if (!onAllPaths) {
-            out.violations.push_back(makeViolation(
-                CheckKind::missingFence, Severity::warning, fl,
-                "fenced on some paths only"));
+            out.violations.push_back(violation(
+                CheckKind::missingFence, Severity::warning, fl.at,
+                fl.callee, "fenced on some paths only"));
         }
     }
 
@@ -304,9 +299,9 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
                 }
             }
             if (!redirtied) {
-                out.violations.push_back(makeViolation(
-                    CheckKind::doubleFlush, Severity::warning, f2,
-                    "line already flushed and not re-dirtied"));
+                out.violations.push_back(violation(
+                    CheckKind::doubleFlush, Severity::warning, f2.at,
+                    "", "line already flushed and not re-dirtied"));
             }
         }
     }
@@ -333,35 +328,31 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
     for (const auto& site : clob.refinedSites) {
         const Instr& in = f.at(site);
         if (in.op == Op::call) {
-            cir::FunctionSummary cs = sums->callSummary(in);
-            for (size_t j = 0; j < in.args.size(); j++) {
-                cir::ValueId a = in.args[j];
-                if (a == cir::kNoValue || j >= cs.params.size())
-                    continue;
-                const cir::ArgEffect& eff = cs.params[j];
+            cir::forEachArgEffect(in, sums->callSummary(in),
+                                  [&](cir::ValueId a,
+                                      const cir::ArgEffect& eff) {
                 if (!eff.written || aa.basedOnAlloca(a))
-                    continue;
+                    return;
                 out.clobberSitesChecked++;
                 if (eff.logged || loggedAt(a, site))
-                    continue;
-                AuditPoint p{site, a, true, false, in.callee};
-                out.violations.push_back(makeViolation(
-                    CheckKind::unloggedClobber, Severity::error, p,
+                    return;
+                out.violations.push_back(violation(
+                    CheckKind::unloggedClobber, Severity::error, site,
+                    in.callee,
                     "callee may clobber this argument and neither "
                     "it nor the caller logs the old value",
                     "clobber_log the location in the callee before "
                     "its store, or clobber_log the argument before "
                     "the call"));
-            }
+            });
             continue;
         }
         if (aa.basedOnAlloca(in.ptr))
             continue;  // volatile scratch: never logged
         out.clobberSitesChecked++;
         if (!loggedAt(in.ptr, site)) {
-            out.violations.push_back(makeViolation(
-                CheckKind::unloggedClobber, Severity::error,
-                AuditPoint{site, in.ptr},
+            out.violations.push_back(violation(
+                CheckKind::unloggedClobber, Severity::error, site, "",
                 "refined clobber site has no dominating "
                 "clobber_log"));
         }
@@ -372,33 +363,28 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
         bool useful = false;
         for (const auto& site : clob.refinedSites) {
             const Instr& in = f.at(site);
-            cir::ValueId siteLoc = in.ptr;
             if (in.op == Op::call) {
                 // Useful if it covers any argument the callee may
                 // write through.
-                cir::FunctionSummary cs = sums->callSummary(in);
-                for (size_t j = 0; j < in.args.size(); j++) {
-                    if (in.args[j] == cir::kNoValue ||
-                        j >= cs.params.size() ||
-                        !cs.params[j].written)
-                        continue;
-                    if (aa.alias(c.ptr, in.args[j]) ==
-                            Alias::must &&
+                cir::forEachArgEffect(in, sums->callSummary(in),
+                                      [&](cir::ValueId a,
+                                          const cir::ArgEffect& eff) {
+                    if (eff.written && aa.alias(c.ptr, a) == Alias::must &&
                         dom.dominates(c.at, site))
                         useful = true;
-                }
+                });
                 continue;
             }
-            if (aa.alias(c.ptr, siteLoc) == Alias::must &&
+            if (aa.alias(c.ptr, in.ptr) == Alias::must &&
                 dom.dominates(c.at, site)) {
                 useful = true;
                 break;
             }
         }
         if (!useful) {
-            out.violations.push_back(makeViolation(
-                CheckKind::unneededClobberLog, Severity::info, c,
-                "logs a location no refined site clobbers"));
+            out.violations.push_back(violation(
+                CheckKind::unneededClobberLog, Severity::info, c.at,
+                "", "logs a location no refined site clobbers"));
         }
     }
 
@@ -440,10 +426,7 @@ instrumentPersistency(const Function& f, const cir::ClobberResult& res)
         }
     }
     for (int b = 0; b < static_cast<int>(f.blocks().size()); b++) {
-        bool leaves = false;
-        for (int s : f.blocks()[b].succs)
-            leaves = leaves || s != b;
-        if (!leaves)
+        if (f.isExit(b))
             cir::emitFence(out, b, "commit fence");
     }
     return out;

@@ -62,7 +62,17 @@ struct Violation {
     std::string detail;
     std::string hint;    ///< fix-it suggestion (may be empty)
     std::string callee;  ///< call target, for call-derived findings
+
+    /** The call target the finding names: `callee`, else the callee
+        of a call at `at` in `f`; empty for a non-call finding. */
+    std::string calleeIn(const cir::Function& f) const;
 };
+
+/** A finding at `at`; `callee` is empty unless it derives from a
+    call. */
+Violation violation(CheckKind kind, Severity severity, cir::InstrRef at,
+                    std::string callee, std::string detail,
+                    std::string hint = "");
 
 struct PersistReport {
     std::vector<Violation> violations;

@@ -1,14 +1,12 @@
 #include "analysis/reexec_check.h"
 
-#include <set>
-
 #include "cir/analysis.h"
 
 namespace cnvm::analysis {
 
-using cir::AliasAnalysis;
 using cir::Alias;
-using cir::BaseResolver;
+using cir::AliasAnalysis;
+using cir::Base;
 using cir::Dominators;
 using cir::Function;
 using cir::FunctionSummary;
@@ -17,55 +15,16 @@ using cir::InstrRef;
 using cir::Op;
 using cir::ValueId;
 
-namespace {
-
-Violation
-finding(CheckKind kind, Severity sev, InstrRef at, std::string callee,
-        std::string detail, std::string hint)
-{
-    Violation v;
-    v.kind = kind;
-    v.severity = sev;
-    v.at = at;
-    v.callee = std::move(callee);
-    v.detail = std::move(detail);
-    v.hint = std::move(hint);
-    return v;
-}
-
-}  // namespace
-
 PersistReport
 checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
 {
     PersistReport out;
-    BaseResolver bases(f);
     AliasAnalysis aa(f);
     Dominators dom(f);
 
     // Escaped stack slots: their stores are volatile state other
     // code can observe between the crash and the replay.
-    std::set<ValueId> escapedAllocas;
-    for (const auto& block : f.blocks()) {
-        for (const auto& instr : block.instrs) {
-            if (instr.op == Op::store &&
-                instr.value != cir::kNoValue &&
-                bases.kind(instr.value) ==
-                    BaseResolver::Kind::alloca_)
-                escapedAllocas.insert(bases.allocaRoot(instr.value));
-            if (instr.op != Op::call)
-                continue;
-            FunctionSummary cs = sums.callSummary(instr);
-            for (size_t j = 0; j < instr.args.size(); j++) {
-                ValueId a = instr.args[j];
-                if (a == cir::kNoValue || j >= cs.params.size())
-                    continue;
-                if (cs.params[j].escapes &&
-                    bases.kind(a) == BaseResolver::Kind::alloca_)
-                    escapedAllocas.insert(bases.allocaRoot(a));
-            }
-        }
-    }
+    std::vector<bool> escaped = cir::escapedAllocas(f, aa, sums);
 
     // Caller-side clobber_log points, for discharging (d) at the
     // call site.
@@ -79,12 +38,10 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
             InstrRef at{b, i};
 
             // (c) intra-function: a store to an escaped stack slot.
-            if (in.op == Op::store &&
-                bases.kind(in.ptr) == BaseResolver::Kind::alloca_ &&
-                escapedAllocas.count(bases.allocaRoot(in.ptr))) {
-                out.violations.push_back(finding(
-                    CheckKind::volatileEscape, Severity::error, at,
-                    "",
+            if (in.op == Op::store && aa.basedOnAlloca(in.ptr) &&
+                escaped[aa.root(in.ptr)]) {
+                out.violations.push_back(violation(
+                    CheckKind::volatileEscape, Severity::error, at, "",
                     "store to a stack slot whose address escapes "
                     "the FASE; replay double-applies it",
                     "keep the slot private to the transaction, or "
@@ -94,17 +51,13 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
             if (in.op != Op::call)
                 continue;
             out.callsChecked++;
-            const FunctionSummary* resolved = sums.lookup(in.callee);
-            FunctionSummary cs =
-                resolved ? *resolved
-                         : cir::ModuleSummaries::declaredSummary(
-                               in.effect,
-                               static_cast<int>(in.args.size()));
+            FunctionSummary cs = sums.callSummary(in);
+            bool resolved = sums.lookup(in.callee) != nullptr;
 
             // (a) determinism crosses every call path: the summary
             // already folds transitive callees.
             if (!cs.deterministic) {
-                out.violations.push_back(finding(
+                out.violations.push_back(violation(
                     CheckKind::nondetInTx, Severity::error, at,
                     in.callee,
                     resolved
@@ -119,7 +72,7 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
 
             // (b) I/O reachable in the body.
             if (cs.doesIO) {
-                out.violations.push_back(finding(
+                out.violations.push_back(violation(
                     CheckKind::ioInTx, Severity::error, at,
                     in.callee,
                     "callee performs (or reaches) I/O; replay "
@@ -130,7 +83,7 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
 
             // (c) volatile state written somewhere down the chain.
             if (cs.volatileEscape) {
-                out.violations.push_back(finding(
+                out.violations.push_back(violation(
                     CheckKind::volatileEscape, Severity::error, at,
                     in.callee,
                     "callee writes volatile state observable "
@@ -142,32 +95,22 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
 
             // (d) hidden clobbers: the callee may overwrite caller
             // memory it also read, without logging the old value.
-            for (size_t j = 0; j < in.args.size(); j++) {
-                ValueId a = in.args[j];
-                if (a == cir::kNoValue || j >= cs.params.size())
-                    continue;
-                const cir::ArgEffect& eff = cs.params[j];
+            cir::forEachArgEffect(in, cs, [&](ValueId a,
+                                              const cir::ArgEffect& eff) {
                 if (!eff.clobbered || eff.logged)
-                    continue;
+                    return;
                 // Fresh and stack objects are transaction-local:
                 // replay reconstructs them, no logging needed.
-                BaseResolver::Kind k = bases.kind(a);
-                if (k == BaseResolver::Kind::fresh ||
-                    k == BaseResolver::Kind::alloca_)
-                    continue;
+                if (aa.base(a) == Base::fresh || aa.basedOnAlloca(a))
+                    return;
                 // A caller-side clobber_log of the same pointer
                 // dominating the call discharges the finding.
-                bool callerLogged = false;
                 for (const auto& c : clogs) {
                     if (aa.alias(f.at(c).ptr, a) == Alias::must &&
-                        dom.dominates(c, at)) {
-                        callerLogged = true;
-                        break;
-                    }
+                        dom.dominates(c, at))
+                        return;
                 }
-                if (callerLogged)
-                    continue;
-                out.violations.push_back(finding(
+                out.violations.push_back(violation(
                     CheckKind::hiddenClobber, Severity::error, at,
                     in.callee,
                     resolved
@@ -184,7 +127,7 @@ checkReexecSafety(const Function& f, const cir::ModuleSummaries& sums)
                         : "define the callee in the module so its "
                           "body can be verified, or clobber_log "
                           "the argument before the call"));
-            }
+            });
         }
     }
     return out;

@@ -4,8 +4,7 @@
 
 namespace cnvm::cir {
 
-AliasAnalysis::AliasAnalysis(const Function& f)
-    : info_(f.numValues()), allocaBase_(f.numValues(), false)
+AliasAnalysis::AliasAnalysis(const Function& f) : info_(f.numValues())
 {
     for (const auto& block : f.blocks()) {
         for (const auto& instr : block.instrs) {
@@ -14,17 +13,12 @@ AliasAnalysis::AliasAnalysis(const Function& f)
             PtrInfo& pi = info_[instr.result];
             switch (instr.op) {
               case Op::arg:
-                pi.kind = BaseKind::arg;
-                pi.base = instr.result;
-                pi.offsetKnown = true;
+                pi.base = Base::param;
+                pi.param = numParams_++;
                 break;
-              case Op::alloca_:
-              case Op::malloc_:
-                pi.kind = BaseKind::fresh;
-                pi.base = instr.result;
-                pi.offsetKnown = true;
-                allocaBase_[instr.result] = instr.op == Op::alloca_;
-                break;
+              case Op::alloca_: pi.base = Base::alloca_; break;
+              case Op::malloc_: pi.base = Base::fresh; break;
+              case Op::load: pi.base = Base::loaded; break;
               case Op::gep: {
                 const PtrInfo& base = info_[instr.value];
                 pi = base;
@@ -33,28 +27,15 @@ AliasAnalysis::AliasAnalysis(const Function& f)
                 } else {
                     pi.offset = base.offset + instr.offset;
                 }
-                allocaBase_[instr.result] = allocaBase_[instr.value];
-                break;
+                continue;
               }
-              case Op::load:
-                // A loaded pointer: unknown target, identified by the
-                // SSA value (the same value reused is the same target).
-                pi.kind = BaseKind::loaded;
-                pi.base = instr.result;
-                pi.offsetKnown = true;
-                break;
-              default:
-                pi.kind = BaseKind::unknown;
-                break;
+              default: continue;  // call results, scalars: unknown
             }
+            // A base object of its own, at offset 0.
+            pi.root = instr.result;
+            pi.offsetKnown = true;
         }
     }
-}
-
-bool
-AliasAnalysis::basedOnAlloca(ValueId p) const
-{
-    return allocaBase_[p];
 }
 
 Alias
@@ -65,28 +46,29 @@ AliasAnalysis::alias(ValueId p, ValueId q) const
     const PtrInfo& a = info_[p];
     const PtrInfo& b = info_[q];
 
-    if (a.kind == BaseKind::unknown || b.kind == BaseKind::unknown)
+    if (a.base == Base::unknown || b.base == Base::unknown)
         return Alias::may;
 
-    if (a.base == b.base) {
+    if (a.root == b.root) {
         if (a.offsetKnown && b.offsetKnown) {
             return a.offset == b.offset ? Alias::must : Alias::no;
         }
         return Alias::may;
     }
 
-    // Distinct fresh allocations never alias anything pre-existing,
-    // nor each other.
-    if (a.kind == BaseKind::fresh &&
-        (b.kind == BaseKind::fresh || b.kind == BaseKind::arg)) {
+    // Distinct fresh objects (stack or heap) never alias anything
+    // pre-existing, nor each other.
+    auto fresh = [](Base k) {
+        return k == Base::alloca_ || k == Base::fresh;
+    };
+    if (fresh(a.base) && (fresh(b.base) || b.base == Base::param))
         return Alias::no;
-    }
-    if (b.kind == BaseKind::fresh && a.kind == BaseKind::arg)
+    if (fresh(b.base) && a.base == Base::param)
         return Alias::no;
 
-    // arg-vs-arg, arg-vs-loaded, loaded-vs-loaded, fresh-vs-loaded
-    // (a loaded pointer could point into a just-published fresh
-    // object): may alias.
+    // param-vs-param, param-vs-loaded, loaded-vs-loaded,
+    // fresh-vs-loaded (a loaded pointer could point into a
+    // just-published fresh object): may alias.
     return Alias::may;
 }
 
@@ -122,18 +104,10 @@ Dominators::Dominators(const Function& f) : f_(f)
     }
 
     // Post-dominators, by the same dataflow over the reversed CFG:
-    // pdom(b) = {b} U intersect(succs). Exit blocks are those with no
-    // successors; a pure self-loop (terminal spin) also terminates.
-    std::vector<bool> isExit(n, false);
-    for (int b = 0; b < n; b++) {
-        bool leaves = false;
-        for (int s : f.blocks()[b].succs)
-            leaves = leaves || s != b;
-        isExit[b] = !leaves;
-    }
+    // pdom(b) = {b} U intersect(succs), seeded at the exit blocks.
     pdom_.assign(n, std::vector<bool>(n, true));
     for (int b = 0; b < n; b++) {
-        if (isExit[b]) {
+        if (f.isExit(b)) {
             pdom_[b].assign(n, false);
             pdom_[b][b] = true;
         }
@@ -142,7 +116,7 @@ Dominators::Dominators(const Function& f) : f_(f)
     while (changed) {
         changed = false;
         for (int b = n - 1; b >= 0; b--) {
-            if (isExit[b])
+            if (f.isExit(b))
                 continue;
             std::vector<bool> next(n, true);
             for (int s : f.blocks()[b].succs) {

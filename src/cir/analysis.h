@@ -17,10 +17,26 @@ namespace cnvm::cir {
 /** Alias-query verdict, as in LLVM's AliasResult. */
 enum class Alias { no, may, must };
 
+/** What a pointer value is based on. */
+enum class Base {
+    param,    ///< a function parameter (Op::arg)
+    alloca_,  ///< stack storage: volatile, private to the call
+    fresh,    ///< a heap allocation (Op::malloc_) made in the function
+    /** A pointer loaded from memory: its target is unknown, but the
+        same SSA value names the same target. */
+    loaded,
+    unknown,  ///< call results and arithmetic
+};
+
 /**
- * Flow-insensitive pointer descriptors: every pointer value reduces
- * to (base object, offset), where the base is an argument, a fresh
- * allocation, or an unknown (loaded) pointer.
+ * The one pointer model of the compiler analyses. Flow-insensitively,
+ * every pointer value reduces to a base object (its root value and
+ * Base kind) plus an offset, following gep chains; offset 0 is the
+ * plain pointer-copy idiom of this IR. The clobber pass and the
+ * persistency lint ask it for alias verdicts; the call summaries and
+ * the re-execution verifier ask it which parameter or stack slot a
+ * pointer reaches (they treat loaded and unknown pointers alike, as
+ * memory the function cannot name).
  */
 class AliasAnalysis {
  public:
@@ -29,24 +45,31 @@ class AliasAnalysis {
     /** Relationship between the targets of two pointer values. */
     Alias alias(ValueId p, ValueId q) const;
 
+    Base base(ValueId v) const { return info_[v].base; }
+    /** Positional parameter index; valid when base() == param. */
+    int paramIndex(ValueId v) const { return info_[v].param; }
+    /** The arg, alloca, malloc or load defining the base object. */
+    ValueId root(ValueId v) const { return info_[v].root; }
+    /** Number of Op::arg instructions, in program order. */
+    int numParams() const { return numParams_; }
+
     /**
      * True iff the pointer provably targets stack (alloca) storage —
      * volatile memory that needs no flush/fence discipline.
      */
-    bool basedOnAlloca(ValueId p) const;
+    bool basedOnAlloca(ValueId p) const { return base(p) == Base::alloca_; }
 
  private:
-    enum class BaseKind { arg, fresh, loaded, unknown };
-
     struct PtrInfo {
-        BaseKind kind = BaseKind::unknown;
-        ValueId base = kNoValue;
+        Base base = Base::unknown;
+        int param = -1;
+        ValueId root = kNoValue;
         int64_t offset = 0;
         bool offsetKnown = false;
     };
 
     std::vector<PtrInfo> info_;
-    std::vector<bool> allocaBase_;
+    int numParams_ = 0;
 };
 
 /** Dominator relation over blocks and instructions. */
@@ -56,12 +79,8 @@ class Dominators {
 
     bool blockDominates(int a, int b) const;
 
-    /**
-     * True iff every path from b to function end passes through a.
-     * Exit blocks are those with no successors; a block whose only
-     * successor is itself (terminal spin in the mini-IR encodings)
-     * also counts as an exit.
-     */
+    /** True iff every path from b to an exit (Function::isExit)
+        passes through a. */
     bool blockPostDominates(int a, int b) const;
 
     /** True iff instruction a executes on every path before b. */

@@ -9,8 +9,7 @@ namespace cnvm::cir {
 namespace {
 
 std::vector<InstrRef>
-uniqueSites(const Function& f,
-            const std::vector<std::pair<InstrRef, InstrRef>>& pairs)
+uniqueSites(const std::vector<std::pair<InstrRef, InstrRef>>& pairs)
 {
     std::set<std::pair<int, int>> seen;
     std::vector<InstrRef> out;
@@ -18,7 +17,6 @@ uniqueSites(const Function& f,
         if (seen.emplace(w.block, w.index).second)
             out.push_back(w);
     }
-    (void)f;
     return out;
 }
 
@@ -71,21 +69,17 @@ analyzeClobbersImpl(const Function& f, const ModuleSummaries* sums)
                 reads.push_back({at, in.ptr, true});
             if (in.op == Op::store)
                 writes.push_back({at, in.ptr, true});
-            if (in.op == Op::call && sums) {
-                FunctionSummary cs = sums->callSummary(in);
-                for (size_t j = 0; j < in.args.size(); j++) {
-                    ValueId a = in.args[j];
-                    if (a == kNoValue || j >= cs.params.size())
-                        continue;
-                    const ArgEffect& eff = cs.params[j];
-                    if (eff.read)
-                        reads.push_back({at, a, false});
-                    if (eff.written)
-                        writes.push_back({at, a, false});
-                    if (eff.clobbered)
-                        selfClobbers.push_back({at, a, false});
-                }
-            }
+            if (in.op != Op::call || !sums)
+                continue;
+            forEachArgEffect(in, sums->callSummary(in),
+                             [&](ValueId a, const ArgEffect& eff) {
+                                 if (eff.read)
+                                     reads.push_back({at, a, false});
+                                 if (eff.written)
+                                     writes.push_back({at, a, false});
+                                 if (eff.clobbered)
+                                     selfClobbers.push_back({at, a, false});
+                             });
         }
     }
 
@@ -172,8 +166,8 @@ analyzeClobbersImpl(const Function& f, const ModuleSummaries* sums)
         out.refinedPairs.emplace_back(r.at, s.at);
     }
 
-    out.conservativeSites = uniqueSites(f, out.conservativePairs);
-    out.refinedSites = uniqueSites(f, out.refinedPairs);
+    out.conservativeSites = uniqueSites(out.conservativePairs);
+    out.refinedSites = uniqueSites(out.refinedPairs);
     return out;
 }
 

@@ -137,6 +137,20 @@ class Function {
     const std::vector<Block>& blocks() const { return blocks_; }
     int numValues() const { return nextValue_; }
 
+    /**
+     * True iff block b ends the function: it has no successor but
+     * itself (a pure self-loop is the mini-IR's terminal spin).
+     */
+    bool
+    isExit(int b) const
+    {
+        for (int s : blocks_[b].succs) {
+            if (s != b)
+                return false;
+        }
+        return true;
+    }
+
     const Instr&
     at(const InstrRef& r) const
     {

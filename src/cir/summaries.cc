@@ -2,192 +2,113 @@
 
 #include <set>
 
-#include "cir/clobber_pass.h"
 #include "common/error.h"
 
 namespace cnvm::cir {
 
-BaseResolver::BaseResolver(const Function& f) : info_(f.numValues())
+std::vector<bool>
+escapedAllocas(const Function& f, const AliasAnalysis& aa,
+               const ModuleSummaries& sums)
 {
+    std::vector<bool> out(f.numValues(), false);
+    auto escape = [&](ValueId v) {
+        if (aa.basedOnAlloca(v))
+            out[aa.root(v)] = true;
+    };
     for (const auto& block : f.blocks()) {
         for (const auto& instr : block.instrs) {
-            if (instr.result == kNoValue)
+            if (instr.op == Op::store && instr.value != kNoValue)
+                escape(instr.value);
+            if (instr.op != Op::call)
                 continue;
-            Info& in = info_[instr.result];
-            switch (instr.op) {
-              case Op::arg:
-                in.kind = Kind::param;
-                in.param = numParams_++;
-                in.root = instr.result;
-                break;
-              case Op::alloca_:
-                in.kind = Kind::alloca_;
-                in.root = instr.result;
-                break;
-              case Op::malloc_:
-                in.kind = Kind::fresh;
-                in.root = instr.result;
-                break;
-              case Op::gep:
-                // Follows gep chains (offset 0 is the plain
-                // pointer-copy idiom in this IR).
-                in = info_[instr.value];
-                break;
-              default:
-                // Loaded pointers, call results, scalars.
-                in.kind = Kind::unknown;
-                break;
-            }
+            forEachArgEffect(instr, sums.callSummary(instr),
+                             [&](ValueId a, const ArgEffect& eff) {
+                                 if (eff.escapes)
+                                     escape(a);
+                             });
         }
     }
+    return out;
 }
 
-namespace {
-
-/** One monotone transfer step for a single function. */
 FunctionSummary
-computeOne(const Function& f,
-           const std::map<std::string, FunctionSummary>& sums)
+ModuleSummaries::transfer(const Function& f) const
 {
-    BaseResolver bases(f);
+    AliasAnalysis aa(f);
+    std::vector<bool> escaped = escapedAllocas(f, aa, *this);
     FunctionSummary out;
     out.name = f.name();
-    out.numParams = bases.numParams();
+    out.numParams = aa.numParams();
     out.params.resize(out.numParams);
 
-    auto resolve = [&](const Instr& c) -> FunctionSummary {
-        auto it = sums.find(c.callee);
-        if (it != sums.end())
-            return it->second;
-        return ModuleSummaries::declaredSummary(
-            c.effect, static_cast<int>(c.args.size()));
+    auto paramOf = [&](ValueId v) -> ArgEffect* {
+        return aa.base(v) == Base::param ? &out.params[aa.paramIndex(v)]
+                                         : nullptr;
     };
-    auto argEffect = [](const FunctionSummary& cs,
-                        size_t j) -> ArgEffect {
-        if (j < cs.params.size())
-            return cs.params[j];
-        return ArgEffect{};
+    // Loaded and call-returned pointers reach memory the function
+    // cannot name; fresh objects are local.
+    auto unknownMem = [&](ValueId v) {
+        return aa.base(v) == Base::loaded || aa.base(v) == Base::unknown;
+    };
+    auto escapedSlot = [&](ValueId v) {
+        return aa.basedOnAlloca(v) && escaped[aa.root(v)];
     };
 
-    // Pass 1: which allocas escape (address stored into memory or
-    // handed to a callee that lets its parameter escape).
-    std::set<ValueId> escapedAllocas;
     for (const auto& block : f.blocks()) {
         for (const auto& instr : block.instrs) {
-            if (instr.op == Op::store && instr.value != kNoValue) {
-                if (bases.kind(instr.value) ==
-                    BaseResolver::Kind::alloca_)
-                    escapedAllocas.insert(
-                        bases.allocaRoot(instr.value));
-            }
-            if (instr.op == Op::call) {
-                FunctionSummary cs = resolve(instr);
-                for (size_t j = 0; j < instr.args.size(); j++) {
-                    ValueId a = instr.args[j];
-                    if (a == kNoValue)
-                        continue;
-                    if (argEffect(cs, j).escapes &&
-                        bases.kind(a) ==
-                            BaseResolver::Kind::alloca_)
-                        escapedAllocas.insert(bases.allocaRoot(a));
-                }
-            }
-        }
-    }
-
-    // Pass 2: accumulate effects.
-    for (const auto& block : f.blocks()) {
-        for (const auto& instr : block.instrs) {
-            using K = BaseResolver::Kind;
             switch (instr.op) {
               case Op::load:
-                switch (bases.kind(instr.ptr)) {
-                  case K::param:
-                    out.params[bases.paramIndex(instr.ptr)].read =
-                        true;
-                    break;
-                  case K::unknown: out.readsUnknown = true; break;
-                  default: break;  // alloca / fresh: local
-                }
+                if (ArgEffect* p = paramOf(instr.ptr))
+                    p->read = true;
+                else if (unknownMem(instr.ptr))
+                    out.readsUnknown = true;
                 break;
               case Op::store:
-                switch (bases.kind(instr.ptr)) {
-                  case K::param:
-                    out.params[bases.paramIndex(instr.ptr)]
-                        .written = true;
-                    break;
-                  case K::unknown: out.writesUnknown = true; break;
-                  case K::alloca_:
-                    // A store to stack storage whose address has
-                    // escaped: observable volatile state.
-                    if (escapedAllocas.count(
-                            bases.allocaRoot(instr.ptr)))
-                        out.volatileEscape = true;
-                    break;
-                  default: break;  // fresh: local
+                if (ArgEffect* p = paramOf(instr.ptr))
+                    p->written = true;
+                else if (unknownMem(instr.ptr))
+                    out.writesUnknown = true;
+                else if (escapedSlot(instr.ptr))
+                    out.volatileEscape = true;
+                if (instr.value != kNoValue) {
+                    if (ArgEffect* p = paramOf(instr.value))
+                        p->escapes = true;
                 }
-                if (instr.value != kNoValue &&
-                    bases.kind(instr.value) == K::param)
-                    out.params[bases.paramIndex(instr.value)]
-                        .escapes = true;
                 break;
               case Op::clobberlog:
-                if (bases.kind(instr.ptr) == K::param)
-                    out.params[bases.paramIndex(instr.ptr)].logged =
-                        true;
+                if (ArgEffect* p = paramOf(instr.ptr))
+                    p->logged = true;
                 break;
               case Op::flush:
-                if (bases.kind(instr.ptr) == K::param)
-                    out.params[bases.paramIndex(instr.ptr)]
-                        .flushed = true;
+                if (ArgEffect* p = paramOf(instr.ptr))
+                    p->flushed = true;
                 break;
               case Op::call: {
-                FunctionSummary cs = resolve(instr);
-                if (sums.find(instr.callee) == sums.end())
-                    out.callsUnknown = true;
-                out.deterministic =
-                    out.deterministic && cs.deterministic;
+                FunctionSummary cs = callSummary(instr);
+                out.callsUnknown = out.callsUnknown ||
+                                   !lookup(instr.callee) ||
+                                   cs.callsUnknown;
+                out.deterministic = out.deterministic && cs.deterministic;
                 out.doesIO = out.doesIO || cs.doesIO;
-                out.volatileEscape =
-                    out.volatileEscape || cs.volatileEscape;
-                out.readsUnknown =
-                    out.readsUnknown || cs.readsUnknown;
-                out.writesUnknown =
-                    out.writesUnknown || cs.writesUnknown;
-                out.callsUnknown =
-                    out.callsUnknown || cs.callsUnknown;
-                for (size_t j = 0; j < instr.args.size(); j++) {
-                    ValueId a = instr.args[j];
-                    if (a == kNoValue)
-                        continue;
-                    ArgEffect eff = argEffect(cs, j);
-                    switch (bases.kind(a)) {
-                      case K::param: {
-                        ArgEffect& p =
-                            out.params[bases.paramIndex(a)];
-                        p.read = p.read || eff.read;
-                        p.written = p.written || eff.written;
-                        p.clobbered = p.clobbered || eff.clobbered;
-                        p.logged = p.logged || eff.logged;
-                        p.flushed = p.flushed || eff.flushed;
-                        p.escapes = p.escapes || eff.escapes;
-                        break;
-                      }
-                      case K::unknown:
-                        out.readsUnknown =
-                            out.readsUnknown || eff.read;
-                        out.writesUnknown =
-                            out.writesUnknown || eff.written;
-                        break;
-                      case K::alloca_:
-                        if (eff.written &&
-                            escapedAllocas.count(
-                                bases.allocaRoot(a)))
-                            out.volatileEscape = true;
-                        break;
-                      default: break;  // fresh: local
+                out.volatileEscape = out.volatileEscape || cs.volatileEscape;
+                out.readsUnknown = out.readsUnknown || cs.readsUnknown;
+                out.writesUnknown = out.writesUnknown || cs.writesUnknown;
+                forEachArgEffect(instr, cs, [&](ValueId a,
+                                                const ArgEffect& eff) {
+                    if (ArgEffect* p = paramOf(a)) {
+                        p->read = p->read || eff.read;
+                        p->written = p->written || eff.written;
+                        p->clobbered = p->clobbered || eff.clobbered;
+                        p->logged = p->logged || eff.logged;
+                        p->flushed = p->flushed || eff.flushed;
+                        p->escapes = p->escapes || eff.escapes;
+                    } else if (unknownMem(a)) {
+                        out.readsUnknown = out.readsUnknown || eff.read;
+                        out.writesUnknown = out.writesUnknown || eff.written;
+                    } else if (eff.written && escapedSlot(a)) {
+                        out.volatileEscape = true;
                     }
-                }
+                });
                 break;
               }
               default: break;
@@ -206,19 +127,15 @@ computeOne(const Function& f,
     // function that itself fences on exit.
     bool anyExit = false;
     bool allFenced = true;
-    for (const auto& block : f.blocks()) {
-        bool leaves = false;
-        for (int s : block.succs)
-            leaves = leaves || &f.blocks()[s] != &block;
-        if (leaves)
+    for (int b = 0; b < static_cast<int>(f.blocks().size()); b++) {
+        if (!f.isExit(b))
             continue;
         anyExit = true;
         bool fenced = false;
-        for (const auto& instr : block.instrs) {
-            if (instr.op == Op::fence)
-                fenced = true;
-            if (instr.op == Op::call && resolve(instr).fencesOnExit)
-                fenced = true;
+        for (const auto& instr : f.blocks()[b].instrs) {
+            fenced = fenced || instr.op == Op::fence ||
+                     (instr.op == Op::call &&
+                      callSummary(instr).fencesOnExit);
         }
         allFenced = allFenced && fenced;
     }
@@ -226,17 +143,13 @@ computeOne(const Function& f,
     return out;
 }
 
-}  // namespace
-
 ModuleSummaries::ModuleSummaries(const std::vector<Function>& fns)
 {
     for (const auto& f : fns) {
-        BaseResolver bases(f);
-        FunctionSummary bottom;
+        FunctionSummary& bottom = sums_[f.name()];
         bottom.name = f.name();
-        bottom.numParams = bases.numParams();
-        bottom.params.resize(bottom.numParams);
-        sums_[f.name()] = bottom;
+        bottom.numParams = AliasAnalysis(f).numParams();
+        bottom.params.assign(bottom.numParams, ArgEffect{});
     }
     constexpr int kMaxIterations = 64;
     bool changed = true;
@@ -246,7 +159,7 @@ ModuleSummaries::ModuleSummaries(const std::vector<Function>& fns)
         iterations_++;
         changed = false;
         for (const auto& f : fns) {
-            FunctionSummary next = computeOne(f, sums_);
+            FunctionSummary next = transfer(f);
             FunctionSummary& cur = sums_[f.name()];
             if (!(next == cur)) {
                 cur = next;

@@ -22,43 +22,15 @@
 #ifndef CNVM_CIR_SUMMARIES_H
 #define CNVM_CIR_SUMMARIES_H
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cir/analysis.h"
 #include "cir/ir.h"
 
 namespace cnvm::cir {
-
-/**
- * Resolves every pointer value in a function to its base object:
- * a positional parameter, a fresh (malloc) allocation, stack
- * (alloca) storage, or unknown (loaded / call-returned pointers).
- * Follows gep chains and plain pointer copies.
- */
-class BaseResolver {
- public:
-    enum class Kind { param, fresh, alloca_, unknown };
-
-    explicit BaseResolver(const Function& f);
-
-    Kind kind(ValueId v) const { return info_[v].kind; }
-    /** Positional parameter index; valid when kind() == param. */
-    int paramIndex(ValueId v) const { return info_[v].param; }
-    /** Defining alloca value; valid when kind() == alloca_. */
-    ValueId allocaRoot(ValueId v) const { return info_[v].root; }
-    /** Number of Op::arg instructions, in program order. */
-    int numParams() const { return numParams_; }
-
- private:
-    struct Info {
-        Kind kind = Kind::unknown;
-        int param = -1;
-        ValueId root = kNoValue;
-    };
-    std::vector<Info> info_;
-    int numParams_ = 0;
-};
 
 /** What a function may do to memory reachable from one parameter. */
 struct ArgEffect {
@@ -121,9 +93,40 @@ class ModuleSummaries {
     int iterations() const { return iterations_; }
 
  private:
+    /** One monotone transfer step for `f`. During the fixpoint its
+        calls resolve against the in-progress summaries, so a function
+        sees those updated earlier in the same round. */
+    FunctionSummary transfer(const Function& f) const;
+
     std::map<std::string, FunctionSummary> sums_;
     int iterations_ = 0;
 };
+
+/**
+ * The call-effect walk: fn(arg, effect) for each non-null argument of
+ * `call` that `callee`'s summary describes. Arguments past the
+ * callee's parameter list carry no effect and are skipped.
+ */
+template <typename Fn>
+void
+forEachArgEffect(const Instr& call, const FunctionSummary& callee, Fn&& fn)
+{
+    size_t n = std::min(call.args.size(), callee.params.size());
+    for (size_t j = 0; j < n; j++) {
+        if (call.args[j] != kNoValue)
+            fn(call.args[j], callee.params[j]);
+    }
+}
+
+/**
+ * The stack slots of `f` whose address escapes: stored into memory, or
+ * passed to a callee whose summary lets that parameter escape. A store
+ * to such a slot is volatile state observable outside the function.
+ * @return one flag per value id, set on each escaping alloca.
+ */
+std::vector<bool> escapedAllocas(const Function& f,
+                                 const AliasAnalysis& aa,
+                                 const ModuleSummaries& sums);
 
 }  // namespace cnvm::cir
 

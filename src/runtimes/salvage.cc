@@ -366,6 +366,19 @@ verifyPool(nvm::Pool& pool)
     }
     if (ah->magic != alloc::PmAllocator::kMagic)
         problem("heap: allocator magic damaged");
+    // Every other field is fixed by the pool's geometry; a restart
+    // heals a header that differs (the magic is reported above).
+    alloc::AllocHeader want{};
+    try {
+        want = alloc::PmAllocator::expectedHeader(pool);
+    } catch (const PanicError&) {
+        problem("heap: region too small for the allocator's layout");
+        return r;
+    }
+    want.magic = ah->magic;
+    if (std::memcmp(ah, &want, sizeof(want)) != 0)
+        problem("heap: allocator header differs from the layout the "
+                "pool geometry fixes");
     uint64_t heapEnd = h.heapOff + h.heapSize;
     if (ah->bitmapOff < h.heapOff || ah->bitmapOff >= heapEnd ||
         ah->bitmapOff + ah->bitmapBytes > heapEnd ||

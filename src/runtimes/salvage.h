@@ -155,10 +155,11 @@ struct VerifyResult {
 
 /**
  * Walk an open pool read-only: header bounds, per-slot descriptor and
- * log checksums (via scanLogArea), allocator header, quarantine
- * table, and the block headers of allocated extents. Never mutates
- * the pool and never constructs a PmAllocator (which would heal a
- * damaged header in place — exactly what we want to report).
+ * log checksums (via scanLogArea), allocator header (against the
+ * layout the pool geometry fixes), quarantine table, and the block
+ * headers of allocated extents. Never mutates the pool and never
+ * constructs a PmAllocator (which would heal a damaged header in
+ * place — exactly what we want to report).
  */
 VerifyResult verifyPool(nvm::Pool& pool);
 

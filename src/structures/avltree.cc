@@ -74,8 +74,10 @@ rebalance(txn::Tx& tx, NP n)
 }
 
 NP
-insertRec(txn::Tx& tx, NP n, uint64_t key, uint64_t value, bool* added)
+insertRec(txn::Tx& tx, NP n, uint64_t key, uint64_t value, bool* added,
+          int depth)
 {
+    CNVM_CHECK(depth < kMaxTreeDepth, "tree too deep: a link cycle");
     if (n.isNull()) {
         auto fresh = tx.pnew<AvlNode>();
         tx.st(fresh->key, key);
@@ -90,26 +92,31 @@ insertRec(txn::Tx& tx, NP n, uint64_t key, uint64_t value, bool* added)
         *added = false;
         return n;
     }
-    if (key < k)
-        tx.st(n->left, insertRec(tx, tx.ld(n->left), key, value, added));
-    else
+    if (key < k) {
+        tx.st(n->left,
+              insertRec(tx, tx.ld(n->left), key, value, added, depth + 1));
+    } else {
         tx.st(n->right,
-              insertRec(tx, tx.ld(n->right), key, value, added));
+              insertRec(tx, tx.ld(n->right), key, value, added, depth + 1));
+    }
     return rebalance(tx, n);
 }
 
 NP
-eraseRec(txn::Tx& tx, NP n, uint64_t key, bool* removed)
+eraseRec(txn::Tx& tx, NP n, uint64_t key, bool* removed, int depth)
 {
+    CNVM_CHECK(depth < kMaxTreeDepth, "tree too deep: a link cycle");
     if (n.isNull()) {
         *removed = false;
         return n;
     }
     uint64_t k = tx.ld(n->key);
     if (key < k) {
-        tx.st(n->left, eraseRec(tx, tx.ld(n->left), key, removed));
+        tx.st(n->left,
+              eraseRec(tx, tx.ld(n->left), key, removed, depth + 1));
     } else if (key > k) {
-        tx.st(n->right, eraseRec(tx, tx.ld(n->right), key, removed));
+        tx.st(n->right,
+              eraseRec(tx, tx.ld(n->right), key, removed, depth + 1));
     } else {
         *removed = true;
         NP l = tx.ld(n->left);
@@ -121,30 +128,37 @@ eraseRec(txn::Tx& tx, NP n, uint64_t key, bool* removed)
         }
         // Two children: replace with the in-order successor's payload
         // and delete the successor from the right subtree.
+        WalkBound walk(tx, sizeof(AvlNode));
         NP succ = r;
         for (NP sl = tx.ld(succ->left); !sl.isNull();
              sl = tx.ld(succ->left)) {
+            walk.step();
             succ = sl;
         }
         tx.st(n->key, tx.ld(succ->key));
         tx.st(n->value, tx.ld(succ->value));
         bool dummy = false;
         tx.st(n->right,
-              eraseRec(tx, r, tx.ld(succ->key), &dummy));
+              eraseRec(tx, r, tx.ld(succ->key), &dummy, depth + 1));
     }
     return rebalance(tx, n);
 }
 
 long
-validateRec(const AvlNode* n, uint64_t lo, uint64_t hi, bool* ok)
+validateRec(const AvlNode* n, uint64_t lo, uint64_t hi, bool* ok,
+            int depth)
 {
     if (n == nullptr)
         return 0;
+    if (depth >= kMaxTreeDepth) {
+        *ok = false;  // a link cycle
+        return 0;
+    }
     if (n->key < lo || n->key > hi)
         *ok = false;
     long lh = validateRec(n->left.get(), lo,
-                          n->key == 0 ? 0 : n->key - 1, ok);
-    long rh = validateRec(n->right.get(), n->key + 1, hi, ok);
+                          n->key == 0 ? 0 : n->key - 1, ok, depth + 1);
+    long rh = validateRec(n->right.get(), n->key + 1, hi, ok, depth + 1);
     if (lh - rh > 1 || rh - lh > 1)
         *ok = false;
     long h = 1 + std::max(lh, rh);
@@ -166,7 +180,7 @@ AvlMap::put(txn::Tx& tx, uint64_t key, uint64_t value)
 {
     bool added = false;
     tx.st(root_->root,
-          insertRec(tx, tx.ld(root_->root), key, value, &added));
+          insertRec(tx, tx.ld(root_->root), key, value, &added, 0));
     if (added)
         tx.st(root_->count, tx.ld(root_->count) + 1);
     return added;
@@ -188,7 +202,7 @@ AvlMap::erase(txn::Tx& tx, uint64_t key)
 {
     bool removed = false;
     tx.st(root_->root,
-          eraseRec(tx, tx.ld(root_->root), key, &removed));
+          eraseRec(tx, tx.ld(root_->root), key, &removed, 0));
     if (removed)
         tx.st(root_->count, tx.ld(root_->count) - 1);
     return removed;
@@ -212,7 +226,7 @@ long
 AvlMap::validate() const
 {
     bool ok = true;
-    long h = validateRec(root_->root.get(), 0, ~0ULL, &ok);
+    long h = validateRec(root_->root.get(), 0, ~0ULL, &ok, 0);
     return ok ? h : -1;
 }
 

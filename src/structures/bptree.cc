@@ -249,8 +249,7 @@ bpGetFn(txn::Tx& tx, txn::ArgReader& a)
         return;
     out->found = true;
     out->len = tx.ld(s.node->valLens[s.i]);
-    CNVM_CHECK(out->len <= kMaxValLen, "value too long");
-    tx.ldBytes(out->value, tx.ld(s.node->vals[s.i]).get(), out->len);
+    loadValue(tx, tx.ld(s.node->vals[s.i]), out->len, out->value);
 }
 
 /**
@@ -292,8 +291,8 @@ long
 validateRec(const BpNode* n, const uint8_t* lo, const uint8_t* hi,
             int depth, int* leafDepth, bool* ok)
 {
-    if (n == nullptr) {
-        *ok = false;
+    if (n == nullptr || depth >= kMaxTreeDepth) {
+        *ok = false;  // a missing child, or a link cycle
         return 0;
     }
     long count = 0;

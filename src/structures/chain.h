@@ -56,7 +56,8 @@ struct ChainHit {
 bool chainKeyEquals(txn::Tx& tx, const uint32_t& keyLen,
                     const char* keyBytes, std::string_view key);
 
-/** Walk the chain at `head` to `key`'s node, bounded by WalkBound. */
+/** Walk the chain at `head` to `key`'s node, bounded by WalkBound,
+ *  which checks each link before its node is read. */
 template <typename Node>
 ChainHit<Node>
 chainFind(txn::Tx& tx, nvm::PPtr<Node>& head, std::string_view key)
@@ -65,7 +66,7 @@ chainFind(txn::Tx& tx, nvm::PPtr<Node>& head, std::string_view key)
     nvm::PPtr<Node>* link = &head;
     for (auto n = tx.ld(*link); !n.isNull();
          link = &n->next, n = tx.ld(*link)) {
-        walk.step();
+        walk.step(n.raw());
         if (chainKeyEquals(tx, n->keyLen, n->keyBytes(), key))
             return {link, n};
     }

@@ -50,6 +50,17 @@ makeValue(txn::Tx& tx, std::string_view val)
     return buf;
 }
 
+void
+loadValue(txn::Tx& tx, nvm::PPtr<uint8_t> buf, uint32_t len, char* out)
+{
+    CNVM_CHECK(len <= kMaxValLen, "value too long");
+    if (len == 0)
+        return;  // nothing is read, so no buffer is needed
+    HeapRange(tx.pool()).check(buf.raw(), len,
+                               "torn value buffer: not a heap range");
+    tx.ldBytes(out, buf.get(), len);
+}
+
 const std::vector<std::string>&
 benchmarkStructures()
 {

@@ -35,6 +35,33 @@ constexpr size_t kMaxKeyLen = 64;
 constexpr size_t kMaxValLen = 1024;
 
 /**
+ * The heap's span of pool offsets. Every allocation starts 16-byte
+ * aligned (the allocator's granule) inside it, so a link or a buffer
+ * pointer that a crash tore is caught here, through CNVM_CHECK, before
+ * it is dereferenced.
+ */
+class HeapRange {
+ public:
+    explicit HeapRange(const nvm::Pool& pool)
+        : lo_(pool.heapOff()), end_(lo_ + pool.heapSize()) {}
+
+    uint64_t size() const { return end_ - lo_; }
+
+    /** Fail unless [off, off + len) is an aligned range in the heap. */
+    void
+    check(uint64_t off, uint64_t len, const char* what) const
+    {
+        CNVM_CHECK(off % 16 == 0 && off >= lo_ && off <= end_ &&
+                       len <= end_ - off,
+                   what);
+    }
+
+ private:
+    uint64_t lo_;
+    uint64_t end_;
+};
+
+/**
  * Bounds one walk along a structure's links. The heap has room for at
  * most heapSize / nodeBytes nodes, so a longer walk revisits a node:
  * the structure has a cycle, which only a broken persistence order
@@ -44,7 +71,8 @@ constexpr size_t kMaxValLen = 1024;
 class WalkBound {
  public:
     WalkBound(txn::Tx& tx, size_t nodeBytes)
-        : left_(tx.pool().heapSize() / nodeBytes) {}
+        : heap_(tx.pool()), nodeBytes_(nodeBytes),
+          left_(heap_.size() / nodeBytes) {}
 
     void
     step()
@@ -52,7 +80,18 @@ class WalkBound {
         CNVM_CHECK(left_-- > 0, "walk outgrew the heap: a link cycle");
     }
 
+    /** step() onto the node a link names, checked to lie in the heap
+     *  before it is read. */
+    void
+    step(uint64_t nodeOff)
+    {
+        heap_.check(nodeOff, nodeBytes_, "torn link: not a heap node");
+        step();
+    }
+
  private:
+    HeapRange heap_;
+    size_t nodeBytes_;
     uint64_t left_;
 };
 
@@ -63,6 +102,10 @@ class WalkBound {
  * Every load goes through `tx`, and WalkBound stops a cyclic walk.
  */
 /// @{
+
+/** No valid tree here comes near this many levels, so a recursive walk
+ *  that gets this deep is going round a link cycle. */
+constexpr int kMaxTreeDepth = 128;
 
 /** The node holding `key` in the tree at `root`, or null. */
 template <typename Node>
@@ -181,6 +224,12 @@ uint64_t rawCreate(txn::Engine& eng, size_t bytes);
 /** A fresh heap buffer holding `val`, allocated and written in `tx`:
  *  the value buffer of an RbTree node or a B+Tree leaf slot. */
 nvm::PPtr<uint8_t> makeValue(txn::Tx& tx, std::string_view val);
+
+/** Load the `len`-byte value buffer at `buf` into `out` in `tx`. A torn
+ *  length or buffer pointer fails through CNVM_CHECK: `len` is at most
+ *  kMaxValLen and the buffer lies in the heap (see HeapRange). */
+void loadValue(txn::Tx& tx, nvm::PPtr<uint8_t> buf, uint32_t len,
+               char* out);
 
 }  // namespace cnvm::ds
 

@@ -358,8 +358,7 @@ rbGetFn(txn::Tx& tx, txn::ArgReader& a)
         return;
     out->found = true;
     out->len = tx.ld(n->valLen);
-    CNVM_CHECK(out->len <= kMaxValLen, "value too long");
-    tx.ldBytes(out->value, tx.ld(n->val).get(), out->len);
+    loadValue(tx, tx.ld(n->val), out->len, out->value);
 }
 
 const txn::FuncId kRbPut = txn::registerTxFunc("rb_put", rbPutFn);

@@ -366,7 +366,7 @@ TEST(AliasAnalysis, BasedOnAllocaThroughPointerCopies)
     EXPECT_EQ(aa.alias(field, a), Alias::no);
 }
 
-TEST(Summaries, BaseResolverClassifiesValues)
+TEST(AliasAnalysis, ClassifiesBases)
 {
     Function f("bases");
     int b = f.addBlock("entry");
@@ -377,20 +377,22 @@ TEST(Summaries, BaseResolverClassifiesValues)
     ValueId m = emitMalloc(f, b, "m");
     ValueId pf = emitGep(f, b, p, 8);
     ValueId ld = emitLoad(f, b, p);
+    ValueId sum = emitBinop(f, b, ld);
 
-    BaseResolver bases(f);
-    EXPECT_EQ(bases.numParams(), 2);
-    EXPECT_EQ(bases.kind(p), BaseResolver::Kind::param);
-    EXPECT_EQ(bases.paramIndex(p), 0);
-    EXPECT_EQ(bases.kind(q), BaseResolver::Kind::param);
-    EXPECT_EQ(bases.paramIndex(q), 1);
-    EXPECT_EQ(bases.kind(pf), BaseResolver::Kind::param);
-    EXPECT_EQ(bases.paramIndex(pf), 0);
-    EXPECT_EQ(bases.kind(a), BaseResolver::Kind::alloca_);
-    EXPECT_EQ(bases.kind(copy), BaseResolver::Kind::alloca_);
-    EXPECT_EQ(bases.allocaRoot(copy), a);
-    EXPECT_EQ(bases.kind(m), BaseResolver::Kind::fresh);
-    EXPECT_EQ(bases.kind(ld), BaseResolver::Kind::unknown);
+    AliasAnalysis aa(f);
+    EXPECT_EQ(aa.numParams(), 2);
+    EXPECT_EQ(aa.base(p), Base::param);
+    EXPECT_EQ(aa.paramIndex(p), 0);
+    EXPECT_EQ(aa.base(q), Base::param);
+    EXPECT_EQ(aa.paramIndex(q), 1);
+    EXPECT_EQ(aa.base(pf), Base::param);
+    EXPECT_EQ(aa.paramIndex(pf), 0);
+    EXPECT_EQ(aa.base(a), Base::alloca_);
+    EXPECT_EQ(aa.base(copy), Base::alloca_);
+    EXPECT_EQ(aa.root(copy), a);
+    EXPECT_EQ(aa.base(m), Base::fresh);
+    EXPECT_EQ(aa.base(ld), Base::loaded);
+    EXPECT_EQ(aa.base(sum), Base::unknown);
 }
 
 TEST(Summaries, SelfLoggingHelperSummary)

@@ -997,5 +997,30 @@ TEST(VerifyPool, DamagedAllocatorMagicIsAProblem)
     EXPECT_EQ(r.problems.front(), "heap: allocator magic damaged");
 }
 
+TEST(VerifyPool, AllocatorHeaderOffTheGeometryIsAProblem)
+{
+    // The layout is a function of the pool geometry: a header that
+    // differs is damage a restart would heal in place, and a heap
+    // region too small for any layout is reported, not a panic.
+    Harness h(RuntimeKind::undo);
+    auto* ah = static_cast<alloc::AllocHeader*>(
+        h.pool->at(h.pool->heapOff()));
+    ah->bitmapBytes += 64;
+    rt::salvage::VerifyResult r = rt::salvage::verifyPool(*h.pool);
+    ASSERT_EQ(r.problems.size(), 1u);
+    EXPECT_EQ(r.problems.front(), "heap: allocator header differs from "
+                                  "the layout the pool geometry fixes");
+    ah->bitmapBytes -= 64;
+
+    auto* ph = reinterpret_cast<nvm::PoolHeader*>(h.pool->base());
+    uint64_t heapSize = ph->heapSize;
+    ph->heapSize = 1024;  // smaller than the header and quarantine table
+    r = rt::salvage::verifyPool(*h.pool);
+    ph->heapSize = heapSize;
+    ASSERT_EQ(r.problems.size(), 1u);
+    EXPECT_EQ(r.problems.front(),
+              "heap: region too small for the allocator's layout");
+}
+
 }  // namespace
 }  // namespace cnvm::test

@@ -525,10 +525,8 @@ TEST(ListWalks, CycleFailsInsteadOfSpinning)
         h.pool->write(&root->kids[0], &root, sizeof(root));
         EXPECT_THROW(tree.lookup("a", &r), PanicError);
     }
-    {
-        // Root 5, its left child 3, and 3's left back to 5.
-        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
-                  4ULL << 20);
+    // An AVL map with root 5, its left child 3, and 3's left back to 5.
+    auto avlCycle = [](Harness& h) {
         auto eng = h.engine();
         uint64_t rootOff = 0;
         txn::run(eng, kAvlMake, reinterpret_cast<uint64_t>(&rootOff));
@@ -536,11 +534,119 @@ TEST(ListWalks, CycleFailsInsteadOfSpinning)
         txn::run(eng, kAvlChurn, rootOff, uint64_t(0), uint64_t(3));
         auto& root = static_cast<ds::PAvlTree*>(h.pool->at(rootOff))->root;
         h.pool->write(&root->left->left, &root, sizeof(root));
+        return rootOff;
+    };
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        uint64_t rootOff = avlCycle(h);
+        auto eng = h.engine();
         uint64_t got = 0;
         EXPECT_THROW(txn::run(eng, kAvlCheck, rootOff, uint64_t(1),
                               reinterpret_cast<uint64_t>(&got)),
                      PanicError);
     }
+    // The recursive walks stop at a depth cap: validate() reports the
+    // cycle, and put() fails through CNVM_CHECK.
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        ds::AvlMap map{nvm::PPtr<ds::PAvlTree>(avlCycle(h))};
+        EXPECT_EQ(map.validate(), -1);
+    }
+    {
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        uint64_t rootOff = avlCycle(h);
+        auto eng = h.engine();
+        EXPECT_THROW(txn::run(eng, kAvlChurn, rootOff, uint64_t(0),
+                              uint64_t(1)),
+                     PanicError);
+    }
+    {
+        // Root 5 with children 3 and 8, 8's left child 7, and 7's left
+        // back to 8: erasing 5 walks 8's left spine for its successor.
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        uint64_t rootOff = 0;
+        txn::run(eng, kAvlMake, reinterpret_cast<uint64_t>(&rootOff));
+        for (uint64_t k : {5, 3, 8, 7})
+            txn::run(eng, kAvlChurn, rootOff, uint64_t(0), k);
+        auto& root = static_cast<ds::PAvlTree*>(h.pool->at(rootOff))->root;
+        ASSERT_EQ(root->key, 5u);
+        auto& eight = root->right;
+        h.pool->write(&eight->left->left, &eight, sizeof(eight));
+        EXPECT_THROW(txn::run(eng, kAvlChurn, rootOff, uint64_t(1),
+                              uint64_t(5)),
+                     PanicError);
+    }
+    {
+        // The B+Tree root whose first child is itself, audited the way
+        // the torture oracle does.
+        Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined,
+                  4ULL << 20);
+        auto eng = h.engine();
+        ds::BpTree tree(eng, 0, smallCfg());
+        for (int i = 0; i < 20; i++)
+            tree.insert("k" + std::to_string(100 + i), "v");
+        auto& root = static_cast<ds::PBpTree*>(h.pool->at(tree.rootOff()))
+                         ->root;
+        ASSERT_EQ(root->isLeaf, 0u);
+        h.pool->write(&root->kids[0], &root, sizeof(root));
+        EXPECT_FALSE(tree.selfCheck());
+    }
+}
+
+// A link or a value-buffer pointer that a crash tore must fail through
+// CNVM_CHECK before it is dereferenced, so the torture oracle reports
+// the case with its replay line instead of the process dying.
+TEST(TornPointers, ChainLinkIntoANodeFails)
+{
+    // head -> b -> a, with b's next pointing 8 bytes into a.
+    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
+    auto eng = h.engine();
+    ds::KvConfig oneBucket;
+    oneBucket.hashShards = 1;
+    oneBucket.hashBucketsPerShard = 1;
+    ds::HashMap map(eng, 0, oneBucket);
+    map.insert("a", "1");
+    map.insert("b", "2");
+    auto* root = static_cast<ds::PHashMap*>(h.pool->at(map.rootOff()));
+    auto& head = root->buckets()[0];
+    auto torn = nvm::PPtr<ds::ChainNode>(head->next.raw() + 8);
+    h.pool->write(&head->next, &torn, sizeof(torn));
+    ds::LookupResult r;
+    EXPECT_THROW(map.lookup("zz", &r), PanicError);
+}
+
+TEST(TornPointers, NullRbTreeValueFails)
+{
+    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
+    auto eng = h.engine();
+    ds::RbTree tree(eng);
+    tree.insert("a", "1234");
+    auto& root = static_cast<ds::PRbTree*>(h.pool->at(tree.rootOff()))->root;
+    nvm::PPtr<uint8_t> null;
+    h.pool->write(&root->val, &null, sizeof(null));
+    ASSERT_EQ(root->valLen, 4u);
+    ds::LookupResult r;
+    EXPECT_THROW(tree.lookup("a", &r), PanicError);
+}
+
+TEST(TornPointers, NullBpTreeValueFails)
+{
+    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
+    auto eng = h.engine();
+    ds::BpTree tree(eng, 0, smallCfg());
+    tree.insert("a", "1234");
+    auto& leaf = static_cast<ds::PBpTree*>(h.pool->at(tree.rootOff()))->root;
+    ASSERT_EQ(leaf->isLeaf, 1u);
+    nvm::PPtr<uint8_t> null;
+    h.pool->write(&leaf->vals[0], &null, sizeof(null));
+    ASSERT_EQ(leaf->valLens[0], 4u);
+    ds::LookupResult r;
+    EXPECT_THROW(tree.lookup("a", &r), PanicError);
 }
 
 TEST(RealThreads, HashMapParallelInserts)

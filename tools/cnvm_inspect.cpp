@@ -5,13 +5,16 @@
  * Default mode prints a pool file's header, the state of every
  * per-thread transaction descriptor (status, sequence number, v_log
  * payload, intent table validity, pending log entries), and heap
- * statistics — without mutating anything. Useful for debugging
- * recovery issues and for verifying what survived a crash.
+ * statistics — without mutating anything: no mode constructs a
+ * PmAllocator, whose constructor heals allocator metadata in place.
+ * Useful for debugging recovery issues and for verifying what
+ * survived a crash.
  *
  * `verify` mode walks the whole pool through the salvage scanner
  * (rt::salvage::verifyPool): header bounds, per-slot descriptor and
- * log checksums, allocator metadata, quarantine table and allocated
- * block headers, printing every integrity violation it finds. It then
+ * log checksums, allocator metadata (its header against the layout
+ * the pool geometry fixes), quarantine table and allocated block
+ * headers, printing every integrity violation it finds. It then
  * reports the pending-recovery state per region through the classifier
  * recovery triage itself runs (rt::salvage::triageSlot): which slots a
  * restart would leave pending (and why), and which heap ranges it
@@ -140,6 +143,33 @@ verifyMain(const char* path)
     return r.ok() ? 0 : 1;
 }
 
+/**
+ * Free bytes and extents as the allocator's bitmap records them: the
+ * runs of clear bits over the data granules of the layout the pool's
+ * geometry fixes. Read raw: a PmAllocator's constructor would heal a
+ * damaged header in place.
+ */
+void
+printHeapStats(const nvm::Pool& pool)
+{
+    alloc::AllocHeader h = alloc::PmAllocator::expectedHeader(pool);
+    const uint8_t* bitmap = pool.base() + h.bitmapOff;
+    uint64_t freeBytes = 0;
+    uint64_t extents = 0;
+    bool inRun = false;
+    for (uint64_t g = 0; g < h.dataBytes / alloc::kGranule; g++) {
+        bool allocated = ((bitmap[g / 8] >> (g % 8)) & 1) != 0;
+        if (!allocated) {
+            freeBytes += alloc::kGranule;
+            extents += inRun ? 0 : 1;
+        }
+        inRun = !allocated;
+    }
+    std::printf("heap: %llu free bytes in %llu extents\n",
+                static_cast<unsigned long long>(freeBytes),
+                static_cast<unsigned long long>(extents));
+}
+
 int
 inspectMain(const char* path)
 {
@@ -216,11 +246,7 @@ inspectMain(const char* path)
         std::printf("\n");
     }
 
-    // Heap statistics (builds the volatile free map; read-only with
-    // respect to persistent state).
-    alloc::PmAllocator heap(*pool);
-    std::printf("heap: %zu free bytes in %zu extents\n",
-                heap.freeBytes(), heap.freeExtents());
+    printHeapStats(*pool);
     std::printf("%u interrupted transaction(s)%s\n", interrupted,
                 interrupted > 0 ? " — run recovery before use" : "");
     return 0;

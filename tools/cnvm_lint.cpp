@@ -105,11 +105,7 @@ emitReport(const std::string& module, const cir::Function& f,
             o += analysis::severityName(v.severity);
             o += "\", \"block\": " + std::to_string(v.at.block) +
                  ", \"instr\": " + std::to_string(v.at.index);
-            std::string callee =
-                !v.callee.empty() ? v.callee
-                                  : f.at(v.at).op == cir::Op::call
-                                        ? f.at(v.at).callee
-                                        : "";
+            std::string callee = v.calleeIn(f);
             if (!callee.empty())
                 o += ", \"callee\": \"" + jsonEscape(callee) + "\"";
             o += ", \"detail\": \"" + jsonEscape(v.detail) + "\"";
@@ -282,54 +278,46 @@ runReexecSelfCheck()
     return ok;
 }
 
-/** Interprocedural corpus gate: benchmark modules (instrumented, as
-    the compiler would emit them) and the pre-instrumented runtime tx
-    module must carry zero error findings under the summary-aware
-    persistency audit and the reexec verifier. */
+/** Audit every function of `mod` with the module's call summaries:
+    the summary-aware persistency audit plus the reexec verifier, zero
+    error or warning findings required. With `instrument` each function
+    first goes through the clobber pass and instrumentPersistency, as
+    the compiler would emit it. */
 bool
-runReexecLint()
+auditModule(const cir::IrModule& mod, bool instrument, size_t* functions)
 {
     bool ok = true;
-    size_t functions = 0;
-
-    auto modules = cir::benchmarkModules();
-    for (auto& mod : modules) {
-        cir::ModuleSummaries sums(mod.functions);
-        for (const auto& fn : mod.functions) {
-            functions++;
-            cir::ClobberResult res = cir::analyzeClobbers(fn, sums);
-            cir::Function inst =
-                analysis::instrumentPersistency(fn, res);
-            auto rep = analysis::checkPersistency(inst, &sums);
-            auto rrep = analysis::checkReexecSafety(inst, sums);
-            rep.violations.insert(rep.violations.end(),
-                                  rrep.violations.begin(),
-                                  rrep.violations.end());
-            rep.callsChecked += rrep.callsChecked;
-            bool bad = !rep.clean() ||
-                       rep.count(analysis::Severity::warning) > 0;
-            emitReport(mod.name, inst, rep, bad);
-            ok = ok && !bad;
-        }
-    }
-
-    // The runtime tx corpus ships instrumented; check it as-is.
-    cir::IrModule rt = cir::runtimeTxModule();
-    cir::ModuleSummaries sums(rt.functions);
-    for (const auto& fn : rt.functions) {
-        functions++;
-        auto rep = analysis::checkPersistency(fn, &sums);
-        auto rrep = analysis::checkReexecSafety(fn, sums);
+    cir::ModuleSummaries sums(mod.functions);
+    for (const auto& fn : mod.functions) {
+        (*functions)++;
+        cir::Function checked =
+            instrument ? analysis::instrumentPersistency(
+                             fn, cir::analyzeClobbers(fn, sums))
+                       : fn;
+        auto rep = analysis::checkPersistency(checked, &sums);
+        auto rrep = analysis::checkReexecSafety(checked, sums);
         rep.violations.insert(rep.violations.end(),
                               rrep.violations.begin(),
                               rrep.violations.end());
         rep.callsChecked += rrep.callsChecked;
         bool bad = !rep.clean() ||
                    rep.count(analysis::Severity::warning) > 0;
-        emitReport(rt.name, fn, rep, bad);
+        emitReport(mod.name, checked, rep, bad);
         ok = ok && !bad;
     }
+    return ok;
+}
 
+/** Interprocedural corpus gate: the benchmark modules, instrumented,
+    and the runtime tx module, which ships instrumented. */
+bool
+runReexecLint()
+{
+    bool ok = true;
+    size_t functions = 0;
+    for (const auto& mod : cir::benchmarkModules())
+        ok = auditModule(mod, true, &functions) && ok;
+    ok = auditModule(cir::runtimeTxModule(), false, &functions) && ok;
     if (!jsonOut)
         std::printf("reexec lint: %zu functions, %s\n", functions,
                     ok ? "ok" : "FAILED");
