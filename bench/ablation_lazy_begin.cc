@@ -9,95 +9,41 @@
  * The ablation measures what eager persistence (two extra fences on
  * every read-only transaction) costs across YCSB read/write mixes.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "runtimes/base.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("ablation_lazy_begin.csv");
-    static bool once = [] {
-        c.comment("ablation: system,workload,mode,"
-                  "throughput_ops_per_sec,fences_per_op");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("ablation_lazy_begin.csv",
+               "ablation: system,workload,mode,"
+               "throughput_ops_per_sec,fences_per_op");
 
-void
+double
 runAblation(benchmark::State& state, txn::RuntimeKind kind,
             wl::YcsbKind workload, bool eager)
 {
     size_t ops = bench::totalOps(25000);
-    for (auto _ : state) {
-        bench::Env env(kind);
-        auto* base = dynamic_cast<rt::RuntimeBase*>(env.runtime.get());
-        base->setEagerBeginPersist(eager);
-        auto eng = env.engine();
-        auto kv = ds::makeKv("hashmap", eng);
-        // Preload the key space so reads hit.
-        wl::Ycsb load(wl::YcsbKind::load, ops / 2, 8, 64);
-        for (size_t i = 0; i < ops / 2; i++)
-            kv->insert(load.keyOf(i), load.valueOf(i));
-        wl::Ycsb gen(workload, ops / 2, 8, 64);
+    bench::KvEnv env(kind, "hashmap");
+    dynamic_cast<rt::RuntimeBase*>(env.runtime.get())
+        ->setEagerBeginPersist(eager);
+    // Preload the key space so reads hit.
+    env.preload(ops / 2, 64);
+    std::vector<wl::Ycsb> streams;
+    streams.emplace_back(workload, ops / 2, env.keyLen, 64);
 
-        stats::resetAll();
-        sim::Executor exec(1);
-        ds::LookupResult sink;
-        double simSeconds =
-            exec.run(ops, [&](sim::ThreadCtx&, size_t) {
-                auto req = gen.next();
-                if (req.op == wl::YcsbOp::read)
-                    kv->lookup(req.key, &sink);
-                else
-                    kv->insert(req.key, req.value);
-            });
-        auto d = stats::aggregate();
-        double tput = static_cast<double>(ops) / simSeconds;
-        double fences =
-            static_cast<double>(d[stats::Counter::fences]) /
-            static_cast<double>(ops);
-        state.SetIterationTime(simSeconds);
-        state.counters["ops_per_sec"] = tput;
-        state.counters["fences_per_op"] = fences;
-        csv().row("%s,%s,%s,%.0f,%.3f", bench::systemName(kind),
-                  wl::ycsbKindName(workload), eager ? "eager" : "lazy",
-                  tput, fences);
-    }
-}
-
-void
-registerAll()
-{
-    for (auto kind :
-         {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
-        for (auto workload :
-             {wl::YcsbKind::a, wl::YcsbKind::b, wl::YcsbKind::c}) {
-            for (bool eager : {false, true}) {
-                std::string name =
-                    std::string("ablation_begin/") +
-                    bench::systemName(kind) + "/ycsb-" +
-                    wl::ycsbKindName(workload) + "/" +
-                    (eager ? "eager" : "lazy");
-                benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [kind, workload, eager](benchmark::State& st) {
-                        runAblation(st, kind, workload, eager);
-                    })
-                    ->UseManualTime()
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
-            }
-        }
-    }
+    double simSeconds = 0;
+    auto d = bench::counted([&] { simSeconds = env.mix(streams, ops); });
+    double tput = static_cast<double>(ops) / simSeconds;
+    double fences = static_cast<double>(d[stats::Counter::fences]) /
+                    static_cast<double>(ops);
+    state.counters["ops_per_sec"] = tput;
+    state.counters["fences_per_op"] = fences;
+    csv.row("%s,%s,%s,%.0f,%.3f", rt::kindName(kind),
+            wl::ycsbKindName(workload), eager ? "eager" : "lazy", tput,
+            fences);
+    return simSeconds;
 }
 
 }  // namespace
@@ -105,9 +51,21 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (auto kind :
+         {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
+        for (auto workload :
+             {wl::YcsbKind::a, wl::YcsbKind::b, wl::YcsbKind::c}) {
+            for (bool eager : {false, true}) {
+                std::string name =
+                    std::string("ablation_begin/") + rt::kindName(kind) +
+                    "/ycsb-" + wl::ycsbKindName(workload) + "/" +
+                    (eager ? "eager" : "lazy");
+                bench::addCase(name, [kind, workload,
+                                      eager](benchmark::State& st) {
+                    return runAblation(st, kind, workload, eager);
+                });
+            }
+        }
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -3,9 +3,12 @@
  * Shared infrastructure for the benchmarks.
  *
  * Every figure bench regenerates one figure of the paper's evaluation
- * (Section 5): it runs the workload through the logical-thread
- * executor, reports *simulated* time to google-benchmark via manual
- * timing, and appends artifact-style rows to figN.csv (the original
+ * (Section 5) through one driver: its `main` registers one case per
+ * cell with addCase() and hands over to runFigure(). A case runs its
+ * workload through the logical-thread executor (KvEnv for the
+ * data-structure figures), reports *simulated* time to
+ * google-benchmark via manual timing, and writes one artifact-style
+ * row through Csv to figN.csv in the working directory (the original
  * artifact's `run_all.sh` emits the same `system,structure,threads,
  * run,valsize,throughput` rows).
  *
@@ -26,11 +29,14 @@
 #ifndef CNVM_BENCH_COMMON_H
 #define CNVM_BENCH_COMMON_H
 
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,7 +48,9 @@
 #include "runtimes/factory.h"
 #include "sim/executor.h"
 #include "stats/counters.h"
+#include "structures/kv.h"
 #include "txn/engine.h"
+#include "workloads/ycsb.h"
 
 namespace cnvm::bench {
 
@@ -121,54 +129,177 @@ threadSweep()
     return out;
 }
 
+/** Key bytes of the data-structure runs: 32 for the B+Tree, else 8. */
+inline size_t
+keyLenFor(const std::string& structure)
+{
+    return structure == "bptree" ? 32 : 8;
+}
+
 /**
- * Appends artifact-style rows to a figN.csv next to the binary. A
- * file that cannot be opened ends the bench with exit status 1.
+ * An Env with its engine and one fresh data structure, driven by YCSB
+ * records: record `id` has a `keyLen`-byte key and a deterministic
+ * value (Ycsb::keyOf / valueOf).
+ */
+class KvEnv : public Env {
+ public:
+    KvEnv(txn::RuntimeKind kind, const std::string& structure,
+          rt::ClobberPolicy policy = rt::ClobberPolicy::refined,
+          size_t poolBytes = 0)
+        : Env(kind, policy, poolBytes),
+          eng(engine()),
+          kv(ds::makeKv(structure, eng)),
+          keyLen(keyLenFor(structure))
+    {
+    }
+
+    /** Insert records [0, n) with `valLen`-byte values, untimed. */
+    void
+    preload(size_t n, size_t valLen)
+    {
+        wl::Ycsb ycsb(wl::YcsbKind::load, n, keyLen, valLen);
+        for (size_t i = 0; i < n; i++)
+            kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
+    }
+
+    /**
+     * YCSB-Load on `threads` logical threads: thread t inserts records
+     * t·perThread + i for i < perThread, with the paper's 256-byte
+     * values. Returns the simulated seconds.
+     */
+    double
+    inserts(unsigned threads, size_t perThread)
+    {
+        wl::Ycsb ycsb(wl::YcsbKind::load, threads * perThread, keyLen,
+                      256);
+        return sim::Executor(threads).run(
+            perThread, [&](sim::ThreadCtx& ctx, size_t i) {
+                uint64_t id = ctx.tid() * perThread + i;
+                kv->insert(ycsb.keyOf(id), ycsb.valueOf(id));
+            });
+    }
+
+    /**
+     * Logical thread t serves `perThread` requests of `streams[t]`: a
+     * read looks its key up, any other request inserts. Returns the
+     * simulated seconds.
+     */
+    double
+    mix(std::vector<wl::Ycsb>& streams, size_t perThread)
+    {
+        ds::LookupResult sink;
+        return sim::Executor(static_cast<unsigned>(streams.size()))
+            .run(perThread, [&](sim::ThreadCtx& ctx, size_t) {
+                auto req = streams[ctx.tid()].next();
+                if (req.op == wl::YcsbOp::read)
+                    kv->lookup(req.key, &sink);
+                else
+                    kv->insert(req.key, req.value);
+            });
+    }
+
+    txn::Engine eng;
+    std::unique_ptr<ds::KvStructure> kv;
+    size_t keyLen;
+};
+
+/**
+ * Run `fn` inside one counter window: zero every thread's counters,
+ * run it, and return what it counted.
+ */
+template <typename Fn>
+stats::Snapshot
+counted(Fn&& fn)
+{
+    stats::resetAll();
+    fn();
+    return stats::aggregate();
+}
+
+/**
+ * One figure's artifact-style rows, in `path` under the working
+ * directory. The first row truncates the file and writes the
+ * `# header` line, so a run whose filter selects no case writes no
+ * file. A file that cannot be opened ends the bench with exit
+ * status 1.
  */
 class Csv {
  public:
-    explicit Csv(const std::string& path)
-        : f_(std::fopen(path.c_str(), "w"))
+    Csv(std::string path, std::string header)
+        : path_(std::move(path)), header_(std::move(header))
     {
-        if (f_ == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            std::exit(1);
-        }
     }
 
-    ~Csv() { std::fclose(f_); }
+    Csv(const Csv&) = delete;
+    Csv& operator=(const Csv&) = delete;
 
-    void
-    comment(const std::string& text)
+    ~Csv()
     {
-        std::fprintf(f_, "# %s\n", text.c_str());
+        if (f_ != nullptr)
+            std::fclose(f_);
     }
 
     template <typename... Args>
     void
     row(const char* fmt, Args... args)
     {
+        if (f_ == nullptr) {
+            f_ = std::fopen(path_.c_str(), "w");
+            if (f_ == nullptr) {
+                std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+                std::exit(1);
+            }
+            std::fprintf(f_, "# %s\n", header_.c_str());
+        }
         std::fprintf(f_, fmt, args...);
         std::fprintf(f_, "\n");
         std::fflush(f_);
     }
 
  private:
-    std::FILE* f_;
+    std::string path_;
+    std::string header_;
+    std::FILE* f_ = nullptr;
 };
 
-/** The systems compared in the throughput figures, in plot order. */
-inline std::vector<txn::RuntimeKind>
-figureSystems()
+/**
+ * Register the figure case `name`: manual time, one iteration,
+ * reported in milliseconds (the returned handle adds arguments or
+ * overrides these). Each iteration calls `run(state)`, which measures
+ * the cell, writes its row and returns the seconds the row stands
+ * for. Every run of the case starts from a fresh copy of `run`, so
+ * state it carries across iterations lives for that run only.
+ */
+template <typename Fn>
+benchmark::internal::Benchmark*
+addCase(const std::string& name, Fn run)
 {
-    return {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
-            txn::RuntimeKind::redo, txn::RuntimeKind::atlas};
+    return benchmark::RegisterBenchmark(
+               name.c_str(),
+               [run](benchmark::State& state) {
+                   Fn fresh = run;
+                   for (auto _ : state)
+                       state.SetIterationTime(fresh(state));
+               })
+        ->UseManualTime()
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
 }
 
-inline const char*
-systemName(txn::RuntimeKind kind)
+/**
+ * The body of every figure bench's `main`, once its cases are
+ * registered: run the cases the flags select, then `after` (a
+ * figure's footer), whatever the filter selected.
+ */
+inline int
+runFigure(int argc, char** argv, const std::function<void()>& after = {})
 {
-    return rt::kindName(kind);
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    if (after)
+        after();
+    benchmark::Shutdown();
+    return 0;
 }
 
 using Clock = std::chrono::steady_clock;

@@ -10,99 +10,40 @@
  * (PMDK, Clobber-NVM) read at native speed, and Clobber-NVM's lazy
  * begin makes read-only transactions free of fences entirely.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("extra_ycsb_mixes.csv");
-    static bool once = [] {
-        c.comment("extra: system,structure,workload,threads,"
-                  "throughput_ops_per_sec");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("extra_ycsb_mixes.csv",
+               "extra: system,structure,workload,threads,"
+               "throughput_ops_per_sec");
 
-void
+double
 runMix(benchmark::State& state, const std::string& structure,
        txn::RuntimeKind kind, wl::YcsbKind workload)
 {
     auto threads = static_cast<unsigned>(state.range(0));
     size_t ops = bench::totalOps(30000);
-    size_t keyLen = structure == "bptree" ? 32 : 8;
+    bench::KvEnv env(kind, structure);
 
-    for (auto _ : state) {
-        bench::Env env(kind);
-        auto eng = env.engine();
-        auto kv = ds::makeKv(structure, eng);
+    // Load phase (not measured).
+    size_t records = ops / 2;
+    env.preload(records, 256);
 
-        // Load phase (not measured).
-        size_t records = ops / 2;
-        wl::Ycsb load(wl::YcsbKind::load, records, keyLen, 256);
-        for (size_t i = 0; i < records; i++)
-            kv->insert(load.keyOf(i), load.valueOf(i));
+    std::vector<wl::Ycsb> streams;
+    streams.reserve(threads);
+    for (unsigned t = 0; t < threads; t++)
+        streams.emplace_back(workload, records, env.keyLen, 256, 100 + t);
 
-        std::vector<wl::Ycsb> streams;
-        streams.reserve(threads);
-        for (unsigned t = 0; t < threads; t++)
-            streams.emplace_back(workload, records, keyLen, 256,
-                                 100 + t);
-
-        sim::Executor exec(threads);
-        size_t perThread = ops / threads;
-        ds::LookupResult sink;
-        double simSeconds = exec.run(
-            perThread, [&](sim::ThreadCtx& ctx, size_t) {
-                auto req = streams[ctx.tid()].next();
-                if (req.op == wl::YcsbOp::read)
-                    kv->lookup(req.key, &sink);
-                else
-                    kv->insert(req.key, req.value);
-            });
-        state.SetIterationTime(simSeconds);
-        double tput =
-            static_cast<double>(perThread * threads) / simSeconds;
-        state.counters["ops_per_sec"] = tput;
-        csv().row("%s,%s,%s,%u,%.0f", bench::systemName(kind),
-                  structure.c_str(), wl::ycsbKindName(workload),
-                  threads, tput);
-    }
-}
-
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        for (auto kind :
-             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
-              txn::RuntimeKind::redo}) {
-            for (auto workload : {wl::YcsbKind::a, wl::YcsbKind::b,
-                                  wl::YcsbKind::c}) {
-                std::string name =
-                    std::string("extra_ycsb/") +
-                    bench::systemName(kind) + "/" + structure +
-                    "/ycsb-" + wl::ycsbKindName(workload);
-                auto* b = benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [structure, kind,
-                     workload](benchmark::State& st) {
-                        runMix(st, structure, kind, workload);
-                    });
-                b->UseManualTime()->Iterations(1)->Unit(
-                    benchmark::kMillisecond);
-                b->Arg(1)->Arg(8);
-            }
-        }
-    }
+    size_t perThread = ops / threads;
+    double simSeconds = env.mix(streams, perThread);
+    double tput = static_cast<double>(perThread * threads) / simSeconds;
+    state.counters["ops_per_sec"] = tput;
+    csv.row("%s,%s,%s,%u,%.0f", rt::kindName(kind), structure.c_str(),
+            wl::ycsbKindName(workload), threads, tput);
+    return simSeconds;
 }
 
 }  // namespace
@@ -110,9 +51,25 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        for (auto kind :
+             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
+              txn::RuntimeKind::redo}) {
+            for (auto workload : {wl::YcsbKind::a, wl::YcsbKind::b,
+                                  wl::YcsbKind::c}) {
+                std::string name = std::string("extra_ycsb/") +
+                                   rt::kindName(kind) + "/" + structure +
+                                   "/ycsb-" + wl::ycsbKindName(workload);
+                bench::addCase(name,
+                               [structure, kind,
+                                workload](benchmark::State& st) {
+                                   return runMix(st, structure, kind,
+                                                 workload);
+                               })
+                    ->Arg(1)
+                    ->Arg(8);
+            }
+        }
+    }
+    return bench::runFigure(argc, argv);
 }

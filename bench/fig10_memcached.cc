@@ -11,108 +11,68 @@
  * (redo's long read path); spinlocks favor insert-heavy mixes,
  * reader-writer locks favor search-heavy ones.
  */
-#include <benchmark/benchmark.h>
-
 #include "apps/kv/kv_server.h"
 #include "bench_common.h"
-#include "structures/kv.h"
 #include "workloads/memslap.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
+bench::Csv csv("fig10.csv", "fig10: system,workload,lockmode,threads,"
+                            "throughput_ops_per_sec");
+
+const char*
+lockName(apps::KvServer::LockMode mode)
 {
-    static bench::Csv c("fig10.csv");
-    static bool once = [] {
-        c.comment("fig10: system,workload,lockmode,threads,"
-                  "throughput_ops_per_sec");
-        return true;
-    }();
-    (void)once;
-    return c;
+    return mode == apps::KvServer::LockMode::spin ? "spinlock" : "rwlock";
 }
 
-void
+double
 runFig10(benchmark::State& state, txn::RuntimeKind kind,
          const wl::MemslapMix& mix, apps::KvServer::LockMode lockMode)
 {
     auto threads = static_cast<unsigned>(state.range(0));
     size_t ops = bench::totalOps(30000);
-    const char* lockName =
-        lockMode == apps::KvServer::LockMode::spin ? "spinlock"
-                                                   : "rwlock";
 
-    for (auto _ : state) {
-        bench::Env env(kind, rt::ClobberPolicy::refined, 768ULL << 20);
-        auto eng = env.engine();
-        apps::KvServer::Config cfg;
-        cfg.lockMode = lockMode;
-        apps::KvServer server(eng, 0, cfg);
+    bench::Env env(kind, rt::ClobberPolicy::refined, 768ULL << 20);
+    auto eng = env.engine();
+    apps::KvServer::Config cfg;
+    cfg.lockMode = lockMode;
+    apps::KvServer server(eng, 0, cfg);
 
-        // Per-thread request streams (memslap clients).
-        std::vector<wl::Memslap> streams;
-        streams.reserve(threads);
-        for (unsigned t = 0; t < threads; t++)
-            streams.emplace_back(mix.insertFraction, ops, 1000 + t);
+    // Per-thread request streams (memslap clients).
+    std::vector<wl::Memslap> streams;
+    streams.reserve(threads);
+    for (unsigned t = 0; t < threads; t++)
+        streams.emplace_back(mix.insertFraction, ops, 1000 + t);
 
-        // Warm the store so searches hit.
-        {
-            wl::Memslap warm(1.0, ops, 7);
-            for (size_t i = 0; i < ops / 2; i++) {
-                auto req = warm.next();
+    // Warm the store so searches hit.
+    {
+        wl::Memslap warm(1.0, ops, 7);
+        for (size_t i = 0; i < ops / 2; i++) {
+            auto req = warm.next();
+            server.set(req.key, req.value);
+        }
+    }
+
+    sim::Executor exec(threads);
+    size_t perThread = ops / threads;
+    ds::LookupResult sink;
+    double simSeconds =
+        exec.run(perThread, [&](sim::ThreadCtx& ctx, size_t) {
+            auto req = streams[ctx.tid()].next();
+            if (req.op == wl::KvOp::set)
                 server.set(req.key, req.value);
-            }
-        }
-
-        sim::Executor exec(threads);
-        size_t perThread = ops / threads;
-        ds::LookupResult sink;
-        double simSeconds = exec.run(
-            perThread, [&](sim::ThreadCtx& ctx, size_t) {
-                auto req = streams[ctx.tid()].next();
-                if (req.op == wl::KvOp::set)
-                    server.set(req.key, req.value);
-                else
-                    server.get(req.key, &sink);
-            });
-        state.SetIterationTime(simSeconds);
-        double tput =
-            static_cast<double>(perThread * threads) / simSeconds;
-        state.counters["ops_per_sec"] = tput;
-        csv().row("%s,%s,%s,%u,%.0f", bench::systemName(kind),
-                  mix.name, lockName, threads, tput);
-    }
-}
-
-void
-registerAll()
-{
-    for (const auto& mix : wl::memslapMixes()) {
-        for (auto kind :
-             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
-              txn::RuntimeKind::redo}) {
-            for (auto lockMode : {apps::KvServer::LockMode::spin,
-                                  apps::KvServer::LockMode::rw}) {
-                std::string name =
-                    std::string("fig10/") + bench::systemName(kind) +
-                    "/" + mix.name + "/" +
-                    (lockMode == apps::KvServer::LockMode::spin
-                         ? "spinlock"
-                         : "rwlock");
-                auto* b = benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [kind, mix, lockMode](benchmark::State& st) {
-                        runFig10(st, kind, mix, lockMode);
-                    });
-                b->UseManualTime()->Iterations(1)->Unit(
-                    benchmark::kMillisecond);
-                for (unsigned t : bench::threadSweep())
-                    b->Arg(t);
-            }
-        }
-    }
+            else
+                server.get(req.key, &sink);
+        });
+    double tput =
+        static_cast<double>(perThread * threads) / simSeconds;
+    state.counters["ops_per_sec"] = tput;
+    csv.row("%s,%s,%s,%u,%.0f", rt::kindName(kind), mix.name,
+            lockName(lockMode), threads, tput);
+    return simSeconds;
 }
 
 }  // namespace
@@ -120,9 +80,23 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& mix : wl::memslapMixes()) {
+        for (auto kind :
+             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
+              txn::RuntimeKind::redo}) {
+            for (auto lockMode : {apps::KvServer::LockMode::spin,
+                                  apps::KvServer::LockMode::rw}) {
+                std::string name = std::string("fig10/") +
+                                   rt::kindName(kind) + "/" + mix.name +
+                                   "/" + lockName(lockMode);
+                auto* b = bench::addCase(
+                    name, [kind, mix, lockMode](benchmark::State& st) {
+                        return runFig10(st, kind, mix, lockMode);
+                    });
+                for (unsigned t : bench::threadSweep())
+                    b->Arg(t);
+            }
+        }
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -9,28 +9,21 @@
  * benchmarks. The mesh here is generated (see src/apps/yada); the
  * printout mirrors the artifact's per-run summary.
  */
-#include <benchmark/benchmark.h>
-
-#include "apps/yada/yada.h"
 #include <map>
 
+#include "apps/yada/yada.h"
 #include "bench_common.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig12.csv");
-    static bool once = [] {
-        c.comment("fig12: system,angle_deg,elapsed_sim_sec,steps,"
-                  "final_mesh_size,overhead_vs_nolog_pct");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("fig12.csv",
+               "fig12: system,angle_deg,elapsed_sim_sec,steps,"
+               "final_mesh_size,overhead_vs_nolog_pct");
+
+/** Side of the generated point grid (~676 initial points). */
+constexpr uint64_t kGridSide = 26;
 
 struct YadaResult {
     double simSeconds;
@@ -45,14 +38,13 @@ measure(txn::RuntimeKind kind, double angleDeg)
     bench::Env env(kind, rt::ClobberPolicy::refined, 768ULL << 20);
     auto eng = env.engine();
     apps::Yada::Config cfg;
-    cfg.gridSide = bench::envSize("CNVM_YADA_GRID", 26);
+    cfg.gridSide = kGridSide;
     cfg.angleConstraintDeg = angleDeg;
     apps::Yada yada(eng, 0, cfg);
 
     uint64_t steps = 0;
-    double simSeconds = sim::timeSimulated([&](sim::ThreadCtx&) {
-        steps = yada.refineAll();
-    });
+    double simSeconds = sim::Executor(1).run(
+        1, [&](sim::ThreadCtx&, size_t) { steps = yada.refineAll(); });
     bool requireQuality = !yada.hasWork();
     return {simSeconds, steps, yada.meshSize(),
             yada.validate(requireQuality)};
@@ -72,55 +64,28 @@ baseline(double angle)
     return v;
 }
 
-void
+double
 runFig12(benchmark::State& state, txn::RuntimeKind kind)
 {
     double angle = static_cast<double>(state.range(0));
-    for (auto _ : state) {
-        YadaResult base = baseline(angle);
-        YadaResult r = kind == txn::RuntimeKind::noLog
-                           ? base
-                           : measure(kind, angle);
-        state.SetIterationTime(r.simSeconds);
-        double overhead =
-            (r.simSeconds / base.simSeconds - 1.0) * 100.0;
-        state.counters["elapsed_s"] = r.simSeconds;
-        state.counters["mesh_size"] =
-            static_cast<double>(r.meshSize);
-        state.counters["overhead_vs_nolog_pct"] = overhead;
-        state.counters["valid"] = r.valid ? 1 : 0;
-        csv().row("%s,%.0f,%.4f,%llu,%llu,%.1f",
-                  bench::systemName(kind), angle, r.simSeconds,
-                  static_cast<unsigned long long>(r.steps),
-                  static_cast<unsigned long long>(r.meshSize),
-                  overhead);
-        // Artifact-style summary (Appendix A.6).
-        std::printf("Angle constraint = %.6f\n", angle);
-        std::printf("Elapsed time = %.3f (simulated)\n", r.simSeconds);
-        std::printf("Final mesh size = %llu\n",
-                    static_cast<unsigned long long>(r.meshSize));
-        std::printf("Final mesh is %s.\n",
-                    r.valid ? "valid" : "INVALID");
-    }
-}
-
-void
-registerAll()
-{
-    for (auto kind :
-         {txn::RuntimeKind::noLog, txn::RuntimeKind::clobber,
-          txn::RuntimeKind::undo}) {
-        std::string name =
-            std::string("fig12/") + bench::systemName(kind);
-        auto* b = benchmark::RegisterBenchmark(
-            name.c_str(), [kind](benchmark::State& st) {
-                runFig12(st, kind);
-            });
-        b->UseManualTime()->Iterations(1)->Unit(
-            benchmark::kMillisecond);
-        for (int angle : {15, 20, 25, 30})
-            b->Arg(angle);
-    }
+    YadaResult base = baseline(angle);
+    YadaResult r =
+        kind == txn::RuntimeKind::noLog ? base : measure(kind, angle);
+    double overhead = (r.simSeconds / base.simSeconds - 1.0) * 100.0;
+    state.counters["elapsed_s"] = r.simSeconds;
+    state.counters["mesh_size"] = static_cast<double>(r.meshSize);
+    state.counters["overhead_vs_nolog_pct"] = overhead;
+    state.counters["valid"] = r.valid ? 1 : 0;
+    csv.row("%s,%.0f,%.4f,%llu,%llu,%.1f", rt::kindName(kind), angle,
+            r.simSeconds, static_cast<unsigned long long>(r.steps),
+            static_cast<unsigned long long>(r.meshSize), overhead);
+    // Artifact-style summary (Appendix A.6).
+    std::printf("Angle constraint = %.6f\n", angle);
+    std::printf("Elapsed time = %.3f (simulated)\n", r.simSeconds);
+    std::printf("Final mesh size = %llu\n",
+                static_cast<unsigned long long>(r.meshSize));
+    std::printf("Final mesh is %s.\n", r.valid ? "valid" : "INVALID");
+    return r.simSeconds;
 }
 
 }  // namespace
@@ -128,9 +93,15 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (auto kind : {txn::RuntimeKind::noLog, txn::RuntimeKind::clobber,
+                      txn::RuntimeKind::undo}) {
+        auto* b = bench::addCase(std::string("fig12/") +
+                                     rt::kindName(kind),
+                                 [kind](benchmark::State& st) {
+                                     return runFig12(st, kind);
+                                 });
+        for (int angle : {15, 20, 25, 30})
+            b->Arg(angle);
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -13,32 +13,20 @@
  * memcached's 95%-insert mix improves ~15% (32% fewer entries, 47%
  * fewer bytes unoptimized); B+Tree benefits least.
  */
-#include <benchmark/benchmark.h>
-
 #include "apps/kv/kv_server.h"
 #include "bench_common.h"
 #include "cir/builders.h"
 #include "cir/clobber_pass.h"
-#include "structures/kv.h"
 #include "workloads/memslap.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 using stats::Counter;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig13.csv");
-    static bool once = [] {
-        c.comment("fig13: workload,conservative_tput,refined_tput,"
-                  "improvement_pct,extra_entries_pct,extra_bytes_pct");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("fig13.csv",
+               "fig13: workload,conservative_tput,refined_tput,"
+               "improvement_pct,extra_entries_pct,extra_bytes_pct");
 
 struct Run {
     double tput;
@@ -47,25 +35,21 @@ struct Run {
 };
 
 Run
-runStructure(const std::string& structure, rt::ClobberPolicy policy,
-             size_t ops)
+result(size_t ops, double simSeconds, const stats::Snapshot& d)
 {
-    bench::Env env(txn::RuntimeKind::clobber, policy);
-    auto eng = env.engine();
-    auto kv = ds::makeKv(structure, eng);
-    size_t keyLen = structure == "bptree" ? 32 : 8;
-    wl::Ycsb ycsb(wl::YcsbKind::load, ops, keyLen, 256);
-
-    stats::resetAll();
-    sim::Executor exec(1);
-    double simSeconds =
-        exec.run(ops, [&](sim::ThreadCtx&, size_t i) {
-            kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
-        });
-    auto d = stats::aggregate();
     return {static_cast<double>(ops) / simSeconds,
             static_cast<double>(d[Counter::clobberEntries]),
             static_cast<double>(d[Counter::clobberBytes])};
+}
+
+Run
+runStructure(const std::string& structure, rt::ClobberPolicy policy,
+             size_t ops)
+{
+    bench::KvEnv env(txn::RuntimeKind::clobber, structure, policy);
+    double simSeconds = 0;
+    auto d = bench::counted([&] { simSeconds = env.inserts(1, ops); });
+    return result(ops, simSeconds, d);
 }
 
 Run
@@ -77,28 +61,32 @@ runMemcached(double insertFraction, rt::ClobberPolicy policy,
     apps::KvServer server(eng);
     wl::Memslap gen(insertFraction, ops, 3);
 
-    stats::resetAll();
-    sim::Executor exec(1);
+    double simSeconds = 0;
     ds::LookupResult sink;
-    double simSeconds =
-        exec.run(ops, [&](sim::ThreadCtx&, size_t) {
-            auto req = gen.next();
-            if (req.op == wl::KvOp::set)
-                server.set(req.key, req.value);
-            else
-                server.get(req.key, &sink);
-        });
-    auto d = stats::aggregate();
-    return {static_cast<double>(ops) / simSeconds,
-            static_cast<double>(d[Counter::clobberEntries]),
-            static_cast<double>(d[Counter::clobberBytes])};
+    auto d = bench::counted([&] {
+        simSeconds = sim::Executor(1).run(
+            ops, [&](sim::ThreadCtx&, size_t) {
+                auto req = gen.next();
+                if (req.op == wl::KvOp::set)
+                    server.set(req.key, req.value);
+                else
+                    server.get(req.key, &sink);
+            });
+    });
+    return result(ops, simSeconds, d);
 }
 
-void
-report(benchmark::State& state, const std::string& name,
-       const Run& cons, const Run& refined, size_t ops)
+/**
+ * One workload's row: `run(policy, ops)` under the conservative and
+ * then the refined policy. Returns the refined run's seconds.
+ */
+template <typename Fn>
+double
+compare(benchmark::State& state, const std::string& name, Fn run)
 {
-    state.SetIterationTime(static_cast<double>(ops) / refined.tput);
+    size_t ops = bench::totalOps(25000);
+    Run cons = run(rt::ClobberPolicy::conservative, ops);
+    Run refined = run(rt::ClobberPolicy::refined, ops);
     double improvement = (refined.tput / cons.tput - 1.0) * 100.0;
     double extraEntries =
         refined.entries > 0
@@ -111,36 +99,9 @@ report(benchmark::State& state, const std::string& name,
     state.counters["improvement_pct"] = improvement;
     state.counters["unopt_extra_entries_pct"] = extraEntries;
     state.counters["unopt_extra_bytes_pct"] = extraBytes;
-    csv().row("%s,%.0f,%.0f,%.2f,%.1f,%.1f", name.c_str(), cons.tput,
-              refined.tput, improvement, extraEntries, extraBytes);
-}
-
-void
-runFig13Structure(benchmark::State& state,
-                  const std::string& structure)
-{
-    size_t ops = bench::totalOps(25000);
-    for (auto _ : state) {
-        Run cons = runStructure(structure,
-                                rt::ClobberPolicy::conservative, ops);
-        Run refined =
-            runStructure(structure, rt::ClobberPolicy::refined, ops);
-        report(state, structure, cons, refined, ops);
-    }
-}
-
-void
-runFig13Memcached(benchmark::State& state, const wl::MemslapMix& mix)
-{
-    size_t ops = bench::totalOps(25000);
-    for (auto _ : state) {
-        Run cons = runMemcached(mix.insertFraction,
-                                rt::ClobberPolicy::conservative, ops);
-        Run refined = runMemcached(mix.insertFraction,
-                                   rt::ClobberPolicy::refined, ops);
-        report(state, std::string("memcached-") + mix.name, cons,
-               refined, ops);
-    }
+    csv.row("%s,%.0f,%.0f,%.2f,%.1f,%.1f", name.c_str(), cons.tput,
+            refined.tput, improvement, extraEntries, extraBytes);
+    return static_cast<double>(ops) / refined.tput;
 }
 
 /** Static view: the pass's own removal counts per module. */
@@ -161,40 +122,25 @@ printStaticCounts()
     }
 }
 
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        std::string name = std::string("fig13/") + structure;
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [structure](benchmark::State& st) {
-                runFig13Structure(st, structure);
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    for (const auto& mix : wl::memslapMixes()) {
-        std::string name = std::string("fig13/memcached-") + mix.name;
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [mix](benchmark::State& st) { runFig13Memcached(st, mix); })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printStaticCounts();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        bench::addCase("fig13/" + structure,
+                       [structure](benchmark::State& st) {
+                           return compare(
+                               st, structure,
+                               std::bind_front(runStructure, structure));
+                       });
+    }
+    for (const auto& mix : wl::memslapMixes()) {
+        std::string name = std::string("memcached-") + mix.name;
+        bench::addCase("fig13/" + name, [name, mix](benchmark::State& st) {
+            return compare(st, name, std::bind_front(runMemcached,
+                                                     mix.insertFraction));
+        });
+    }
+    return bench::runFigure(argc, argv, printStaticCounts);
 }

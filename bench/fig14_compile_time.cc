@@ -15,8 +15,6 @@
  * the paper (55% on memcached, which compiles its whole project
  * through the pass).
  */
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 
@@ -47,17 +45,8 @@ passShare(const std::string& module)
     return 0.5;
 }
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig14.csv");
-    static bool once = [] {
-        c.comment("fig14: module,functions,baseline_ms,clobber_ms,"
-                  "overhead_pct");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("fig14.csv", "fig14: module,functions,baseline_ms,"
+                            "clobber_ms,overhead_pct");
 
 double
 timeOf(const std::function<void()>& fn)
@@ -68,68 +57,50 @@ timeOf(const std::function<void()>& fn)
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-void
+double
 runFig14(benchmark::State& state, const cir::IrModule& mod)
 {
-    for (auto _ : state) {
-        uint64_t sink = 0;
-        // Interleave repeated measurements and keep the minima: the
-        // single-core host timeshares with the harness, so one-shot
-        // timings are noisy.
-        double baselineMs = 1e100;
-        double fullMs = 1e100;
-        for (int rep = 0; rep < 5; rep++) {
-            baselineMs = std::min(baselineMs, timeOf([&] {
-                for (const auto& fn : mod.functions) {
-                    for (int r = 0; r < kFrontendFactor; r++)
-                        sink ^= cir::baselineTraversal(fn);
-                }
-            }));
-            size_t passCount = static_cast<size_t>(
-                passShare(mod.name) *
-                static_cast<double>(mod.functions.size()));
-            fullMs = std::min(fullMs, timeOf([&] {
-                for (size_t i = 0; i < mod.functions.size(); i++) {
-                    const auto& fn = mod.functions[i];
-                    for (int r = 0; r < kFrontendFactor; r++)
-                        sink ^= cir::baselineTraversal(fn);
-                    if (i >= passCount)
-                        continue;  // plain clang for non-pmem files
-                    // Pass 1: clobber identification + refinement.
-                    auto res = cir::analyzeClobbers(fn);
-                    sink ^= res.refinedSites.size();
-                    // Passes 2 and 3: access-callback and recovery
-                    // instrumentation are linear walks.
+    uint64_t sink = 0;
+    // Interleave repeated measurements and keep the minima: the
+    // single-core host timeshares with the harness, so one-shot
+    // timings are noisy.
+    double baselineMs = 1e100;
+    double fullMs = 1e100;
+    for (int rep = 0; rep < 5; rep++) {
+        baselineMs = std::min(baselineMs, timeOf([&] {
+            for (const auto& fn : mod.functions) {
+                for (int r = 0; r < kFrontendFactor; r++)
                     sink ^= cir::baselineTraversal(fn);
+            }
+        }));
+        size_t passCount = static_cast<size_t>(
+            passShare(mod.name) *
+            static_cast<double>(mod.functions.size()));
+        fullMs = std::min(fullMs, timeOf([&] {
+            for (size_t i = 0; i < mod.functions.size(); i++) {
+                const auto& fn = mod.functions[i];
+                for (int r = 0; r < kFrontendFactor; r++)
                     sink ^= cir::baselineTraversal(fn);
-                }
-            }));
-        }
-        benchmark::DoNotOptimize(sink);
-        state.SetIterationTime(fullMs / 1000.0);
-        double overhead = (fullMs / baselineMs - 1.0) * 100.0;
-        state.counters["baseline_ms"] = baselineMs;
-        state.counters["clobber_ms"] = fullMs;
-        state.counters["overhead_pct"] = overhead;
-        csv().row("%s,%zu,%.3f,%.3f,%.1f", mod.name.c_str(),
-                  mod.functions.size(), baselineMs, fullMs, overhead);
+                if (i >= passCount)
+                    continue;  // plain clang for non-pmem files
+                // Pass 1: clobber identification + refinement.
+                auto res = cir::analyzeClobbers(fn);
+                sink ^= res.refinedSites.size();
+                // Passes 2 and 3: access-callback and recovery
+                // instrumentation are linear walks.
+                sink ^= cir::baselineTraversal(fn);
+                sink ^= cir::baselineTraversal(fn);
+            }
+        }));
     }
-}
-
-void
-registerAll()
-{
-    static auto modules =
-        cir::benchmarkModules(bench::envSize("CNVM_CIR_SCALE", 6));
-    for (const auto& mod : modules) {
-        std::string name = std::string("fig14/") + mod.name;
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [&mod](benchmark::State& st) { runFig14(st, mod); })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::DoNotOptimize(sink);
+    double overhead = (fullMs / baselineMs - 1.0) * 100.0;
+    state.counters["baseline_ms"] = baselineMs;
+    state.counters["clobber_ms"] = fullMs;
+    state.counters["overhead_pct"] = overhead;
+    csv.row("%s,%zu,%.3f,%.3f,%.1f", mod.name.c_str(),
+            mod.functions.size(), baselineMs, fullMs, overhead);
+    return fullMs / 1000.0;
 }
 
 }  // namespace
@@ -137,9 +108,14 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    // Six copies of each module's functions model a compilation unit
+    // of realistic size.
+    const auto modules = cir::benchmarkModules(6);
+    for (const auto& mod : modules) {
+        bench::addCase("fig14/" + mod.name,
+                       [&mod](benchmark::State& state) {
+                           return runFig14(state, mod);
+                       });
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -13,90 +13,44 @@
  * Mnemosyne catches up at high thread counts on the global-lock
  * structures (rbtree, skiplist).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig6.csv");
-    static bool once = [] {
-        c.comment("fig6: system,structure,threads,run,valsize,"
-                  "throughput_ops_per_sec");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
-
-void
-runFig6(benchmark::State& state, const std::string& structure,
-        txn::RuntimeKind kind)
-{
-    auto threads = static_cast<unsigned>(state.range(0));
-    size_t ops = bench::totalOps(40000);
-    size_t keyLen = structure == "bptree" ? 32 : 8;
-    constexpr size_t kValLen = 256;
-
-    for (auto _ : state) {
-        bench::Env env(kind);
-        auto eng = env.engine();
-        auto kv = ds::makeKv(structure, eng);
-        wl::Ycsb ycsb(wl::YcsbKind::load, ops, keyLen, kValLen);
-
-        sim::Executor exec(threads);
-        size_t perThread = ops / threads;
-        double simSeconds = exec.run(
-            perThread, [&](sim::ThreadCtx& ctx, size_t i) {
-                uint64_t id = ctx.tid() * perThread + i;
-                kv->insert(ycsb.keyOf(id), ycsb.valueOf(id));
-            });
-        state.SetIterationTime(simSeconds);
-        double tput = static_cast<double>(perThread * threads) /
-                      simSeconds;
-        state.counters["ops_per_sec"] = tput;
-        csv().row("%s,%s,%u,0,%zu,%.0f", bench::systemName(kind),
-                  structure.c_str(), threads, kValLen, tput);
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * ops));
-}
-
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        for (auto kind : bench::figureSystems()) {
-            std::string name = std::string("fig6/") +
-                               bench::systemName(kind) + "/" +
-                               structure;
-            auto* b = benchmark::RegisterBenchmark(
-                name.c_str(),
-                [structure, kind](benchmark::State& st) {
-                    runFig6(st, structure, kind);
-                });
-            b->UseManualTime()->Iterations(1)->Unit(
-                benchmark::kMillisecond);
-            for (unsigned t : bench::threadSweep())
-                b->Arg(t);
-        }
-    }
-}
+bench::Csv csv("fig6.csv",
+               "fig6: system,structure,threads,run,valsize,"
+               "throughput_ops_per_sec");
 
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        for (auto kind :
+             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo,
+              txn::RuntimeKind::redo, txn::RuntimeKind::atlas}) {
+            auto run = [structure, kind](benchmark::State& state) {
+                auto threads = static_cast<unsigned>(state.range(0));
+                size_t perThread = bench::totalOps(40000) / threads;
+                bench::KvEnv env(kind, structure);
+                double simSeconds = env.inserts(threads, perThread);
+                double tput = static_cast<double>(perThread * threads) /
+                              simSeconds;
+                state.counters["ops_per_sec"] = tput;
+                csv.row("%s,%s,%u,0,256,%.0f", rt::kindName(kind),
+                        structure.c_str(), threads, tput);
+                return simSeconds;
+            };
+            auto* b = bench::addCase(std::string("fig6/") +
+                                         rt::kindName(kind) + "/" +
+                                         structure,
+                                     run);
+            for (unsigned t : bench::threadSweep())
+                b->Arg(t);
+        }
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -14,12 +14,8 @@
  * entries and log bytes per transaction; the footer prints the
  * paper's headline ratios (PMDK vs Clobber log bytes / fences).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "runtimes/clobber.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
@@ -41,20 +37,12 @@ const Config kConfigs[] = {
     {"pmdk", txn::RuntimeKind::undo, false, false},
 };
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig7.csv");
-    static bool once = [] {
-        c.comment("fig7: config,structure,throughput_ops_per_sec,"
-                  "log_entries_per_tx,log_bytes_per_tx,fences_per_tx");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("fig7.csv",
+               "fig7: config,structure,throughput_ops_per_sec,"
+               "log_entries_per_tx,log_bytes_per_tx,fences_per_tx");
 
 struct Measured {
-    double tput;
+    double seconds;  ///< simulated
     double entriesPerTx;
     double bytesPerTx;
     double fencesPerTx;
@@ -63,25 +51,14 @@ struct Measured {
 Measured
 measure(const Config& cfg, const std::string& structure, size_t ops)
 {
-    bench::Env env(cfg.kind);
+    bench::KvEnv env(cfg.kind, structure);
     if (cfg.kind == txn::RuntimeKind::clobber) {
         auto* cl = dynamic_cast<rt::ClobberRuntime*>(env.runtime.get());
         cl->setVlogEnabled(cfg.vlog);
         cl->setClobberLogEnabled(cfg.clobberLog);
     }
-    auto eng = env.engine();
-    auto kv = ds::makeKv(structure, eng);
-    size_t keyLen = structure == "bptree" ? 32 : 8;
-    wl::Ycsb ycsb(wl::YcsbKind::load, ops, keyLen, 256);
-
-    stats::resetAll();
-    auto before = stats::aggregate();
-    sim::Executor exec(1);
-    double simSeconds =
-        exec.run(ops, [&](sim::ThreadCtx&, size_t i) {
-            kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
-        });
-    auto d = stats::aggregate() - before;
+    double simSeconds = 0;
+    auto d = bench::counted([&] { simSeconds = env.inserts(1, ops); });
 
     double n = static_cast<double>(ops);
     double entries = 0;
@@ -95,26 +72,8 @@ measure(const Config& cfg, const std::string& structure, size_t ops)
         bytes = static_cast<double>(d[Counter::clobberBytes] +
                                     d[Counter::vlogBytes]);
     }
-    return Measured{n / simSeconds, entries / n, bytes / n,
+    return Measured{simSeconds, entries / n, bytes / n,
                     static_cast<double>(d[Counter::fences]) / n};
-}
-
-void
-runFig7(benchmark::State& state, const Config& cfg,
-        const std::string& structure)
-{
-    size_t ops = bench::totalOps(30000);
-    for (auto _ : state) {
-        Measured m = measure(cfg, structure, ops);
-        state.SetIterationTime(static_cast<double>(ops) / m.tput);
-        state.counters["ops_per_sec"] = m.tput;
-        state.counters["entries_per_tx"] = m.entriesPerTx;
-        state.counters["bytes_per_tx"] = m.bytesPerTx;
-        state.counters["fences_per_tx"] = m.fencesPerTx;
-        csv().row("%s,%s,%.0f,%.3f,%.1f,%.3f", cfg.name,
-                  structure.c_str(), m.tput, m.entriesPerTx,
-                  m.bytesPerTx, m.fencesPerTx);
-    }
 }
 
 /** Section 5.3 headline ratios, printed after the sweep. */
@@ -135,34 +94,30 @@ printHeadline()
     }
 }
 
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        for (const auto& cfg : kConfigs) {
-            std::string name = std::string("fig7/") + cfg.name + "/" +
-                               structure;
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [structure, &cfg](benchmark::State& st) {
-                    runFig7(st, cfg, structure);
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printHeadline();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        for (const auto& cfg : kConfigs) {
+            auto run = [structure, &cfg](benchmark::State& state) {
+                size_t ops = bench::totalOps(30000);
+                Measured m = measure(cfg, structure, ops);
+                double tput = static_cast<double>(ops) / m.seconds;
+                state.counters["ops_per_sec"] = tput;
+                state.counters["entries_per_tx"] = m.entriesPerTx;
+                state.counters["bytes_per_tx"] = m.bytesPerTx;
+                state.counters["fences_per_tx"] = m.fencesPerTx;
+                csv.row("%s,%s,%.0f,%.3f,%.1f,%.3f", cfg.name,
+                        structure.c_str(), tput, m.entriesPerTx,
+                        m.bytesPerTx, m.fencesPerTx);
+                return m.seconds;
+            };
+            bench::addCase(std::string("fig7/") + cfg.name + "/" +
+                               structure,
+                           run);
+        }
+    }
+    return bench::runFigure(argc, argv, printHeadline);
 }

@@ -8,30 +8,18 @@
  * one v_log record. Paper: iDO logs 1x-23x more frequently and on
  * average 4.2x more bytes (up to 7.2x on skiplist).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 using stats::Counter;
 
-bench::Csv& csv()
-{
-    static bench::Csv c("fig8.csv");
-    static bool once = [] {
-        c.comment("fig8: system,structure,log_entries_per_tx,"
-                  "log_bytes_per_tx");
-        return true;
-    }();
-    (void)once;
-    return c;
-}
+bench::Csv csv("fig8.csv", "fig8: system,structure,log_entries_per_tx,"
+                           "log_bytes_per_tx");
 
 struct Volume {
+    double seconds;  ///< simulated
     double entriesPerTx;
     double bytesPerTx;
 };
@@ -40,68 +28,21 @@ Volume
 measure(txn::RuntimeKind kind, const std::string& structure,
         size_t ops)
 {
-    bench::Env env(kind);
-    auto eng = env.engine();
-    auto kv = ds::makeKv(structure, eng);
-    size_t keyLen = structure == "bptree" ? 32 : 8;
-    wl::Ycsb ycsb(wl::YcsbKind::load, ops, keyLen, 256);
-
-    stats::resetAll();
-    auto before = stats::aggregate();
-    for (size_t i = 0; i < ops; i++)
-        kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
-    auto d = stats::aggregate() - before;
+    bench::KvEnv env(kind, structure);
+    double simSeconds = 0;
+    auto d = bench::counted([&] { simSeconds = env.inserts(1, ops); });
 
     double n = static_cast<double>(ops);
     if (kind == txn::RuntimeKind::ido) {
-        return {static_cast<double>(d[Counter::idoEntries]) / n,
+        return {simSeconds,
+                static_cast<double>(d[Counter::idoEntries]) / n,
                 static_cast<double>(d[Counter::idoBytes]) / n};
     }
-    return {static_cast<double>(d[Counter::clobberEntries] +
+    return {simSeconds,
+            static_cast<double>(d[Counter::clobberEntries] +
                                 d[Counter::vlogEntries]) / n,
             static_cast<double>(d[Counter::clobberBytes] +
                                 d[Counter::vlogBytes]) / n};
-}
-
-void
-runFig8(benchmark::State& state, const std::string& structure)
-{
-    size_t ops = bench::totalOps(20000);
-    for (auto _ : state) {
-        auto t0 = std::chrono::steady_clock::now();
-        Volume ido = measure(txn::RuntimeKind::ido, structure, ops);
-        Volume clob =
-            measure(txn::RuntimeKind::clobber, structure, ops);
-        auto t1 = std::chrono::steady_clock::now();
-        state.SetIterationTime(
-            std::chrono::duration<double>(t1 - t0).count());
-        state.counters["ido_bytes_per_tx"] = ido.bytesPerTx;
-        state.counters["clobber_bytes_per_tx"] = clob.bytesPerTx;
-        state.counters["bytes_ratio"] =
-            ido.bytesPerTx / clob.bytesPerTx;
-        state.counters["entries_ratio"] =
-            ido.entriesPerTx / clob.entriesPerTx;
-        csv().row("ido,%s,%.3f,%.1f", structure.c_str(),
-                  ido.entriesPerTx, ido.bytesPerTx);
-        csv().row("clobber,%s,%.3f,%.1f", structure.c_str(),
-                  clob.entriesPerTx, clob.bytesPerTx);
-    }
-}
-
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        std::string name = std::string("fig8/") + structure;
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [structure](benchmark::State& st) {
-                runFig8(st, structure);
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
 }
 
 }  // namespace
@@ -109,9 +50,25 @@ registerAll()
 int
 main(int argc, char** argv)
 {
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        auto run = [structure](benchmark::State& state) {
+            size_t ops = bench::totalOps(20000);
+            Volume ido = measure(txn::RuntimeKind::ido, structure, ops);
+            Volume clob =
+                measure(txn::RuntimeKind::clobber, structure, ops);
+            state.counters["ido_bytes_per_tx"] = ido.bytesPerTx;
+            state.counters["clobber_bytes_per_tx"] = clob.bytesPerTx;
+            state.counters["bytes_ratio"] =
+                ido.bytesPerTx / clob.bytesPerTx;
+            state.counters["entries_ratio"] =
+                ido.entriesPerTx / clob.entriesPerTx;
+            csv.row("ido,%s,%.3f,%.1f", structure.c_str(),
+                    ido.entriesPerTx, ido.bytesPerTx);
+            csv.row("clobber,%s,%.3f,%.1f", structure.c_str(),
+                    clob.entriesPerTx, clob.bytesPerTx);
+            return ido.seconds + clob.seconds;
+        };
+        bench::addCase("fig8/" + structure, run);
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -20,63 +20,64 @@
  * BENCH_recovery.current.json) that `scripts/bench.sh recovery`
  * merges into BENCH_recovery.json.
  */
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "structures/kv.h"
-#include "workloads/ycsb.h"
 
 namespace {
 
 using namespace cnvm;
 
-bench::Csv& csv()
+bench::Csv csv("fig9.csv", "fig9: system,structure,crash_point,"
+                           "recover_total_us,rebuild_us");
+
+double
+usBetween(std::chrono::steady_clock::time_point a,
+          std::chrono::steady_clock::time_point b)
 {
-    static bench::Csv c("fig9.csv");
-    static bool once = [] {
-        c.comment("fig9: system,structure,crash_point,"
-                  "recover_total_us,rebuild_us");
-        return true;
-    }();
-    (void)once;
-    return c;
+    return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-void
-runFig9(benchmark::State& state, const std::string& structure,
-        txn::RuntimeKind kind)
+/**
+ * Load records [0, ops) into `env`, then crash the insert of record
+ * `id` at a random write and tear the pool. Returns the write the
+ * crash was armed at.
+ */
+uint64_t
+loadAndCrash(bench::KvEnv& env, size_t ops, size_t id, Xorshift& rng)
 {
-    size_t ops = bench::totalOps(20000) / 2;
-    size_t keyLen = structure == "bptree" ? 32 : 8;
-    Xorshift rng(2026);
+    env.preload(ops, 256);
+    wl::Ycsb ycsb(wl::YcsbKind::load, id + 1, env.keyLen, 256);
+    uint64_t trap = 1 + rng.nextUint(30);
+    env.pool->armWriteTrap(trap);
+    bool crashed = false;
+    try {
+        env.kv->insert(ycsb.keyOf(id), ycsb.valueOf(id));
+    } catch (const nvm::CrashInjected&) {
+        crashed = true;
+    }
+    env.pool->armWriteTrap(0);
+    if (crashed)
+        env.pool->simulateCrash(rng.next());
+    return trap;
+}
 
-    double totalUs = 0;
-    double rebuildUs = 0;
-    int runs = 0;
-    for (auto _ : state) {
-        bench::Env env(kind);
-        auto eng = env.engine();
-        auto kv = ds::makeKv(structure, eng);
-        wl::Ycsb ycsb(wl::YcsbKind::load, ops, keyLen, 256);
-        for (size_t i = 0; i < ops; i++)
-            kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
-
-        // Crash a random insert at a random write.
-        uint64_t trap = 1 + rng.nextUint(30);
-        env.pool->armWriteTrap(trap);
-        bool crashed = false;
-        try {
-            kv->insert(ycsb.keyOf(ops + 1), ycsb.valueOf(ops + 1));
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        env.pool->armWriteTrap(0);
-        if (crashed)
-            env.pool->simulateCrash(rng.next());
+/**
+ * One Fig. 9 case: each iteration loads the structure, crashes an
+ * insert, and times recovery. Crash points continue across the
+ * iterations of one run.
+ */
+auto
+fig9Case(const std::string& structure, txn::RuntimeKind kind)
+{
+    return [structure, kind, rng = Xorshift(2026), totalUs = 0.0,
+            rebuildUs = 0.0,
+            runs = 0](benchmark::State& state) mutable {
+        size_t ops = bench::totalOps(20000) / 2;
+        bench::KvEnv env(kind, structure);
+        uint64_t trap = loadAndCrash(env, ops, ops + 1, rng);
 
         // Recovery = allocator rebuild ("pool open") + log apply +
         // (clobber) re-execution. recover() performs all three; the
@@ -87,29 +88,17 @@ runFig9(benchmark::State& state, const std::string& structure,
         env.heap->rebuild();
         auto t2 = std::chrono::steady_clock::now();
 
-        double recUs =
-            std::chrono::duration<double, std::micro>(t1 - t0).count();
-        double rbUs =
-            std::chrono::duration<double, std::micro>(t2 - t1).count();
-        state.SetIterationTime(
-            std::chrono::duration<double>(t1 - t0).count());
+        double recUs = usBetween(t0, t1);
+        double rbUs = usBetween(t1, t2);
         totalUs += recUs;
         rebuildUs += rbUs;
         runs++;
-        csv().row("%s,%s,%lu,%.1f,%.1f", bench::systemName(kind),
-                  structure.c_str(), trap, recUs, rbUs);
-    }
-    if (runs > 0) {
         state.counters["recover_us"] = totalUs / runs;
         state.counters["pool_mgmt_us"] = rebuildUs / runs;
-    }
-}
-
-double
-usBetween(std::chrono::steady_clock::time_point a,
-          std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double, std::micro>(b - a).count();
+        csv.row("%s,%s,%lu,%.1f,%.1f", rt::kindName(kind),
+                structure.c_str(), trap, recUs, rbUs);
+        return recUs * 1e-6;
+    };
 }
 
 /**
@@ -129,29 +118,13 @@ void
 runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
             size_t ops, Xorshift& rng, bench::Row& row)
 {
-    bench::Env env(kind, rt::ClobberPolicy::refined, poolMB << 20);
-    uint64_t rootOff = 0;
-    {
-        auto eng = env.engine();
-        auto kv = ds::makeKv("hashmap", eng);
-        rootOff = kv->rootOff();
-        wl::Ycsb ycsb(wl::YcsbKind::load, ops + 2, 8, 256);
-        for (size_t i = 0; i < ops; i++)
-            kv->insert(ycsb.keyOf(i), ycsb.valueOf(i));
+    bench::KvEnv env(kind, "hashmap", rt::ClobberPolicy::refined,
+                     poolMB << 20);
+    loadAndCrash(env, ops, ops, rng);
+    uint64_t rootOff = env.kv->rootOff();
+    env.kv.reset();
 
-        env.pool->armWriteTrap(1 + rng.nextUint(30));
-        bool crashed = false;
-        try {
-            kv->insert(ycsb.keyOf(ops), ycsb.valueOf(ops));
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        env.pool->armWriteTrap(0);
-        if (crashed)
-            env.pool->simulateCrash(rng.next());
-    }
-
-    wl::Ycsb ycsb(wl::YcsbKind::load, ops + 2, 8, 256);
+    wl::Ycsb ycsb(wl::YcsbKind::load, ops + 2, env.keyLen, 256);
     auto before = stats::aggregate();
     auto t0 = std::chrono::steady_clock::now();
     env.heap =
@@ -209,33 +182,12 @@ runTtftSweep(const char* path)
     report.param("ops", static_cast<double>(ops));
     report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
         Cell& c = cells[i];
-        row.dim("system", bench::systemName(c.kind))
+        row.dim("system", rt::kindName(c.kind))
             .dim("pool_mb", static_cast<double>(c.poolMB))
             .dim("mode", c.lazy ? "lazy" : "full");
         runTtftCell(c.kind, c.poolMB, c.lazy, ops, c.rng, row);
     });
     return report.write(path);
-}
-
-void
-registerAll()
-{
-    for (const auto& structure : ds::benchmarkStructures()) {
-        for (auto kind :
-             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
-            std::string name = std::string("fig9/") +
-                               bench::systemName(kind) + "/" +
-                               structure;
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [structure, kind](benchmark::State& st) {
-                    runFig9(st, structure, kind);
-                })
-                ->UseManualTime()
-                ->Iterations(5)
-                ->Unit(benchmark::kMicrosecond);
-        }
-    }
 }
 
 }  // namespace
@@ -255,9 +207,15 @@ main(int argc, char** argv)
     if (!runTtftSweep(ttftOut))
         return 1;
 
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    for (const auto& structure : ds::benchmarkStructures()) {
+        for (auto kind :
+             {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
+            bench::addCase(std::string("fig9/") + rt::kindName(kind) +
+                               "/" + structure,
+                           fig9Case(structure, kind))
+                ->Iterations(5)
+                ->Unit(benchmark::kMicrosecond);
+        }
+    }
+    return bench::runFigure(argc, argv);
 }

@@ -83,7 +83,7 @@ runConfig(txn::RuntimeKind kind, const Mix& mix, unsigned workers,
     svc.stop();
     auto st = svc.totalStats();
 
-    row.dim("system", bench::systemName(kind))
+    row.dim("system", rt::kindName(kind))
         .dim("mix", mix.name)
         .dim("workers", workers)
         .dim("batch", batch)

@@ -257,7 +257,7 @@ main(int argc, char** argv)
     report.sweep(cells.size(), [&](size_t i, bench::Row& row) {
         const Cell& c = cells[i];
         row.dim("op", c.op)
-            .dim("system", bench::systemName(c.kind))
+            .dim("system", rt::kindName(c.kind))
             .dim("threads", c.threads);
         bench::Env env(c.kind);
         if (c.op == "e2e_hashmap")

@@ -32,4 +32,12 @@ panic(const std::string& msg)
     throw PanicError(msg);
 }
 
+void
+checkFailed(const char* file, int line, const char* cond,
+            const char* msg)
+{
+    throw PanicError(strprintf("%s:%d", file, line),
+                     strprintf("check failed: %s (%s)", cond, msg));
+}
+
 }  // namespace cnvm

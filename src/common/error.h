@@ -27,6 +27,20 @@ class PanicError : public std::logic_error {
  public:
     explicit PanicError(const std::string& what)
         : std::logic_error(what) {}
+
+    /** A failed check at `where`: what() reads "<where>: <detail>". */
+    PanicError(const std::string& where, const std::string& detail)
+        : std::logic_error(where + ": " + detail),
+          detailAt_(where.size() + 2) {}
+
+    /**
+     * what() without the source location a CNVM_CHECK puts in front:
+     * the same text whichever directory the code was built from.
+     */
+    const char* detail() const noexcept { return what() + detailAt_; }
+
+ private:
+    size_t detailAt_ = 0;
 };
 
 /** printf-style formatting into a std::string. */
@@ -39,16 +53,23 @@ std::string strprintf(const char* fmt, ...)
 /** Report an internal bug. Throws PanicError. */
 [[noreturn]] void panic(const std::string& msg);
 
+/**
+ * Report a failed CNVM_CHECK of `cond` at `file`:`line`. Throws a
+ * PanicError whose what() is "<file>:<line>: check failed: <cond>
+ * (<msg>)" and whose detail() drops the location. Out of line and
+ * cold, so a check costs its call site one compare and one call.
+ */
+[[noreturn, gnu::cold]] void checkFailed(const char* file, int line,
+                                         const char* cond,
+                                         const char* msg);
+
 }  // namespace cnvm
 
 /** Assert an internal invariant; cheap enough to keep in release builds. */
 #define CNVM_CHECK(cond, msg)                                           \
     do {                                                                \
-        if (!(cond)) {                                                  \
-            ::cnvm::panic(::cnvm::strprintf(                            \
-                "%s:%d: check failed: %s (%s)", __FILE__, __LINE__,     \
-                #cond, (msg)));                                         \
-        }                                                               \
+        if (!(cond))                                                    \
+            ::cnvm::checkFailed(__FILE__, __LINE__, #cond, (msg));      \
     } while (0)
 
 #endif  // CNVM_COMMON_ERROR_H

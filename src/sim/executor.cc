@@ -69,20 +69,4 @@ Executor::resetClocks()
         c.reset();
 }
 
-double
-timeSimulated(const std::function<void(ThreadCtx&)>& body)
-{
-    using clock = std::chrono::steady_clock;
-    ThreadCtx ctx(0);
-    Scope scope(&ctx);
-    auto t0 = clock::now();
-    body(ctx);
-    auto t1 = clock::now();
-    auto ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            t1 - t0).count());
-    ctx.advance(static_cast<uint64_t>(ns * computeScale()));
-    return static_cast<double>(ctx.clockNs()) * 1e-9;
-}
-
 }  // namespace cnvm::sim

@@ -56,12 +56,6 @@ class Executor {
     std::vector<ThreadCtx> ctxs_;
 };
 
-/**
- * Convenience: run a single-threaded simulated region and return its
- * simulated seconds. Used by the breakdown and application benchmarks.
- */
-double timeSimulated(const std::function<void(ThreadCtx&)>& body);
-
 /** Calibration factor applied to measured compute time. */
 double computeScale();
 

@@ -51,7 +51,7 @@ ShadowOracle::verify(ds::KvStructure& kv) const
         }
     } catch (const PanicError& e) {
         return strprintf("%s: panic during verification: %s",
-                         kv.name(), e.what());
+                         kv.name(), e.detail());
     } catch (const FatalError& e) {
         return strprintf("%s: fatal error during verification: %s",
                          kv.name(), e.what());

@@ -111,7 +111,7 @@ resolveInterrupted(ds::KvStructure& kv, const ShadowOracle& shadow,
         found = kv.lookup(key, &r);
     } catch (const PanicError& e) {
         return strprintf("panic resolving interrupted op on \"%s\": %s",
-                         key.c_str(), e.what());
+                         key.c_str(), e.detail());
     } catch (const FatalError& e) {
         return strprintf("fatal resolving interrupted op on \"%s\": %s",
                          key.c_str(), e.what());

@@ -63,13 +63,15 @@ enum class Tear {
 
 /**
  * Run `op` and say what it let escape: "" when it returned,
- * "panicked: <what>" for a PanicError, and "failed: <what>" for a
- * FatalError or a transaction's txn::LogOverflowError (small torture
- * ops overflow their log only when a damaged structure loops). The
- * drivers prefix it with what ran ("op", "recovery", "history") and
- * fail the case, so the report carries the case's reproduce line
- * instead of the process ending in std::terminate. Anything else,
- * nvm::CrashInjected included, propagates.
+ * "panicked: <detail>" for a PanicError (what() less a failed check's
+ * source location, so a report reads the same from any checkout), and
+ * "failed: <what>" for a FatalError or a transaction's
+ * txn::LogOverflowError (small torture ops overflow their log only
+ * when a damaged structure loops). The drivers prefix it with what ran
+ * ("op", "recovery", "history") and fail the case, so the report
+ * carries the case's reproduce line instead of the process ending in
+ * std::terminate. Anything else, nvm::CrashInjected included,
+ * propagates.
  */
 template <typename Fn>
 std::string
@@ -78,7 +80,7 @@ escapeOf(Fn&& op)
     try {
         op();
     } catch (const PanicError& e) {
-        return strprintf("panicked: %s", e.what());
+        return strprintf("panicked: %s", e.detail());
     } catch (const FatalError& e) {
         return strprintf("failed: %s", e.what());
     } catch (const txn::LogOverflowError& e) {

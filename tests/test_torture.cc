@@ -53,6 +53,26 @@ TEST(TortureEscape, LogOverflowFailsTheCaseInsteadOfAborting)
                  nvm::CrashInjected);
 }
 
+/**
+ * A failed CNVM_CHECK escapes without its source location, so a
+ * torture report reads the same from every checkout of one commit;
+ * what() still names the file and line.
+ */
+TEST(TortureEscape, FailedCheckEscapesWithoutItsLocation)
+{
+    EXPECT_EQ(torture::escapeOf([] { CNVM_CHECK(false, "bad link"); }),
+              "panicked: check failed: false (bad link)");
+    int line = __LINE__ + 2;
+    try {
+        CNVM_CHECK(1 + 1 == 3, "math");
+        FAIL() << "the check passed";
+    } catch (const PanicError& e) {
+        EXPECT_STREQ(e.detail(), "check failed: 1 + 1 == 3 (math)");
+        EXPECT_EQ(std::string(e.what()),
+                  strprintf("%s:%d: %s", __FILE__, line, e.detail()));
+    }
+}
+
 struct MatrixCase {
     RuntimeKind kind;
     const char* structure;
