@@ -287,16 +287,41 @@ addCase(const std::string& name, Fn run)
 }
 
 /**
+ * Does `argv` ask google-benchmark only to list the cases
+ * (`--benchmark_list_tests`, with no value or a true one)? Such a run
+ * measures nothing, so it runs no footer and writes no file.
+ */
+inline bool
+listingOnly(int argc, char** argv)
+{
+    const std::string flag = "--benchmark_list_tests";
+    bool listing = false;
+    for (int i = 1; i < argc; i++) {
+        std::string arg = argv[i];
+        if (arg == flag) {
+            listing = true;
+        } else if (arg.rfind(flag + "=", 0) == 0) {
+            std::string v = arg.substr(flag.size() + 1);
+            listing = !(v == "0" || v == "false" || v == "f" ||
+                        v == "no" || v == "n" || v == "off");
+        }
+    }
+    return listing;
+}
+
+/**
  * The body of every figure bench's `main`, once its cases are
  * registered: run the cases the flags select, then `after` (a
- * figure's footer), whatever the filter selected.
+ * figure's footer), whatever the filter selected, unless the run only
+ * lists the cases.
  */
 inline int
 runFigure(int argc, char** argv, const std::function<void()>& after = {})
 {
+    bool listing = listingOnly(argc, argv);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    if (after)
+    if (after && !listing)
         after();
     benchmark::Shutdown();
     return 0;

@@ -204,7 +204,7 @@ main(int argc, char** argv)
             argv[i] = argv[i + 1];
         argc--;
     }
-    if (!runTtftSweep(ttftOut))
+    if (!bench::listingOnly(argc, argv) && !runTtftSweep(ttftOut))
         return 1;
 
     for (const auto& structure : ds::benchmarkStructures()) {

@@ -8,7 +8,10 @@
 # round's journals. The invariant under test: every mutation the
 # server acked is durable (acks are sent only after the covering
 # transaction commits); unacked in-flight mutations may land either
-# way, and the shadow verifier allows exactly that.
+# way, and the shadow verifier allows exactly that. After the final
+# restart each protocol's pool goes through `cnvm_inspect verify`,
+# which fails on any integrity problem, a set bitmap bit past the heap
+# frontier included.
 #
 #   BUILD_DIR=build scripts/torture_kvserver.sh [--recovery full|lazy]
 #
@@ -24,6 +27,7 @@ set -u
 BUILD_DIR=${BUILD_DIR:-build}
 SERVER="$BUILD_DIR/tools/cnvm_kvserver"
 LOAD="$BUILD_DIR/tools/cnvm_kvload"
+INSPECT="$BUILD_DIR/tools/cnvm_inspect"
 PROTOCOLS=${CNVM_KV_PROTOCOLS:-"clobber pmdk mnemosyne"}
 ROUNDS=${CNVM_KV_ROUNDS:-3}
 RECOVERY_MODE=full
@@ -46,6 +50,7 @@ fi
 
 [ -x "$SERVER" ] || { echo "missing $SERVER (build first)"; exit 2; }
 [ -x "$LOAD" ] || { echo "missing $LOAD (build first)"; exit 2; }
+[ -x "$INSPECT" ] || { echo "missing $INSPECT (build first)"; exit 2; }
 
 TMP=$(mktemp -d /tmp/cnvm_kvtorture.XXXXXX)
 SRV_PID=""
@@ -141,8 +146,15 @@ for proto in $PROTOCOLS; do
     kill "$SRV_PID" 2>/dev/null
     wait "$SRV_PID" 2>/dev/null
     SRV_PID=""
+    if ! "$INSPECT" verify "$pool" >"$TMP/verify.$proto.log" 2>&1; then
+        cat "$TMP/verify.$proto.log"
+        echo "FAIL($proto final): cnvm_inspect verify found problems" \
+             "in the pool"
+        fail=1
+        continue
+    fi
     echo "OK($proto): $ROUNDS kill(s), recovery=$RECOVERY_MODE," \
-         "acked data intact"
+         "acked data intact, pool verifies"
 done
 
 if [ "$fail" -ne 0 ]; then

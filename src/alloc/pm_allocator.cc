@@ -96,9 +96,13 @@ PmAllocator::PmAllocator(nvm::Pool& pool, bool deferRebuild)
         QuarantineTable qt{};
         qt.checksum = quarantineChecksum(0, qt.entries);
         pool_.writeAt(newHdr.quarOff, &qt, sizeof(qt));
+        // Nothing is allocated yet: the frontier starts at the data
+        // area's first granule.
+        HeapFrontier f{newHdr.dataOff, newHdr.dataOff ^ kFrontierMagic};
+        pool_.writeAt(frontierOff(pool_), &f, sizeof(f));
         pool_.writeAt(pool_.heapOff(), &newHdr, sizeof(newHdr));
         pool_.flush(pool_.at(newHdr.quarOff), sizeof(qt));
-        pool_.persist(h, sizeof(*h));
+        pool_.persist(h, sizeof(*h) + sizeof(f));
     }
     if (deferRebuild)
         beginLazyRebuild();
@@ -116,6 +120,49 @@ const AllocHeader&
 PmAllocator::hdr() const
 {
     return *static_cast<const AllocHeader*>(pool_.at(pool_.heapOff()));
+}
+
+bool
+PmAllocator::frontierValid(const HeapFrontier& f, const AllocHeader& h)
+{
+    return (f.end ^ kFrontierMagic) == f.check && f.end >= h.dataOff &&
+           f.end <= h.dataOff + h.dataBytes;
+}
+
+uint64_t
+PmAllocator::frontier() const
+{
+    std::lock_guard<std::mutex> g(mu_);
+    return frontier_;
+}
+
+void
+PmAllocator::writeFrontierLocked(uint64_t end)
+{
+    HeapFrontier f{end, end ^ kFrontierMagic};
+    pool_.writeAt(frontierOff(pool_), &f, sizeof(f));
+    pool_.persist(pool_.at(frontierOff(pool_)), sizeof(f));
+    frontier_ = end;
+}
+
+uint64_t
+PmAllocator::chunkCeil(uint64_t off) const
+{
+    const AllocHeader& h = hdr();
+    return std::min(h.dataOff + alignUp(off - h.dataOff, kChunkData),
+                    h.dataOff + h.dataBytes);
+}
+
+void
+PmAllocator::raiseFrontierLocked(uint64_t upTo)
+{
+    const AllocHeader& h = hdr();
+    if (std::min(upTo, h.dataOff + h.dataBytes) <= frontier_)
+        return;
+    // Doubling keeps a heap that grows from empty to n chunks at
+    // O(log n) raises, each one write, one flush and one fence.
+    writeFrontierLocked(
+        chunkCeil(std::max(upTo, 2 * frontier_ - h.dataOff)));
 }
 
 uint64_t
@@ -276,6 +323,10 @@ PmAllocator::reserveLocked(uint64_t need)
         return 0;
     uint64_t off = it->second;
     uint64_t len = it->first;
+    // Durable before the block is handed out: its bits may be set at
+    // any commit from now on.
+    if (off + need > frontier_)
+        raiseFrontierLocked(off + need);
     bySize_.erase(it);
     free_.erase(off);
     if (len > need)
@@ -325,6 +376,8 @@ void
 PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
                      bool flushBits)
 {
+    if (value)
+        raiseFrontierLocked(bOff + granules * kGranule);
     const AllocHeader& h = hdr();
     uint64_t firstGranule = (bOff - h.dataOff) / kGranule;
     uint64_t firstByte = h.bitmapOff + firstGranule / 8;
@@ -416,6 +469,10 @@ void
 PmAllocator::quarantineLocked(uint64_t off, uint64_t bytes,
                               QuarantineReason reason)
 {
+    // Before the table entry: a crash between the table's fence and
+    // the bits' fence must leave the range below the frontier, where
+    // the scan forces it allocated.
+    raiseFrontierLocked(off + bytes);
     QuarantineTable* qt = quarTable();
     // Idempotent: an already-covered range gets no second entry (the
     // bits below are re-forced anyway).
@@ -520,29 +577,32 @@ PmAllocator::healMetaLocked(RebuildStats* st)
 {
     // Heal the header before trusting a single offset below: its
     // layout fields are recomputable, so a flipped, poisoned or
-    // simply wrong header is rewritten in place (the rewrite also
-    // clears the line's poison/taint).
-    {
-        AllocHeader want = expectedHeader(pool_);
-        auto* cur =
-            static_cast<AllocHeader*>(pool_.at(pool_.heapOff()));
-        bool bad = pool_.isTainted(cur, sizeof(*cur));
-        if (!bad) {
-            try {
-                pool_.checkRead(cur, sizeof(*cur));
-            } catch (const nvm::MediaFaultError&) {
-                bad = true;
-            }
-        }
-        if (!bad && std::memcmp(cur, &want, sizeof(want)) != 0)
-            bad = true;
-        if (bad) {
-            pool_.writeAt(pool_.heapOff(), &want, sizeof(want));
-            pool_.persist(pool_.at(pool_.heapOff()), sizeof(want));
-            st->headerHealed = true;
+    // simply wrong header is rewritten in place. The rewrite clears
+    // the line's poison and taint, and the frontier record shares the
+    // line, so the line is probed once, first, for both.
+    auto* cur = static_cast<AllocHeader*>(pool_.at(pool_.heapOff()));
+    bool lineBad = pool_.isTainted(cur, nvm::kCacheLine);
+    if (!lineBad) {
+        try {
+            pool_.checkRead(cur, nvm::kCacheLine);
+        } catch (const nvm::MediaFaultError&) {
+            lineBad = true;
         }
     }
+    AllocHeader want = expectedHeader(pool_);
+    if (lineBad || std::memcmp(cur, &want, sizeof(want)) != 0) {
+        pool_.writeAt(pool_.heapOff(), &want, sizeof(want));
+        pool_.persist(pool_.at(pool_.heapOff()), sizeof(want));
+        st->headerHealed = true;
+    }
     const AllocHeader& h = hdr();
+
+    // A frontier that cannot be trusted bounds nothing: the scan reads
+    // the whole bitmap and rewrites the record when it is done.
+    HeapFrontier f{};
+    std::memcpy(&f, pool_.at(frontierOff(pool_)), sizeof(f));
+    frontierOk_ = !lineBad && frontierValid(f, h);
+    frontier_ = frontierOk_ ? f.end : h.dataOff + h.dataBytes;
 
     // Validate the quarantine table before trusting it. An unreadable
     // or checksum-failing table is reset: the ranges it described
@@ -644,6 +704,24 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
     for (uint64_t step = 0;
          step < chunks && lazyCursor_ < usedBitmapBytes; step++) {
         uint64_t c = lazyCursor_;
+        // Whole chunks up to the frontier (a raise below can move it).
+        uint64_t stop = std::min(
+            alignUp((frontier_ - h.dataOff) / kGranule, 512) / 8,
+            usedBitmapBytes);
+        if (c >= stop) {
+            // Past the frontier every bit is clear on media, so the
+            // open run reaches the next chunk the fault layer lists,
+            // which is probed and salvaged below as before, or the
+            // heap's end.
+            uint64_t next = nextListedChunkLocked(c, usedBitmapBytes);
+            if (next > c && !lazyInRun_) {
+                lazyRunStartG_ = c * 8;
+                lazyInRun_ = true;
+            }
+            lazyCursor_ = c = next;
+            if (c >= usedBitmapBytes)
+                break;
+        }
         uint64_t n = std::min<uint64_t>(64, usedBitmapBytes - c);
         const void* src = pool_.at(h.bitmapOff + c);
         bool bad = pool_.isTainted(src, n);
@@ -692,6 +770,7 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
             // rewritten all-ones (which also heals the line — fresh
             // stores make the cell trustworthy again).
             lazyStats_.poisonedChunks++;
+            raiseFrontierLocked(hi);
             std::memset(local, 0xff, n);
             pool_.writeAt(h.bitmapOff + c, local, n);
             pool_.flush(src, n);
@@ -765,6 +844,7 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
     if (wroteBits)
         pool_.fence();
     if (lazyCursor_ >= usedBitmapBytes) {
+        uint64_t tailG = lazyInRun_ ? lazyRunStartG_ : nGranules;
         if (lazyInRun_) {
             insertFreeRunMaskedLocked(
                 h.dataOff + lazyRunStartG_ * kGranule,
@@ -772,7 +852,33 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
             lazyInRun_ = false;
         }
         lazyScanDone_ = true;
+        if (!frontierOk_) {
+            // The scan read the whole bitmap: its final free run is
+            // clear to the end. Holds and live reservations may still
+            // set bits, so the new frontier covers them too.
+            uint64_t end = h.dataOff + tailG * kGranule;
+            for (const Hold& hd : holds_)
+                end = std::max(end, hd.off + hd.bytes);
+            if (!reserved_.empty())
+                end = std::max(end, reserved_.rbegin()->first +
+                                        reserved_.rbegin()->second);
+            frontierOk_ = true;
+            lazyStats_.frontierRewritten = true;
+            writeFrontierLocked(chunkCeil(end));
+        }
     }
+}
+
+uint64_t
+PmAllocator::nextListedChunkLocked(uint64_t from, uint64_t to) const
+{
+    const nvm::FaultModel* fm = pool_.faults();
+    if (fm == nullptr)
+        return to;
+    // The bitmap starts on a line boundary: a line is a chunk.
+    uint64_t bm = hdr().bitmapOff;
+    std::vector<uint64_t> lines = fm->badLines(bm + from, to - from);
+    return lines.empty() ? to : lines.front() * nvm::kCacheLine - bm;
 }
 
 void

@@ -23,11 +23,18 @@
  * the session starts over only when the pool took a crash or a media
  * fault after the map was built (nvm::Pool::upsets).
  *
- * Persistent layout inside the pool's heap region (pool versions 3
- * and 4; version 3 changed only the quarantine table's checksum):
+ * Persistent layout inside the pool's heap region (pool version 5;
+ * version 5 added the heap frontier in the header's line, version 3
+ * changed only the quarantine table's checksum):
  *
- *   [ AllocHeader | quarantine table | bitmap (1 bit / 16-byte
- *     granule) | data ]
+ *   [ AllocHeader + HeapFrontier | quarantine table | bitmap (1 bit /
+ *     16-byte granule) | data ]
+ *
+ * The heap frontier bounds the scan: no bitmap bit at or past its end
+ * is ever set on media, so a restart reads only the part of the bitmap
+ * the heap has used and adds the rest of the data area to the free map
+ * as one run. The allocator raises it, durably, before it returns a
+ * block or forces a bit past it.
  *
  * Every block is preceded by a 16-byte header recording its payload
  * size (needed by free and by bit reverts).
@@ -63,6 +70,21 @@ struct AllocHeader {
     uint64_t dataBytes;
     uint64_t quarOff;      ///< pool offset of the quarantine table
 };
+
+/**
+ * Persistent heap frontier: the 16 bytes after AllocHeader in its
+ * cache line. No bitmap bit of a granule at or past `end` is set on
+ * media. A record that fails its check, reads poisoned or tainted, or
+ * points outside the data area bounds nothing: the scan then reads the
+ * whole bitmap and rewrites the record once done.
+ */
+struct HeapFrontier {
+    uint64_t end;          ///< pool offset inside [dataOff, dataEnd]
+    uint64_t check;        ///< end ^ PmAllocator::kFrontierMagic
+};
+static_assert(sizeof(AllocHeader) + sizeof(HeapFrontier) <=
+                  nvm::kCacheLine,
+              "the frontier shares the allocator header's line");
 
 /** Per-block persistent header (16 bytes, precedes the payload). */
 struct BlockHeader {
@@ -121,12 +143,17 @@ struct RebuildStats {
     uint64_t poisonedChunks = 0;      ///< unreadable bitmap chunks
     bool quarantineTableReset = false;///< table itself was corrupt
     bool headerHealed = false;        ///< AllocHeader recomputed
+    bool frontierRewritten = false;   ///< frontier failed, scan rewrote it
 };
 
 class PmAllocator {
  public:
     static constexpr uint64_t kMagic = 0xA110CA7EDB17ull;
     static constexpr uint64_t kBlockMagic = 0xB10CB10CB10CB10Cull;
+    static constexpr uint64_t kFrontierMagic = 0xF207713EA110CA7Eull;
+    /** Data bytes one 64-byte bitmap chunk administers: the unit the
+     *  frontier moves in. */
+    static constexpr uint64_t kChunkData = 64 * 8 * kGranule;
 
     /**
      * Attach to (formatting if necessary) the pool's heap region and
@@ -273,6 +300,21 @@ class PmAllocator {
      */
     static AllocHeader expectedHeader(const nvm::Pool& pool);
 
+    /** Pool offset of the heap frontier record. */
+    static uint64_t
+    frontierOff(const nvm::Pool& pool)
+    {
+        return pool.heapOff() + sizeof(AllocHeader);
+    }
+
+    /** Does `f` pass its check and lie inside `h`'s data area? */
+    static bool frontierValid(const HeapFrontier& f,
+                              const AllocHeader& h);
+
+    /** The frontier the scan and the writers keep (the data area's end
+     *  while a failed record waits for the scan to rewrite it). */
+    uint64_t frontier() const;
+
     /** @name Layout accessors (fault-region map, offline verify) */
     /// @{
     uint64_t bitmapOff() const { return hdr().bitmapOff; }
@@ -311,7 +353,20 @@ class PmAllocator {
     /** Has the pool crashed or taken a media fault since armScan? */
     bool staleLocked() const { return pool_.upsets() != builtAt_; }
     uint64_t reserveLocked(uint64_t need);
+    /** Heal the header and quarantine table, and load the frontier
+     *  (the header's line is probed once, before any rewrite of it). */
     void healMetaLocked(RebuildStats* st);
+    /** The first chunk boundary at or past `off`, at most the data
+     *  area's end. */
+    uint64_t chunkCeil(uint64_t off) const;
+    /** Durably move the frontier to `end`. */
+    void writeFrontierLocked(uint64_t end);
+    /** Raise the frontier to cover `upTo` before a bit below it may be
+     *  set: at least doubling the covered span, in whole chunks. */
+    void raiseFrontierLocked(uint64_t upTo);
+    /** First bitmap byte in [from, to) of a line the fault layer lists
+     *  as poisoned, transient or tainted; `to` if none. */
+    uint64_t nextListedChunkLocked(uint64_t from, uint64_t to) const;
     /** Empty the free map, heal the metadata and point the
      *  incremental scan at the bitmap's first chunk. */
     void armScanLocked(bool keepSession);
@@ -347,6 +402,11 @@ class PmAllocator {
     bool lazyInRun_ = false;
     RebuildStats lazyStats_{};    ///< salvage found since armed
     uint64_t builtAt_ = 0;        ///< pool_.upsets() when armed
+    /// @}
+    /** @name The heap frontier (HeapFrontier) */
+    /// @{
+    uint64_t frontier_ = 0;       ///< durable end, or the data end
+    bool frontierOk_ = false;     ///< the record passed when armed
     /// @}
     /** setBits' copy of the bitmap bytes it rewrites (guarded by mu_,
      *  like every setBits call) */

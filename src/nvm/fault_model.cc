@@ -269,4 +269,25 @@ FaultModel::taintedLines() const
     return out;
 }
 
+std::vector<uint64_t>
+FaultModel::badLines(uint64_t off, size_t n) const
+{
+    std::vector<uint64_t> out;
+    if (n == 0)
+        return out;
+    uint64_t first = off / kCacheLine;
+    uint64_t last = (off + n - 1) / kCacheLine;
+    for (const auto& entry : poison_) {
+        if (entry.first >= first && entry.first <= last)
+            out.push_back(entry.first);
+    }
+    for (uint64_t ln : taint_) {
+        if (ln >= first && ln <= last)
+            out.push_back(ln);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
 }  // namespace cnvm::nvm

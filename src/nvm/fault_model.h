@@ -162,6 +162,14 @@ class FaultModel {
     /** Tainted line numbers, sorted (tests / diagnostics). */
     std::vector<uint64_t> taintedLines() const;
 
+    /**
+     * Line numbers in [off, off+n) that are poisoned (permanently or
+     * transiently) or tainted, sorted: the bad-block list a platform
+     * reports at pool open, which the allocator's scan probes past
+     * the heap frontier instead of reading every line.
+     */
+    std::vector<uint64_t> badLines(uint64_t off, size_t n) const;
+
  private:
     struct Range {
         uint32_t region;

@@ -102,8 +102,12 @@ class Pool {
      * required entry to have been fenced, so it would roll back or
      * re-execute such a pool's interrupted transaction as if its log
      * were complete; a v3 pool is refused instead.
+     * v5: the allocator keeps a heap frontier in the 16 bytes after
+     * its header (alloc::HeapFrontier) and scans the bitmap only up
+     * to it. A v4 pool has no frontier, and its zero bytes would read
+     * as a damaged one on every restart; it is refused instead.
      */
-    static constexpr uint64_t kVersion = 4;
+    static constexpr uint64_t kVersion = 5;
 
     /** Create and format a new pool (truncates an existing file). */
     static std::unique_ptr<Pool> create(const PoolConfig& cfg);

@@ -399,6 +399,23 @@ verifyPool(nvm::Pool& pool)
         note(strprintf("heap: %u quarantined ranges", qt->count));
     }
 
+    // The heap frontier: a restart's scan stops at its end and takes
+    // the rest of the data area as free, so a bit set past it would be
+    // handed out again. A record that fails is rewritten by the
+    // restart's whole-bitmap scan. Checked against the geometry's
+    // layout, like the header above.
+    const void* frAt = pool.at(alloc::PmAllocator::frontierOff(pool));
+    alloc::HeapFrontier fr{};
+    std::memcpy(&fr, frAt, sizeof(fr));
+    uint64_t frontierG = ~uint64_t{0};
+    if (pool.isTainted(frAt, sizeof(fr)) ||
+        !alloc::PmAllocator::frontierValid(fr, want)) {
+        problem("heap: heap frontier fails its check (a restart reads "
+                "the whole bitmap and rewrites it)");
+    } else {
+        frontierG = (fr.end - want.dataOff) / alloc::kGranule;
+    }
+
     // Walk allocated bitmap runs and validate each run's leading
     // block header. A run that starts inside a quarantined range is
     // exempt: its header is exactly what went bad.
@@ -417,12 +434,15 @@ verifyPool(nvm::Pool& pool)
     uint64_t nGranules = ah->dataBytes / alloc::kGranule;
     bool inRun = false;
     uint64_t badHeaders = 0;
+    uint64_t pastFrontier = 0;
     for (uint64_t i = 0; i <= nGranules; i++) {
         bool allocated = false;
         if (i < nGranules &&
             readable(&pool, bitmap + i / 8, 1)) {
             allocated = (bitmap[i / 8] & (1u << (i % 8))) != 0;
         }
+        if (allocated && i >= frontierG)
+            pastFrontier++;
         if (allocated && !inRun) {
             inRun = true;
             uint64_t bOff = ah->dataOff + i * alloc::kGranule;
@@ -444,6 +464,10 @@ verifyPool(nvm::Pool& pool)
         problem(strprintf("heap: %llu allocated runs with corrupt or "
                           "poisoned block headers",
                           static_cast<unsigned long long>(badHeaders)));
+    if (pastFrontier > 0)
+        problem(strprintf("heap: %llu bitmap bits set at or past the "
+                          "heap frontier",
+                          static_cast<unsigned long long>(pastFrontier)));
     return r;
 }
 

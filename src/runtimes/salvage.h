@@ -156,7 +156,8 @@ struct VerifyResult {
 /**
  * Walk an open pool read-only: header bounds, per-slot descriptor and
  * log checksums (via scanLogArea), allocator header (against the
- * layout the pool geometry fixes), quarantine table, and the block
+ * layout the pool geometry fixes), quarantine table, heap frontier
+ * (its check, and no bitmap bit set at or past its end), and the block
  * headers of allocated extents. Never mutates the pool and never
  * constructs a PmAllocator (which would heal a damaged header in
  * place — exactly what we want to report).

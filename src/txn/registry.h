@@ -30,10 +30,11 @@ using TxFn = void (*)(Tx&, ArgReader&);
  */
 FuncId registerTxFunc(const std::string& name, TxFn fn);
 
-/** Look up a registered function; fatal if unknown. */
+/** Look up a registered function; fatal if unknown. Lock-free: every
+ *  transaction and every re-execution calls it, from any thread. */
 TxFn lookupTxFunc(FuncId fid);
 
-/** Name of a registered function ("?" if unknown). */
+/** Name of a registered function ("?" if unknown). Lock-free. */
 const char* txFuncName(FuncId fid);
 
 }  // namespace cnvm::txn

@@ -7,7 +7,9 @@
 # run must exit 0 and write its CSV: the `# header` line and at least
 # one row. Then every figure binary run with an empty filter must
 # write no CSV at all (scripts/bench.sh recovery and
-# bench_smoke_recovery make such runs). Run it with CNVM_SMOKE=1.
+# bench_smoke_recovery make such runs), and listing fig9's cases must
+# write no file at all: no CSV and no TTFT report. Run it with
+# CNVM_SMOKE=1.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: $0 <bench dir>" >&2
@@ -64,4 +66,16 @@ for b in fig6_throughput fig7_breakdown fig8_ido fig9_recovery \
         fi
     done
 done
+listed="$work/listed"
+mkdir "$listed"
+if ! (cd "$listed" && "$bin/fig9_recovery" --benchmark_list_tests) \
+        > "$work/fig9.list.txt" 2>&1; then
+    cat "$work/fig9.list.txt" >&2
+    echo "FAIL: fig9_recovery --benchmark_list_tests exited non-zero" >&2
+    status=1
+fi
+if [ -n "$(ls -A "$listed")" ]; then
+    echo "FAIL: listing fig9_recovery's cases wrote $(ls -A "$listed")" >&2
+    status=1
+fi
 exit $status

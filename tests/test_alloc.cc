@@ -351,8 +351,8 @@ TEST_F(AllocTest, FlippedMagicIsHealedNotReformatted)
 TEST(AllocFormat, FreshPoolStoresNothingIntoItsBitmap)
 {
     // A new pool's bitmap is already durably zero: format stores only
-    // the quarantine table and the header, and leaves no line
-    // volatile.
+    // the quarantine table, the heap frontier and the header, and
+    // leaves no line volatile.
     nvm::PoolConfig cfg;
     cfg.size = 16 << 20;
     cfg.maxThreads = 2;
@@ -361,9 +361,11 @@ TEST(AllocFormat, FreshPoolStoresNothingIntoItsBitmap)
     stats::Snapshot before = stats::aggregate();
     PmAllocator heap(*pool);
     stats::Snapshot d = stats::aggregate() - before;
-    EXPECT_EQ(d[stats::Counter::nvmWrites], 2u);
+    EXPECT_EQ(d[stats::Counter::nvmWrites], 3u);
     EXPECT_EQ(d[stats::Counter::nvmWriteBytes],
-              sizeof(QuarantineTable) + sizeof(AllocHeader));
+              sizeof(QuarantineTable) + sizeof(HeapFrontier) +
+                  sizeof(AllocHeader));
+    EXPECT_EQ(heap.frontier(), heap.dataOff());
     EXPECT_EQ(pool->cache().volatileLines(), 0u);
     EXPECT_EQ(heap.freeBytes(), heap.dataBytes());
 }
@@ -405,13 +407,34 @@ TEST(AllocFormat, VolatileZeroBitmapLineIsStillWritten)
                             [](uint8_t b) { return b == 0; }));
 }
 
+/** How a ScanRig's frontier record reads when its bitmap is stored. */
+enum class Record {
+    asFormatted,  ///< left as the allocator keeps it
+    covering,     ///< the data area's end: the scan reads every chunk
+    zeroed,       ///< fails its check: the scan falls back to all
+};
+
+const char*
+recordName(Record r)
+{
+    switch (r) {
+      case Record::asFormatted: return "record as formatted";
+      case Record::covering: return "record covering the heap";
+      case Record::zeroed: return "record zeroed";
+    }
+    return "?";
+}
+
 /**
  * A small heap whose bitmap the scan tests write straight into the
  * pool. Every size used below has a granule count that is not a
- * multiple of 64, so the bitmap's last word is partial.
+ * multiple of 64, so the bitmap's last word is partial. Bits written
+ * this way were set by no allocator, so no frontier was raised over
+ * them: store() first writes a record that covers them, or zeroes it.
  */
 struct ScanRig {
-    explicit ScanRig(size_t size)
+    explicit ScanRig(size_t size, Record record = Record::asFormatted)
+        : record(record)
     {
         nvm::PoolConfig cfg;
         cfg.size = size;
@@ -440,25 +463,52 @@ struct ScanRig {
         if (granules % 8 != 0)
             bm.back() &= static_cast<uint8_t>((1u << (granules % 8)) - 1);
         pool->writeAt(heap->bitmapOff(), bm.data(), bm.size());
+        storeRecord();
+    }
+
+    /** Write the record `record` names (nothing when as formatted). */
+    void
+    storeRecord() const
+    {
+        HeapFrontier f{};
+        if (record == Record::covering) {
+            f.end = heap->dataOff() + heap->dataBytes();
+            f.check = f.end ^ PmAllocator::kFrontierMagic;
+        } else if (record == Record::asFormatted) {
+            return;
+        }
+        pool->writeAt(PmAllocator::frontierOff(*pool), &f, sizeof(f));
     }
 
     std::unique_ptr<nvm::Pool> pool;
     std::unique_ptr<PmAllocator> heap;
     uint64_t granules = 0;
+    Record record;
 };
+
+/** The two records a fixture that stores its own bits runs under. */
+constexpr Record kStoredRecords[] = {Record::covering, Record::zeroed};
 
 TEST(BitmapScan, FreeMapMatchesBitByBitWalkOnRandomBitmaps)
 {
     // 1 MiB: 60,604 granules, a 24-byte tail chunk. 1 MiB + 8 KiB:
     // 61,112 granules, a 23-byte tail chunk. 600 KiB: 33,680 granules,
     // past the first 32,768-granule reserve() pull.
-    for (size_t size : {size_t{1} << 20, (size_t{1} << 20) + 8192,
-                        size_t{600} << 10}) {
-        ScanRig r(size);
+    for (auto [size, record] :
+         [] {
+             std::vector<std::pair<size_t, Record>> v;
+             for (size_t size : {size_t{1} << 20, (size_t{1} << 20) + 8192,
+                                 size_t{600} << 10}) {
+                 for (Record rec : kStoredRecords)
+                     v.emplace_back(size, rec);
+             }
+             return v;
+         }()) {
+        ScanRig r(size, record);
         ASSERT_NE(r.granules % 64, 0u);
         for (uint64_t seed = 1; seed <= 6; seed++) {
             SCOPED_TRACE("size " + std::to_string(size) + " seed " +
-                         std::to_string(seed));
+                         std::to_string(seed) + ", " + recordName(record));
             // Stretches of 1-300 free, allocated or random bytes.
             Xorshift rng(seed * 1000 + size);
             const uint8_t fill[2] = {0x00, 0xff};
@@ -483,10 +533,13 @@ TEST(BitmapScan, FreeMapMatchesBitByBitWalkOnRandomBitmaps)
             r.store(bm);
             r.heap->rebuild();
             test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
+            test::expectFrontierCoversBitmap(*r.pool, *r.heap);
             SCOPED_TRACE("beginLazyRebuild + finishScan");
+            r.storeRecord();
             r.heap->beginLazyRebuild();
             r.heap->finishScan();
             test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
+            test::expectFrontierCoversBitmap(*r.pool, *r.heap);
         }
     }
 }
@@ -494,8 +547,7 @@ TEST(BitmapScan, FreeMapMatchesBitByBitWalkOnRandomBitmaps)
 TEST(BitmapScan, OneFreeRunIsFoundWholeAtEveryBoundary)
 {
     // 2.5 MiB: 158,148 granules, five pulls, a 4-granule last word.
-    ScanRig r(size_t{5} << 19);
-    const uint64_t n = r.granules;
+    const uint64_t n = ScanRig(size_t{5} << 19).granules;
     ASSERT_NE(n % 64, 0u);
     // Run edges on both sides of a bitmap word (64 granules), a 64-byte
     // chunk (512), a 64-chunk reserve() pull (32,768) and the heap's
@@ -511,20 +563,24 @@ TEST(BitmapScan, OneFreeRunIsFoundWholeAtEveryBoundary)
             }
         }
     }
-    for (auto [s, e] : runs) {
-        SCOPED_TRACE("free run [" + std::to_string(s) + ", " +
-                     std::to_string(e) + ")");
-        r.store(r.allocatedExcept(s, e));
-        uint64_t want =
-            r.heap->dataOff() + kGranule * s + sizeof(BlockHeader);
-        for (bool lazy : {false, true}) {
-            SCOPED_TRACE(lazy ? "lazy" : "eager");
-            if (lazy)
-                r.heap->beginLazyRebuild();
-            else
-                r.heap->rebuild();
-            EXPECT_EQ(r.heap->reserve(kGranule * (e - s - 1)), want);
-            EXPECT_THROW(r.heap->reserve(0), FatalError);
+    for (Record record : kStoredRecords) {
+        ScanRig r(size_t{5} << 19, record);
+        for (auto [s, e] : runs) {
+            SCOPED_TRACE("free run [" + std::to_string(s) + ", " +
+                         std::to_string(e) + "), " + recordName(record));
+            r.store(r.allocatedExcept(s, e));
+            uint64_t want =
+                r.heap->dataOff() + kGranule * s + sizeof(BlockHeader);
+            for (bool lazy : {false, true}) {
+                SCOPED_TRACE(lazy ? "lazy" : "eager");
+                r.storeRecord();
+                if (lazy)
+                    r.heap->beginLazyRebuild();
+                else
+                    r.heap->rebuild();
+                EXPECT_EQ(r.heap->reserve(kGranule * (e - s - 1)), want);
+                EXPECT_THROW(r.heap->reserve(0), FatalError);
+            }
         }
     }
 }
@@ -533,14 +589,20 @@ TEST(BitmapScan, LazyPullFreesTheScannedPartOfAnOpenRun)
 {
     // A fresh heap is one free run. The first lazy reserve() is served
     // from the part of it the first pull scanned, not after the scan
-    // reaches the heap's end.
-    ScanRig r(size_t{5} << 19);
-    r.heap->beginLazyRebuild();
-    EXPECT_EQ(r.heap->reserve(0), r.heap->dataOff() + sizeof(BlockHeader));
-    EXPECT_GT(r.heap->freeBytes(), 0u);
-    EXPECT_LT(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
-    r.heap->finishScan();
-    EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+    // reaches the heap's end (a record that covers the heap, or none,
+    // makes the scan read all of it).
+    for (Record record : kStoredRecords) {
+        SCOPED_TRACE(recordName(record));
+        ScanRig r(size_t{5} << 19, record);
+        r.storeRecord();
+        r.heap->beginLazyRebuild();
+        EXPECT_EQ(r.heap->reserve(0),
+                  r.heap->dataOff() + sizeof(BlockHeader));
+        EXPECT_GT(r.heap->freeBytes(), 0u);
+        EXPECT_LT(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+        r.heap->finishScan();
+        EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - kGranule);
+    }
 }
 
 TEST(BitmapScan, QuarantinedRangeWithClearBitsStaysOutOfTheFreeMap)
@@ -550,40 +612,58 @@ TEST(BitmapScan, QuarantinedRangeWithClearBitsStaysOutOfTheFreeMap)
     // clear. Here it sits mid-chunk in a chunk that is otherwise clear
     // too, inside the heap's one free run: the scan must still force
     // it allocated, not pass the chunk over as uniform.
-    ScanRig r(size_t{1} << 20);
-    const uint64_t chunk = 3;  // inside the first reserve() pull
-    const uint64_t lo = r.heap->dataOff() + kGranule * (512 * chunk + 100);
-    const uint64_t bytes = kGranule * 40;
-    r.heap->quarantine(lo, bytes, kQuarCorruptHeader);
-    std::vector<uint8_t> zeros(nvm::kCacheLine, 0);
-    const uint64_t line = r.heap->bitmapOff() + nvm::kCacheLine * chunk;
-    r.pool->writeAt(line, zeros.data(), zeros.size());
-    r.pool->persist(r.pool->at(line), zeros.size());
-    const uint64_t wantFree = r.heap->dataBytes() - bytes;
+    for (Record record : kStoredRecords) {
+        SCOPED_TRACE(recordName(record));
+        ScanRig r(size_t{1} << 20, record);
+        const uint64_t chunk = 3;  // inside the first reserve() pull
+        const uint64_t lo =
+            r.heap->dataOff() + kGranule * (512 * chunk + 100);
+        const uint64_t bytes = kGranule * 40;
+        r.heap->quarantine(lo, bytes, kQuarCorruptHeader);
+        std::vector<uint8_t> zeros(nvm::kCacheLine, 0);
+        const uint64_t line =
+            r.heap->bitmapOff() + nvm::kCacheLine * chunk;
+        r.pool->writeAt(line, zeros.data(), zeros.size());
+        r.pool->persist(r.pool->at(line), zeros.size());
+        const uint64_t wantFree = r.heap->dataBytes() - bytes;
 
-    r.heap->rebuild();
-    EXPECT_FALSE(r.heap->quarantineViolation());
-    EXPECT_EQ(r.heap->freeBytes(), wantFree);
+        r.storeRecord();
+        r.heap->rebuild();
+        EXPECT_FALSE(r.heap->quarantineViolation());
+        EXPECT_EQ(r.heap->freeBytes(), wantFree);
 
-    SCOPED_TRACE("beginLazyRebuild + finishScan");
-    r.heap->beginLazyRebuild();
-    r.heap->finishScan();
-    EXPECT_FALSE(r.heap->quarantineViolation());
-    EXPECT_EQ(r.heap->freeBytes(), wantFree);
+        SCOPED_TRACE("beginLazyRebuild + finishScan");
+        r.storeRecord();
+        r.heap->beginLazyRebuild();
+        r.heap->finishScan();
+        EXPECT_FALSE(r.heap->quarantineViolation());
+        EXPECT_EQ(r.heap->freeBytes(), wantFree);
 
-    SCOPED_TRACE("lazy reserve() pull");
-    r.heap->beginLazyRebuild();
-    uint64_t got = r.heap->reserve(0);
-    EXPECT_FALSE(r.heap->isQuarantined(got - sizeof(BlockHeader),
-                                       kGranule));
-    EXPECT_FALSE(r.heap->quarantineViolation());
+        SCOPED_TRACE("lazy reserve() pull");
+        r.storeRecord();
+        r.heap->beginLazyRebuild();
+        uint64_t got = r.heap->reserve(0);
+        EXPECT_FALSE(r.heap->isQuarantined(got - sizeof(BlockHeader),
+                                           kGranule));
+        EXPECT_FALSE(r.heap->quarantineViolation());
+    }
 }
 
 TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)
 {
-    for (bool lazy : {false, true}) {
-        SCOPED_TRACE(lazy ? "lazy" : "eager");
-        ScanRig r(size_t{1} << 20);
+    // As formatted, the frontier sits at the data area's start: the
+    // scan reads no chunk but the one the fault layer lists.
+    for (auto [record, lazy] :
+         {std::pair{Record::asFormatted, false},
+          std::pair{Record::asFormatted, true},
+          std::pair{Record::covering, false},
+          std::pair{Record::covering, true},
+          std::pair{Record::zeroed, false},
+          std::pair{Record::zeroed, true}}) {
+        SCOPED_TRACE(std::string(lazy ? "lazy, " : "eager, ") +
+                     recordName(record));
+        ScanRig r(size_t{1} << 20, record);
+        r.storeRecord();
         nvm::FaultConfig fc;
         fc.poisons = 1;
         r.pool->setFaultModel(std::make_unique<nvm::FaultModel>(fc));
@@ -605,7 +685,127 @@ TEST(BitmapScan, PoisonedChunkSplitsAFreeRunAroundItsQuarantine)
         EXPECT_EQ(r.heap->freeExtents(), 2u);
         EXPECT_EQ(r.heap->freeBytes(), r.heap->dataBytes() - bytes);
         test::expectFreeMapMatchesBitmap(*r.pool, *r.heap);
+        test::expectFrontierCoversBitmap(*r.pool, *r.heap);
     }
+}
+
+/** The frontier record as it reads on media. */
+HeapFrontier
+mediaFrontier(const nvm::Pool& pool)
+{
+    HeapFrontier f{};
+    std::memcpy(&f, pool.at(PmAllocator::frontierOff(pool)), sizeof(f));
+    return f;
+}
+
+TEST_F(AllocTest, FrontierRisesDurablyByDoublingInWholeChunks)
+{
+    const uint64_t dataOff = heap->dataOff();
+    EXPECT_EQ(heap->frontier(), dataOff);
+    uint64_t raises = 0;
+    uint64_t covered = 0;
+    for (int i = 0; i < 400; i++) {
+        uint64_t before = heap->frontier();
+        stats::Snapshot s0 = stats::aggregate();
+        uint64_t a = heap->reserve(1000);
+        stats::Snapshot d = stats::aggregate() - s0;
+        uint64_t after = heap->frontier();
+        // Every handed-out block lies below a durable frontier.
+        EXPECT_LE(a + 1000, after);
+        EXPECT_EQ(mediaFrontier(*pool).end, after);
+        EXPECT_EQ((after - dataOff) % PmAllocator::kChunkData, 0u);
+        if (after != before) {
+            raises++;
+            EXPECT_GE(after - dataOff, 2 * (before - dataOff));
+            // One record write and its flush and fence; the block
+            // header is the reservation's own write.
+            EXPECT_EQ(d[stats::Counter::fences], 1u);
+            EXPECT_EQ(d[stats::Counter::flushes], 1u);
+            EXPECT_EQ(d[stats::Counter::nvmWrites], 2u);
+        } else {
+            EXPECT_EQ(d[stats::Counter::fences], 0u);
+            EXPECT_EQ(d[stats::Counter::nvmWrites], 1u);
+        }
+        heap->persistAllocate(a);
+        covered = a + 1000 - dataOff;
+    }
+    pool->fence();
+    // 400 KB of blocks from one 8 KiB chunk: 8, 16, ..., 512 KiB.
+    EXPECT_GT(covered, 256u << 10);
+    EXPECT_EQ(raises, 7u);
+    test::expectFrontierCoversBitmap(*pool, *heap);
+}
+
+TEST_F(AllocTest, ScanStopsAtTheFrontier)
+{
+    // A bit set past the frontier by hand, which no allocator does,
+    // is never read: a restart takes the rest of the heap as one run.
+    // With the record zeroed the scan reads it and the rewritten
+    // record covers it.
+    uint64_t a = heap->reserve(100);
+    heap->persistAllocate(a);
+    pool->fence();
+    const uint64_t past = heap->dataOff() + 4 * PmAllocator::kChunkData;
+    ASSERT_GE(past, heap->frontier());
+    const uint64_t g = (past - heap->dataOff()) / kGranule;
+    uint8_t byte = 1;
+    pool->writeAt(heap->bitmapOff() + g / 8, &byte, 1);
+    pool->persist(pool->at(heap->bitmapOff() + g / 8), 1);
+
+    EXPECT_FALSE(heap->rebuild().frontierRewritten);
+    EXPECT_EQ(heap->freeBytes(), heap->dataBytes() - 128);
+    EXPECT_EQ(heap->freeExtents(), 1u);
+
+    HeapFrontier zero{};
+    pool->writeAt(PmAllocator::frontierOff(*pool), &zero, sizeof(zero));
+    pool->persist(pool->at(PmAllocator::frontierOff(*pool)), sizeof(zero));
+    EXPECT_TRUE(heap->rebuild().frontierRewritten);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    test::expectFrontierCoversBitmap(*pool, *heap);
+    EXPECT_EQ(heap->frontier(),
+              heap->dataOff() + 5 * PmAllocator::kChunkData);
+    EXPECT_FALSE(heap->rebuild().frontierRewritten);
+}
+
+TEST_F(AllocTest, RewrittenFrontierCoversHoldsAndReservations)
+{
+    // The rewrite after a failed record covers the ranges whose bits a
+    // heal or a commit may still set, though they read clear now.
+    uint64_t a = heap->reserve(100);
+    heap->persistAllocate(a);
+    pool->fence();
+    HeapFrontier zero{};
+    pool->writeAt(PmAllocator::frontierOff(*pool), &zero, sizeof(zero));
+    pool->persist(pool->at(PmAllocator::frontierOff(*pool)), sizeof(zero));
+    heap->beginLazyRebuild();
+    uint64_t r = heap->reserve(100);  // the first pull serves it
+    const uint64_t held = heap->dataOff() + 9 * PmAllocator::kChunkData;
+    heap->addHold(0, held, 4096);
+    RebuildStats st = heap->finishScan();
+    EXPECT_TRUE(st.frontierRewritten);
+    EXPECT_GE(heap->frontier(), held + 4096);
+    EXPECT_GE(heap->frontier(), r + 100);
+    uint64_t end = heap->frontier();
+    heap->revertBits(held + sizeof(BlockHeader), 4096 - sizeof(BlockHeader),
+                     true);
+    heap->persistAllocate(r);
+    pool->fence();
+    EXPECT_EQ(heap->frontier(), end);
+    heap->releaseHolds(0);
+    test::expectFrontierCoversBitmap(*pool, *heap);
+}
+
+TEST_F(AllocTest, QuarantinePastTheFrontierRaisesItFirst)
+{
+    const uint64_t lo = heap->dataOff() + 20 * PmAllocator::kChunkData + 64;
+    heap->quarantine(lo, 256, kQuarPoisonedData);
+    EXPECT_GE(heap->frontier(), lo + 256);
+    EXPECT_EQ(mediaFrontier(*pool).end, heap->frontier());
+    test::expectFrontierCoversBitmap(*pool, *heap);
+    heap->rebuild();
+    EXPECT_TRUE(heap->isQuarantined(lo, 256));
+    EXPECT_FALSE(heap->quarantineViolation());
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
 }
 
 }  // namespace

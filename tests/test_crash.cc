@@ -578,6 +578,113 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RestartSweep,
                          restartCaseName);
 
 // ---------------------------------------------------------------
+// The transaction whose reserve() raises the heap frontier, crashed at
+// every persistency event: the record is old, torn or new, and the
+// node's bits may or may not have reached media. Each crash point gets
+// a fresh heap whose free tail starts right at the frontier, so the
+// push's node crosses it. The restart is RestartSweep's new process.
+// ---------------------------------------------------------------
+
+class FrontierSweep : public RestartSweep {};
+
+/** Are all granules of the block at `payloadOff` set on media? */
+bool
+allocatedOnMedia(const nvm::Pool& pool, const alloc::PmAllocator& heap,
+                 uint64_t payloadOff, uint64_t payloadBytes)
+{
+    const uint8_t* bm = pool.base() + heap.bitmapOff();
+    uint64_t lo = payloadOff - sizeof(alloc::BlockHeader) - heap.dataOff();
+    uint64_t hi = payloadOff + payloadBytes - heap.dataOff();
+    for (uint64_t g = lo / alloc::kGranule;
+         g < (hi + alloc::kGranule - 1) / alloc::kGranule; g++) {
+        if (((bm[g / 8] >> (g % 8)) & 1) == 0)
+            return false;
+    }
+    return true;
+}
+
+TEST_P(FrontierSweep, RaisingPushInterruptedAtEveryEvent)
+{
+    // Restarts that found the frontier raised (the crash came after
+    // the raise's fence) and that did not, or raised it themselves.
+    int raisedBefore = 0;
+    int raisedAfter = 0;
+    bool completed = false;
+    for (uint64_t k = 1; !completed && k < 1500; k++) {
+        SCOPED_TRACE("crash point " + std::to_string(k));
+        Harness h(GetParam().kind, rt::ClobberPolicy::refined, 8ULL << 20);
+        {
+            auto eng = h.engine();
+            for (uint64_t v = 1; v <= 3; v++)
+                txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+        }
+        // A filler block ends at the frontier: the heap has no holes,
+        // so the smallest block fits only in the tail.
+        const uint64_t frontier = h.heap->frontier();
+        uint64_t probe = h.heap->reserve(0);
+        h.heap->releaseReservation(probe);
+        const uint64_t filler = frontier - probe;
+        uint64_t fillerOff = h.heap->reserve(filler);
+        ASSERT_EQ(fillerOff + filler, frontier);
+        h.heap->persistAllocate(fillerOff);
+        h.pool->fence();
+        ASSERT_EQ(h.heap->frontier(), frontier);
+
+        CrashScheduler sched(*h.pool);
+        bool crashed = false;
+        {
+            auto eng = h.engine();
+            sched.arm(k);
+            try {
+                txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{100});
+            } catch (const nvm::CrashInjected&) {
+                crashed = true;
+            }
+            sched.disarm();
+        }
+        if (!crashed) {
+            // Past the transaction's last event: it raised the frontier.
+            completed = true;
+            EXPECT_GT(h.heap->frontier(), frontier);
+            continue;
+        }
+        bool reexecuted = crashAndRestart(h, 4321 + k);
+        expectFrontierCoversBitmap(*h.pool, *h.heap);
+        (h.heap->frontier() > frontier ? raisedBefore : raisedAfter)++;
+        size_t len = h.listLen();
+        if (resumes() && reexecuted)
+            ASSERT_EQ(len, 4u);
+        else
+            ASSERT_TRUE(len == 3 || len == 4) << len;
+        ASSERT_EQ(h.root().sum, h.listSum());
+        // Every committed block is allocated: the root, the filler and
+        // each node on the list.
+        EXPECT_TRUE(allocatedOnMedia(*h.pool, *h.heap, h.pool->root(),
+                                     sizeof(TestRoot)));
+        EXPECT_TRUE(
+            allocatedOnMedia(*h.pool, *h.heap, fillerOff, filler));
+        for (auto n = h.root().head; !n.isNull(); n = n->next) {
+            EXPECT_TRUE(allocatedOnMedia(*h.pool, *h.heap, n.raw(),
+                                         sizeof(TestNode)));
+        }
+        // The restarted heap keeps the invariant as it grows.
+        {
+            auto eng = h.engine();
+            txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{7});
+        }
+        expectFreeMapMatchesBitmap(*h.pool, *h.heap);
+        expectFrontierCoversBitmap(*h.pool, *h.heap);
+    }
+    EXPECT_TRUE(completed);
+    EXPECT_GT(raisedBefore, 0);
+    EXPECT_GT(raisedAfter, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, FrontierSweep,
+                         ::testing::ValuesIn(restartCases()),
+                         restartCaseName);
+
+// ---------------------------------------------------------------
 // Recovery resets every slot's volatile state in place, on the
 // runtime object that ran the crashed transaction. A reset slot must
 // act like a new one: same recovery, same follow-up transaction.

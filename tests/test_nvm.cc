@@ -638,11 +638,12 @@ TEST(PoolErrors, TypedReasonBadMagic)
 TEST(PoolErrors, TypedReasonBadVersion)
 {
     // A future layout; layout 2, whose per-field fnv1a checksums this
-    // build would read as damage on every record; and layout 3, which
-    // a build with a fence-eliding log writer may have written.
-    ASSERT_EQ(Pool::kVersion, 4u);
+    // build would read as damage on every record; layout 3, which a
+    // build with a fence-eliding log writer may have written; and
+    // layout 4, which has no heap frontier.
+    ASSERT_EQ(Pool::kVersion, 5u);
     for (uint64_t version :
-         {Pool::kVersion + 7, uint64_t{2}, uint64_t{3}}) {
+         {Pool::kVersion + 7, uint64_t{2}, uint64_t{3}, uint64_t{4}}) {
         std::string path = "/tmp/cnvm_badversion.pool";
         makePoolFile(path);
         patchFile(path, offsetof(PoolHeader, version), &version,

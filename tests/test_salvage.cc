@@ -1022,5 +1022,142 @@ TEST(VerifyPool, AllocatorHeaderOffTheGeometryIsAProblem)
               "heap: region too small for the allocator's layout");
 }
 
+TEST(VerifyPool, BitSetPastTheHeapFrontierIsAProblem)
+{
+    Harness h(RuntimeKind::undo);
+    const uint64_t g = (h.heap->frontier() - h.heap->dataOff()) /
+                       alloc::kGranule;
+    uint8_t* byte = h.pool->base() + h.heap->bitmapOff() + g / 8;
+    *byte = static_cast<uint8_t>(*byte | (1u << (g % 8)));
+    // A well-formed one-granule block: only its place is wrong.
+    alloc::BlockHeader bh{0, alloc::PmAllocator::kBlockMagic};
+    std::memcpy(h.pool->at(h.heap->frontier()), &bh, sizeof(bh));
+    rt::salvage::VerifyResult r = rt::salvage::verifyPool(*h.pool);
+    ASSERT_EQ(r.problems.size(), 1u);
+    EXPECT_EQ(r.problems.front(),
+              "heap: 1 bitmap bits set at or past the heap frontier");
+}
+
+/** How a heap frontier record is damaged. */
+enum class FrontierDamage { torn, flipped, poisoned };
+
+const char*
+damageName(FrontierDamage d)
+{
+    switch (d) {
+      case FrontierDamage::torn: return "torn";
+      case FrontierDamage::flipped: return "flipped";
+      case FrontierDamage::poisoned: return "poisoned";
+    }
+    return "?";
+}
+
+/**
+ * A damaged frontier record bounds nothing: the restart's scan reads
+ * the whole bitmap, as it did before the frontier existed, and then
+ * rewrites the record. A bit set past the old frontier, which a
+ * trusted record would hide, tells the whole-bitmap scan apart.
+ */
+TEST(FrontierSalvage, DamagedRecordFallsBackToTheFullScanAndIsRewritten)
+{
+    for (FrontierDamage damage :
+         {FrontierDamage::torn, FrontierDamage::flipped,
+          FrontierDamage::poisoned}) {
+        for (bool lazy : {false, true}) {
+            SCOPED_TRACE(std::string(damageName(damage)) +
+                         (lazy ? ", lazy" : ", eager"));
+            Harness h(RuntimeKind::clobber);
+            {
+                auto eng = h.engine();
+                for (uint64_t v = 1; v <= 8; v++)
+                    txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+            }
+            h.pool->setFaultModel(
+                std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
+            const uint64_t end = h.heap->frontier();
+            const uint64_t recOff = alloc::PmAllocator::frontierOff(*h.pool);
+            const uint64_t g = (end - h.heap->dataOff()) / alloc::kGranule;
+            uint8_t* byte = h.pool->base() + h.heap->bitmapOff() + g / 8;
+            *byte = static_cast<uint8_t>(*byte | (1u << (g % 8)));
+            switch (damage) {
+              case FrontierDamage::torn: {
+                // A raise to twice the span whose check word was lost.
+                uint64_t raised = end + (end - h.heap->dataOff());
+                std::memcpy(h.pool->base() + recOff, &raised,
+                            sizeof(raised));
+                break;
+              }
+              case FrontierDamage::flipped:
+                h.pool->faults()->flipBit(*h.pool, recOff + 9, 4);
+                break;
+              case FrontierDamage::poisoned:
+                h.pool->faults()->poisonAt(recOff);
+                break;
+            }
+            alloc::RebuildStats st;
+            if (lazy) {
+                h.heap->beginLazyRebuild();
+                st = h.heap->finishScan();
+            } else {
+                st = h.heap->rebuild();
+            }
+            EXPECT_TRUE(st.frontierRewritten);
+            EXPECT_EQ(st.headerHealed, damage == FrontierDamage::poisoned ||
+                                           damage == FrontierDamage::flipped);
+            EXPECT_EQ(st.quarantinedBlocks, 0u);
+            // The scan saw the bit past the old frontier.
+            expectFreeMapMatchesBitmap(*h.pool, *h.heap);
+            expectFrontierCoversBitmap(*h.pool, *h.heap);
+            EXPECT_EQ(h.heap->frontier(),
+                      end + alloc::PmAllocator::kChunkData);
+            EXPECT_FALSE(h.pool->faults()->poisoned(recOff, 16));
+            EXPECT_FALSE(h.pool->isTainted(h.pool->at(recOff), 16));
+            // Rewritten: the next restart trusts it again.
+            EXPECT_FALSE(h.heap->rebuild().frontierRewritten);
+            EXPECT_EQ(h.listLen(), 8u);
+        }
+    }
+}
+
+/**
+ * A bitmap line past the frontier that the fault layer lists gets the
+ * full scan's probe and quarantine; every other line there is never
+ * read. Salvage then decides as it did when the scan read them all.
+ */
+TEST(FrontierSalvage, ListedBitmapLinesPastTheFrontierAreQuarantined)
+{
+    Harness h(RuntimeKind::undo);
+    h.pool->setFaultModel(
+        std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
+    const uint64_t chunks = h.heap->dataBytes() / alloc::kGranule / 512;
+    const uint64_t first =
+        (h.heap->frontier() - h.heap->dataOff()) /
+        alloc::PmAllocator::kChunkData;
+    const uint64_t bm = h.heap->bitmapOff();
+    // A flip, a poison, and a transient the probe's retries clear.
+    const uint64_t flipped = first + 3;
+    const uint64_t poisoned = chunks / 2;
+    const uint64_t transient = chunks - 3;
+    h.pool->faults()->flipBit(*h.pool, bm + 64 * flipped + 5, 1);
+    h.pool->faults()->poisonAt(bm + 64 * poisoned);
+    h.pool->faults()->poisonAt(bm + 64 * transient, 2);
+    alloc::RebuildStats st = h.heap->rebuild();
+    EXPECT_EQ(st.poisonedChunks, 2u);
+    EXPECT_FALSE(st.frontierRewritten);
+    for (uint64_t c : {flipped, poisoned}) {
+        EXPECT_TRUE(h.heap->isQuarantined(
+            h.heap->dataOff() + c * alloc::PmAllocator::kChunkData,
+            alloc::PmAllocator::kChunkData));
+    }
+    EXPECT_FALSE(h.heap->isQuarantined(
+        h.heap->dataOff() + transient * alloc::PmAllocator::kChunkData,
+        alloc::PmAllocator::kChunkData));
+    EXPECT_TRUE(h.pool->faults()->badLines(bm, h.heap->bitmapBytes())
+                    .empty());
+    EXPECT_FALSE(h.heap->quarantineViolation());
+    expectFreeMapMatchesBitmap(*h.pool, *h.heap);
+    expectFrontierCoversBitmap(*h.pool, *h.heap);
+}
+
 }  // namespace
 }  // namespace cnvm::test

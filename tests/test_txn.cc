@@ -9,6 +9,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rand.h"
+
 #include "sim/context.h"
 #include "testutil.h"
 
@@ -86,6 +93,73 @@ TEST(Registry, StableIdsAcrossLookups)
 TEST(Registry, UnknownIdIsFatal)
 {
     EXPECT_THROW(txn::lookupTxFunc(0xdeadbeef), FatalError);
+}
+
+void
+registryNoop(txn::Tx&, txn::ArgReader&)
+{
+}
+
+void
+registryOther(txn::Tx&, txn::ArgReader&)
+{
+}
+
+TEST(Registry, ReRegistrationWithAnotherBodyIsFatal)
+{
+    txn::FuncId a = txn::registerTxFunc("registry_rereg_fn", registryNoop);
+    EXPECT_EQ(txn::registerTxFunc("registry_rereg_fn", registryNoop), a);
+    EXPECT_THROW(txn::registerTxFunc("registry_rereg_fn", registryOther),
+                 PanicError);
+    EXPECT_EQ(txn::lookupTxFunc(a), &registryNoop);
+}
+
+/**
+ * Lookups take no lock: readers on three threads resolve ids while a
+ * fourth registers new ones. An id is either unknown ("?") or fully
+ * published, name and body together.
+ */
+TEST(RegistryConcurrency, LookupsWhileAnotherThreadRegisters)
+{
+    constexpr int kNew = 200;
+    std::vector<std::string> names;
+    std::vector<txn::FuncId> ids;
+    for (int i = 0; i < kNew; i++) {
+        names.push_back("registry_conc_" + std::to_string(i));
+        ids.push_back(static_cast<txn::FuncId>(
+            fnv1a(names.back().data(), names.back().size())));
+    }
+    txn::FuncId known =
+        txn::registerTxFunc("registry_conc_known", registryNoop);
+    std::atomic<bool> done{false};
+    std::atomic<int> seen{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; t++) {
+        readers.emplace_back([&] {
+            // The pass after `done` sees every name registered.
+            bool last = false;
+            while (!last) {
+                last = done.load(std::memory_order_acquire);
+                ASSERT_EQ(txn::lookupTxFunc(known), &registryNoop);
+                for (int i = 0; i < kNew; i++) {
+                    std::string got = txn::txFuncName(ids[i]);
+                    if (got == "?")
+                        continue;
+                    ASSERT_EQ(got, names[i]);
+                    ASSERT_EQ(txn::lookupTxFunc(ids[i]), &registryNoop);
+                    seen.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        });
+    }
+    for (int i = 0; i < kNew; i++)
+        ASSERT_EQ(txn::registerTxFunc(names[i], registryNoop), ids[i]);
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers)
+        t.join();
+    for (int i = 0; i < kNew; i++)
+        EXPECT_STREQ(txn::txFuncName(ids[i]), names[i].c_str());
+    EXPECT_GT(seen.load(), 0);
 }
 
 TEST(Engine, ThreadTidRouting)

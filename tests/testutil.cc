@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace cnvm::test {
 
 namespace {
@@ -122,6 +124,25 @@ expectFreeMapMatchesBitmap(const nvm::Pool& pool,
     }
     EXPECT_EQ(heap.freeBytes(), bytes);
     EXPECT_EQ(heap.freeExtents(), runs);
+}
+
+void
+expectFrontierCoversBitmap(const nvm::Pool& pool,
+                           const alloc::PmAllocator& heap)
+{
+    alloc::HeapFrontier f{};
+    std::memcpy(&f, pool.at(alloc::PmAllocator::frontierOff(pool)),
+                sizeof(f));
+    alloc::AllocHeader h = alloc::PmAllocator::expectedHeader(pool);
+    ASSERT_TRUE(alloc::PmAllocator::frontierValid(f, h));
+    EXPECT_EQ(f.end, heap.frontier());
+    const uint8_t* bm = pool.base() + h.bitmapOff;
+    uint64_t granules = h.dataBytes / alloc::kGranule;
+    for (uint64_t g = (f.end - h.dataOff) / alloc::kGranule; g < granules;
+         g++) {
+        ASSERT_EQ((bm[g / 8] >> (g % 8)) & 1, 0)
+            << "granule " << g << " is set past the frontier";
+    }
 }
 
 void

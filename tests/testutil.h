@@ -60,6 +60,13 @@ extern const txn::FuncId kRegionSpam;
 void expectFreeMapMatchesBitmap(const nvm::Pool& pool,
                                 const alloc::PmAllocator& heap);
 
+/**
+ * The heap's frontier record on media must pass its check, equal the
+ * frontier the heap keeps, and cover every set bit of the raw bitmap.
+ */
+void expectFrontierCoversBitmap(const nvm::Pool& pool,
+                                const alloc::PmAllocator& heap);
+
 /** Pool + heap + runtime bundle over an anonymous mapping. */
 class Harness {
  public:

@@ -10,10 +10,14 @@
  * Useful for debugging recovery issues and for verifying what
  * survived a crash.
  *
+ * The heap statistics include the heap frontier and the share of the
+ * bitmap a full restart's scan reads.
+ *
  * `verify` mode walks the whole pool through the salvage scanner
  * (rt::salvage::verifyPool): header bounds, per-slot descriptor and
  * log checksums, allocator metadata (its header against the layout
- * the pool geometry fixes), quarantine table and allocated block
+ * the pool geometry fixes), quarantine table, heap frontier (its check,
+ * and any bitmap bit set at or past its end) and allocated block
  * headers, printing every integrity violation it finds. It then
  * reports the pending-recovery state per region through the classifier
  * recovery triage itself runs (rt::salvage::triageSlot): which slots a
@@ -25,6 +29,7 @@
  *   cnvm_inspect <pool-file>
  *   cnvm_inspect verify <pool-file>
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -168,6 +173,33 @@ printHeapStats(const nvm::Pool& pool)
     std::printf("heap: %llu free bytes in %llu extents\n",
                 static_cast<unsigned long long>(freeBytes),
                 static_cast<unsigned long long>(extents));
+
+    // A restart's scan reads the bitmap's whole chunks up to the heap
+    // frontier, or all of it when the record fails its check.
+    alloc::HeapFrontier f{};
+    std::memcpy(&f, pool.at(alloc::PmAllocator::frontierOff(pool)),
+                sizeof(f));
+    uint64_t usedBytes = (h.dataBytes / alloc::kGranule + 7) / 8;
+    if (!alloc::PmAllocator::frontierValid(f, h)) {
+        std::printf("heap: frontier record fails its check; a full "
+                    "restart reads the whole bitmap (%llu KiB) and "
+                    "rewrites it\n",
+                    static_cast<unsigned long long>(usedBytes >> 10));
+        return;
+    }
+    uint64_t chunks = (f.end - h.dataOff + alloc::PmAllocator::kChunkData -
+                       1) / alloc::PmAllocator::kChunkData;
+    uint64_t readBytes = std::min<uint64_t>(chunks * 64, usedBytes);
+    std::printf("heap: frontier end=%llu (%llu KiB into %llu KiB of "
+                "data); a full restart reads %.2f%% of the bitmap "
+                "(%llu of %llu bytes)\n",
+                static_cast<unsigned long long>(f.end),
+                static_cast<unsigned long long>((f.end - h.dataOff) >> 10),
+                static_cast<unsigned long long>(h.dataBytes >> 10),
+                100.0 * static_cast<double>(readBytes) /
+                    static_cast<double>(usedBytes),
+                static_cast<unsigned long long>(readBytes),
+                static_cast<unsigned long long>(usedBytes));
 }
 
 int
