@@ -323,10 +323,6 @@ PmAllocator::reserveLocked(uint64_t need)
         return 0;
     uint64_t off = it->second;
     uint64_t len = it->first;
-    // Durable before the block is handed out: its bits may be set at
-    // any commit from now on.
-    if (off + need > frontier_)
-        raiseFrontierLocked(off + need);
     bySize_.erase(it);
     free_.erase(off);
     if (len > need)
@@ -376,6 +372,8 @@ void
 PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
                      bool flushBits)
 {
+    // The one writer of set bits keeps the frontier's invariant: the
+    // raise is durable before a bit past the old end is written.
     if (value)
         raiseFrontierLocked(bOff + granules * kGranule);
     const AllocHeader& h = hdr();
@@ -590,19 +588,29 @@ PmAllocator::healMetaLocked(RebuildStats* st)
         }
     }
     AllocHeader want = expectedHeader(pool_);
-    if (lineBad || std::memcmp(cur, &want, sizeof(want)) != 0) {
-        pool_.writeAt(pool_.heapOff(), &want, sizeof(want));
-        pool_.persist(pool_.at(pool_.heapOff()), sizeof(want));
-        st->headerHealed = true;
-    }
-    const AllocHeader& h = hdr();
 
     // A frontier that cannot be trusted bounds nothing: the scan reads
     // the whole bitmap and rewrites the record when it is done.
     HeapFrontier f{};
     std::memcpy(&f, pool_.at(frontierOff(pool_)), sizeof(f));
-    frontierOk_ = !lineBad && frontierValid(f, h);
-    frontier_ = frontierOk_ ? f.end : h.dataOff + h.dataBytes;
+    frontierOk_ = !lineBad && frontierValid(f, want);
+    frontier_ = frontierOk_ ? f.end : want.dataOff + want.dataBytes;
+
+    if (lineBad || std::memcmp(cur, &want, sizeof(want)) != 0) {
+        pool_.writeAt(pool_.heapOff(), &want, sizeof(want));
+        // Only the line's marks kept a record that passes its check
+        // from being trusted, and this rewrite clears them: zero the
+        // record too. Otherwise a re-arm before the scan's end would
+        // trust an end that this session's commits may have passed.
+        if (lineBad) {
+            HeapFrontier none{};
+            pool_.writeAt(frontierOff(pool_), &none, sizeof(none));
+        }
+        pool_.persist(pool_.at(pool_.heapOff()),
+                      sizeof(want) + sizeof(HeapFrontier));
+        st->headerHealed = true;
+    }
+    const AllocHeader& h = hdr();
 
     // Validate the quarantine table before trusting it. An unreadable
     // or checksum-failing table is reset: the ranges it described
@@ -854,17 +862,11 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         lazyScanDone_ = true;
         if (!frontierOk_) {
             // The scan read the whole bitmap: its final free run is
-            // clear to the end. Holds and live reservations may still
-            // set bits, so the new frontier covers them too.
-            uint64_t end = h.dataOff + tailG * kGranule;
-            for (const Hold& hd : holds_)
-                end = std::max(end, hd.off + hd.bytes);
-            if (!reserved_.empty())
-                end = std::max(end, reserved_.rbegin()->first +
-                                        reserved_.rbegin()->second);
+            // clear to the end. A hold's heal or a reservation's commit
+            // that sets a bit past it raises the record in setBits.
             frontierOk_ = true;
             lazyStats_.frontierRewritten = true;
-            writeFrontierLocked(chunkCeil(end));
+            writeFrontierLocked(chunkCeil(h.dataOff + tailG * kGranule));
         }
     }
 }

@@ -33,8 +33,10 @@
  * The heap frontier bounds the scan: no bitmap bit at or past its end
  * is ever set on media, so a restart reads only the part of the bitmap
  * the heap has used and adds the rest of the data area to the free map
- * as one run. The allocator raises it, durably, before it returns a
- * block or forces a bit past it.
+ * as one run. The allocator raises it, durably, before it sets a bit
+ * past it (setBits, the one writer of set bits, and the scan's
+ * all-ones rewrite of a bad chunk) and before a quarantine entry
+ * reaches past it.
  *
  * Every block is preceded by a 16-byte header recording its payload
  * size (needed by free and by bit reverts).

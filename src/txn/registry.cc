@@ -1,9 +1,7 @@
 #include "txn/registry.h"
 
-#include <array>
-#include <atomic>
-#include <deque>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "common/rand.h"
@@ -12,52 +10,14 @@ namespace cnvm::txn {
 
 namespace {
 
-/**
- * One open-addressing slot. Registration fills `fn` and `name` under
- * the registry mutex and then publishes `fid` with a release store, so
- * a lookup that acquires a matching `fid` reads both without a lock.
- * A slot, once published, never changes.
- */
-struct Slot {
-    std::atomic<FuncId> fid{0};  ///< 0: empty (no id is 0)
-    TxFn fn = nullptr;
-    const std::string* name = nullptr;
+struct Entry {
+    std::string name;
+    TxFn fn;
 };
 
 struct Registry {
-    /** Power of two, well above the few hundred txfuncs a process
-     *  registers, so probe chains stay short. */
-    static constexpr size_t kCapacity = 4096;
-
-    std::mutex mu;                 ///< serialises registration
-    std::deque<std::string> names; ///< stable storage for Slot::name
-    size_t used = 0;
-    std::array<Slot, kCapacity> slots;
-
-    /** The slot holding `fid`, or the empty slot its probe ends at
-     *  (nullptr if the table is full and `fid` is absent). */
-    Slot*
-    probe(FuncId fid)
-    {
-        for (size_t n = 0, i = fid & (kCapacity - 1); n < kCapacity;
-             n++, i = (i + 1) & (kCapacity - 1)) {
-            FuncId cur = slots[i].fid.load(std::memory_order_acquire);
-            if (cur == fid || cur == 0)
-                return &slots[i];
-        }
-        return nullptr;
-    }
-
-    /** The published slot of `fid`, or nullptr. */
-    const Slot*
-    find(FuncId fid)
-    {
-        const Slot* s = probe(fid);
-        return s != nullptr &&
-                       s->fid.load(std::memory_order_acquire) == fid
-                   ? s
-                   : nullptr;
-    }
+    std::mutex mu;
+    std::unordered_map<FuncId, Entry> map;
 };
 
 Registry&
@@ -77,39 +37,38 @@ registerTxFunc(const std::string& name, TxFn fn)
         fid = 1;
     auto& r = registry();
     std::lock_guard<std::mutex> g(r.mu);
-    Slot* s = r.probe(fid);
-    if (s != nullptr && s->fid.load(std::memory_order_relaxed) == fid) {
-        if (*s->name != name)
-            fatal("txfunc id collision: " + name + " vs " + *s->name);
-        CNVM_CHECK(s->fn == fn,
+    auto it = r.map.find(fid);
+    if (it != r.map.end()) {
+        if (it->second.name != name)
+            fatal("txfunc id collision: " + name + " vs " +
+                  it->second.name);
+        CNVM_CHECK(it->second.fn == fn,
                    "txfunc re-registered with a different body");
         return fid;
     }
-    if (s == nullptr || r.used + 1 > Registry::kCapacity / 2)
-        fatal("txfunc registry full");
-    r.names.push_back(name);
-    s->fn = fn;
-    s->name = &r.names.back();
-    r.used++;
-    s->fid.store(fid, std::memory_order_release);
+    r.map.emplace(fid, Entry{name, fn});
     return fid;
 }
 
 TxFn
 lookupTxFunc(FuncId fid)
 {
-    const Slot* s = fid == 0 ? nullptr : registry().find(fid);
-    if (s == nullptr)
+    auto& r = registry();
+    std::lock_guard<std::mutex> g(r.mu);
+    auto it = r.map.find(fid);
+    if (it == r.map.end())
         fatal(strprintf("unknown txfunc id 0x%08x "
                         "(was it registered before recovery?)", fid));
-    return s->fn;
+    return it->second.fn;
 }
 
 const char*
 txFuncName(FuncId fid)
 {
-    const Slot* s = fid == 0 ? nullptr : registry().find(fid);
-    return s == nullptr ? "?" : s->name->c_str();
+    auto& r = registry();
+    std::lock_guard<std::mutex> g(r.mu);
+    auto it = r.map.find(fid);
+    return it == r.map.end() ? "?" : it->second.name.c_str();
 }
 
 }  // namespace cnvm::txn

@@ -30,11 +30,10 @@ using TxFn = void (*)(Tx&, ArgReader&);
  */
 FuncId registerTxFunc(const std::string& name, TxFn fn);
 
-/** Look up a registered function; fatal if unknown. Lock-free: every
- *  transaction and every re-execution calls it, from any thread. */
+/** Look up a registered function; fatal if unknown. */
 TxFn lookupTxFunc(FuncId fid);
 
-/** Name of a registered function ("?" if unknown). Lock-free. */
+/** Name of a registered function ("?" if unknown). */
 const char* txFuncName(FuncId fid);
 
 }  // namespace cnvm::txn

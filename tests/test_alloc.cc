@@ -706,27 +706,33 @@ TEST_F(AllocTest, FrontierRisesDurablyByDoublingInWholeChunks)
     uint64_t covered = 0;
     for (int i = 0; i < 400; i++) {
         uint64_t before = heap->frontier();
+        // A reservation sets no bit, so it raises nothing: its one
+        // write is the block header.
         stats::Snapshot s0 = stats::aggregate();
         uint64_t a = heap->reserve(1000);
         stats::Snapshot d = stats::aggregate() - s0;
+        EXPECT_EQ(heap->frontier(), before);
+        EXPECT_EQ(d[stats::Counter::fences], 0u);
+        EXPECT_EQ(d[stats::Counter::nvmWrites], 1u);
+
+        s0 = stats::aggregate();
+        heap->persistAllocate(a);
+        d = stats::aggregate() - s0;
         uint64_t after = heap->frontier();
-        // Every handed-out block lies below a durable frontier.
+        // Every committed block lies below a durable frontier.
         EXPECT_LE(a + 1000, after);
         EXPECT_EQ(mediaFrontier(*pool).end, after);
         EXPECT_EQ((after - dataOff) % PmAllocator::kChunkData, 0u);
-        if (after != before) {
+        // The commit writes and flushes the block's bits and flushes
+        // its header. A raise adds the record's write, flush and fence.
+        uint64_t raised = after != before ? 1 : 0;
+        if (raised != 0) {
             raises++;
             EXPECT_GE(after - dataOff, 2 * (before - dataOff));
-            // One record write and its flush and fence; the block
-            // header is the reservation's own write.
-            EXPECT_EQ(d[stats::Counter::fences], 1u);
-            EXPECT_EQ(d[stats::Counter::flushes], 1u);
-            EXPECT_EQ(d[stats::Counter::nvmWrites], 2u);
-        } else {
-            EXPECT_EQ(d[stats::Counter::fences], 0u);
-            EXPECT_EQ(d[stats::Counter::nvmWrites], 1u);
         }
-        heap->persistAllocate(a);
+        EXPECT_EQ(d[stats::Counter::fences], raised);
+        EXPECT_EQ(d[stats::Counter::flushes], 2 + raised);
+        EXPECT_EQ(d[stats::Counter::nvmWrites], 1 + raised);
         covered = a + 1000 - dataOff;
     }
     pool->fence();
@@ -767,10 +773,12 @@ TEST_F(AllocTest, ScanStopsAtTheFrontier)
     EXPECT_FALSE(heap->rebuild().frontierRewritten);
 }
 
-TEST_F(AllocTest, RewrittenFrontierCoversHoldsAndReservations)
+TEST_F(AllocTest, RewrittenFrontierRisesForHealsAndCommitsPastIt)
 {
-    // The rewrite after a failed record covers the ranges whose bits a
-    // heal or a commit may still set, though they read clear now.
+    // The rewrite after a failed record covers the bits the scan read:
+    // it ends where the scan's final free run starts. A hold's heal and
+    // a commit that set bits past it raise it first, in setBits, as
+    // every writer of set bits does.
     uint64_t a = heap->reserve(100);
     heap->persistAllocate(a);
     pool->fence();
@@ -779,19 +787,27 @@ TEST_F(AllocTest, RewrittenFrontierCoversHoldsAndReservations)
     pool->persist(pool->at(PmAllocator::frontierOff(*pool)), sizeof(zero));
     heap->beginLazyRebuild();
     uint64_t r = heap->reserve(100);  // the first pull serves it
-    const uint64_t held = heap->dataOff() + 9 * PmAllocator::kChunkData;
+    const uint64_t held = heap->dataOff() + 100 * PmAllocator::kChunkData;
     heap->addHold(0, held, 4096);
     RebuildStats st = heap->finishScan();
     EXPECT_TRUE(st.frontierRewritten);
-    EXPECT_GE(heap->frontier(), held + 4096);
     EXPECT_GE(heap->frontier(), r + 100);
-    uint64_t end = heap->frontier();
+    EXPECT_LT(heap->frontier(), held);
     heap->revertBits(held + sizeof(BlockHeader), 4096 - sizeof(BlockHeader),
                      true);
+    EXPECT_GE(heap->frontier(), held + 4096);
+    EXPECT_EQ(mediaFrontier(*pool).end, heap->frontier());
     heap->persistAllocate(r);
-    pool->fence();
-    EXPECT_EQ(heap->frontier(), end);
     heap->releaseHolds(0);
+    // Only the tail past the hold fits a block this large.
+    const uint64_t big = heap->frontier() - heap->dataOff();
+    uint64_t b = heap->reserve(big);
+    EXPECT_GT(b + big, heap->frontier());
+    heap->persistAllocate(b);
+    pool->fence();
+    EXPECT_GE(heap->frontier(), b + big);
+    EXPECT_EQ(mediaFrontier(*pool).end, heap->frontier());
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
     test::expectFrontierCoversBitmap(*pool, *heap);
 }
 

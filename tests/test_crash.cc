@@ -578,7 +578,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RestartSweep,
                          restartCaseName);
 
 // ---------------------------------------------------------------
-// The transaction whose reserve() raises the heap frontier, crashed at
+// The transaction whose commit raises the heap frontier, crashed at
 // every persistency event: the record is old, torn or new, and the
 // node's bits may or may not have reached media. Each crash point gets
 // a fresh heap whose free tail starts right at the frontier, so the

@@ -1120,6 +1120,79 @@ TEST(FrontierSalvage, DamagedRecordFallsBackToTheFullScanAndIsRewritten)
 }
 
 /**
+ * A record that passes its check on a header line that reads bad is
+ * not trusted, and the header's rewrite clears the line's marks. So
+ * arming zeroes the record: a block a lazy session then commits past
+ * the old end stays allocated when the scan is re-armed before its end,
+ * by a media fault (finishScan keeps the session) or by a new process.
+ */
+TEST(FrontierSalvage, BadHeaderLineZeroesTheRecordUntilTheScanEnds)
+{
+    enum class ReArm { fault, newProcess };
+    for (FrontierDamage damage :
+         {FrontierDamage::flipped, FrontierDamage::poisoned}) {
+        for (ReArm reArm : {ReArm::fault, ReArm::newProcess}) {
+            SCOPED_TRACE(std::string(damageName(damage)) +
+                         (reArm == ReArm::fault ? ", fault"
+                                                : ", new process"));
+            Harness h(RuntimeKind::clobber);
+            {
+                auto eng = h.engine();
+                for (uint64_t v = 1; v <= 8; v++)
+                    txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+            }
+            h.pool->setFaultModel(
+                std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
+            const uint64_t end = h.heap->frontier();
+            const uint64_t dataEnd = h.heap->dataOff() + h.heap->dataBytes();
+            // A bit of AllocHeader::bitmapOff, or the whole line: the
+            // record itself stays intact and passes its check.
+            if (damage == FrontierDamage::flipped)
+                h.pool->faults()->flipBit(*h.pool, h.pool->heapOff() + 8, 2);
+            else
+                h.pool->faults()->poisonAt(h.pool->heapOff());
+
+            h.heap->beginLazyRebuild();
+            EXPECT_EQ(h.heap->frontier(), dataEnd);
+            alloc::HeapFrontier rec{};
+            std::memcpy(&rec,
+                        h.pool->at(alloc::PmAllocator::frontierOff(*h.pool)),
+                        sizeof(rec));
+            EXPECT_FALSE(alloc::PmAllocator::frontierValid(
+                rec, alloc::PmAllocator::expectedHeader(*h.pool)));
+            EXPECT_TRUE(h.pool->faults()
+                            ->badLines(h.pool->heapOff(), nvm::kCacheLine)
+                            .empty());
+
+            // Larger than the whole span below the old end, so it
+            // crosses it wherever the pulled prefix places it.
+            const uint64_t bytes = end - h.heap->dataOff();
+            const uint64_t p = h.heap->reserve(bytes);
+            ASSERT_GT(p + bytes, end);
+            h.heap->persistAllocate(p);
+            h.pool->fence();
+
+            std::optional<alloc::PmAllocator> fresh;
+            alloc::RebuildStats st;
+            if (reArm == ReArm::fault) {
+                h.pool->faults()->poisonAt(dataEnd - nvm::kCacheLine);
+                st = h.heap->finishScan();
+            } else {
+                fresh.emplace(*h.pool, /* deferRebuild */ true);
+                st = fresh->finishScan();
+            }
+            const alloc::PmAllocator& heap =
+                fresh ? *fresh : *h.heap;
+            EXPECT_TRUE(st.frontierRewritten);
+            expectFreeMapMatchesBitmap(*h.pool, heap);
+            expectFrontierCoversBitmap(*h.pool, heap);
+            EXPECT_GE(heap.frontier(), p + bytes);
+            EXPECT_EQ(h.listLen(), 8u);
+        }
+    }
+}
+
+/**
  * A bitmap line past the frontier that the fault layer lists gets the
  * full scan's probe and quarantine; every other line there is never
  * read. Salvage then decides as it did when the scan read them all.

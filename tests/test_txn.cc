@@ -115,9 +115,9 @@ TEST(Registry, ReRegistrationWithAnotherBodyIsFatal)
 }
 
 /**
- * Lookups take no lock: readers on three threads resolve ids while a
- * fourth registers new ones. An id is either unknown ("?") or fully
- * published, name and body together.
+ * Readers on three threads resolve ids while a fourth registers new
+ * ones. An id is either unknown ("?") or fully registered, name and
+ * body together.
  */
 TEST(RegistryConcurrency, LookupsWhileAnotherThreadRegisters)
 {
