@@ -188,46 +188,29 @@ PmAllocator::payloadSize(uint64_t payloadOff) const
     return bh->payloadBytes;
 }
 
-void
-PmAllocator::dropBySizeLocked(uint64_t off, uint64_t len)
+std::vector<std::pair<uint64_t, uint64_t>>::iterator
+PmAllocator::reservationAt(uint64_t off)
 {
-    auto range = bySize_.equal_range(len);
-    for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == off) {
-            bySize_.erase(it);
-            return;
-        }
-    }
+    return std::lower_bound(
+        reserved_.begin(), reserved_.end(), off,
+        [](const std::pair<uint64_t, uint64_t>& r, uint64_t o) {
+            return r.first < o;
+        });
 }
 
 void
-PmAllocator::insertFreeExtentLocked(uint64_t off, uint64_t len)
+PmAllocator::eraseReservationLocked(uint64_t off)
 {
-    // Coalesce with the predecessor / successor extents.
-    auto next = free_.lower_bound(off);
-    if (next != free_.begin()) {
-        auto prev = std::prev(next);
-        if (prev->first + prev->second == off) {
-            off = prev->first;
-            len += prev->second;
-            dropBySizeLocked(prev->first, prev->second);
-            free_.erase(prev);
-        }
-    }
-    if (next != free_.end() && off + len == next->first) {
-        len += next->second;
-        dropBySizeLocked(next->first, next->second);
-        free_.erase(next);
-    }
-    free_[off] = len;
-    bySize_.emplace(len, off);
+    auto it = reservationAt(off);
+    if (it != reserved_.end() && it->first == off)
+        reserved_.erase(it);
 }
 
 void
 PmAllocator::insertFreeRunMaskedLocked(uint64_t off, uint64_t len)
 {
     if (holds_.empty() && reserved_.empty()) {
-        insertFreeExtentLocked(off, len);
+        free_.insert(off, len);
         return;
     }
     // Collect every hold / live-reservation range overlapping the run,
@@ -237,7 +220,7 @@ PmAllocator::insertFreeRunMaskedLocked(uint64_t off, uint64_t len)
         if (hd.off < off + len && off < hd.off + hd.bytes)
             masks.emplace_back(hd.off, hd.off + hd.bytes);
     }
-    auto it = reserved_.lower_bound(off);
+    auto it = reservationAt(off);
     if (it != reserved_.begin()) {
         auto prev = std::prev(it);
         if (prev->first + prev->second > off)
@@ -247,7 +230,7 @@ PmAllocator::insertFreeRunMaskedLocked(uint64_t off, uint64_t len)
     for (; it != reserved_.end() && it->first < off + len; ++it)
         masks.emplace_back(it->first, it->first + it->second);
     if (masks.empty()) {
-        insertFreeExtentLocked(off, len);
+        free_.insert(off, len);
         return;
     }
     std::sort(masks.begin(), masks.end());
@@ -256,37 +239,11 @@ PmAllocator::insertFreeRunMaskedLocked(uint64_t off, uint64_t len)
         lo = std::max(lo, off);
         hi = std::min(hi, off + len);
         if (lo > cur)
-            insertFreeExtentLocked(cur, lo - cur);
+            free_.insert(cur, lo - cur);
         cur = std::max(cur, hi);
     }
     if (cur < off + len)
-        insertFreeExtentLocked(cur, off + len - cur);
-}
-
-void
-PmAllocator::carveLocked(uint64_t off, uint64_t len)
-{
-    uint64_t end = off + len;
-    auto it = free_.lower_bound(off);
-    if (it != free_.begin() &&
-        std::prev(it)->first + std::prev(it)->second > off)
-        --it;
-    while (it != free_.end() && it->first < end) {
-        uint64_t lo = it->first;
-        uint64_t hi = lo + it->second;
-        dropBySizeLocked(lo, it->second);
-        it = free_.erase(it);
-        // The pieces left either side touch the carved range, not
-        // another extent: no coalescing to do.
-        if (lo < off) {
-            free_[lo] = off - lo;
-            bySize_.emplace(off - lo, lo);
-        }
-        if (end < hi) {
-            free_[end] = hi - end;
-            bySize_.emplace(hi - end, end);
-        }
-    }
+        free_.insert(cur, off + len - cur);
 }
 
 void
@@ -300,7 +257,7 @@ PmAllocator::syncRangeLocked(uint64_t off, uint64_t len)
     uint64_t hi = std::min(off + len, h.dataOff + scannedG * kGranule);
     if (lo >= hi)
         return;
-    carveLocked(lo, hi - lo);
+    free_.carve(lo, hi - lo);
     const auto* bm = static_cast<const uint8_t*>(pool_.at(h.bitmapOff));
     uint64_t run = lo;  // start of the clear run being collected
     for (uint64_t b = lo; b < hi; b += kGranule) {
@@ -316,21 +273,6 @@ PmAllocator::syncRangeLocked(uint64_t off, uint64_t len)
 }
 
 uint64_t
-PmAllocator::reserveLocked(uint64_t need)
-{
-    auto it = bySize_.lower_bound(need);
-    if (it == bySize_.end())
-        return 0;
-    uint64_t off = it->second;
-    uint64_t len = it->first;
-    bySize_.erase(it);
-    free_.erase(off);
-    if (len > need)
-        insertFreeExtentLocked(off + need, len - need);
-    return off;
-}
-
-uint64_t
 PmAllocator::reserve(size_t payload)
 {
     uint64_t need =
@@ -338,17 +280,17 @@ PmAllocator::reserve(size_t payload)
     uint64_t off;
     {
         std::lock_guard<std::mutex> g(mu_);
-        off = reserveLocked(need);
+        off = free_.take(need);
         // During a lazy rebuild the free map only covers the scanned
         // prefix of the bitmap: pull more of the scan before declaring
         // the heap exhausted. 64 chunks = 4 KiB of bitmap = 512 KiB of
         // data per pull keeps the stall bounded.
         while (off == 0 && !lazyScanDone_) {
             lazyStepLocked(64);
-            off = reserveLocked(need);
+            off = free_.take(need);
         }
         if (off != 0)
-            reserved_[off] = need;
+            reserved_.insert(reservationAt(off), {off, need});
     }
     if (off == 0)
         fatal("persistent heap exhausted");
@@ -364,7 +306,7 @@ PmAllocator::releaseReservation(uint64_t payloadOff)
     uint64_t off = blockOff(payloadOff);
     uint64_t len = blockGranules(payloadOff) * kGranule;
     std::lock_guard<std::mutex> g(mu_);
-    reserved_.erase(off);
+    eraseReservationLocked(off);
     syncRangeLocked(off, len);
 }
 
@@ -373,11 +315,16 @@ PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
                      bool flushBits)
 {
     // The one writer of set bits keeps the frontier's invariant: the
-    // raise is durable before a bit past the old end is written.
-    if (value)
-        raiseFrontierLocked(bOff + granules * kGranule);
+    // raise is durable before a bit past the old end is written. A
+    // failed record is rewritten when the scan ends, past these bits.
     const AllocHeader& h = hdr();
     uint64_t firstGranule = (bOff - h.dataOff) / kGranule;
+    if (value) {
+        raiseFrontierLocked(bOff + granules * kGranule);
+        if (!frontierOk_)
+            lazySetEndG_ =
+                std::max(lazySetEndG_, firstGranule + granules);
+    }
     uint64_t firstByte = h.bitmapOff + firstGranule / 8;
     uint64_t lastByte = h.bitmapOff + (firstGranule + granules - 1) / 8;
     // Read-modify-write whole bytes under the allocator lock, in a
@@ -406,7 +353,7 @@ PmAllocator::persistAllocate(uint64_t payloadOff)
     std::lock_guard<std::mutex> g(mu_);
     setBits(bOff, granules, true, true);
     pool_.flush(pool_.at(bOff), sizeof(BlockHeader));
-    reserved_.erase(bOff);  // the bitmap speaks for the block now
+    eraseReservationLocked(bOff);  // the bitmap speaks for the block now
 }
 
 void
@@ -561,11 +508,8 @@ PmAllocator::quarantineViolation() const
     std::lock_guard<std::mutex> g(mu_);
     const QuarantineTable* qt = quarTable();
     for (uint32_t i = 0; i < qt->count; i++) {
-        const QuarantineEntry& e = qt->entries[i];
-        for (const auto& [off, len] : free_) {
-            if (off < e.off + e.bytes && e.off < off + len)
-                return true;
-        }
+        if (free_.overlaps(qt->entries[i].off, qt->entries[i].bytes))
+            return true;
     }
     return false;
 }
@@ -642,7 +586,6 @@ void
 PmAllocator::armScanLocked(bool keepSession)
 {
     free_.clear();
-    bySize_.clear();
     if (!keepSession) {
         // Fresh-process recovery: pre-crash reservations and holds are
         // dead volatile state of the previous execution.
@@ -653,7 +596,9 @@ PmAllocator::armScanLocked(bool keepSession)
     healMetaLocked(&lazyStats_);
     lazyScanDone_ = false;
     lazyCursor_ = 0;
+    lazyAddedG_ = 0;
     lazyInRun_ = false;
+    lazySetEndG_ = 0;
 }
 
 RebuildStats
@@ -821,9 +766,7 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
                 int p = std::countr_zero(edges);
                 uint64_t gi = w + static_cast<uint64_t>(p);
                 if (lazyInRun_) {
-                    insertFreeRunMaskedLocked(
-                        h.dataOff + lazyRunStartG_ * kGranule,
-                        (gi - lazyRunStartG_) * kGranule);
+                    addOpenRunLocked(gi);
                     lazyInRun_ = false;
                 } else {
                     lazyRunStartG_ = gi;
@@ -834,41 +777,47 @@ PmAllocator::lazyStepLocked(uint64_t chunks)
         }
         lazyCursor_ += n;
     }
-    // Flush the still-open free run up to the cursor: on a mostly
-    // empty pool the tail is one huge run that would otherwise only
-    // become allocatable once the scan reaches the very end — turning
-    // the first post-crash reserve() into a full-bitmap scan. The
-    // continuation run opened by the next pull coalesces with this
-    // extent in insertFreeExtentLocked, so no fragmentation survives.
-    if (lazyInRun_ && lazyCursor_ < usedBitmapBytes) {
-        uint64_t curG = std::min(lazyCursor_ * 8, nGranules);
-        if (curG > lazyRunStartG_) {
-            insertFreeRunMaskedLocked(
-                h.dataOff + lazyRunStartG_ * kGranule,
-                (curG - lazyRunStartG_) * kGranule);
-            lazyInRun_ = false;
-        }
-    }
+    // Add the still-open free run up to the cursor: on a mostly empty
+    // pool the tail is one huge run that would otherwise only become
+    // allocatable once the scan reaches the very end — turning the
+    // first post-crash reserve() into a full-bitmap scan. The run stays
+    // open, and the next pull's part of it coalesces with this extent,
+    // so no fragmentation survives.
+    if (lazyInRun_ && lazyCursor_ < usedBitmapBytes)
+        addOpenRunLocked(std::min(lazyCursor_ * 8, nGranules));
     if (wroteBits)
         pool_.fence();
     if (lazyCursor_ >= usedBitmapBytes) {
-        uint64_t tailG = lazyInRun_ ? lazyRunStartG_ : nGranules;
+        // The set bits the scan saw end where its final free run starts.
+        uint64_t setEndG = lazyInRun_ ? lazyRunStartG_ : nGranules;
         if (lazyInRun_) {
-            insertFreeRunMaskedLocked(
-                h.dataOff + lazyRunStartG_ * kGranule,
-                (nGranules - lazyRunStartG_) * kGranule);
+            addOpenRunLocked(nGranules);
             lazyInRun_ = false;
         }
         lazyScanDone_ = true;
         if (!frontierOk_) {
-            // The scan read the whole bitmap: its final free run is
-            // clear to the end. A hold's heal or a reservation's commit
-            // that sets a bit past it raises the record in setBits.
+            // The scan read the whole bitmap. The record goes to the
+            // chunk after the last set bit: one the scan saw, or one a
+            // commit or a heal set behind the cursor while the scan ran
+            // (setBits raised nothing then). A bit set past it later
+            // raises the record in setBits.
             frontierOk_ = true;
             lazyStats_.frontierRewritten = true;
-            writeFrontierLocked(chunkCeil(h.dataOff + tailG * kGranule));
+            setEndG = std::max(setEndG, lazySetEndG_);
+            writeFrontierLocked(chunkCeil(h.dataOff + setEndG * kGranule));
         }
     }
+}
+
+void
+PmAllocator::addOpenRunLocked(uint64_t toG)
+{
+    uint64_t fromG = std::max(lazyRunStartG_, lazyAddedG_);
+    if (toG > fromG) {
+        insertFreeRunMaskedLocked(hdr().dataOff + fromG * kGranule,
+                                  (toG - fromG) * kGranule);
+    }
+    lazyAddedG_ = toG;
 }
 
 uint64_t
@@ -920,17 +869,14 @@ size_t
 PmAllocator::freeBytes() const
 {
     std::lock_guard<std::mutex> g(mu_);
-    size_t sum = 0;
-    for (const auto& [off, len] : free_)
-        sum += len;
-    return sum;
+    return free_.bytes();
 }
 
 size_t
 PmAllocator::freeExtents() const
 {
     std::lock_guard<std::mutex> g(mu_);
-    return free_.size();
+    return free_.extents();
 }
 
 }  // namespace cnvm::alloc

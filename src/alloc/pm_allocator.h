@@ -23,6 +23,15 @@
  * the session starts over only when the pool took a crash or a media
  * fault after the map was built (nvm::Pool::upsets).
  *
+ * The free map (FreeMap, free_map.h) and the live reservations are
+ * flat vectors that keep their capacity across scans and commits: the
+ * scan appends each free run in offset order, and a warm commit that
+ * allocates or frees makes no heap allocation. reserve() takes the
+ * smallest free extent that fits and, among equal lengths, the one
+ * listed first (an extent is listed when it enters the map or changes
+ * length), from a FIFO list per exact length of up to 256 granules
+ * and one per power of two above that.
+ *
  * Persistent layout inside the pool's heap region (pool version 5;
  * version 5 added the heap frontier in the header's line, version 3
  * changed only the quarantine table's checksum):
@@ -52,16 +61,15 @@
 #define CNVM_ALLOC_PM_ALLOCATOR_H
 
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
+#include "alloc/free_map.h"
 #include "common/error.h"
 #include "nvm/pool.h"
 
 namespace cnvm::alloc {
-
-constexpr uint64_t kGranule = 16;
 
 /** Persistent header at the start of the heap region. */
 struct AllocHeader {
@@ -340,21 +348,20 @@ class PmAllocator {
     uint64_t blockGranules(uint64_t payloadOff) const;
     void setBits(uint64_t blockOff, uint64_t granules, bool value,
                  bool flushBits);
-    void dropBySizeLocked(uint64_t off, uint64_t len);
-    /** Add a run no extent overlaps, coalescing with its neighbours. */
-    void insertFreeExtentLocked(uint64_t off, uint64_t len);
-    /** insertFreeExtentLocked minus hold/reservation overlaps. */
+    /** Add a run no extent overlaps to the free map, minus hold and
+     *  reservation overlaps. */
     void insertFreeRunMaskedLocked(uint64_t off, uint64_t len);
-    /** Remove [off, off+len) from the free map, splitting the extents
-     *  it cuts. */
-    void carveLocked(uint64_t off, uint64_t len);
+    /** The first live reservation at or past `off`. */
+    std::vector<std::pair<uint64_t, uint64_t>>::iterator
+    reservationAt(uint64_t off);
+    /** Drop the live reservation at `off`, if any. */
+    void eraseReservationLocked(uint64_t off);
     /** Make the map mirror the bitmap over the part of [off, off+len)
      *  the scan has passed: its clear runs minus holds and live
      *  reservations are free, the rest is not. */
     void syncRangeLocked(uint64_t off, uint64_t len);
     /** Has the pool crashed or taken a media fault since armScan? */
     bool staleLocked() const { return pool_.upsets() != builtAt_; }
-    uint64_t reserveLocked(uint64_t need);
     /** Heal the header and quarantine table, and load the frontier
      *  (the header's line is probed once, before any rewrite of it). */
     void healMetaLocked(RebuildStats* st);
@@ -375,6 +382,9 @@ class PmAllocator {
     /** Scan up to `chunks` 64-byte bitmap chunks from the cursor into
      *  the free map (the allocator's one bitmap scan). */
     void lazyStepLocked(uint64_t chunks);
+    /** Add the open free run, up to granule `toG`, to the free map
+     *  where an earlier pull has not added it yet. */
+    void addOpenRunLocked(uint64_t toG);
 
     /** A heap range pinned until its owning slot heals. */
     struct Hold {
@@ -388,20 +398,25 @@ class PmAllocator {
 
     nvm::Pool& pool_;
     mutable std::mutex mu_;
-    /** offset -> length, coalesced free extents (absolute pool offsets) */
-    std::map<uint64_t, uint64_t> free_;
-    /** length -> offset index for best-fit */
-    std::multimap<uint64_t, uint64_t> bySize_;
-    /** block offset -> total bytes of live volatile reservations (bits
-     *  still clear on media; a concurrent rebuild must not free them) */
-    std::map<uint64_t, uint64_t> reserved_;
+    /** Coalesced free extents (absolute pool offsets) */
+    FreeMap free_;
+    /** {block offset, total bytes} of each live volatile reservation,
+     *  sorted by offset (bits still clear on media; a concurrent
+     *  rebuild must not free them) */
+    std::vector<std::pair<uint64_t, uint64_t>> reserved_;
     std::vector<Hold> holds_;
     /** @name The bitmap scan (run eagerly, or pulled on demand) */
     /// @{
     bool lazyScanDone_ = false;
     uint64_t lazyCursor_ = 0;     ///< bitmap bytes consumed so far
     uint64_t lazyRunStartG_ = 0;  ///< open free-run start granule
+    /** How far the open run is in the free map: each pull adds the
+     *  part it scanned, and the run stays open across pulls. */
+    uint64_t lazyAddedG_ = 0;
     bool lazyInRun_ = false;
+    /** While a failed frontier record waits for the scan's rewrite:
+     *  the end of the last bit setBits set since the scan was armed. */
+    uint64_t lazySetEndG_ = 0;
     RebuildStats lazyStats_{};    ///< salvage found since armed
     uint64_t builtAt_ = 0;        ///< pool_.upsets() when armed
     /// @}

@@ -37,7 +37,7 @@ findPredecessors(txn::Tx& tx, nvm::PPtr<PSkiplist> root, uint64_t key,
         WalkBound walk(tx, sizeof(SkNode));
         for (auto nxt = tx.ld(cur->next[lvl]); !nxt.isNull();
              nxt = tx.ld(cur->next[lvl])) {
-            walk.step();
+            walk.step(nxt.raw());
             if (tx.ld(nxt->key) < key)
                 cur = nxt;
             else

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -100,6 +101,47 @@ TEST_F(AllocTest, PersistFreeReturnsSpaceAcrossRebuild)
     pool->fence();
     heap->rebuild();
     EXPECT_EQ(heap->freeBytes(), start);
+}
+
+/**
+ * reserve() takes the smallest extent that fits and, among extents of
+ * equal length, the one listed first: an extent is listed when it
+ * enters the free map or changes length, so a coalesce puts the merged
+ * extent at the back of its length, whatever its offset.
+ */
+TEST_F(AllocTest, ReserveTakesTheSmallestFitListedFirst)
+{
+    // Blocks from the data area's start (whole granules, headers
+    // included); s1..s4 stay allocated between the holes.
+    const uint64_t sizes[] = {32, 32, 32, 64, 32, 64, 32, 96, 32};
+    enum { d1, d2, s1, a, s2, b, s3, c, s4 };
+    std::vector<uint64_t> off;
+    for (uint64_t n : sizes) {
+        off.push_back(heap->reserve(n - sizeof(BlockHeader)));
+        heap->persistAllocate(off.back());
+    }
+    pool->fence();
+    ASSERT_EQ(off[d1], heap->dataOff() + sizeof(BlockHeader));
+    for (size_t i = 1; i < off.size(); i++)
+        ASSERT_EQ(off[i], off[i - 1] + sizes[i - 1]);
+    // Listed: d1 (32), a (64), d1 + d2 (64, after a), b (64), c (96),
+    // behind the heap's tail.
+    for (int i : {d1, a, d2, b, c})
+        heap->persistFree(off[i]);
+    pool->fence();
+    EXPECT_EQ(heap->freeExtents(), 5u);
+    auto take = [&](uint64_t block) {
+        return heap->reserve(block - sizeof(BlockHeader));
+    };
+    // Equal lengths go in listing order, not offset order.
+    EXPECT_EQ(take(64), off[a]);
+    EXPECT_EQ(take(64), off[d1]);
+    EXPECT_EQ(take(64), off[b]);
+    // The smallest that fits is c, not the tail, and its rest is listed.
+    EXPECT_EQ(take(48), off[c]);
+    EXPECT_EQ(take(48), off[c] + 48);
+    EXPECT_EQ(take(64), off[s4] + 32);
+    EXPECT_EQ(heap->freeExtents(), 1u);
 }
 
 TEST_F(AllocTest, CoalescingKeepsExtentCountBounded)
@@ -775,10 +817,10 @@ TEST_F(AllocTest, ScanStopsAtTheFrontier)
 
 TEST_F(AllocTest, RewrittenFrontierRisesForHealsAndCommitsPastIt)
 {
-    // The rewrite after a failed record covers the bits the scan read:
-    // it ends where the scan's final free run starts. A hold's heal and
-    // a commit that set bits past it raise it first, in setBits, as
-    // every writer of set bits does.
+    // The rewrite after a failed record goes to the chunk after the
+    // last set bit, however far the lazy pulls read: here the first
+    // chunk. A hold's heal and a commit that set bits past it raise it
+    // first, in setBits, as every writer of set bits does.
     uint64_t a = heap->reserve(100);
     heap->persistAllocate(a);
     pool->fence();
@@ -791,8 +833,8 @@ TEST_F(AllocTest, RewrittenFrontierRisesForHealsAndCommitsPastIt)
     heap->addHold(0, held, 4096);
     RebuildStats st = heap->finishScan();
     EXPECT_TRUE(st.frontierRewritten);
+    EXPECT_EQ(heap->frontier(), heap->dataOff() + PmAllocator::kChunkData);
     EXPECT_GE(heap->frontier(), r + 100);
-    EXPECT_LT(heap->frontier(), held);
     heap->revertBits(held + sizeof(BlockHeader), 4096 - sizeof(BlockHeader),
                      true);
     EXPECT_GE(heap->frontier(), held + 4096);
@@ -811,6 +853,35 @@ TEST_F(AllocTest, RewrittenFrontierRisesForHealsAndCommitsPastIt)
     test::expectFrontierCoversBitmap(*pool, *heap);
 }
 
+TEST_F(AllocTest, RewrittenFrontierCoversCommitsBehindTheScan)
+{
+    // While a failed record waits for the scan's rewrite, a commit
+    // served by an early pull raises nothing. Its bits lie behind the
+    // cursor, past the last set bit the scan saw, and the rewrite must
+    // cover them too.
+    uint64_t a = heap->reserve(100);
+    heap->persistAllocate(a);
+    pool->fence();
+    HeapFrontier zero{};
+    pool->writeAt(PmAllocator::frontierOff(*pool), &zero, sizeof(zero));
+    pool->persist(pool->at(PmAllocator::frontierOff(*pool)), sizeof(zero));
+    heap->beginLazyRebuild();
+    // The first pull reads 64 chunks: r lands in the fourth.
+    uint64_t spacer = heap->reserve(3 * PmAllocator::kChunkData);
+    uint64_t r = heap->reserve(100);
+    const uint64_t fourth = heap->dataOff() + 3 * PmAllocator::kChunkData;
+    ASSERT_GT(r, fourth);
+    ASSERT_LT(r + 100, fourth + PmAllocator::kChunkData);
+    heap->persistAllocate(r);
+    heap->releaseReservation(spacer);
+    pool->fence();
+    EXPECT_EQ(mediaFrontier(*pool).end, 0u);
+    EXPECT_TRUE(heap->finishScan().frontierRewritten);
+    EXPECT_EQ(heap->frontier(), fourth + PmAllocator::kChunkData);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    test::expectFrontierCoversBitmap(*pool, *heap);
+}
+
 TEST_F(AllocTest, QuarantinePastTheFrontierRaisesItFirst)
 {
     const uint64_t lo = heap->dataOff() + 20 * PmAllocator::kChunkData + 64;
@@ -822,6 +893,78 @@ TEST_F(AllocTest, QuarantinePastTheFrontierRaisesItFirst)
     EXPECT_TRUE(heap->isQuarantined(lo, 256));
     EXPECT_FALSE(heap->quarantineViolation());
     test::expectFreeMapMatchesBitmap(*pool, *heap);
+}
+
+/**
+ * The allocator's lock on real threads: workers reserve, commit, roll
+ * back and free while another thread pins and releases hold ranges and
+ * pulls the lazy scan to its end. Once all are done the free map must
+ * equal the raw bitmap, and the frontier must cover every set bit.
+ */
+TEST(AllocConcurrency, WritersHoldsAndTheScanKeepTheFreeMapExact)
+{
+    nvm::PoolConfig cfg;
+    cfg.size = 16 << 20;
+    cfg.maxThreads = 8;
+    cfg.slotBytes = 64 << 10;
+    auto pool = nvm::Pool::create(cfg);
+    auto heap = std::make_unique<PmAllocator>(*pool);
+    // Holes for the scan to list: every third of 3,000 blocks freed.
+    std::vector<uint64_t> seeded;
+    for (int i = 0; i < 3000; i++) {
+        seeded.push_back(heap->reserve(16 + 16 * (i % 40)));
+        heap->persistAllocate(seeded.back());
+    }
+    for (size_t i = 0; i < seeded.size(); i += 3)
+        heap->persistFree(seeded[i]);
+    pool->fence();
+    heap->beginLazyRebuild();
+
+    constexpr unsigned kWorkers = 3;
+    constexpr int kOps = 1500;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kWorkers; t++) {
+        threads.emplace_back([&, t] {
+            Xorshift rng(t + 1);
+            std::vector<uint64_t> mine;
+            for (int i = 0; i < kOps; i++) {
+                uint64_t off = heap->reserve(1 + rng.nextUint(600));
+                if (rng.nextUint(4) == 0) {
+                    heap->releaseReservation(off);
+                } else {
+                    heap->persistAllocate(off);
+                    mine.push_back(off);
+                }
+                if (!mine.empty() && rng.nextUint(2) == 0) {
+                    size_t k = rng.nextUint(mine.size());
+                    heap->persistFree(mine[k]);
+                    mine[k] = mine.back();
+                    mine.pop_back();
+                }
+                pool->fence();
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        Xorshift rng(99);
+        const unsigned tid = 7;
+        for (int i = 0; i < kOps; i++) {
+            for (int h = 0; h < 3; h++) {
+                uint64_t off = heap->dataOff() +
+                               kGranule * rng.nextUint(1 << 17);
+                heap->addHold(tid, off, kGranule * (1 + rng.nextUint(256)));
+            }
+            heap->releaseHolds(tid);
+            if (i == kOps / 2)
+                heap->finishScan();
+        }
+    });
+    for (std::thread& th : threads)
+        th.join();
+    heap->finishScan();
+    EXPECT_EQ(heap->holdCount(), 0u);
+    test::expectFreeMapMatchesBitmap(*pool, *heap);
+    test::expectFrontierCoversBitmap(*pool, *heap);
 }
 
 }  // namespace

@@ -321,29 +321,37 @@ TEST(KvServerAllocation, InPlaceSetAndGetAllocateNothing)
 
 /**
  * A set that changes a value's size replaces its item: one pmalloc
- * and one pfree in one transaction. The allocator's reservation and
- * free-extent maps still allocate (4.8 per set here, 14.8 with
- * mnemosyne's write set); the argument blob, the intent table and
- * the bitmap bytes no longer do. Pool layout v2 made 13.3 per set on
- * clobber and pmdk and 23.3 on mnemosyne.
+ * and one pfree in one transaction. After warm-up that allocates
+ * nothing on clobber and pmdk either: the allocator's free map and
+ * reservation list are flat vectors that keep their capacity (the
+ * std::map and std::multimap nodes they replaced made 4.8 heap
+ * allocations per set here; pool layout v2 made 13.3). Mnemosyne's
+ * write set is a std::unordered_map, one node per word a set writes.
  */
-TEST(KvServerAllocation, AllocatingSetAllocatesOnlyForAllocatorMaps)
+TEST(KvServerAllocation, AllocatingSetAllocatesOnlyForMnemosyneWriteSet)
 {
     struct Case {
         RuntimeKind kind;
         uint64_t maxPerSet;
     };
-    for (Case c : {Case{RuntimeKind::clobber, 5},
-                   Case{RuntimeKind::undo, 5},
-                   Case{RuntimeKind::redo, 15}}) {
+    for (Case c : {Case{RuntimeKind::clobber, 0},
+                   Case{RuntimeKind::undo, 0},
+                   Case{RuntimeKind::redo, 11}}) {
         WarmStore w(c.kind);
         constexpr int kSets = 1024;
+        auto sizeChangingSets = [&] {
+            for (int i = 0; i < kSets; i++) {
+                bool odd = (i / WarmStore::kKeys) % 2 != 0;
+                w.server.set(w.keys[i % WarmStore::kKeys],
+                             odd ? w.shortVal : w.longVal, 0);
+            }
+        };
+        // Two passes bring the free map to its largest extent count,
+        // and its vectors to the capacity that count needs.
+        sizeChangingSets();
+        sizeChangingSets();
         uint64_t before = tNewCalls;
-        for (int i = 0; i < kSets; i++) {
-            bool odd = (i / WarmStore::kKeys) % 2 != 0;
-            w.server.set(w.keys[i % WarmStore::kKeys],
-                         odd ? w.shortVal : w.longVal, 0);
-        }
+        sizeChangingSets();
         uint64_t news = tNewCalls - before;
         EXPECT_LE(news, c.maxPerSet * kSets) << static_cast<int>(c.kind);
     }

@@ -16,6 +16,7 @@
 #include "structures/kv.h"
 #include "structures/list.h"
 #include "structures/rbtree.h"
+#include "structures/skiplist.h"
 #include "testutil.h"
 
 namespace cnvm::test {
@@ -618,6 +619,22 @@ TEST(TornPointers, ChainLinkIntoANodeFails)
     h.pool->write(&head->next, &torn, sizeof(torn));
     ds::LookupResult r;
     EXPECT_THROW(map.lookup("zz", &r), PanicError);
+}
+
+TEST(TornPointers, SkiplistLinkOutsideTheHeapFails)
+{
+    // The head's top-level link, which every search follows first,
+    // names an offset far past the pool's end.
+    Harness h(RuntimeKind::noLog, rt::ClobberPolicy::refined, 4ULL << 20);
+    auto eng = h.engine();
+    ds::Skiplist list(eng);
+    list.insert("a", "1");
+    auto* root = static_cast<ds::PSkiplist*>(h.pool->at(list.rootOff()));
+    auto torn = nvm::PPtr<ds::SkNode>(uint64_t{1} << 40);
+    h.pool->write(&root->head.next[ds::kSkipMaxLevel - 1], &torn,
+                  sizeof(torn));
+    ds::LookupResult r;
+    EXPECT_THROW(list.lookup("a", &r), PanicError);
 }
 
 TEST(TornPointers, NullRbTreeValueFails)
